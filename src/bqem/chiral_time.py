@@ -20,8 +20,8 @@ with  a = 1/(beta sqrt(eps mu)),      c(x) = |x| / (beta^2 sqrt(eps mu)),
 where 1 - 1j x/|x| is the biquaternion with unit scalar part and vector
 part -1j x/|x|.  It vanishes identically for t < 0 (Heaviside convention
 H(0) = 1) and reduces to K_{1/beta}(x) / (beta sqrt(eps mu)) at t = 0+.
-J0 and J1 come from their power series, which is all the desk-scale
-arguments 2 sqrt(c t) here require.
+J0 and J1 come from ``scipy.special``, accurate for every argument
+2 sqrt(c t) >= 0, so the closed form holds at any t and |x|.
 """
 
 from __future__ import annotations
@@ -36,38 +36,22 @@ from .errors import AchiralUnsupported, ArgumentOutOfRange, OriginSingularity
 from .grids import SpaceTimeGrid, SpaceTimeLattice, diff, dirac, div, max_abs_interior, rot
 from .kernels import FOUR_PI, ORIGIN_TOL, ChiralMedium
 
-# Power-series validity cap: beyond this the alternating series loses too
-# many digits to cancellation in double precision.
-BESSEL_Z_MAX = 40.0
-_BESSEL_TERM_CUTOFF = 1e-17
-
 
 def bessel_j(order: int, z) -> np.ndarray:
-    """J0 or J1 by the alternating power series, for 0 <= z <= 40.
+    """J0 or J1 of real z >= 0, from ``scipy.special``.
 
-    Terms are added until they drop below 1e-17 of the running magnitude.
-    Accuracy degrades with growing z as the leading terms grow like I0(z);
-    the desk-scale arguments this library produces stay well below the cap.
+    scipy.special is imported on first use: at module level it would add
+    tens of milliseconds to ``import bqem`` for every command.
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
-        raise ArgumentOutOfRange("series evaluated for z >= 0 only")
-    if np.any(z > BESSEL_Z_MAX):
-        raise ArgumentOutOfRange(f"z > {BESSEL_Z_MAX}: series cancellation guard")
-    half = 0.5 * z
-    q = -(half * half)
-    term = np.ones_like(z) if order == 0 else half.copy()
-    total = term.copy()
-    run_max = np.abs(total)
-    for k in range(1, 200):
-        term = term * q / (k * (k + order))
-        total = total + term
-        run_max = np.maximum(run_max, np.abs(total))
-        if np.all(np.abs(term) <= _BESSEL_TERM_CUTOFF * np.maximum(run_max, 1e-300)):
-            break
-    return total if total.ndim else float(total)
+        raise ArgumentOutOfRange("Bessel functions evaluated for z >= 0 only")
+    import scipy.special
+
+    j = scipy.special.j0(z) if order == 0 else scipy.special.j1(z)
+    return j if j.ndim else float(j)
 
 
 @dataclass(frozen=True)

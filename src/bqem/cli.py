@@ -254,10 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", metavar="PATH", help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
 
     p_scatter = sub.add_parser("scatter", help="dipole scattering benchmark sweep")
     common(p_scatter)
+    p_scatter.add_argument("--threads", type=int, default=1, help="row-assembly worker threads")
 
     p_check = sub.add_parser("check", help="run a verification suite")
     p_check.add_argument("suite", choices=tuple(SUITES) + ("all",))

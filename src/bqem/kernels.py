@@ -12,6 +12,11 @@ kernel decays (or stays bounded) at infinity.  The Dirac-operator kernels are
 with scalar part +/- alpha*theta and common vector part -grad(theta); both
 signs share the same theta_alpha, so one routine takes (alpha, sign).
 
+theta_alpha and its radial gradient factor G (grad theta = G(r) x) are
+computed in one routine, ``_theta_and_radial``, which is also the only place
+that rejects Im(alpha) < 0 and |x| = 0.  Every public kernel is a view of
+it; only ``vector_potential_curl_curl`` adds the Hessian factor dG/dr.
+
 All evaluators are pure and broadcast over a trailing-(3,) position array,
 which is what the scattering matrix assembly relies on.
 """
@@ -33,28 +38,29 @@ ORIGIN_TOL = 1e-13
 RESONANCE_TOL = 1e-12
 
 
-def _radii(x) -> tuple[np.ndarray, np.ndarray]:
+def _theta_and_radial(alpha: complex, x):
+    """The one evaluation of theta_alpha and its radial gradient factor.
+
+    Rejects Im(alpha) < 0 and |x| = 0, then returns (x, r, theta, G) with
+    grad theta = G(r) * x.
+    """
+    alpha = complex(alpha)
+    if alpha.imag < 0.0:
+        raise InadmissibleAlpha(f"Im(alpha) = {alpha.imag} < 0")
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 3:
         raise ValueError("positions must have trailing length 3")
     r = np.sqrt(np.sum(x * x, axis=-1))
     if np.any(r <= ORIGIN_TOL):
         raise OriginSingularity("kernel evaluated at |x| = 0")
-    return x, r
-
-
-def _require_admissible(alpha: complex) -> complex:
-    alpha = complex(alpha)
-    if alpha.imag < 0.0:
-        raise InadmissibleAlpha(f"Im(alpha) = {alpha.imag} < 0")
-    return alpha
+    theta = -np.exp(1j * alpha * r) / (FOUR_PI * r)
+    G = theta * (1j * alpha * r - 1.0) / (r * r)
+    return x, r, theta, G
 
 
 def helmholtz_kernel(alpha: complex, x) -> np.ndarray:
     """theta_alpha(x) = -exp(1j*alpha*|x|) / (4*pi*|x|)."""
-    alpha = _require_admissible(alpha)
-    _, r = _radii(x)
-    return -np.exp(1j * alpha * r) / (FOUR_PI * r)
+    return _theta_and_radial(alpha, x)[2]
 
 
 def helmholtz_kernel_grad(alpha: complex, x) -> Biquaternion:
@@ -62,24 +68,16 @@ def helmholtz_kernel_grad(alpha: complex, x) -> Biquaternion:
 
     Returned as a purely vectorial biquaternion with the batch shape of x.
     """
-    x, r = _radii(x)
-    theta = -np.exp(1j * complex(alpha) * r) / (FOUR_PI * r)
-    coef = theta * (1j * complex(alpha) * r - 1.0) / (r * r)
-    return Biquaternion.from_vector(coef[..., None] * x)
+    x, _, _, G = _theta_and_radial(alpha, x)
+    return Biquaternion.from_vector(G[..., None] * x)
 
 
 def fundamental_solution(alpha: complex, x, sign: int = 1) -> Biquaternion:
     """Kernel of D + sign*alpha: scalar part sign*alpha*theta, vector -grad theta."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    alpha = _require_admissible(alpha)
-    x, r = _radii(x)
-    theta = -np.exp(1j * alpha * r) / (FOUR_PI * r)
-    grad_coef = theta * (1j * alpha * r - 1.0) / (r * r)
-    return Biquaternion.from_parts(
-        scalar=sign * alpha * theta,
-        vector=-grad_coef[..., None] * x,
-    )
+    x, _, theta, G = _theta_and_radial(alpha, x)
+    return Biquaternion.from_parts(scalar=sign * complex(alpha) * theta, vector=-G[..., None] * x)
 
 
 def chiral_wavenumbers(alpha: complex, beta: float) -> tuple[complex, complex]:
@@ -128,18 +126,9 @@ class ChiralMedium:
         return chiral_wavenumbers(self.alpha, self.beta)[1]
 
 
-def _theta_and_radial(alpha: complex, x):
-    x, r = _radii(x)
-    theta = -np.exp(1j * alpha * r) / (FOUR_PI * r)
-    # grad theta = G(r) * x and d/dr G = Gp(r); both closed forms
-    G = theta * (1j * alpha * r - 1.0) / (r * r)
-    Gp = theta * (-(alpha * alpha) / r - 3j * alpha / (r * r) + 3.0 / (r * r * r))
-    return x, r, theta, G, Gp
-
-
 def vector_potential_curl(alpha: complex, x, moment) -> np.ndarray:
     """curl(c * theta_alpha) = grad theta_alpha x c, for constant c."""
-    x, r, theta, G, _ = _theta_and_radial(complex(alpha), x)
+    x, _, _, G = _theta_and_radial(alpha, x)
     c = np.asarray(moment, dtype=complex)
     return np.cross(G[..., None] * x, np.broadcast_to(c, x.shape))
 
@@ -151,7 +140,9 @@ def vector_potential_curl_curl(alpha: complex, x, moment) -> np.ndarray:
     of theta acts on c in closed form, no nested differencing.
     """
     alpha = complex(alpha)
-    x, r, theta, G, Gp = _theta_and_radial(alpha, x)
+    x, r, theta, G = _theta_and_radial(alpha, x)
+    # d/dr G = Gp(r), in closed form; only the Hessian needs it
+    Gp = theta * (-(alpha * alpha) / r - 3j * alpha / (r * r) + 3.0 / (r * r * r))
     c = np.asarray(moment, dtype=complex)
     xc = np.sum(x * c, axis=-1)
     hess_c = (Gp / r * xc)[..., None] * x + G[..., None] * np.broadcast_to(c, x.shape)

@@ -29,6 +29,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -188,79 +189,50 @@ def collocation_points(problem: MfsProblem) -> SurfaceSamples:
     return sample_surface(problem.surface, problem.n_collocation(), 1.0)
 
 
-def left_matrices(K: Biquaternion) -> np.ndarray:
-    """4x4 complex blocks of left multiplication: (K a)_components = L(K) @ a."""
-    k0, k1, k2, k3 = (K.components[..., i] for i in range(4))
-    rows = [
-        [k0, -k1, -k2, -k3],
-        [k1, k0, -k3, k2],
-        [k2, k3, k0, -k1],
-        [k3, -k2, k1, k0],
-    ]
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+def _tangential_rows(out: np.ndarray, d: np.ndarray, k0: np.ndarray, kv: np.ndarray) -> None:
+    """Write the coefficients of <d, Vec(K a)> over a = (a0, av) into ``out``.
 
-
-def _kernel_blocks(problem: MfsProblem, col: SurfaceSamples, src: SurfaceSamples):
-    dx = col.pos[:, None, :] - src.pos[None, :, :]
-    dist = np.linalg.norm(dx, axis=-1)
-    if np.min(dist) < COINCIDENCE_TOL:
-        raise SourceOnBoundary("a source point coincides with a collocation point")
-    med = problem.medium
-    Lp = left_matrices(fundamental_solution(med.alpha1, dx, sign=1))
-    Lm = left_matrices(fundamental_solution(med.alpha2, dx, sign=-1))
-    return Lp, Lm
+    By the product rule of ``_mul_components``, Vec(K a) = a0 kv + k0 av +
+    kv x av, so the row is [d.kv, k0 d + d x kv] for each collocation
+    direction d (shape (C, 3)) against kernels K = (k0, kv) of shape (C, N).
+    """
+    d = d[:, None, :]
+    out[..., 0] = np.sum(d * kv, axis=-1)
+    out[..., 1:] = k0[..., None] * d + np.cross(d, kv)
 
 
 def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: SurfaceSamples):
     """Matrix and right-hand side rows for the given collocation batch."""
-    Lp, Lm = _kernel_blocks(problem, col, src)
-    n_col = len(col)
-    n_src = len(src)
+    dx = col.pos[:, None, :] - src.pos[None, :, :]
+    if np.min(np.linalg.norm(dx, axis=-1)) < COINCIDENCE_TOL:
+        raise SourceOnBoundary("a source point coincides with a collocation point")
+    med = problem.medium
+    n_col, n_src = len(col), len(src)
 
-    # tangential projections of E_N x n reduce to dots with n x t
-    n_x_t1 = np.cross(col.normal, col.t1)
-    n_x_t2 = np.cross(col.normal, col.t2)
-
-    vec_p = Lp[:, :, 1:4, :]
-    vec_m = Lm[:, :, 1:4, :]
-
-    def tangential_rows(direction):
-        rows_a = 0.5 * np.einsum("ci,cnij->cnj", direction, vec_p)
-        rows_b = 0.5 * np.einsum("ci,cnij->cnj", direction, vec_m)
-        return rows_a, rows_b
-
-    t1_a, t1_b = tangential_rows(n_x_t1)
-    t2_a, t2_b = tangential_rows(n_x_t2)
-
-    if problem.impedance is not None:
-        # E x n - xi (H x n) x n = f; on the tangent frame the second term
-        # is +xi <H, t_m> since (H x n) x n = n<H,n> - H
-        xi = complex(problem.impedance)
-        coef = xi / 2j
-        t1_a = t1_a + coef * np.einsum("ci,cnij->cnj", col.t1, vec_p)
-        t1_b = t1_b - coef * np.einsum("ci,cnij->cnj", col.t1, vec_m)
-        t2_a = t2_a + coef * np.einsum("ci,cnij->cnj", col.t2, vec_p)
-        t2_b = t2_b - coef * np.einsum("ci,cnij->cnj", col.t2, vec_m)
-
-    sc_a = Lp[:, :, 0, :]
-    sc_b = Lm[:, :, 0, :]
-
-    A = np.zeros((4 * n_col, 8 * n_src), dtype=complex)
-    A[0::4, : 4 * n_src] = t1_a.reshape(n_col, -1)
-    A[0::4, 4 * n_src :] = t1_b.reshape(n_col, -1)
-    A[1::4, : 4 * n_src] = t2_a.reshape(n_col, -1)
-    A[1::4, 4 * n_src :] = t2_b.reshape(n_col, -1)
-    A[2::4, : 4 * n_src] = sc_a.reshape(n_col, -1)
-    A[2::4, 4 * n_src :] = sc_b.reshape(n_col, -1)
-    A[3::4, : 4 * n_src] = sc_a.reshape(n_col, -1)
-    A[3::4, 4 * n_src :] = -sc_b.reshape(n_col, -1)
+    # axes: collocation point, row kind, branch (a or b), source, component
+    A = np.empty((n_col, 4, 2, n_src, 4), dtype=complex)
+    for branch, (alpha, sign) in enumerate(((med.alpha1, 1), (med.alpha2, -1))):
+        K = fundamental_solution(alpha, dx, sign=sign).components
+        k0, kv = K[..., 0], K[..., 1:]
+        # branch b enters H_N and the second scalar constraint with the
+        # same sign it carries in K(sign * alpha)
+        for m, t in enumerate((col.t1, col.t2)):
+            # tangential projections of E_N x n reduce to dots with n x t; an
+            # impedance xi adds +xi <H_N, t> since (H x n) x n = n<H,n> - H
+            d = 0.5 * np.cross(col.normal, t)
+            if problem.impedance is not None:
+                d = d + sign * (complex(problem.impedance) / 2j) * t
+            _tangential_rows(A[:, m, branch], d, k0, kv)
+        A[:, 2, branch, :, 0] = k0
+        A[:, 2, branch, :, 1:] = -kv
+        A[:, 3, branch] = sign * A[:, 2, branch]
 
     rhs = np.zeros(4 * n_col, dtype=complex)
     if problem.boundary_data is not None:
         f = np.asarray(problem.boundary_data(col), dtype=complex)
         rhs[0::4] = np.einsum("ci,ci->c", f, col.t1.astype(complex))
         rhs[1::4] = np.einsum("ci,ci->c", f, col.t2.astype(complex))
-    return A, rhs
+    return A.reshape(4 * n_col, 8 * n_src), rhs
 
 
 def assemble_system(problem: MfsProblem, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -318,6 +290,9 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> SolveResult:
                 f"pivot {np.min(pivots):.3e} below {PIVOT_TOL:.0e} * max row norm {max_row:.3e}"
             )
         x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+        # the SVD below copies the matrix; the factors are done with, so
+        # free them first rather than hold three n x n arrays at once
+        del lu
         cond = float(np.linalg.cond(matrix))
     elif m > n:
         x, _, rank, sv = np.linalg.lstsq(matrix, rhs, rcond=None)
@@ -388,18 +363,32 @@ def evaluate_fields(sol: MfsSolution, x) -> tuple[np.ndarray, np.ndarray, np.nda
     return E, H, sc_leak
 
 
-def dipole_boundary_data(moment, medium: ChiralMedium) -> Callable[[SurfaceSamples], np.ndarray]:
-    """Tangential datum f = E_dipole x n for the achiral reference problem."""
-    moment = np.asarray(moment, dtype=float)
+Fields = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def tangential_datum(reference: Fields) -> Callable[[SurfaceSamples], np.ndarray]:
+    """Boundary datum f = E x n from a reference field, points -> (E, H)."""
 
     def f(samples: SurfaceSamples) -> np.ndarray:
-        E, _ = dipole_field(moment, medium.alpha, samples.pos)
+        E, _ = reference(samples.pos)
         return np.cross(E, samples.normal)
 
     return f
 
 
-def chiral_point_source(medium: ChiralMedium, y0, moment) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+def dipole_boundary_data(moment, medium: ChiralMedium) -> Callable[[SurfaceSamples], np.ndarray]:
+    """Tangential datum f = E_dipole x n for the achiral reference problem."""
+    return tangential_datum(partial(dipole_field, np.asarray(moment, dtype=float), medium.alpha))
+
+
+def field_errors(sol: MfsSolution, reference: Fields, pts) -> tuple[float, float, float]:
+    """Max |E_N - E| and max |H_N - H| over the points, and the largest scalar leak there."""
+    E, H, leak = evaluate_fields(sol, pts)
+    E_ref, H_ref = reference(pts)
+    return float(np.max(np.abs(E - E_ref))), float(np.max(np.abs(H - H_ref))), float(np.max(leak))
+
+
+def chiral_point_source(medium: ChiralMedium, y0, moment) -> Fields:
     """Exact exterior solution of the chiral Maxwell system from one point source.
 
     Both circular polarizations are excited: with u_i = theta_{alpha_i}
@@ -437,7 +426,7 @@ class ConvergenceReport:
 def run_benchmark(
     problem: MfsProblem,
     n_values,
-    reference: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
+    reference: Fields | None = None,
     moment=None,
     eval_scale: float = 5.0,
     eval_grid: tuple[int, int] = (24, 12),
@@ -456,19 +445,9 @@ def run_benchmark(
     if reference is None:
         if moment is None:
             moment = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-        alpha = problem.medium.alpha
-
-        def reference(pts):
-            return dipole_field(moment, alpha, pts)
-
-        boundary_data = dipole_boundary_data(moment, problem.medium)
-    else:
-        def boundary_data(samples: SurfaceSamples) -> np.ndarray:
-            E, _ = reference(samples.pos)
-            return np.cross(E, samples.normal)
-
+        reference = partial(dipole_field, moment, problem.medium.alpha)
+    boundary_data = tangential_datum(reference)
     eval_pts = parametric_grid(problem.surface, *eval_grid, scale=eval_scale).pos
-    E_ref, H_ref = reference(eval_pts)
 
     report = ConvergenceReport()
     for n in n_values:
@@ -486,14 +465,9 @@ def run_benchmark(
         sol = solve_problem(prob_n, threads=threads)
         wall_ms = 1e3 * (time.perf_counter() - t0)
 
-        E_n, H_n, leak = evaluate_fields(sol, eval_pts)
-        err_e = float(np.max(np.abs(E_n - E_ref)))
-        err_h = float(np.max(np.abs(H_n - H_ref)))
-
+        err_e, err_h, leak = field_errors(sol, reference, eval_pts)
         check = sample_surface(problem.surface, boundary_check_factor * prob_n.n_collocation() + 7, 1.0)
-        Eb, Hb, leak_b = evaluate_fields(sol, check.pos)
-        Eb_ref, Hb_ref = reference(check.pos)
-        err_b = max(float(np.max(np.abs(Eb - Eb_ref))), float(np.max(np.abs(Hb - Hb_ref))))
+        err_b = max(field_errors(sol, reference, check.pos)[:2])
 
         report.rows.append(
             {
@@ -502,7 +476,7 @@ def run_benchmark(
                 "errH": err_h,
                 "errB": err_b,
                 "cond": sol.cond,
-                "sc_leak": float(np.max(leak)),
+                "sc_leak": leak,
                 "wall_ms": wall_ms,
             }
         )
@@ -535,34 +509,22 @@ def chiral_selftest(
     convergence of the boundary fit.
     """
     exact = chiral_point_source(medium, y0, moment)
-
-    def boundary_data(samples: SurfaceSamples) -> np.ndarray:
-        E, _ = exact(samples.pos)
-        return np.cross(E, samples.normal)
-
     problem = MfsProblem(
         surface=surface,
         medium=medium,
         n_sources=n_sources,
         source_scale=source_scale,
         side="exterior",
-        boundary_data=boundary_data,
+        boundary_data=tangential_datum(exact),
     )
     sol = solve_problem(problem, threads=threads)
 
     check = sample_surface(surface, 3 * problem.n_collocation() + 7, 1.0)
-    Eb, Hb, leak = evaluate_fields(sol, check.pos)
-    Eb_ref, Hb_ref = exact(check.pos)
-    boundary_error = max(float(np.max(np.abs(Eb - Eb_ref))), float(np.max(np.abs(Hb - Hb_ref))))
-
+    err_e, err_h, leak = field_errors(sol, exact, check.pos)
     far = parametric_grid(surface, 24, 12, scale=eval_scale).pos
-    Ef, Hf, _ = evaluate_fields(sol, far)
-    Ef_ref, Hf_ref = exact(far)
-    far_error = max(float(np.max(np.abs(Ef - Ef_ref))), float(np.max(np.abs(Hf - Hf_ref))))
-
     return SelftestResult(
-        boundary_error=boundary_error,
-        far_error=far_error,
+        boundary_error=max(err_e, err_h),
+        far_error=max(field_errors(sol, exact, far)[:2]),
         cond=sol.cond,
-        sc_leak=float(np.max(leak)),
+        sc_leak=leak,
     )

@@ -397,18 +397,22 @@ def suite_green(seed: int = 0) -> list[CheckRow]:
     root_ref = float(scipy.special.jn_zeros(0, 1)[0])
     rows.append(_row("green", "bessel_j0_first_root", abs(0.5 * (lo + hi) - root_ref), 1e-9))
 
-    z = np.linspace(0.0, 12.0, 241)
-    rows.append(
-        _row(
-            "green",
-            "bessel_series_vs_scipy",
-            max(
-                float(np.max(np.abs(bessel_j(0, z) - scipy.special.j0(z)))),
-                float(np.max(np.abs(bessel_j(1, z) - scipy.special.j1(z)))),
-            ),
-            1e-10,
-        )
+    # Bessel ODE J_n'' + J_n'/z + (1 - n^2/z^2) J_n = 0 and J1 = -J0', by
+    # central differences: an oracle independent of the implementation
+    z = np.linspace(0.5, 60.0, 2381)
+    h = 2.5e-4
+
+    def with_derivatives(n):
+        jm, j, jp = (bessel_j(n, z + s) for s in (-h, 0.0, h))
+        return j, (jp - jm) / (2 * h), (jp - 2 * j + jm) / (h * h)
+
+    (j0, d_j0, dd_j0), (j1, d_j1, dd_j1) = with_derivatives(0), with_derivatives(1)
+    bessel_dev = max(
+        np.max(np.abs(dd_j0 + d_j0 / z + j0)),
+        np.max(np.abs(dd_j1 + d_j1 / z + (1 - 1 / (z * z)) * j1)),
+        np.max(np.abs(j1 + d_j0)),
     )
+    rows.append(_row("green", "bessel_ode_and_j1_identity", bessel_dev, 1e-7))
 
     def green_res(n, m):
         st = SpaceTimeLattice(Lattice.cube((0.8, 0.8, 0.8), 0.4, n), 0.5, 1.5 / (n - 1), n)

@@ -123,6 +123,13 @@ def test_check_unknown_suite_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["check", "algebra"], ["green-eval", "--t", "1.0"]])
+def test_threads_is_a_scatter_option_only(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_check_all_suites_pass(capsys):
     assert main(["check", "all"]) == 0
     out = capsys.readouterr().out

@@ -59,6 +59,9 @@ def test_helmholtz_guards():
         helmholtz_kernel(1.0, [0.0, 0.0, 0.0])
     with pytest.raises(InadmissibleAlpha):
         helmholtz_kernel(1 - 0.1j, [1.0, 0, 0])
+    with pytest.raises(InadmissibleAlpha):
+        helmholtz_kernel_grad(1 - 0.1j, [1.0, 0, 0])
+    assert np.all(np.isfinite(helmholtz_kernel_grad(1 + 0.3j, [1.0, 0, 0]).vector))
 
 
 def test_helmholtz_solves_pde():

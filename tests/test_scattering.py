@@ -109,8 +109,24 @@ def test_system_shape_and_zero_rhs():
     assert np.all(b == 0.0)  # no boundary data given
 
 
-def test_matrix_entries_against_naive_oracle():
-    prob = dipole_problem(4)
+@pytest.mark.parametrize(
+    "medium, impedance",
+    [
+        (MEDIUM, None),
+        (MEDIUM, 0.5 + 0.1j),
+        (ChiralMedium(beta=0.1, alpha=1 + 0.3j), None),
+    ],
+    ids=["conductor", "impedance", "chiral"],
+)
+def test_matrix_entries_against_naive_oracle(medium, impedance):
+    prob = MfsProblem(
+        surface=SURFACE,
+        medium=medium,
+        n_sources=4,
+        source_scale=0.15,
+        side="exterior",
+        impedance=impedance,
+    )
     A, b = assemble_system(prob)
     from bqem.scattering import collocation_points, source_points
 
@@ -126,19 +142,21 @@ def test_matrix_entries_against_naive_oracle():
         coeff = Biquaternion(units[comp])
         d = col.pos[i] - src.pos[j]
         if branch == 0:
-            K = fundamental_solution(MEDIUM.alpha1, d, sign=1)
+            K = fundamental_solution(medium.alpha1, d, sign=1)
             plus_term = (K * coeff).components
             minus_term = plus_term
         else:
-            K = fundamental_solution(MEDIUM.alpha2, d, sign=-1)
+            K = fundamental_solution(medium.alpha2, d, sign=-1)
             plus_term = (K * coeff).components
             minus_term = -plus_term
         E_contrib = 0.5 * plus_term[1:]
+        H_contrib = minus_term[1:] / 2j
+        xi = 0.0 if impedance is None else impedance
         for r, expected in (
-            (0, np.dot(np.cross(E_contrib, col.normal[i]), col.t1[i])),
-            (1, np.dot(np.cross(E_contrib, col.normal[i]), col.t2[i])),
+            (0, np.dot(np.cross(E_contrib, col.normal[i]), col.t1[i]) + xi * np.dot(H_contrib, col.t1[i])),
+            (1, np.dot(np.cross(E_contrib, col.normal[i]), col.t2[i]) + xi * np.dot(H_contrib, col.t2[i])),
             (2, plus_term[0]),
-            (3, minus_term[0] if branch == 1 else plus_term[0]),
+            (3, minus_term[0]),
         ):
             assert A[4 * i + r, jj] == pytest.approx(expected, abs=1e-14)
 
