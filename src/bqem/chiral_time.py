@@ -144,13 +144,8 @@ def green_residual(
     so this is a pure discretization residual, O(h^2) + O(ht^2).  Margins
     may be widened to compare refinement levels over one physical region.
     """
-    pts = st.space.points()
-    slices = [green_function(t, pts, medium).components for t in st.times()]
-    g = SpaceTimeGrid(st, np.stack(slices, axis=0))
-    out = apply_M(g, medium)
-    mt = out.margin_t if margin_t is None else max(margin_t, out.margin_t)
-    ms = out.margin_s if margin_s is None else max(margin_s, out.margin_s)
-    return out.interior_max(mt, ms)
+    f = green_function(st.times()[:, None, None, None], st.space.points(), medium)
+    return apply_M(SpaceTimeGrid(st, f.components), medium).interior_max(margin_t, margin_s)
 
 
 def maxwell_equivalence_residual(
@@ -179,7 +174,7 @@ def maxwell_equivalence_residual(
     imp = np.sqrt(mu / eps)
 
     cont = diff(rho, 0, ht) + div(j, h, axes=(1, 2, 3))
-    cont_norm = max_abs_interior(cont, 1, spatial_axes=(1, 2, 3), extra={0: 1})
+    cont_norm = max_abs_interior(cont, 1, margin_t=1)
     scale = max(float(np.max(np.abs(rho))), float(np.max(np.abs(j))), 1e-30)
     if cont_norm > continuity_tol * scale:
         warnings.warn(
@@ -193,7 +188,7 @@ def maxwell_equivalence_residual(
     rhs = np.zeros_like(V)
     rhs[..., 0] = -beta * imp * diff(rho, 0, ht) + 1j * rho / eps
     rhs[..., 1:] = -imp * j
-    r_quat = max_abs_interior(MV.values - rhs, 1, spatial_axes=(1, 2, 3), extra={0: 1})
+    r_quat = max_abs_interior(MV.values - rhs, 1, margin_t=1)
 
     rotE = rot(E, h, axes=(1, 2, 3))
     rotH = rot(H, h, axes=(1, 2, 3))
@@ -201,10 +196,5 @@ def maxwell_equivalence_residual(
     res2 = rotE + mu * (diff(H, 0, ht) + beta * diff(rotH, 0, ht))
     res3 = div(E, h, axes=(1, 2, 3)) - rho / eps
     res4 = div(H, h, axes=(1, 2, 3))
-    r_comp = max(
-        max_abs_interior(res1, 1, spatial_axes=(1, 2, 3), extra={0: 1}),
-        max_abs_interior(res2, 1, spatial_axes=(1, 2, 3), extra={0: 1}),
-        max_abs_interior(res3, 1, spatial_axes=(1, 2, 3), extra={0: 1}),
-        max_abs_interior(res4, 1, spatial_axes=(1, 2, 3), extra={0: 1}),
-    )
+    r_comp = max(max_abs_interior(r, 1, margin_t=1) for r in (res1, res2, res3, res4))
     return r_quat, r_comp

@@ -40,6 +40,7 @@ from .grids import (
     laplacian,
     max_abs_interior,
     rot,
+    widen_margin,
 )
 
 # Division by f appears throughout; below this the slot is rejected.
@@ -151,8 +152,7 @@ def helmholtz_factorization_residual(alpha: complex, g: ScalarGrid, margin: int 
     composed = apply_D_shifted(apply_D_shifted(qg, -alpha), alpha)
     res = composed.values.copy()
     res[..., 0] += laplacian(g.values, h) + alpha * alpha * g.values
-    need = max(composed.margin, g.margin + 1)
-    return max_abs_interior(res, need if margin is None else max(margin, need))
+    return max_abs_interior(res, widen_margin(margin, composed.margin, g.margin + 1))
 
 
 def schrodinger_factorization_residual(slot: PotentialSlot, g: ScalarGrid, margin: int | None = None) -> float:
@@ -166,8 +166,7 @@ def schrodinger_factorization_residual(slot: PotentialSlot, g: ScalarGrid, margi
     outer = apply_D(inner) + mw(inner)
     res = outer.values.copy()
     res[..., 0] -= -laplacian(g.values, h) + slot.nu.values * g.values
-    need = max(outer.margin, slot.nu.margin, g.margin + 1)
-    return max_abs_interior(res, need if margin is None else max(margin, need))
+    return max_abs_interior(res, widen_margin(margin, outer.margin, slot.nu.margin, g.margin + 1))
 
 
 def conductivity_factorization_residual(slot: PotentialSlot, phi: ScalarGrid, margin: int | None = None) -> float:
@@ -189,8 +188,7 @@ def conductivity_factorization_residual(slot: PotentialSlot, phi: ScalarGrid, ma
 
     res = -rhs
     res[..., 0] += lhs
-    need = max(outer.margin, phi.margin + 2)
-    return max_abs_interior(res, need if margin is None else max(margin, need))
+    return max_abs_interior(res, widen_margin(margin, outer.margin, phi.margin + 2))
 
 
 def darboux_transform(slot: PotentialSlot, g: ScalarGrid) -> QuaternionGrid:
@@ -204,7 +202,7 @@ def darboux_transform(slot: PotentialSlot, g: ScalarGrid) -> QuaternionGrid:
 def dirac_residual(slot: PotentialSlot, F: QuaternionGrid, margin: int | None = None) -> float:
     """Max interior norm of (D + M^{Df/f}) F."""
     out = apply_D(F) + right_mult(slot.df_over_f())(F)
-    return max_abs_interior(out.values, out.margin if margin is None else max(margin, out.margin))
+    return out.interior_max(margin)
 
 
 def _cumulative_simpson_from(f: np.ndarray, base: int, h: float, axis: int = 0) -> np.ndarray:
@@ -272,17 +270,16 @@ def antiderivative(G: QuaternionGrid, base: tuple[int, int, int]) -> ScalarGrid:
     return ScalarGrid(G.lattice, out, m)
 
 
+def _vekua_image(slot: PotentialSlot, W: QuaternionGrid) -> QuaternionGrid:
+    """D W - (Df/f) C_H(W), carrying the wider margin of its two terms."""
+    return apply_D(W) - left_mult(slot.df_over_f())(W.with_values(W.bq().quat_conj().components))
+
+
 def vekua_residual(slot: PotentialSlot, W: QuaternionGrid, margin: int | None = None) -> float:
     """Max interior norm of D W - (Df/f) C_H(W)."""
     if W.lattice != slot.f.lattice:
         raise LatticeMismatch("W must live on the slot's lattice")
-    dw = apply_D(W)
-    w = slot.df_over_f()
-    chw = W.values.copy()
-    chw[..., 1:] = -chw[..., 1:]
-    res = dw.values - _mul_components(w.values, chw)
-    need = max(dw.margin, w.margin)
-    return max_abs_interior(res, need if margin is None else max(margin, need))
+    return _vekua_image(slot, W).interior_max(margin)
 
 
 def vekua_consequences(slot: PotentialSlot, W: QuaternionGrid, margin: int | None = None) -> tuple[float, float, float]:
@@ -297,21 +294,17 @@ def vekua_consequences(slot: PotentialSlot, W: QuaternionGrid, margin: int | Non
     f = slot.f.values
     w0 = W.values[..., 0]
     wv = W.values[..., 1:]
-
-    def _m(need: int) -> int:
-        return need if margin is None else max(margin, need)
-
     r_schr = max_abs_interior(
         -laplacian(w0, h) + slot.nu.values * w0,
-        _m(max(W.margin + 1, slot.nu.margin)),
+        widen_margin(margin, W.margin + 1, slot.nu.margin),
     )
     r_sc = max_abs_interior(
         div((f * f)[..., None] * grad(w0 / f, h), h),
-        _m(W.margin + 2),
+        widen_margin(margin, W.margin + 2),
     )
     r_vec = max_abs_interior(
         rot((f ** -2.0)[..., None] * rot(f[..., None] * wv, h), h),
-        _m(W.margin + 2),
+        widen_margin(margin, W.margin + 2),
     )
     return r_schr, r_sc, r_vec
 
@@ -362,18 +355,10 @@ def vekua_coefficient_identity_residual(
         raise ValueError("coefficient identity requires real positive f")
     fr = np.real(f)
 
-    wbar = w.values.copy()
-    wbar[..., 1:] = -wbar[..., 1:]
     Dw = apply_D(w)
-    Dwbar = apply_D(w.with_values(wbar))
+    Dwbar = apply_D(w.with_values(w.bq().quat_conj().components))
     ratio = ((1.0 - fr * fr) / (1.0 + fr * fr))[..., None]
     lhs = ((1.0 + fr * fr) / (2.0 * fr))[..., None] * (Dw.values - ratio * Dwbar.values)
 
-    W = coefficients_to_vekua(slot, w)
-    dfw = slot.df_over_f()
-    chW = W.values.copy()
-    chW[..., 1:] = -chW[..., 1:]
-    rhs = apply_D(W).values - _mul_components(dfw.values, chW)
-
-    need = max(Dw.margin, W.margin + 1, dfw.margin)
-    return max_abs_interior(lhs - rhs, need if margin is None else max(margin, need))
+    rhs = _vekua_image(slot, coefficients_to_vekua(slot, w))
+    return max_abs_interior(lhs - rhs.values, widen_margin(margin, Dw.margin, rhs.margin))

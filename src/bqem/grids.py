@@ -5,11 +5,12 @@ containers pair it with one complex value per node: a plain complex array
 for scalar fields, a trailing length-4 axis for biquaternion fields, and a
 leading time axis for space-time fields.
 
-Only central stencils are used.  Nodes where a stencil would reach outside
-the lattice are filled with NaN, and each grid carries a ``margin`` count
-of invalid boundary layers; composing operators lets NaN propagate so the
-margin bookkeeping stays honest.  Norms are always taken over the interior
-that excludes the margin.
+Only central stencils are used, all one shifted-slice difference
+(``_central``).  Every stencil axis gets a NaN face layer, and each grid
+carries a ``margin`` count of invalid boundary layers; composing operators
+lets NaN propagate so the margin bookkeeping stays honest.  Norms are taken
+over the interior that excludes the margin, and ``interior_max(m)`` or a
+residual's ``margin=`` only widens the carried margin, never narrows it.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class ScalarGrid:
         return ScalarGrid(self.lattice, values, self.margin if margin is None else margin)
 
     def interior_max(self, margin: int | None = None) -> float:
-        return max_abs_interior(self.values, self.margin if margin is None else margin)
+        return max_abs_interior(self.values, widen_margin(margin, self.margin))
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ class QuaternionGrid:
         return QuaternionGrid(self.lattice, values, self.margin if margin is None else margin)
 
     def interior_max(self, margin: int | None = None) -> float:
-        return max_abs_interior(self.values, self.margin if margin is None else margin)
+        return max_abs_interior(self.values, widen_margin(margin, self.margin))
 
     # pointwise helpers; margins combine to the max of the operands
 
@@ -188,9 +189,7 @@ class SpaceTimeGrid:
         return cls(lattice, np.stack(slices, axis=0))
 
     def interior_max(self, margin_t: int | None = None, margin_s: int | None = None) -> float:
-        mt = self.margin_t if margin_t is None else margin_t
-        ms = self.margin_s if margin_s is None else margin_s
-        return max_abs_interior(self.values, ms, spatial_axes=(1, 2, 3), extra={0: mt})
+        return max_abs_interior(self.values, widen_margin(margin_s, self.margin_s), widen_margin(margin_t, self.margin_t))
 
 
 # ---------------------------------------------------------------------------
@@ -198,61 +197,77 @@ class SpaceTimeGrid:
 # ---------------------------------------------------------------------------
 
 
-def _check_axis_size(values: np.ndarray, axis: int, need: int) -> None:
-    if values.shape[axis] < need:
-        raise GridTooSmall(f"axis {axis} has {values.shape[axis]} nodes, need {need}")
+def _stencil_output(shape: tuple, axes) -> tuple[np.ndarray, tuple]:
+    """Complex array of ``shape`` with NaN on the face layer of each stencil
+    axis, and the index of its interior box, which the caller fills."""
+    out = np.empty(shape, dtype=complex)
+    box = [slice(None)] * len(shape)
+    for ax in axes:
+        if shape[ax] < 3:
+            raise GridTooSmall(f"axis {ax} has {shape[ax]} nodes, need 3")
+        np.moveaxis(out, ax, 0)[[0, -1]] = np.nan
+        box[ax] = slice(1, -1)
+    return out, tuple(box)
+
+
+def _central(values: np.ndarray, axis: int, order: int, axes) -> np.ndarray:
+    """Undivided central difference of order 1 or 2 along ``axis``, on the
+    interior box of the stencil ``axes`` only."""
+    mid = [slice(None)] * values.ndim
+    for ax in axes:
+        mid[ax] = slice(1, -1)
+    lo, hi = list(mid), list(mid)
+    lo[axis], hi[axis] = slice(0, -2), slice(2, None)
+    lo, mid, hi = tuple(lo), tuple(mid), tuple(hi)
+    if order == 1:
+        return values[hi] - values[lo]
+    return values[hi] - 2.0 * values[mid] + values[lo]
 
 
 def diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Central first derivative along axis; NaN on the one-node boundary."""
-    _check_axis_size(values, axis, 3)
-    out = np.full_like(np.asarray(values, dtype=complex), np.nan)
-    lo = [slice(None)] * values.ndim
-    hi = [slice(None)] * values.ndim
-    mid = [slice(None)] * values.ndim
-    lo[axis] = slice(0, -2)
-    hi[axis] = slice(2, None)
-    mid[axis] = slice(1, -1)
-    out[tuple(mid)] = (values[tuple(hi)] - values[tuple(lo)]) / (2.0 * h)
+    out, box = _stencil_output(values.shape, (axis,))
+    out[box] = _central(values, axis, 1, (axis,)) / (2.0 * h)
     return out
 
 
 def second_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Central second derivative along axis; NaN on the one-node boundary."""
-    _check_axis_size(values, axis, 3)
-    out = np.full_like(np.asarray(values, dtype=complex), np.nan)
-    lo = [slice(None)] * values.ndim
-    hi = [slice(None)] * values.ndim
-    mid = [slice(None)] * values.ndim
-    lo[axis] = slice(0, -2)
-    hi[axis] = slice(2, None)
-    mid[axis] = slice(1, -1)
-    out[tuple(mid)] = (values[tuple(hi)] - 2.0 * values[tuple(mid)] + values[tuple(lo)]) / (h * h)
+    out, box = _stencil_output(values.shape, (axis,))
+    out[box] = _central(values, axis, 2, (axis,)) / (h * h)
     return out
 
 
 def grad(values: np.ndarray, h: float, axes=(0, 1, 2)) -> np.ndarray:
     """Gradient of a scalar array, components stacked on a new trailing axis."""
-    return np.stack([diff(values, ax, h) for ax in axes], axis=-1)
+    out, box = _stencil_output(values.shape + (3,), axes)
+    out[box] = np.stack([_central(values, ax, 1, axes) for ax in axes], axis=-1) / (2.0 * h)
+    return out
 
 
 def div(vec_values: np.ndarray, h: float, axes=(0, 1, 2)) -> np.ndarray:
     """Divergence of a (..., 3) vector array."""
-    return sum(diff(vec_values[..., k], ax, h) for k, ax in enumerate(axes))
+    out, box = _stencil_output(vec_values.shape[:-1], axes)
+    out[box] = sum(_central(vec_values[..., k], ax, 1, axes) for k, ax in enumerate(axes)) / (2.0 * h)
+    return out
 
 
 def rot(vec_values: np.ndarray, h: float, axes=(0, 1, 2)) -> np.ndarray:
     """Curl of a (..., 3) vector array."""
-    d = [[diff(vec_values[..., k], ax, h) for k in range(3)] for ax in axes]
-    return np.stack(
-        [d[1][2] - d[2][1], d[2][0] - d[0][2], d[0][1] - d[1][0]],
-        axis=-1,
-    )
+    out, box = _stencil_output(vec_values.shape, axes)
+
+    def d(k, j):  # undivided derivative of component k along axes[j]
+        return _central(vec_values[..., k], axes[j], 1, axes)
+
+    out[box] = np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=-1) / (2.0 * h)
+    return out
 
 
 def laplacian(values: np.ndarray, h: float, axes=(0, 1, 2)) -> np.ndarray:
     """Compact 7-point Laplacian of a scalar array."""
-    return sum(second_diff(values, ax, h) for ax in axes)
+    out, box = _stencil_output(values.shape, axes)
+    out[box] = sum(_central(values, ax, 2, axes) for ax in axes) / (h * h)
+    return out
 
 
 def dirac(values: np.ndarray, h: float, axes=(0, 1, 2)) -> np.ndarray:
@@ -261,31 +276,37 @@ def dirac(values: np.ndarray, h: float, axes=(0, 1, 2)) -> np.ndarray:
     Scalar part -div of the vector part, vector part grad of the scalar
     part plus rot of the vector part; ``axes`` names the three spatial axes.
     """
-    d = [[diff(values[..., c], ax, h) for c in range(4)] for ax in axes]
-    out = np.empty_like(np.asarray(values, dtype=complex))
-    out[..., 0] = -(d[0][1] + d[1][2] + d[2][3])
-    out[..., 1] = d[0][0] + (d[1][3] - d[2][2])
-    out[..., 2] = d[1][0] + (d[2][1] - d[0][3])
-    out[..., 3] = d[2][0] + (d[0][2] - d[1][1])
+    out, box = _stencil_output(values.shape, axes)
+
+    def d(c, j):  # undivided derivative of component c along axes[j]
+        return _central(values[..., c], axes[j], 1, axes)
+
+    inner = out[box]
+    inner[..., 0] = -(d(1, 0) + d(2, 1) + d(3, 2))
+    inner[..., 1] = d(0, 0) + (d(3, 1) - d(2, 2))
+    inner[..., 2] = d(0, 1) + (d(1, 2) - d(3, 0))
+    inner[..., 3] = d(0, 2) + (d(2, 0) - d(1, 1))
+    inner /= 2.0 * h
     return out
 
 
-def max_abs_interior(values: np.ndarray, margin: int, spatial_axes=(0, 1, 2), extra: dict | None = None) -> float:
+def widen_margin(requested: int | None, *carried: int) -> int:
+    """The margin rule: a requested margin widens the carried ones, never narrows them."""
+    return max(requested or 0, *carried)
+
+
+def max_abs_interior(values: np.ndarray, margin: int, margin_t: int | None = None) -> float:
     """Max componentwise modulus over the interior that excludes the margin.
 
+    ``margin`` layers leave each face of the space axes 0-2, or of axes 1-3
+    when ``margin_t`` is given and axis 0 is time, which loses ``margin_t``.
     Raises if the interior is empty or still contains non-finite values,
     which would mean an operator was applied with too small a margin.
     """
-    sl = [slice(None)] * values.ndim
-    for ax in spatial_axes:
-        if 2 * margin >= values.shape[ax]:
-            raise GridTooSmall(f"margin {margin} leaves no interior on axis {ax}")
-        sl[ax] = slice(margin, values.shape[ax] - margin) if margin else slice(None)
-    for ax, m in (extra or {}).items():
-        if 2 * m >= values.shape[ax]:
-            raise GridTooSmall(f"margin {m} leaves no interior on axis {ax}")
-        sl[ax] = slice(m, values.shape[ax] - m) if m else slice(None)
-    inner = values[tuple(sl)]
+    margins = (margin,) * 3 if margin_t is None else (margin_t,) + (margin,) * 3
+    if any(2 * m >= n for m, n in zip(margins, values.shape)):
+        raise GridTooSmall(f"margins {margins} leave no interior in shape {values.shape}")
+    inner = values[tuple(slice(m, n - m) for m, n in zip(margins, values.shape))]
     if not np.all(np.isfinite(inner)):
         raise ValueError("non-finite values inside the declared interior")
     return float(np.max(np.abs(inner)))

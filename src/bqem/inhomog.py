@@ -47,6 +47,7 @@ from .grids import (
     grad,
     max_abs_interior,
     rot,
+    widen_margin,
 )
 
 T, X1, X2, X3 = sp.symbols("t x1 x2 x3", real=True)
@@ -256,7 +257,7 @@ def _manufactured_on_grid(A, phi, medium: MediumFields, st: SpaceTimeLattice) ->
     mv = np.real(medium.mu.values)[None, ..., None]
 
     H = rot(Av, h, axes=(1, 2, 3)) / mv
-    E = -diff(Av, 0, ht) + np.stack([diff(phiv, ax, h) for ax in (1, 2, 3)], axis=-1)
+    E = -diff(Av, 0, ht) + grad(phiv, h, axes=(1, 2, 3))
     rho = div(ev * E, h, axes=(1, 2, 3))
     j = rot(H, h, axes=(1, 2, 3)) - ev * diff(E, 0, ht)
     return _assemble_state(st, medium, E, H, rho, j, "grid", margin_t=2, margin_s=2)
@@ -275,17 +276,15 @@ def maxwell_residuals(
     ht = st.dt
     ev = np.real(medium.eps.values)[None, ..., None]
     mv = np.real(medium.mu.values)[None, ..., None]
-    mt = max(state.margin_t + 1, margin_t or 0)
-    ms = max(state.margin_s + 1, margin_s or 0)
-
-    def _max(arr):
-        return max_abs_interior(arr, ms, spatial_axes=(1, 2, 3), extra={0: mt})
-
-    r1 = _max(rot(state.H, h, axes=(1, 2, 3)) - ev * diff(state.E, 0, ht) - state.j)
-    r2 = _max(rot(state.E, h, axes=(1, 2, 3)) + mv * diff(state.H, 0, ht))
-    r3 = _max(div(ev * state.E, h, axes=(1, 2, 3)) - state.rho)
-    r4 = _max(div(mv * state.H, h, axes=(1, 2, 3)))
-    return r1, r2, r3, r4
+    mt = widen_margin(margin_t, state.margin_t + 1)
+    ms = widen_margin(margin_s, state.margin_s + 1)
+    res = (
+        rot(state.H, h, axes=(1, 2, 3)) - ev * diff(state.E, 0, ht) - state.j,
+        rot(state.E, h, axes=(1, 2, 3)) + mv * diff(state.H, 0, ht),
+        div(ev * state.E, h, axes=(1, 2, 3)) - state.rho,
+        div(mv * state.H, h, axes=(1, 2, 3)),
+    )
+    return tuple(max_abs_interior(r, ms, mt) for r in res)
 
 
 def quaternionic_residual(
@@ -322,9 +321,8 @@ def quaternionic_residual(
     rhs[..., 0] = -1j * state.rho / np.sqrt(ev)
     rhs[..., 1:] = -np.sqrt(mv)[..., None] * state.j
 
-    mt = max(state.margin_t + 1, margin_t or 0)
-    ms = max(state.margin_s + 1, medium.cvec.margin, margin_s or 0)
-    return max_abs_interior(lhs - rhs, ms, spatial_axes=(1, 2, 3), extra={0: mt})
+    ms = widen_margin(margin_s, state.margin_s + 1, medium.cvec.margin)
+    return max_abs_interior(lhs - rhs, ms, widen_margin(margin_t, state.margin_t + 1))
 
 
 def split_residuals(
@@ -360,12 +358,9 @@ def split_residuals(
     r2[..., 1:] -= diff(state.calE, 0, ht) / cv[..., None]
     r2[..., 1:] -= np.sqrt(mv)[..., None] * state.j
 
-    mt = max(state.margin_t + 1, margin_t or 0)
-    ms = max(state.margin_s + 1, medium.epsvec.margin, margin_s or 0)
-    return (
-        max_abs_interior(r1, ms, spatial_axes=(1, 2, 3), extra={0: mt}),
-        max_abs_interior(r2, ms, spatial_axes=(1, 2, 3), extra={0: mt}),
-    )
+    mt = widen_margin(margin_t, state.margin_t + 1)
+    ms = widen_margin(margin_s, state.margin_s + 1, medium.epsvec.margin)
+    return max_abs_interior(r1, ms, mt), max_abs_interior(r2, ms, mt)
 
 
 def static_residuals(
@@ -395,5 +390,5 @@ def static_residuals(
     r2 = dirac(qH, h) + _mul_components(qH, medium.muvec.values)
     r2[..., 1:] -= np.sqrt(mv)[..., None] * state.j[0]
 
-    ms = max(state.margin_s + 1, medium.epsvec.margin, margin_s or 0)
+    ms = widen_margin(margin_s, state.margin_s + 1, medium.epsvec.margin)
     return max_abs_interior(r1, ms), max_abs_interior(r2, ms)

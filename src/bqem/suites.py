@@ -432,7 +432,7 @@ def suite_green(seed: int = 0) -> list[CheckRow]:
         st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, n), 0.0, 0.8 / (n - 1), n)
         g = SpaceTimeGrid.from_function(st, wave)
         out = apply_M(apply_M(g, med0, star=True), med0)
-        return out.interior_max(max(m, out.margin_t), max(m, out.margin_s))
+        return out.interior_max(m, m)
 
     rows.append(_ratio_row("green", "wave_operator_factorization_order", mmstar(9, 2), mmstar(17, 4)))
     return rows

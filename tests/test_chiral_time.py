@@ -45,6 +45,20 @@ def test_bessel_ode_and_j1_identity():
     assert np.max(np.abs(bessel_j(1, z) + d_j0)) < 1e-7
 
 
+def test_bessel_large_z_hankel_asymptotics():
+    # Abramowitz & Stegun 9.2.1 with P, Q of 9.2.9-9.2.10 to two terms:
+    # J_n(z) ~ sqrt(2/(pi z)) (P cos chi - Q sin chi), chi = z - (n/2 + 1/4) pi,
+    # mu = 4 n^2; the first omitted term is below 3e-9 for z >= 50
+    z = np.linspace(50.0, 200.0, 3001)
+    for n in (0, 1):
+        mu = 4.0 * n * n
+        p = 1.0 - (mu - 1) * (mu - 9) / (2.0 * (8 * z) ** 2)
+        q = (mu - 1) / (8 * z) - (mu - 1) * (mu - 9) * (mu - 25) / (6.0 * (8 * z) ** 3)
+        chi = z - (n / 2 + 0.25) * np.pi
+        hankel = np.sqrt(2.0 / (np.pi * z)) * (p * np.cos(chi) - q * np.sin(chi))
+        assert np.max(np.abs(bessel_j(n, z) - hankel)) < 1e-8
+
+
 def test_bessel_first_root_against_independent_oracle():
     lo, hi = 2.0, 3.0
     for _ in range(60):
@@ -187,7 +201,7 @@ def test_apply_M_matches_plane_wave_symbol():
         g = SpaceTimeGrid.from_function(st, V_fn)
         ref = SpaceTimeGrid.from_function(st, exact_M)
         out = apply_M(g, med)
-        return max_abs_interior(out.values - ref.values, m, spatial_axes=(1, 2, 3), extra={0: m})
+        return max_abs_interior(out.values - ref.values, m, margin_t=m)
 
     r1, r2 = res(9, 1), res(17, 2)
     assert 3.2 <= r1 / r2 <= 4.8
@@ -207,7 +221,7 @@ def test_wave_operator_factorization():
         st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, n), 0.0, 0.8 / (n - 1), n)
         g = SpaceTimeGrid.from_function(st, wave)
         out = apply_M(apply_M(g, med, star=True), med)
-        return out.interior_max(max(m, out.margin_t), max(m, out.margin_s))
+        return out.interior_max(m, m)
 
     r1, r2 = res(9, 2), res(17, 4)
     assert 3.2 <= r1 / r2 <= 4.8
@@ -229,7 +243,7 @@ def test_chiral_wave_annihilated_by_MMstar():
         st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, n), 0.0, 0.9 / (n - 1), n)
         g = SpaceTimeGrid.from_function(st, wave)
         out = apply_M(apply_M(g, med, star=True), med)
-        return out.interior_max(max(m, out.margin_t), max(m, out.margin_s))
+        return out.interior_max(m, m)
 
     r1, r2 = res(9, 2), res(17, 4)
     assert 3.2 <= r1 / r2 <= 4.8

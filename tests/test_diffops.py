@@ -4,7 +4,19 @@ import pytest
 from bqem import diffops
 from bqem.algebra import I1, I2, I3, ONE
 from bqem.errors import BaseOutOfGrid, GridTooSmall, LatticeMismatch, VanishingF
-from bqem.grids import Lattice, QuaternionGrid, ScalarGrid, max_abs_interior
+from bqem.grids import (
+    Lattice,
+    QuaternionGrid,
+    ScalarGrid,
+    diff,
+    dirac,
+    div,
+    grad,
+    laplacian,
+    max_abs_interior,
+    rot,
+    second_diff,
+)
 from bqem.kernels import fundamental_solution, helmholtz_kernel
 
 ALPHA = 1 + 0.3j
@@ -74,6 +86,73 @@ def test_apply_D_on_theta_matches_kernel():
 def test_grid_too_small():
     with pytest.raises(GridTooSmall):
         Lattice((0, 0, 0), 0.1, (4, 9, 9))
+
+
+STENCIL_SHAPE = (5, 6, 7, 8)
+STENCIL_H = 0.25
+
+
+def _stencil_case(name, axes):
+    """(input, operator, exact result, stencil axes) on a 4D array whose
+    space axes are ``axes``; the fourth axis is a spectator.  Each input is
+    a polynomial of the degree the operator differentiates exactly."""
+    x = np.meshgrid(*(STENCIL_H * np.arange(n) for n in STENCIL_SHAPE), indexing="ij")
+    s0, s1, s2 = (x[a] for a in axes)
+    t = x[({0, 1, 2, 3} - set(axes)).pop()]
+    c = 1.0 - 0.5j
+    h = STENCIL_H
+    if name == "diff":
+        return c * (s0**2 + t * s0 + s1 * s2), lambda v: diff(v, axes[0], h), c * (2 * s0 + t), (axes[0],)
+    if name == "second_diff":
+        return c * (s0**3 + t * s1**2), lambda v: second_diff(v, axes[0], h), c * 6 * s0, (axes[0],)
+    if name == "grad":
+        f = c * (s0**2 + s0 * s1 + t * s2**2)
+        exact = c * np.stack([2 * s0 + s1, s0, 2 * t * s2], axis=-1)
+        return f, lambda v: grad(v, h, axes), exact, axes
+    if name == "div":
+        v = c * np.stack([s0**2, s0 * s1, t * s2**2], axis=-1)
+        return v, lambda v: div(v, h, axes), c * (3 * s0 + 2 * t * s2), axes
+    if name == "rot":
+        v = c * np.stack([s1 * s2, t * s2**2, s0 * s1], axis=-1)
+        exact = c * np.stack([s0 - 2 * t * s2, 0 * s0, -s2], axis=-1)
+        return v, lambda v: rot(v, h, axes), exact, axes
+    if name == "laplacian":
+        f = c * (s0**3 + s1**2 * s2 + t * s2**3)
+        return f, lambda v: laplacian(v, h, axes), c * (6 * s0 + 2 * s2 + 6 * t * s2), axes
+    # dirac of a linear field: -div fv = -8, grad f0 + rot fv = (2, -1, 0) + (5, 3, 0)
+    q = c * np.stack([2 * s0 - s1 + t, s0 + 3 * s2, 2 * s1 - s2 + t, 4 * s1 + 5 * s2], axis=-1)
+    return q, lambda v: dirac(v, h, axes), c * np.array([-8.0, 7.0, 2.0, 0.0]), axes
+
+
+@pytest.mark.parametrize("axes", [(0, 1, 2), (1, 2, 3)])
+@pytest.mark.parametrize("name", ["diff", "second_diff", "grad", "div", "rot", "laplacian", "dirac"])
+def test_stencil_faces_margin_and_exactness(name, axes):
+    values, op, exact, stencil_axes = _stencil_case(name, axes)
+    out = op(values)
+
+    # NaN on exactly the face layer of each stencil axis, whole nodes at a
+    # time; so with axes=(1, 2, 3) the faces of axis 0 (time) stay finite
+    idx = np.indices(STENCIL_SHAPE)
+    face = np.zeros(STENCIL_SHAPE, dtype=bool)
+    for ax in stencil_axes:
+        face |= (idx[ax] == 0) | (idx[ax] == STENCIL_SHAPE[ax] - 1)
+    nan = np.isnan(out).reshape(STENCIL_SHAPE + (-1,))
+    assert np.array_equal(nan.any(axis=-1), face)
+    assert np.array_equal(nan.all(axis=-1), face)
+    assert np.all(np.isfinite(out[~face]))
+
+    # exact on the polynomial in the whole interior
+    exact = np.broadcast_to(exact, out.shape)
+    assert np.max(np.abs(out[~face] - exact[~face])) <= 1e-12 * np.max(np.abs(exact))
+
+    # an under-declared margin is caught; the one-node margin is enough
+    margin_t = 0 if axes == (1, 2, 3) else None
+    with pytest.raises(ValueError):
+        max_abs_interior(out, 0, margin_t)
+    assert np.isfinite(max_abs_interior(out, 1, margin_t))
+
+    with pytest.raises(GridTooSmall):
+        op(values.take([0, 1], axis=stencil_axes[0]))
 
 
 def test_right_mult_identity_and_table():

@@ -108,7 +108,7 @@ def test_kernel_annihilated_by_shifted_dirac():
             lat, lambda p: fundamental_solution(ALPHA, p).components
         )
         out = apply_D_shifted(K, ALPHA)
-        return max_abs_interior(out.values, max(margin, out.margin))
+        return out.interior_max(margin)
 
     r1, r2 = residual(11, 1), residual(21, 2)
     assert 3.2 <= r1 / r2 <= 4.8
