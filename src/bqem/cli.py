@@ -125,7 +125,7 @@ def _meta(command: str, cfg: dict, seed: int) -> dict:
     }
 
 
-def cmd_scatter(cfg: dict, seed: int, threads: int, fmt: str, out: str | None) -> int:
+def cmd_scatter(cfg: dict, seed: int, fmt: str, out: str | None) -> int:
     surface = Ellipsoid(
         a=_as_float(_get(cfg, "ellipsoid.a"), "ellipsoid.a"),
         b=_as_float(_get(cfg, "ellipsoid.b"), "ellipsoid.b"),
@@ -158,9 +158,7 @@ def cmd_scatter(cfg: dict, seed: int, threads: int, fmt: str, out: str | None) -
         impedance=impedance,
         oversample=oversample,
     )
-    report_rows = run_benchmark(
-        problem, n_values, moment=moment, eval_scale=eval_scale, threads=threads
-    ).rows
+    report_rows = run_benchmark(problem, n_values, moment=moment, eval_scale=eval_scale).rows
     report = Report(
         command="scatter",
         columns=["N", "errE", "errH", "cond", "sc_leak", "wall_ms"],
@@ -205,6 +203,7 @@ def cmd_green_eval(args, cfg: dict, seed: int, fmt: str, out: str | None) -> int
         x = _get(cfg, "x", [1.0, 0.0, 0.0])
     if not isinstance(x, list) or len(x) != 3:
         raise ConfigError("config field x must be a list of three numbers")
+    x = [_as_float(v, "x") for v in x]
     medium = ChiralMedium(
         eps=args.eps if args.eps is not None else _as_float(_get(cfg, "eps", 1.0), "eps"),
         mu=args.mu if args.mu is not None else _as_float(_get(cfg, "mu", 1.0), "mu"),
@@ -212,7 +211,9 @@ def cmd_green_eval(args, cfg: dict, seed: int, fmt: str, out: str | None) -> int
     )
 
     if args.refine:
-        levels = int(_get(cfg, "levels", 3))
+        levels = _get(cfg, "levels", 3)
+        if isinstance(levels, bool) or not isinstance(levels, int) or levels < 1:
+            raise ConfigError("config field levels must be an integer >= 1")
         rows = []
         prev = None
         for k in range(levels):
@@ -257,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scatter = sub.add_parser("scatter", help="dipole scattering benchmark sweep")
     common(p_scatter)
-    p_scatter.add_argument("--threads", type=int, default=1, help="row-assembly worker threads")
 
     p_check = sub.add_parser("check", help="run a verification suite")
     p_check.add_argument("suite", choices=tuple(SUITES) + ("all",))
@@ -293,7 +293,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "scatter":
-            return cmd_scatter(cfg, args.seed, args.threads, args.format, args.out)
+            return cmd_scatter(cfg, args.seed, args.format, args.out)
         if args.command == "check":
             return cmd_check(args.suite, cfg, args.seed, args.format, args.out)
         return cmd_green_eval(args, cfg, args.seed, args.format, args.out)

@@ -231,13 +231,6 @@ def diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
-def second_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Central second derivative along axis; NaN on the one-node boundary."""
-    out, box = _stencil_output(values.shape, (axis,))
-    out[box] = _central(values, axis, 2, (axis,)) / (h * h)
-    return out
-
-
 def grad(values: np.ndarray, h: float, axes=(0, 1, 2)) -> np.ndarray:
     """Gradient of a scalar array, components stacked on a new trailing axis."""
     out, box = _stencil_output(values.shape + (3,), axes)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -235,33 +234,13 @@ def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: SurfaceSamples
     return A.reshape(4 * n_col, 8 * n_src), rhs
 
 
-def assemble_system(problem: MfsProblem, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def assemble_system(problem: MfsProblem) -> tuple[np.ndarray, np.ndarray]:
     """Collocation matrix (4C x 8N) and right-hand side for the problem.
 
     Four rows per collocation point: two tangential boundary-condition
-    components and the two scalar-part constraints.  Entries are
-    independent, so row blocks may be assembled on ``threads`` workers
-    with bit-identical results.
+    components and the two scalar-part constraints.
     """
-    src = source_points(problem)
-    col = collocation_points(problem)
-    if threads <= 1 or len(col) < 2 * threads:
-        return _assemble_rows(problem, col, src)
-
-    chunks = np.array_split(np.arange(len(col)), threads)
-    A = np.zeros((4 * len(col), 8 * len(src)), dtype=complex)
-    rhs = np.zeros(4 * len(col), dtype=complex)
-
-    def fill(idx):
-        sub = SurfaceSamples(col.pos[idx], col.normal[idx], col.t1[idx], col.t2[idx])
-        Ai, bi = _assemble_rows(problem, sub, src)
-        rows = np.repeat(4 * idx, 4) + np.tile(np.arange(4), len(idx))
-        A[rows] = Ai
-        rhs[rows] = bi
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fill, [c for c in chunks if len(c)]))
-    return A, rhs
+    return _assemble_rows(problem, collocation_points(problem), source_points(problem))
 
 
 @dataclass(frozen=True)
@@ -317,8 +296,8 @@ class MfsSolution:
     residual: float = np.nan
 
 
-def solve_problem(problem: MfsProblem, threads: int = 1) -> MfsSolution:
-    A, rhs = assemble_system(problem, threads=threads)
+def solve_problem(problem: MfsProblem) -> MfsSolution:
+    A, rhs = assemble_system(problem)
     out = solve_dense(A, rhs)
     if out.cond > CONDITION_WARN:
         warnings.warn(
@@ -431,7 +410,6 @@ def run_benchmark(
     eval_scale: float = 5.0,
     eval_grid: tuple[int, int] = (24, 12),
     boundary_check_factor: int = 3,
-    threads: int = 1,
 ) -> ConvergenceReport:
     """Solve the problem for each N and compare against the exact fields.
 
@@ -462,7 +440,7 @@ def run_benchmark(
             oversample=problem.oversample,
         )
         t0 = time.perf_counter()
-        sol = solve_problem(prob_n, threads=threads)
+        sol = solve_problem(prob_n)
         wall_ms = 1e3 * (time.perf_counter() - t0)
 
         err_e, err_h, leak = field_errors(sol, reference, eval_pts)
@@ -499,7 +477,6 @@ def chiral_selftest(
     eval_scale: float = 5.0,
     y0=(0.05, -0.03, 0.04),
     moment=(0.577350269189626, 0.577350269189626, 0.577350269189626),
-    threads: int = 1,
 ) -> SelftestResult:
     """Manufactured chiral exterior problem: solve against the exact
     point-source solution and report boundary and far-field errors.
@@ -517,7 +494,7 @@ def chiral_selftest(
         side="exterior",
         boundary_data=tangential_datum(exact),
     )
-    sol = solve_problem(problem, threads=threads)
+    sol = solve_problem(problem)
 
     check = sample_surface(surface, 3 * problem.n_collocation() + 7, 1.0)
     err_e, err_h, leak = field_errors(sol, exact, check.pos)

@@ -55,15 +55,6 @@ def test_scatter_deterministic(tmp_path, capsys):
     assert drop_wall_ms(first) == drop_wall_ms(second)
 
 
-def test_scatter_thread_count_invariance(tmp_path, capsys):
-    cfg = write_config(tmp_path, TINY_SCATTER)
-    main(["scatter", "--config", cfg, "--threads", "1"])
-    one = capsys.readouterr().out
-    main(["scatter", "--config", cfg, "--threads", "3"])
-    three = capsys.readouterr().out
-    assert drop_wall_ms(one) == drop_wall_ms(three)
-
-
 def test_scatter_json(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY_SCATTER)
     assert main(["scatter", "--config", cfg, "--format", "json"]) == 0
@@ -123,8 +114,8 @@ def test_check_unknown_suite_usage_error(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [["check", "algebra"], ["green-eval", "--t", "1.0"]])
-def test_threads_is_a_scatter_option_only(argv, capsys):
+@pytest.mark.parametrize("argv", [["scatter"], ["check", "algebra"], ["green-eval"]], ids=lambda a: a[0])
+def test_threads_is_not_an_option(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--threads", "2"])
     assert exc.value.code == 2
@@ -169,3 +160,14 @@ def test_green_eval_refine_table(capsys):
     assert len(rows) == 3
     ratios = [float(r[4]) for r in rows[1:]]
     assert all(3.2 <= r <= 4.8 for r in ratios)
+
+
+@pytest.mark.parametrize(
+    "cfg, flags",
+    [({"levels": "x"}, ["--refine"]), ({"levels": 0}, ["--refine"]), ({"x": ["a", 1, 2]}, [])],
+    ids=["levels_not_int", "levels_zero", "x_not_number"],
+)
+def test_green_eval_bad_config_values(tmp_path, capsys, cfg, flags):
+    path = write_config(tmp_path, cfg)
+    assert main(["green-eval", "--config", path] + flags) == 2
+    assert "config error" in capsys.readouterr().err

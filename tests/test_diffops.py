@@ -15,7 +15,6 @@ from bqem.grids import (
     laplacian,
     max_abs_interior,
     rot,
-    second_diff,
 )
 from bqem.kernels import fundamental_solution, helmholtz_kernel
 
@@ -103,8 +102,6 @@ def _stencil_case(name, axes):
     h = STENCIL_H
     if name == "diff":
         return c * (s0**2 + t * s0 + s1 * s2), lambda v: diff(v, axes[0], h), c * (2 * s0 + t), (axes[0],)
-    if name == "second_diff":
-        return c * (s0**3 + t * s1**2), lambda v: second_diff(v, axes[0], h), c * 6 * s0, (axes[0],)
     if name == "grad":
         f = c * (s0**2 + s0 * s1 + t * s2**2)
         exact = c * np.stack([2 * s0 + s1, s0, 2 * t * s2], axis=-1)
@@ -125,7 +122,7 @@ def _stencil_case(name, axes):
 
 
 @pytest.mark.parametrize("axes", [(0, 1, 2), (1, 2, 3)])
-@pytest.mark.parametrize("name", ["diff", "second_diff", "grad", "div", "rot", "laplacian", "dirac"])
+@pytest.mark.parametrize("name", ["diff", "grad", "div", "rot", "laplacian", "dirac"])
 def test_stencil_faces_margin_and_exactness(name, axes):
     values, op, exact, stencil_axes = _stencil_case(name, axes)
     out = op(values)

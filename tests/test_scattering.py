@@ -161,14 +161,6 @@ def test_matrix_entries_against_naive_oracle(medium, impedance):
             assert A[4 * i + r, jj] == pytest.approx(expected, abs=1e-14)
 
 
-def test_assembly_thread_count_invariance():
-    prob = dipole_problem(6)
-    A1, b1 = assemble_system(prob, threads=1)
-    A2, b2 = assemble_system(prob, threads=3)
-    assert np.array_equal(A1, A2)
-    assert np.array_equal(b1, b2)
-
-
 def test_source_on_boundary_guard():
     prob = dipole_problem(3)
     src = sample_surface(SURFACE, 3, 0.15)
