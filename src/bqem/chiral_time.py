@@ -116,19 +116,14 @@ def green_function(t, x, medium: ChiralMedium) -> Biquaternion:
 
 
 def apply_M(field: SpaceTimeGrid, medium: ChiralMedium, star: bool = False) -> SpaceTimeGrid:
-    """Central-difference action of M (or M* when ``star``) on a space-time field."""
+    """Central-difference action of M (or M* when ``star``) on a space-time field,
+    as dt(beta sqrt(eps mu) Dv + sqrt(eps mu) v) -/+ 1j Dv: one time difference."""
     st = field.lattice
-    h = st.space.spacing
-    ht = st.dt
     v = field.values
-
-    Dv = dirac(v, h, axes=(1, 2, 3))
-    dt_v = diff(v, 0, ht)
-    dt_Dv = diff(Dv, 0, ht)
-
+    Dv = dirac(v, st.space.spacing, axes=(1, 2, 3))
     rt_em = np.sqrt(medium.eps * medium.mu)
     sign = 1j if star else -1j
-    out = medium.beta * rt_em * dt_Dv + rt_em * dt_v + sign * Dv
+    out = diff(medium.beta * rt_em * Dv + rt_em * v, 0, st.dt) + sign * Dv
     return SpaceTimeGrid(st, out, field.margin_t + 1, field.margin_s + 1)
 
 

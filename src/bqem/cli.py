@@ -65,6 +65,14 @@ def _as_complex(value, path: str) -> complex:
     raise ConfigError(f"config field {path} must be a number or [re, im]")
 
 
+def _construct(cls, **fields):
+    """``cls(**fields)``, with the constructor's validation errors reported as config errors."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @dataclass
 class Report:
     command: str
@@ -126,7 +134,8 @@ def _meta(command: str, cfg: dict, seed: int) -> dict:
 
 
 def cmd_scatter(cfg: dict, seed: int, fmt: str, out: str | None) -> int:
-    surface = Ellipsoid(
+    surface = _construct(
+        Ellipsoid,
         a=_as_float(_get(cfg, "ellipsoid.a"), "ellipsoid.a"),
         b=_as_float(_get(cfg, "ellipsoid.b"), "ellipsoid.b"),
         c=_as_float(_get(cfg, "ellipsoid.c"), "ellipsoid.c"),
@@ -137,8 +146,8 @@ def cmd_scatter(cfg: dict, seed: int, fmt: str, out: str | None) -> int:
     source_scale = _as_float(_get(cfg, "source_scale", 0.15), "source_scale")
     eval_scale = _as_float(_get(cfg, "eval_scale", 5.0), "eval_scale")
     n_values = _get(cfg, "n_values", [10, 15, 20, 25, 30, 35])
-    if not isinstance(n_values, list) or not all(isinstance(n, int) and n > 0 for n in n_values):
-        raise ConfigError("config field n_values must be a list of positive integers")
+    if not (isinstance(n_values, list) and n_values and all(type(n) is int and n > 0 for n in n_values)):
+        raise ConfigError("config field n_values must be a non-empty list of positive integers")
     moment = _get(cfg, "moment", None)
     if moment is not None:
         if not isinstance(moment, list) or len(moment) != 3:
@@ -149,10 +158,11 @@ def cmd_scatter(cfg: dict, seed: int, fmt: str, out: str | None) -> int:
         impedance = _as_complex(impedance, "impedance")
     oversample = _as_float(_get(cfg, "oversample", 1.0), "oversample")
 
-    problem = MfsProblem(
+    problem = _construct(
+        MfsProblem,
         surface=surface,
         medium=medium,
-        n_sources=int(n_values[0]),
+        n_sources=n_values[0],
         source_scale=source_scale,
         side="exterior",
         impedance=impedance,
@@ -204,7 +214,8 @@ def cmd_green_eval(args, cfg: dict, seed: int, fmt: str, out: str | None) -> int
     if not isinstance(x, list) or len(x) != 3:
         raise ConfigError("config field x must be a list of three numbers")
     x = [_as_float(v, "x") for v in x]
-    medium = ChiralMedium(
+    medium = _construct(
+        ChiralMedium,
         eps=args.eps if args.eps is not None else _as_float(_get(cfg, "eps", 1.0), "eps"),
         mu=args.mu if args.mu is not None else _as_float(_get(cfg, "mu", 1.0), "mu"),
         beta=args.beta if args.beta is not None else _as_float(_get(cfg, "beta", 1.0), "beta"),

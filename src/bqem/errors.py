@@ -46,7 +46,7 @@ class SourceSingularity(BqemError):
 
 
 class SingularMatrix(BqemError):
-    """LU elimination met a pivot below the relative tolerance."""
+    """The triangular factor of a dense solve (U of LU, R of QR) has a zero or non-finite diagonal entry."""
 
 
 class NonPositiveMedium(BqemError):
@@ -54,7 +54,7 @@ class NonPositiveMedium(BqemError):
 
 
 class ArgumentOutOfRange(BqemError):
-    """Argument outside the validated range of a series evaluation."""
+    """Argument outside the domain of a special-function evaluation (Bessel J0/J1 take z >= 0)."""
 
 
 class AchiralUnsupported(BqemError):

@@ -94,6 +94,35 @@ def test_scatter_bad_type(tmp_path, capsys):
     assert "n_values" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:condition estimate")
+@pytest.mark.parametrize("oversample", [1.0, 1.5], ids=["square", "oversampled"])
+def test_scatter_ill_conditioned_plateau(tmp_path, capsys, oversample):
+    cfg = write_config(tmp_path, dict(TINY_SCATTER, source_scale=0.15, n_values=[100], oversample=oversample))
+    assert main(["scatter", "--config", cfg, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows[0]["errE"] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"n_values": []},
+        {"n_values": [True]},
+        {"ellipsoid": {"a": 5, "b": 0, "c": 2}},
+        {"ellipsoid": {"a": -5, "b": 3, "c": 2}},
+        {"source_scale": 0.0},
+        {"source_scale": 1.2},
+        {"oversample": 0.5},
+    ],
+    ids=["n_values_empty", "n_values_bool", "axis_zero", "axis_negative",
+         "source_scale_zero", "source_scale_above_one", "oversample_below_one"],
+)
+def test_scatter_bad_config_values(tmp_path, capsys, override):
+    cfg = write_config(tmp_path, dict(TINY_SCATTER, **override))
+    assert main(["scatter", "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_invalid_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -164,8 +193,13 @@ def test_green_eval_refine_table(capsys):
 
 @pytest.mark.parametrize(
     "cfg, flags",
-    [({"levels": "x"}, ["--refine"]), ({"levels": 0}, ["--refine"]), ({"x": ["a", 1, 2]}, [])],
-    ids=["levels_not_int", "levels_zero", "x_not_number"],
+    [
+        ({"levels": "x"}, ["--refine"]),
+        ({"levels": 0}, ["--refine"]),
+        ({"x": ["a", 1, 2]}, []),
+        ({}, ["--eps", "-1"]),
+    ],
+    ids=["levels_not_int", "levels_zero", "x_not_number", "eps_negative"],
 )
 def test_green_eval_bad_config_values(tmp_path, capsys, cfg, flags):
     path = write_config(tmp_path, cfg)

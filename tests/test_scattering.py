@@ -209,6 +209,15 @@ def test_solve_singular():
         solve_dense(A, np.ones(6, dtype=complex))
 
 
+@pytest.mark.parametrize("shape", [(6, 6), (9, 6)], ids=["square", "tall"])
+def test_solve_non_finite_entry(shape):
+    rng = np.random.default_rng(2)
+    A = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    A[2, 3] = np.nan
+    with pytest.raises(SingularMatrix):
+        solve_dense(A, np.ones(shape[0], dtype=complex))
+
+
 def test_solve_least_squares():
     rng = np.random.default_rng(1)
     A = rng.normal(size=(24, 12)) + 1j * rng.normal(size=(24, 12))
@@ -395,6 +404,19 @@ def test_oversampled_least_squares_solve():
     E, H, _ = evaluate_fields(sol, pts)
     E_ref, H_ref = dipole_field(np.array([1.0, 0, 0]), MEDIUM.alpha, pts)
     assert np.max(np.abs(E - E_ref)) < 1e-4
+
+
+@pytest.mark.filterwarnings("ignore:condition estimate")
+@pytest.mark.parametrize("oversample", [1.0, 1.5], ids=["square", "oversampled"])
+def test_ill_conditioned_system_gives_accurate_field(oversample):
+    # N = 100 with sources at 0.15: the condition estimate is near 1e19 on
+    # the square system, yet the fitted field is accurate to 1e-12
+    sol = solve_problem(dipole_problem(100, oversample=oversample))
+    pts = parametric_grid(SURFACE, 24, 12, scale=5.0).pos
+    E, _, _ = evaluate_fields(sol, pts)
+    E_ref, _ = dipole_field(np.array([1.0, 0, 0]), MEDIUM.alpha, pts)
+    assert sol.residual < 1e-10
+    assert np.max(np.abs(E - E_ref)) <= 1e-12
 
 
 def test_determinism():
