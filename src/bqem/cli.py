@@ -141,10 +141,14 @@ def cmd_scatter(cfg: dict, seed: int, fmt: str, out: str | None) -> int:
         c=_as_float(_get(cfg, "ellipsoid.c"), "ellipsoid.c"),
     )
     alpha = _as_complex(_get(cfg, "alpha", [1.0, 0.3]), "alpha")
+    if alpha.imag < 0.0:
+        raise ConfigError(f"config field alpha must have Im(alpha) >= 0, got {alpha.imag}")
     beta = _as_float(_get(cfg, "beta", 0.0), "beta")
     medium = ChiralMedium(beta=beta, alpha=alpha)
     source_scale = _as_float(_get(cfg, "source_scale", 0.15), "source_scale")
     eval_scale = _as_float(_get(cfg, "eval_scale", 5.0), "eval_scale")
+    if eval_scale <= 1.0:
+        raise ConfigError("config field eval_scale must be > 1: errors are measured outside the scatterer")
     n_values = _get(cfg, "n_values", [10, 15, 20, 25, 30, 35])
     if not (isinstance(n_values, list) and n_values and all(type(n) is int and n > 0 for n in n_values)):
         raise ConfigError("config field n_values must be a non-empty list of positive integers")

@@ -46,7 +46,8 @@ class SourceSingularity(BqemError):
 
 
 class SingularMatrix(BqemError):
-    """The triangular factor of a dense solve (U of LU, R of QR) has a zero or non-finite diagonal entry."""
+    """The triangular factor of a dense solve (U of LU, R of QR) has a zero or non-finite
+    diagonal entry, or the solve through it gives non-finite coefficients."""
 
 
 class NonPositiveMedium(BqemError):

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-import sympy as sp
 
 from .algebra import _mul_components
 from .errors import LatticeMismatch, NonPositiveMedium
@@ -50,12 +50,34 @@ from .grids import (
     widen_margin,
 )
 
-T, X1, X2, X3 = sp.symbols("t x1 x2 x3", real=True)
-SPACE_SYMBOLS = (X1, X2, X3)
+_SYMBOL_NAMES = ("T", "X1", "X2", "X3")
+
+
+@cache
+def _symbols():
+    """The real sympy symbols (t, x1, x2, x3).
+
+    sympy is imported here, on first use, so that importing bqem does not
+    load it; only the manufactured-solution route needs it.
+    """
+    import sympy as sp
+
+    return sp.symbols("t x1 x2 x3", real=True)
+
+
+def __getattr__(name):
+    """Serve T, X1, X2, X3 and SPACE_SYMBOLS = (X1, X2, X3) from _symbols()."""
+    if name in _SYMBOL_NAMES:
+        return _symbols()[_SYMBOL_NAMES.index(name)]
+    if name == "SPACE_SYMBOLS":
+        return _symbols()[1:]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _lambdify(expr):
-    fn = sp.lambdify((T, X1, X2, X3), expr, modules="numpy")
+    import sympy as sp
+
+    fn = sp.lambdify(_symbols(), expr, modules="numpy")
 
     def call(t, pts):
         out = fn(t, pts[..., 0], pts[..., 1], pts[..., 2])
@@ -154,6 +176,8 @@ def build_medium(
 
 def medium_from_expressions(lattice: Lattice, eps_expr, mu_expr) -> MediumFields:
     """Sample closed-form eps(x), mu(x) and remember the expressions."""
+    import sympy as sp
+
     eps_expr = sp.sympify(eps_expr)
     mu_expr = sp.sympify(mu_expr)
     pts = lattice.points()
@@ -213,6 +237,8 @@ def manufactured_solution(A, phi, medium: MediumFields, st: SpaceTimeLattice) ->
     carry closed forms for the analytic route, otherwise everything is
     differentiated on the grid and the state carries stencil margins.
     """
+    import sympy as sp
+
     if st.space != medium.lattice:
         raise LatticeMismatch("state lattice differs from the medium's")
     A = tuple(sp.sympify(a) for a in A)
@@ -223,6 +249,8 @@ def manufactured_solution(A, phi, medium: MediumFields, st: SpaceTimeLattice) ->
     if medium.eps_form is None or medium.mu_form is None:
         return _manufactured_on_grid(A, phi, medium, st)
 
+    T, X1, X2, X3 = _symbols()
+    space = (X1, X2, X3)
     eps_e, mu_e = medium.eps_form, medium.mu_form
     rotA = (
         sp.diff(A[2], X2) - sp.diff(A[1], X3),
@@ -230,8 +258,8 @@ def manufactured_solution(A, phi, medium: MediumFields, st: SpaceTimeLattice) ->
         sp.diff(A[1], X1) - sp.diff(A[0], X2),
     )
     H_e = tuple(r / mu_e for r in rotA)
-    E_e = tuple(-sp.diff(A[k], T) + sp.diff(phi, SPACE_SYMBOLS[k]) for k in range(3))
-    rho_e = sum(sp.diff(eps_e * E_e[k], SPACE_SYMBOLS[k]) for k in range(3))
+    E_e = tuple(-sp.diff(A[k], T) + sp.diff(phi, space[k]) for k in range(3))
+    rho_e = sum(sp.diff(eps_e * E_e[k], space[k]) for k in range(3))
     rotH = (
         sp.diff(H_e[2], X2) - sp.diff(H_e[1], X3),
         sp.diff(H_e[0], X3) - sp.diff(H_e[2], X1),

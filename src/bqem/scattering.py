@@ -32,7 +32,7 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+import scipy  # scipy.linalg loads on first attribute access, at the first solve
 
 from .algebra import Biquaternion, _mul_components
 from .errors import DegenerateSample, SingularMatrix, SourceOnBoundary, SourceSingularity
@@ -251,7 +251,7 @@ class SolveResult:
 
 
 def _check_triangular(tri: np.ndarray) -> None:
-    """The one failure rule: a zero or non-finite diagonal entry in U or R."""
+    """A zero or non-finite diagonal entry in U or R: the factor is singular."""
     d = np.diag(tri)
     bad = np.flatnonzero(~np.isfinite(d) | (d == 0))
     if bad.size:
@@ -264,7 +264,9 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> SolveResult:
     ``cond`` is LAPACK's 1-norm condition estimate on the triangular factor
     (``zgecon`` on the LU factors, ``ztrcon`` on R).  Conditioning rejects
     nothing, as an ill-conditioned MFS system can still fit accurately; the
-    residual is reported instead.  SingularMatrix: U or R is not invertible.
+    residual is reported instead.  SingularMatrix: U or R is not invertible,
+    or the solve overflows (a subnormal pivot) and leaves non-finite
+    coefficients.
     """
     matrix = np.asarray(matrix, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
@@ -281,6 +283,8 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> SolveResult:
         rcond, _ = scipy.linalg.lapack.ztrcon(r, norm="1")
     else:
         raise ValueError("system has fewer rows than unknowns")
+    if not np.all(np.isfinite(x)):
+        raise SingularMatrix("solve gave non-finite coefficients: the triangular factor is numerically singular")
     res = float(np.linalg.norm(matrix @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
     return SolveResult(coeffs=x, cond=1.0 / rcond if rcond > 0.0 else np.inf, residual=res)
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
-import sympy as sp
 
 from . import diffops, inhomog
 from .algebra import Biquaternion, I1, I2, I3, ONE, cross, dot, quat_conj
@@ -375,6 +373,8 @@ def suite_factorizations(seed: int = 0) -> list[CheckRow]:
 
 
 def suite_green(seed: int = 0) -> list[CheckRow]:
+    import scipy.special
+
     rows = []
     med = ChiralMedium(eps=1.0, mu=1.0, beta=1.0)
     x = np.array([1.0, 0.5, -0.3])
@@ -444,6 +444,8 @@ def suite_green(seed: int = 0) -> list[CheckRow]:
 
 
 def _manufactured(n, nt):
+    import sympy as sp
+
     T, X1, X2, X3 = inhomog.T, inhomog.X1, inhomog.X2, inhomog.X3
     lat = Lattice.cube((0, 0, 0), 1.0, n)
     med = inhomog.medium_from_expressions(

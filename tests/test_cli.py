@@ -113,9 +113,13 @@ def test_scatter_ill_conditioned_plateau(tmp_path, capsys, oversample):
         {"source_scale": 0.0},
         {"source_scale": 1.2},
         {"oversample": 0.5},
+        {"eval_scale": 0},
+        {"eval_scale": 0.5},
+        {"alpha": [1.0, -0.3]},
     ],
     ids=["n_values_empty", "n_values_bool", "axis_zero", "axis_negative",
-         "source_scale_zero", "source_scale_above_one", "oversample_below_one"],
+         "source_scale_zero", "source_scale_above_one", "oversample_below_one",
+         "eval_scale_zero", "eval_scale_inside_scatterer", "alpha_negative_imag"],
 )
 def test_scatter_bad_config_values(tmp_path, capsys, override):
     cfg = write_config(tmp_path, dict(TINY_SCATTER, **override))

@@ -1,0 +1,70 @@
+"""Import budget: sympy, scipy.linalg and scipy.special load on first use only.
+
+Each case runs in a fresh interpreter so that sys.modules starts clean.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+import sympy
+
+import bqem.inhomog
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("sympy", "scipy.linalg", "scipy.special")
+
+
+def heavy_modules_after(code: str) -> set[str]:
+    """Run ``code`` in a fresh interpreter; the HEAVY modules it left loaded."""
+    script = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_import_bqem_loads_no_sympy_or_scipy_submodules():
+    assert heavy_modules_after("import bqem") == set()
+
+
+def test_import_cli_loads_no_sympy_or_scipy_submodules():
+    assert heavy_modules_after("import bqem.cli") == set()
+
+
+def test_green_eval_loads_neither_sympy_nor_scipy_linalg():
+    loaded = heavy_modules_after(
+        "from bqem import cli\n"
+        "assert cli.main(['green-eval', '--t', '1', '--x', '0.3,0.2,0.1', '--beta', '1']) == 0"
+    )
+    assert "sympy" not in loaded and "scipy.linalg" not in loaded
+
+
+def test_scatter_loads_no_sympy(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ellipsoid": {"a": 5, "b": 3, "c": 2}, "n_values": [5]}))
+    loaded = heavy_modules_after(
+        f"from bqem import cli\nassert cli.main(['scatter', '--config', {str(cfg)!r}]) == 0"
+    )
+    assert "sympy" not in loaded
+    assert "scipy.linalg" in loaded  # the dense solve did load it
+
+
+def test_check_inhomog_passes_loading_sympy_on_first_use():
+    loaded = heavy_modules_after("from bqem import cli\nassert cli.main(['check', 'inhomog']) == 0")
+    assert "sympy" in loaded
+
+
+def test_inhomog_symbols_import_by_name():
+    from bqem.inhomog import SPACE_SYMBOLS, X1, X2, X3, T
+
+    assert (T, X1, X2, X3) == sympy.symbols("t x1 x2 x3", real=True)
+    assert SPACE_SYMBOLS == (X1, X2, X3)
+    assert bqem.inhomog.T is T
+
+
+def test_inhomog_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bqem.inhomog.no_such_name

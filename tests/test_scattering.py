@@ -218,6 +218,17 @@ def test_solve_non_finite_entry(shape):
         solve_dense(A, np.ones(shape[0], dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "A",
+    [np.diag([1.0, 1e-310]), np.array([[1.0, 0.0], [0.0, 1e-310], [0.0, 0.0]])],
+    ids=["square", "tall"],
+)
+def test_solve_subnormal_pivot_overflows_to_singular(A):
+    # the pivot passes the zero/non-finite diagonal rule, but 1/1e-310 overflows
+    with pytest.raises(SingularMatrix, match="non-finite coefficients"):
+        solve_dense(A, np.ones(A.shape[0], dtype=complex))
+
+
 def test_solve_least_squares():
     rng = np.random.default_rng(1)
     A = rng.normal(size=(24, 12)) + 1j * rng.normal(size=(24, 12))
