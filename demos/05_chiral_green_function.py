@@ -6,8 +6,7 @@
 
 import numpy as np
 
-from bqem import ChiralMedium, fundamental_solution, green_function, green_residual
-from bqem.grids import Lattice, SpaceTimeLattice
+from bqem import ChiralMedium, fundamental_solution, green_function, green_refinement
 
 med = ChiralMedium(eps=1.0, mu=1.0, beta=1.0)
 x = np.array([1.0, 0.5, -0.3])
@@ -32,6 +31,5 @@ for t in ts:
 # M f = 0 away from (t, x) = 0; the finite-difference residual refines at
 # second order in (h, ht) jointly.
 print("\n|M f| residual under joint (h, ht) refinement:")
-for n, m in ((9, 1), (17, 2), (33, 4)):
-    st = SpaceTimeLattice(Lattice.cube((0.8, 0.8, 0.8), 0.4, n), 0.5, 1.5 / (n - 1), n)
-    print(f"  h={st.space.spacing:7.4f} ht={st.dt:7.4f}: {green_residual(st, med, m, m):.4e}")
+for h, ht, res in green_refinement(med, 3):
+    print(f"  h={h:7.4f} ht={ht:7.4f}: {res:.4e}")

@@ -5,12 +5,14 @@
 # quaternionic form to second-order residuals; breaking any one Maxwell
 # equation blows the quaternionic residual up.
 
-import sympy as sp
+from dataclasses import replace
+
 import numpy as np
+import sympy as sp
 
 from bqem import medium_from_expressions, manufactured_solution, maxwell_residuals, quaternionic_residual
 from bqem.grids import Lattice, SpaceTimeLattice
-from bqem.inhomog import T, X1, X2, X3, EMState
+from bqem.inhomog import T, X1, X2, X3
 
 EPS = 1 + sp.Rational(3, 10) * sp.exp(-(X1**2 + X2**2 + X3**2))
 MU = 1 + sp.Rational(1, 10) * X1**2
@@ -38,27 +40,12 @@ base = quaternionic_residual(state, med, margin_t=1, margin_s=1)
 pts = state.st.space.points()
 bump = np.exp(-np.sum(pts * pts, axis=-1))
 gradbump = -2.0 * pts * bump[..., None]
-se = np.sqrt(np.real(med.eps.values))[None, ..., None]
-sm = np.sqrt(np.real(med.mu.values))[None, ..., None]
-
-
-def rebuilt(**kw):
-    E = kw.get("E", state.E)
-    H = kw.get("H", state.H)
-    calE, calH = se * E, sm * H
-    V = np.zeros(E.shape[:-1] + (4,), complex)
-    V[..., 1:] = calE + 1j * calH
-    return EMState(
-        st=state.st, E=E, H=H, rho=kw.get("rho", state.rho), j=kw.get("j", state.j),
-        calE=calE, calH=calH, V=V,
-    )
-
 
 print(f"\nexact solution residual: {base:.3e}")
 for name, bad in (
-    ("gradient added to E (breaks div(eps E) = rho)", rebuilt(E=state.E + 0.3 * gradbump[None])),
-    ("gradient added to H (breaks div(mu H) = 0)  ", rebuilt(H=state.H + 0.3 * gradbump[None])),
-    ("rho replaced by zero                        ", rebuilt(rho=np.zeros_like(state.rho))),
+    ("gradient added to E (breaks div(eps E) = rho)", replace(state, E=state.E + 0.3 * gradbump[None])),
+    ("gradient added to H (breaks div(mu H) = 0)  ", replace(state, H=state.H + 0.3 * gradbump[None])),
+    ("rho replaced by zero                        ", replace(state, rho=np.zeros_like(state.rho))),
 ):
     r = quaternionic_residual(bad, med, margin_t=1, margin_s=1)
     print(f"{name}: {r:.3e}  ({r / base:.0f}x)")

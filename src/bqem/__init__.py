@@ -30,6 +30,7 @@ from .chiral_time import (
     bessel_j,
     green_function,
     green_intermediates,
+    green_refinement,
     green_residual,
     maxwell_equivalence_residual,
 )

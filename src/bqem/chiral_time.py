@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import Biquaternion
 from .errors import AchiralUnsupported, ArgumentOutOfRange, OriginSingularity
-from .grids import SpaceTimeGrid, SpaceTimeLattice, diff, dirac, div, max_abs_interior, rot
+from .grids import Lattice, SpaceTimeGrid, SpaceTimeLattice, diff, dirac, div, max_abs_interior, rot
 from .kernels import FOUR_PI, ORIGIN_TOL, ChiralMedium
 
 
@@ -141,6 +141,21 @@ def green_residual(
     """
     f = green_function(st.times()[:, None, None, None], st.space.points(), medium)
     return apply_M(SpaceTimeGrid(st, f.components), medium).interior_max(margin_t, margin_s)
+
+
+def green_refinement(medium: ChiralMedium, levels: int) -> list[tuple[float, float, float]]:
+    """(h, ht, residual) of ``green_residual`` on nested lattices, coarsest first.
+
+    Level k has n = 2^(k+3) + 1 nodes (9, 17, 33, ...) on the cube of side
+    0.4 centred at (0.8, 0.8, 0.8) and on t in [0.5, 2], with margin 2^k in
+    space and time, so every level measures M f over one physical region.
+    """
+    rows = []
+    for k in range(levels):
+        n = 2 ** (k + 3) + 1
+        st = SpaceTimeLattice(Lattice.cube((0.8, 0.8, 0.8), 0.4, n), 0.5, 1.5 / (n - 1), n)
+        rows.append((st.space.spacing, st.dt, green_residual(st, medium, margin_t=2**k, margin_s=2**k)))
+    return rows
 
 
 def maxwell_equivalence_residual(

@@ -30,10 +30,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .chiral_time import green_function, green_residual
+from .chiral_time import green_function, green_refinement
 from .errors import BqemError, ConfigError
-from .grids import Lattice, SpaceTimeLattice
-from .kernels import ChiralMedium
+from .kernels import ORIGIN_TOL, ChiralMedium
 from .scattering import Ellipsoid, MfsProblem, run_benchmark
 from .suites import SUITES, run_suites
 
@@ -225,25 +224,18 @@ def cmd_green_eval(args, cfg: dict, seed: int, fmt: str, out: str | None) -> int
         beta=args.beta if args.beta is not None else _as_float(_get(cfg, "beta", 1.0), "beta"),
     )
 
+    if medium.beta == 0.0:
+        raise ConfigError("beta must be nonzero: the Green function is for a chiral medium")
+
     if args.refine:
         levels = _get(cfg, "levels", 3)
         if isinstance(levels, bool) or not isinstance(levels, int) or levels < 1:
             raise ConfigError("config field levels must be an integer >= 1")
         rows = []
         prev = None
-        for k in range(levels):
-            n = 9 * 2**k - (2**k - 1)  # 9, 17, 33: nested refinement
-            st = SpaceTimeLattice(Lattice.cube((0.8, 0.8, 0.8), 0.4, n), 0.5, 1.5 / (n - 1), n)
-            res = green_residual(st, medium, margin_t=2 ** (k), margin_s=2 ** (k))
-            rows.append(
-                {
-                    "level": k,
-                    "h": st.space.spacing,
-                    "ht": st.dt,
-                    "residual": res,
-                    "ratio": (prev / res) if prev is not None else float("nan"),
-                }
-            )
+        for k, (h, ht, res) in enumerate(green_refinement(medium, levels)):
+            ratio = (prev / res) if prev is not None else float("nan")
+            rows.append({"level": k, "h": h, "ht": ht, "residual": res, "ratio": ratio})
             prev = res
         report = Report(
             command="green-eval",
@@ -254,6 +246,8 @@ def cmd_green_eval(args, cfg: dict, seed: int, fmt: str, out: str | None) -> int
         _emit(report, fmt, out)
         return 0
 
+    if np.linalg.norm(x) <= ORIGIN_TOL:
+        raise ConfigError("x must be away from the origin, where the Green function is singular")
     value = green_function(t, np.asarray(x, dtype=float), medium)
     names = ("sc", "v1", "v2", "v3")
     for name, comp in zip(names, np.asarray(value.components).reshape(4)):

@@ -21,9 +21,9 @@ the system splits into (D + M^epsvec) calE = -rho/sqrt(eps) and
 Verification uses manufactured solutions: H = rot(A)/mu and
 E = -dt(A) + grad(phi) satisfy the two curl-free/divergence-free halves
 identically, and rho := div(eps E), j := rot(H) - eps dt(E) make the other
-two hold by definition.  When the potentials and the medium are given as
-sympy expressions all sources are differentiated symbolically, so the
-state is exact and every finite-difference residual is pure stencil error.
+two hold by definition.  The potentials and the medium are sympy
+expressions and all sources are differentiated symbolically, so the state
+is exact and every finite-difference residual is pure stencil error.
 """
 
 from __future__ import annotations
@@ -74,29 +74,19 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _lambdify(expr):
+def _sample(exprs, times, pts) -> np.ndarray:
+    """Sample sympy expressions in (t, x1, x2, x3) at every time and point.
+
+    One ``lambdify`` call on the list and one evaluation with the times
+    broadcast as (nt, 1, 1, 1); returns (len(exprs), nt) + pts.shape[:-1].
+    """
     import sympy as sp
 
-    fn = sp.lambdify(_symbols(), expr, modules="numpy")
-
-    def call(t, pts):
-        out = fn(t, pts[..., 0], pts[..., 1], pts[..., 2])
-        return np.broadcast_to(np.asarray(out), pts.shape[:-1]).astype(complex)
-
-    return call
-
-
-def _sample_scalar(expr, times, pts) -> np.ndarray:
-    call = _lambdify(expr)
-    return np.stack([call(t, pts) for t in np.atleast_1d(times)], axis=0)
-
-
-def _sample_vector(exprs, times, pts) -> np.ndarray:
-    calls = [_lambdify(e) for e in exprs]
-    slices = [
-        np.stack([c(t, pts) for c in calls], axis=-1) for t in np.atleast_1d(times)
-    ]
-    return np.stack(slices, axis=0)
+    fn = sp.lambdify(_symbols(), list(exprs), modules="numpy")
+    t = np.reshape(np.asarray(times, dtype=float), (-1,) + (1,) * (pts.ndim - 1))
+    shape = t.shape[:1] + pts.shape[:-1]
+    out = fn(t, pts[..., 0], pts[..., 1], pts[..., 2])
+    return np.stack([np.broadcast_to(np.asarray(v), shape) for v in out]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -180,10 +170,10 @@ def medium_from_expressions(lattice: Lattice, eps_expr, mu_expr) -> MediumFields
 
     eps_expr = sp.sympify(eps_expr)
     mu_expr = sp.sympify(mu_expr)
-    pts = lattice.points()
-    eps = ScalarGrid(lattice, _sample_scalar(eps_expr, 0.0, pts)[0])
-    mu = ScalarGrid(lattice, _sample_scalar(mu_expr, 0.0, pts)[0])
-    return build_medium(eps, mu, eps_form=eps_expr, mu_form=mu_expr)
+    eps, mu = _sample((eps_expr, mu_expr), 0.0, lattice.points())[:, 0]
+    return build_medium(
+        ScalarGrid(lattice, eps), ScalarGrid(lattice, mu), eps_form=eps_expr, mu_form=mu_expr
+    )
 
 
 @dataclass(frozen=True)
@@ -191,9 +181,8 @@ class EMState:
     """Electromagnetic state sampled on a space-time lattice.
 
     E, H, j have shape (nt,) + dims + (3,); rho has shape (nt,) + dims.
-    calE = sqrt(eps) E, calH = sqrt(mu) H and V = calE + 1j calH are stored
-    alongside.  ``provenance`` records whether the sources were derived
-    analytically or by grid differentiation (grid margins then apply).
+    Nothing derived is stored: a perturbed state is
+    ``dataclasses.replace(state, E=...)``.
     """
 
     st: SpaceTimeLattice
@@ -201,30 +190,6 @@ class EMState:
     H: np.ndarray
     rho: np.ndarray
     j: np.ndarray
-    calE: np.ndarray
-    calH: np.ndarray
-    V: np.ndarray
-    provenance: str = "analytic"
-    real_valued: bool = True
-    margin_t: int = 0
-    margin_s: int = 0
-
-
-def _assemble_state(st, medium, E, H, rho, j, provenance, margin_t=0, margin_s=0) -> EMState:
-    se = np.sqrt(np.real(medium.eps.values))[None, ..., None]
-    sm = np.sqrt(np.real(medium.mu.values))[None, ..., None]
-    calE = se * E
-    calH = sm * H
-    V = np.zeros(E.shape[:-1] + (4,), dtype=complex)
-    V[..., 1:] = calE + 1j * calH
-    real_valued = bool(
-        np.allclose(np.imag(E), 0.0, atol=1e-14) and np.allclose(np.imag(H), 0.0, atol=1e-14)
-    )
-    return EMState(
-        st=st, E=E, H=H, rho=rho, j=j, calE=calE, calH=calH, V=V,
-        provenance=provenance, real_valued=real_valued,
-        margin_t=margin_t, margin_s=margin_s,
-    )
 
 
 def manufactured_solution(A, phi, medium: MediumFields, st: SpaceTimeLattice) -> EMState:
@@ -233,21 +198,19 @@ def manufactured_solution(A, phi, medium: MediumFields, st: SpaceTimeLattice) ->
     H = rot(A)/mu and E = -dt(A) + grad(phi) satisfy the curl equation and
     div(mu H) = 0 identically; the sources are then defined as
     rho = div(eps E) and j = rot(H) - eps dt(E), so all four equations hold.
-    A and phi are sympy expressions in (t, x1, x2, x3); the medium must
-    carry closed forms for the analytic route, otherwise everything is
-    differentiated on the grid and the state carries stencil margins.
+    A and phi are sympy expressions in (t, x1, x2, x3), and the medium must
+    carry closed forms of eps and mu (``medium_from_expressions``).
     """
     import sympy as sp
 
     if st.space != medium.lattice:
         raise LatticeMismatch("state lattice differs from the medium's")
+    if medium.eps_form is None or medium.mu_form is None:
+        raise ValueError(
+            "manufactured solutions need eps and mu in closed form (medium_from_expressions)"
+        )
     A = tuple(sp.sympify(a) for a in A)
     phi = sp.sympify(phi)
-    pts = st.space.points()
-    times = st.times()
-
-    if medium.eps_form is None or medium.mu_form is None:
-        return _manufactured_on_grid(A, phi, medium, st)
 
     T, X1, X2, X3 = _symbols()
     space = (X1, X2, X3)
@@ -267,28 +230,28 @@ def manufactured_solution(A, phi, medium: MediumFields, st: SpaceTimeLattice) ->
     )
     j_e = tuple(rotH[k] - eps_e * sp.diff(E_e[k], T) for k in range(3))
 
-    E = _sample_vector(E_e, times, pts)
-    H = _sample_vector(H_e, times, pts)
-    rho = _sample_scalar(rho_e, times, pts)
-    j = _sample_vector(j_e, times, pts)
-    return _assemble_state(st, medium, E, H, rho, j, "analytic")
+    s = _sample(E_e + H_e + (rho_e,) + j_e, st.times(), st.space.points())
+    return EMState(
+        st=st,
+        E=np.stack(s[0:3], axis=-1),
+        H=np.stack(s[3:6], axis=-1),
+        rho=s[6],
+        j=np.stack(s[7:10], axis=-1),
+    )
 
 
-def _manufactured_on_grid(A, phi, medium: MediumFields, st: SpaceTimeLattice) -> EMState:
-    h = st.space.spacing
-    ht = st.dt
-    pts = st.space.points()
-    times = st.times()
-    Av = _sample_vector(A, times, pts)
-    phiv = _sample_scalar(phi, times, pts)
-    ev = np.real(medium.eps.values)[None, ..., None]
-    mv = np.real(medium.mu.values)[None, ..., None]
+def _scaled(state: EMState, medium: MediumFields) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt(eps) E, sqrt(mu) H), the fields of the quaternionic form."""
+    se = np.sqrt(np.real(medium.eps.values))[None, ..., None]
+    sm = np.sqrt(np.real(medium.mu.values))[None, ..., None]
+    return se * state.E, sm * state.H
 
-    H = rot(Av, h, axes=(1, 2, 3)) / mv
-    E = -diff(Av, 0, ht) + grad(phiv, h, axes=(1, 2, 3))
-    rho = div(ev * E, h, axes=(1, 2, 3))
-    j = rot(H, h, axes=(1, 2, 3)) - ev * diff(E, 0, ht)
-    return _assemble_state(st, medium, E, H, rho, j, "grid", margin_t=2, margin_s=2)
+
+def _dirac_plus_M(u: np.ndarray, p: QuaternionGrid, h: float) -> np.ndarray:
+    """(D + M^p) u for a pure-vector field u of shape (nt,) + dims + (3,)."""
+    q = np.zeros(u.shape[:-1] + (4,), dtype=complex)
+    q[..., 1:] = u
+    return dirac(q, h, axes=(1, 2, 3)) + _mul_components(q, p.values)
 
 
 def maxwell_residuals(
@@ -304,14 +267,13 @@ def maxwell_residuals(
     ht = st.dt
     ev = np.real(medium.eps.values)[None, ..., None]
     mv = np.real(medium.mu.values)[None, ..., None]
-    mt = widen_margin(margin_t, state.margin_t + 1)
-    ms = widen_margin(margin_s, state.margin_s + 1)
     res = (
         rot(state.H, h, axes=(1, 2, 3)) - ev * diff(state.E, 0, ht) - state.j,
         rot(state.E, h, axes=(1, 2, 3)) + mv * diff(state.H, 0, ht),
         div(ev * state.E, h, axes=(1, 2, 3)) - state.rho,
         div(mv * state.H, h, axes=(1, 2, 3)),
     )
+    mt, ms = widen_margin(margin_t, 1), widen_margin(margin_s, 1)
     return tuple(max_abs_interior(r, ms, mt) for r in res)
 
 
@@ -322,7 +284,7 @@ def quaternionic_residual(
     margin_s: int | None = None,
 ) -> float:
     """Max interior residual of the single quaternionic Maxwell equation."""
-    if not state.real_valued:
+    if not all(np.allclose(np.imag(f), 0.0, atol=1e-14) for f in (state.E, state.H)):
         warnings.warn(
             "state has complex E or H; the equivalence only covers real fields",
             stacklevel=2,
@@ -334,23 +296,19 @@ def quaternionic_residual(
     mv = np.real(medium.mu.values)[None, ...]
     cv = np.real(medium.c.values)[None, ...]
 
-    V = state.V
-    DV = dirac(V, h, axes=(1, 2, 3))
-    dtV = diff(V, 0, ht)
-    icvec = 1j * np.broadcast_to(medium.cvec.values[None], V.shape)
-    iWvec = 1j * np.broadcast_to(medium.Wvec.values[None], V.shape)
+    calE, calH = _scaled(state, medium)
+    V = np.zeros(calE.shape[:-1] + (4,), dtype=complex)
+    V[..., 1:] = calE + 1j * calH
     lhs = (
-        dtV / cv[..., None]
-        + 1j * DV
-        - _mul_components(V, icvec)
-        - _mul_components(np.conj(V), iWvec)
+        diff(V, 0, ht) / cv[..., None]
+        + 1j * dirac(V, h, axes=(1, 2, 3))
+        - _mul_components(V, 1j * medium.cvec.values)
+        - _mul_components(np.conj(V), 1j * medium.Wvec.values)
     )
     rhs = np.zeros_like(V)
     rhs[..., 0] = -1j * state.rho / np.sqrt(ev)
     rhs[..., 1:] = -np.sqrt(mv)[..., None] * state.j
-
-    ms = widen_margin(margin_s, state.margin_s + 1, medium.cvec.margin)
-    return max_abs_interior(lhs - rhs, ms, widen_margin(margin_t, state.margin_t + 1))
+    return max_abs_interior(lhs - rhs, widen_margin(margin_s, 1), widen_margin(margin_t, 1))
 
 
 def split_residuals(
@@ -369,25 +327,15 @@ def split_residuals(
     mv = np.real(medium.mu.values)[None, ...]
     cv = np.real(medium.c.values)[None, ...]
 
-    qE = np.zeros(state.calE.shape[:-1] + (4,), dtype=complex)
-    qE[..., 1:] = state.calE
-    qH = np.zeros_like(qE)
-    qH[..., 1:] = state.calH
-
-    r1 = dirac(qE, h, axes=(1, 2, 3)) + _mul_components(
-        qE, np.broadcast_to(medium.epsvec.values[None], qE.shape)
-    )
-    r1[..., 1:] += diff(state.calH, 0, ht) / cv[..., None]
+    calE, calH = _scaled(state, medium)
+    r1 = _dirac_plus_M(calE, medium.epsvec, h)
+    r1[..., 1:] += diff(calH, 0, ht) / cv[..., None]
     r1[..., 0] += state.rho / np.sqrt(ev)
-
-    r2 = dirac(qH, h, axes=(1, 2, 3)) + _mul_components(
-        qH, np.broadcast_to(medium.muvec.values[None], qH.shape)
-    )
-    r2[..., 1:] -= diff(state.calE, 0, ht) / cv[..., None]
+    r2 = _dirac_plus_M(calH, medium.muvec, h)
+    r2[..., 1:] -= diff(calE, 0, ht) / cv[..., None]
     r2[..., 1:] -= np.sqrt(mv)[..., None] * state.j
 
-    mt = widen_margin(margin_t, state.margin_t + 1)
-    ms = widen_margin(margin_s, state.margin_s + 1, medium.epsvec.margin)
+    mt, ms = widen_margin(margin_t, 1), widen_margin(margin_s, 1)
     return max_abs_interior(r1, ms, mt), max_abs_interior(r2, ms, mt)
 
 
@@ -408,15 +356,11 @@ def static_residuals(
     ev = np.real(medium.eps.values)
     mv = np.real(medium.mu.values)
 
-    qE = np.zeros(medium.lattice.dims + (4,), dtype=complex)
-    qE[..., 1:] = state.calE[0]
-    qH = np.zeros_like(qE)
-    qH[..., 1:] = state.calH[0]
-
-    r1 = dirac(qE, h) + _mul_components(qE, medium.epsvec.values)
+    calE, calH = _scaled(state, medium)
+    r1 = _dirac_plus_M(calE[:1], medium.epsvec, h)[0]
     r1[..., 0] += state.rho[0] / np.sqrt(ev)
-    r2 = dirac(qH, h) + _mul_components(qH, medium.muvec.values)
+    r2 = _dirac_plus_M(calH[:1], medium.muvec, h)[0]
     r2[..., 1:] -= np.sqrt(mv)[..., None] * state.j[0]
 
-    ms = widen_margin(margin_s, state.margin_s + 1, medium.epsvec.margin)
+    ms = widen_margin(margin_s, 1)
     return max_abs_interior(r1, ms), max_abs_interior(r2, ms)

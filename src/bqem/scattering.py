@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -407,21 +407,26 @@ class ConvergenceReport:
         return np.array([row[name] for row in self.rows])
 
 
+# Where run_benchmark measures errors: an (n_eta, n_nu) parametric grid on
+# the surface scaled by eval_scale, and a spiral of
+# BOUNDARY_CHECK_FACTOR * (collocation points) + 7 samples on the surface.
+EVAL_GRID = (24, 12)
+BOUNDARY_CHECK_FACTOR = 3
+
+
 def run_benchmark(
     problem: MfsProblem,
     n_values,
     reference: Fields | None = None,
     moment=None,
     eval_scale: float = 5.0,
-    eval_grid: tuple[int, int] = (24, 12),
-    boundary_check_factor: int = 3,
 ) -> ConvergenceReport:
     """Solve the problem for each N and compare against the exact fields.
 
     ``reference`` maps points to the exact (E, H); when omitted, the
     achiral magnetic dipole with the given moment is used and the boundary
     data is derived from it.  Errors are the maximum componentwise complex
-    modulus of the field difference over a (24 x 12) parametric grid on
+    modulus of the field difference over the EVAL_GRID parametric grid on
     the surface scaled by ``eval_scale``; the boundary error is measured
     the same way on an offset spiral denser than the collocation set.
     """
@@ -430,26 +435,17 @@ def run_benchmark(
             moment = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
         reference = partial(dipole_field, moment, problem.medium.alpha)
     boundary_data = tangential_datum(reference)
-    eval_pts = parametric_grid(problem.surface, *eval_grid, scale=eval_scale).pos
+    eval_pts = parametric_grid(problem.surface, *EVAL_GRID, scale=eval_scale).pos
 
     report = ConvergenceReport()
     for n in n_values:
-        prob_n = MfsProblem(
-            surface=problem.surface,
-            medium=problem.medium,
-            n_sources=int(n),
-            source_scale=problem.source_scale,
-            side=problem.side,
-            boundary_data=boundary_data,
-            impedance=problem.impedance,
-            oversample=problem.oversample,
-        )
+        prob_n = replace(problem, n_sources=int(n), boundary_data=boundary_data)
         t0 = time.perf_counter()
         sol = solve_problem(prob_n)
         wall_ms = 1e3 * (time.perf_counter() - t0)
 
         err_e, err_h, leak = field_errors(sol, reference, eval_pts)
-        check = sample_surface(problem.surface, boundary_check_factor * prob_n.n_collocation() + 7, 1.0)
+        check = sample_surface(problem.surface, BOUNDARY_CHECK_FACTOR * prob_n.n_collocation() + 7, 1.0)
         err_b = max(field_errors(sol, reference, check.pos)[:2])
 
         report.rows.append(

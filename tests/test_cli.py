@@ -202,8 +202,11 @@ def test_green_eval_refine_table(capsys):
         ({"levels": 0}, ["--refine"]),
         ({"x": ["a", 1, 2]}, []),
         ({}, ["--eps", "-1"]),
+        ({}, ["--beta", "0"]),
+        ({}, ["--beta", "0", "--refine"]),
+        ({}, ["--x", "0,0,0"]),
     ],
-    ids=["levels_not_int", "levels_zero", "x_not_number", "eps_negative"],
+    ids=["levels_not_int", "levels_zero", "x_not_number", "eps_negative", "beta_zero", "beta_zero_refine", "x_origin"],
 )
 def test_green_eval_bad_config_values(tmp_path, capsys, cfg, flags):
     path = write_config(tmp_path, cfg)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -31,22 +33,6 @@ def standard_setup(n, nt):
     st = SpaceTimeLattice(lat, 0.0, 0.8 / (nt - 1), nt)
     state = manufactured_solution(WAVE_POTENTIAL, 0, med, st)
     return med, state
-
-
-def rebuild_state(state, med, **fields):
-    E = fields.get("E", state.E)
-    H = fields.get("H", state.H)
-    rho = fields.get("rho", state.rho)
-    j = fields.get("j", state.j)
-    se = np.sqrt(np.real(med.eps.values))[None, ..., None]
-    sm = np.sqrt(np.real(med.mu.values))[None, ..., None]
-    calE, calH = se * E, sm * H
-    V = np.zeros(E.shape[:-1] + (4,), complex)
-    V[..., 1:] = calE + 1j * calH
-    return EMState(
-        st=state.st, E=E, H=H, rho=rho, j=j, calE=calE, calH=calH, V=V,
-        provenance=state.provenance, real_valued=state.real_valued,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +146,10 @@ def test_single_violations_detected():
     curlbump = np.cross(np.array([1.0, 0.5, -0.3]), gradbump)
 
     cases = {
-        "gauss_E": rebuild_state(state, med, E=state.E + 0.3 * gradbump[None]),
-        "gauss_H": rebuild_state(state, med, H=state.H + 0.3 * gradbump[None]),
-        "ampere_j": rebuild_state(state, med, j=state.j + 0.3 * curlbump[None]),
-        "charge_rho": rebuild_state(state, med, rho=state.rho + 0.3 * bump[None]),
+        "gauss_E": replace(state, E=state.E + 0.3 * gradbump[None]),
+        "gauss_H": replace(state, H=state.H + 0.3 * gradbump[None]),
+        "ampere_j": replace(state, j=state.j + 0.3 * curlbump[None]),
+        "charge_rho": replace(state, rho=state.rho + 0.3 * bump[None]),
     }
     for name, bad in cases.items():
         r = quaternionic_residual(bad, med, margin_t=1, margin_s=1)
@@ -176,7 +162,7 @@ def test_scalar_part_tracks_divergence_content():
     med, state = standard_setup(9, 9)
     m0 = maxwell_residuals(state, med, margin_t=1, margin_s=1)
     q0 = quaternionic_residual(state, med, margin_t=1, margin_s=1)
-    no_rho = rebuild_state(state, med, rho=np.zeros_like(state.rho))
+    no_rho = replace(state, rho=np.zeros_like(state.rho))
     m1 = maxwell_residuals(no_rho, med, margin_t=1, margin_s=1)
     q1 = quaternionic_residual(no_rho, med, margin_t=1, margin_s=1)
     rho_scale = np.max(np.abs(state.rho))
@@ -191,7 +177,6 @@ def test_complex_state_warns():
     med = medium_from_expressions(lat, 1, 1)
     st = SpaceTimeLattice(lat, 0.0, 0.1, 7)
     state = manufactured_solution((0, 0, sp.exp(sp.I * (X1 - T))), 0, med, st)
-    assert not state.real_valued
     with pytest.warns(UserWarning, match="complex"):
         quaternionic_residual(state, med)
 
@@ -242,28 +227,19 @@ def test_static_darboux_cross_link():
         E = np.real(F.values[None, ..., 1:]) / np.sqrt(np.real(med.eps.values))[None, ..., None]
         E = np.where(np.isfinite(E), E, 0.0)
         zero = np.zeros_like(E)
-        rho = np.zeros(E.shape[:-1])
-        state_args = dict(provenance="analytic", real_valued=True, margin_s=F.margin)
-        se = np.sqrt(np.real(med.eps.values))[None, ..., None]
-        calE = se * E
-        V = np.zeros(E.shape[:-1] + (4,), complex)
-        V[..., 1:] = calE
-        state = EMState(st=st, E=E, H=zero, rho=rho, j=zero, calE=calE, calH=zero, V=V, **state_args)
+        state = EMState(st, E, zero, np.zeros(E.shape[:-1]), zero)
         return static_residuals(state, med, margin_s=margin)[0]
 
     r1, r2 = res(11, 2), res(21, 4)
     assert 3.2 <= r1 / r2 <= 4.8
 
 
-def test_grid_provenance_route():
-    # without closed forms the state is built by grid differentiation
-    lat = Lattice.cube((0, 0, 0), 1.0, 11)
+def test_manufactured_solution_needs_closed_forms():
+    # a medium sampled without closed forms cannot carry symbolic sources
+    lat = Lattice.cube((0, 0, 0), 1.0, 7)
     eps = ScalarGrid.from_function(lat, lambda p: 1 + 0.3 * np.exp(-np.sum(p * p, axis=-1)))
     mu = ScalarGrid.from_function(lat, lambda p: 1 + 0.1 * p[..., 0] ** 2)
     med = build_medium(eps, mu)
-    st = SpaceTimeLattice(lat, 0.0, 0.1, 9)
-    state = manufactured_solution(WAVE_POTENTIAL, 0, med, st)
-    assert state.provenance == "grid"
-    r = maxwell_residuals(state, med)
-    assert all(np.isfinite(r))
-    assert r[0] < 0.05 and r[1] < 0.05
+    st = SpaceTimeLattice(lat, 0.0, 0.1, 3)
+    with pytest.raises(ValueError, match="closed form"):
+        manufactured_solution(WAVE_POTENTIAL, 0, med, st)
