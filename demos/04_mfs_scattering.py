@@ -11,13 +11,11 @@ problem = MfsProblem(
     medium=ChiralMedium(beta=0.0, alpha=1 + 0.3j),
     n_sources=10,
     source_scale=0.15,
-    side="exterior",
 )
 
 print("achiral dipole benchmark (moment (1,1,1)/sqrt(3)):")
 print(f"{'N':>4} {'errE':>12} {'errH':>12} {'cond':>10} {'sc_leak':>10}")
-report = run_benchmark(problem, [10, 15, 20, 25, 30, 35])
-for row in report.rows:
+for row in run_benchmark(problem, [10, 15, 20, 25, 30, 35]):
     print(
         f"{row['N']:4d} {row['errE']:12.3e} {row['errH']:12.3e} "
         f"{row['cond']:10.1e} {row['sc_leak']:10.1e}"

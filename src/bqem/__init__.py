@@ -82,7 +82,6 @@ from .kernels import (
     vector_potential_curl_curl,
 )
 from .scattering import (
-    ConvergenceReport,
     Ellipsoid,
     MfsProblem,
     MfsSolution,

@@ -4,7 +4,8 @@ Three subcommands, each driven by an optional JSON config (flags override
 config fields):
 
 * ``scatter``    -- the dipole scattering benchmark sweep; emits one row
-                    per N with columns N, errE, errH, cond, sc_leak, wall_ms.
+                    per N with columns N, errE, errH, errB, residual, cond,
+                    sc_leak, wall_ms.
 * ``check``      -- runs a verification suite (algebra, kernels,
                     factorizations, green, inhomog, all); exit code 0 only
                     when every check passes.
@@ -26,14 +27,15 @@ import json
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .chiral_time import green_function, green_refinement
 from .errors import BqemError, ConfigError
-from .kernels import ORIGIN_TOL, ChiralMedium
-from .scattering import Ellipsoid, MfsProblem, run_benchmark
+from .kernels import ORIGIN_TOL, ChiralMedium, dipole_field
+from .scattering import DIPOLE_MOMENT, Ellipsoid, MfsProblem, run_benchmark
 from .suites import SUITES, run_suites
 
 _REQUIRED = object()
@@ -51,14 +53,16 @@ def _get(cfg: dict, path: str, default=_REQUIRED):
 
 
 def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config field {path} must be a number")
+    # json.load reads NaN, Infinity and integers beyond float range, and
+    # float() reads nan and inf; each fails the comparison
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"config field {path} must be a finite number")
     return float(value)
 
 
 def _as_complex(value, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_as_float(value, path))
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_as_float(value[0], path), _as_float(value[1], path))
     raise ConfigError(f"config field {path} must be a number or [re, im]")
@@ -145,17 +149,18 @@ def cmd_scatter(cfg: dict, seed: int, fmt: str, out: str | None) -> int:
     beta = _as_float(_get(cfg, "beta", 0.0), "beta")
     medium = ChiralMedium(beta=beta, alpha=alpha)
     source_scale = _as_float(_get(cfg, "source_scale", 0.15), "source_scale")
+    if not 0.0 < source_scale < 1.0:
+        raise ConfigError("config field source_scale must lie in (0, 1): scatter solves exterior problems")
     eval_scale = _as_float(_get(cfg, "eval_scale", 5.0), "eval_scale")
     if eval_scale <= 1.0:
         raise ConfigError("config field eval_scale must be > 1: errors are measured outside the scatterer")
     n_values = _get(cfg, "n_values", [10, 15, 20, 25, 30, 35])
     if not (isinstance(n_values, list) and n_values and all(type(n) is int and n > 0 for n in n_values)):
         raise ConfigError("config field n_values must be a non-empty list of positive integers")
-    moment = _get(cfg, "moment", None)
-    if moment is not None:
-        if not isinstance(moment, list) or len(moment) != 3:
-            raise ConfigError("config field moment must be a list of three numbers")
-        moment = np.array([_as_float(m, "moment") for m in moment])
+    moment = _get(cfg, "moment", DIPOLE_MOMENT.tolist())
+    if not isinstance(moment, list) or len(moment) != 3:
+        raise ConfigError("config field moment must be a list of three numbers")
+    moment = np.array([_as_float(m, "moment") for m in moment])
     impedance = _get(cfg, "impedance", None)
     if impedance is not None:
         impedance = _as_complex(impedance, "impedance")
@@ -167,15 +172,14 @@ def cmd_scatter(cfg: dict, seed: int, fmt: str, out: str | None) -> int:
         medium=medium,
         n_sources=n_values[0],
         source_scale=source_scale,
-        side="exterior",
         impedance=impedance,
         oversample=oversample,
     )
-    report_rows = run_benchmark(problem, n_values, moment=moment, eval_scale=eval_scale).rows
+    rows = run_benchmark(problem, n_values, reference=partial(dipole_field, moment, alpha), eval_scale=eval_scale)
     report = Report(
         command="scatter",
-        columns=["N", "errE", "errH", "cond", "sc_leak", "wall_ms"],
-        rows=report_rows,
+        columns=["N", "errE", "errH", "errB", "residual", "cond", "sc_leak", "wall_ms"],
+        rows=rows,
         meta=_meta("scatter", cfg, seed),
     )
     _emit(report, fmt, out)
@@ -206,7 +210,7 @@ def cmd_check(suite: str, cfg: dict, seed: int, fmt: str, out: str | None) -> in
 
 
 def cmd_green_eval(args, cfg: dict, seed: int, fmt: str, out: str | None) -> int:
-    t = args.t if args.t is not None else _as_float(_get(cfg, "t", 1.0), "t")
+    t = _as_float(args.t if args.t is not None else _get(cfg, "t", 1.0), "t")
     if args.x is not None:
         try:
             x = [float(v) for v in args.x.split(",")]
@@ -219,9 +223,9 @@ def cmd_green_eval(args, cfg: dict, seed: int, fmt: str, out: str | None) -> int
     x = [_as_float(v, "x") for v in x]
     medium = _construct(
         ChiralMedium,
-        eps=args.eps if args.eps is not None else _as_float(_get(cfg, "eps", 1.0), "eps"),
-        mu=args.mu if args.mu is not None else _as_float(_get(cfg, "mu", 1.0), "mu"),
-        beta=args.beta if args.beta is not None else _as_float(_get(cfg, "beta", 1.0), "beta"),
+        eps=_as_float(args.eps if args.eps is not None else _get(cfg, "eps", 1.0), "eps"),
+        mu=_as_float(args.mu if args.mu is not None else _get(cfg, "mu", 1.0), "mu"),
+        beta=_as_float(args.beta if args.beta is not None else _get(cfg, "beta", 1.0), "beta"),
     )
 
     if medium.beta == 0.0:

@@ -52,9 +52,6 @@ class Lattice:
         xs = np.meshgrid(self.axis(0), self.axis(1), self.axis(2), indexing="ij")
         return np.stack(xs, axis=-1)
 
-    def node_position(self, idx) -> np.ndarray:
-        return np.asarray(self.origin) + self.spacing * np.asarray(idx, dtype=float)
-
 
 def _same_lattice(a: Lattice, b: Lattice) -> None:
     if a != b:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -149,30 +149,26 @@ class MfsProblem:
     ``boundary_data`` receives the collocation SurfaceSamples and returns
     the (n, 3) tangential datum f.  ``impedance`` None means a perfect
     conductor (E x n = f); a complex value xi switches the two tangential
-    rows to E x n - xi [(H x n) x n] = f.  Exterior problems place sources
-    on a shrunk copy of the surface (scale < 1), interior on an inflated
-    one (scale > 1).  ``oversample`` > 1 collocates more than 2N points and
-    solves in the least-squares sense.
+    rows to E x n - xi [(H x n) x n] = f.  ``source_scale`` picks the side:
+    sources on a shrunk copy of the surface (scale < 1) give an exterior
+    problem, on an inflated one (scale > 1) an interior problem.
+    ``oversample`` > 1 collocates more than 2N points and solves in the
+    least-squares sense.
     """
 
     surface: Ellipsoid
     medium: ChiralMedium
     n_sources: int
     source_scale: float
-    side: str = "exterior"
     boundary_data: Callable[[SurfaceSamples], np.ndarray] | None = None
     impedance: complex | None = None
     oversample: float = 1.0
 
     def __post_init__(self):
-        if self.side not in ("exterior", "interior"):
-            raise ValueError("side must be 'exterior' or 'interior'")
         if self.n_sources < 1:
             raise ValueError("n_sources must be >= 1")
-        if self.side == "exterior" and not 0.0 < self.source_scale < 1.0:
-            raise ValueError("exterior problems need source_scale in (0, 1)")
-        if self.side == "interior" and self.source_scale <= 1.0:
-            raise ValueError("interior problems need source_scale > 1")
+        if not (self.source_scale > 0.0 and self.source_scale != 1.0):
+            raise ValueError("source_scale must be positive and != 1 (< 1 exterior, > 1 interior)")
         if self.oversample < 1.0:
             raise ValueError("oversample must be >= 1")
 
@@ -188,16 +184,9 @@ def collocation_points(problem: MfsProblem) -> SurfaceSamples:
     return sample_surface(problem.surface, problem.n_collocation(), 1.0)
 
 
-def _tangential_rows(out: np.ndarray, d: np.ndarray, k0: np.ndarray, kv: np.ndarray) -> None:
-    """Write the coefficients of <d, Vec(K a)> over a = (a0, av) into ``out``.
-
-    By the product rule of ``_mul_components``, Vec(K a) = a0 kv + k0 av +
-    kv x av, so the row is [d.kv, k0 d + d x kv] for each collocation
-    direction d (shape (C, 3)) against kernels K = (k0, kv) of shape (C, N).
-    """
-    d = d[:, None, :]
-    out[..., 0] = np.sum(d * kv, axis=-1)
-    out[..., 1:] = k0[..., None] * d + np.cross(d, kv)
+# Sc(X a) = <conj X, a> for the componentwise bilinear product, so the
+# coefficients over a of a row Sc(P K a) are the quaternion conjugate of P K.
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: SurfaceSamples):
@@ -207,23 +196,25 @@ def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: SurfaceSamples
         raise SourceOnBoundary("a source point coincides with a collocation point")
     med = problem.medium
     n_col, n_src = len(col), len(src)
+    t = np.stack([col.t1, col.t2], axis=1)
+    # tangential projections of E_N x n reduce to dots <d, Vec q> with d = (n x t)/2
+    # and q = sum K a; for a pure vector d that is -Sc(d q), so a row is Sc(P K a), P = -d
+    P = np.zeros((n_col, 2, 1, 4), dtype=complex)
 
     # axes: collocation point, row kind, branch (a or b), source, component
     A = np.empty((n_col, 4, 2, n_src, 4), dtype=complex)
     for branch, (alpha, sign) in enumerate(((med.alpha1, 1), (med.alpha2, -1))):
         K = fundamental_solution(alpha, dx, sign=sign).components
-        k0, kv = K[..., 0], K[..., 1:]
         # branch b enters H_N and the second scalar constraint with the
-        # same sign it carries in K(sign * alpha)
-        for m, t in enumerate((col.t1, col.t2)):
-            # tangential projections of E_N x n reduce to dots with n x t; an
-            # impedance xi adds +xi <H_N, t> since (H x n) x n = n<H,n> - H
-            d = 0.5 * np.cross(col.normal, t)
-            if problem.impedance is not None:
-                d = d + sign * (complex(problem.impedance) / 2j) * t
-            _tangential_rows(A[:, m, branch], d, k0, kv)
-        A[:, 2, branch, :, 0] = k0
-        A[:, 2, branch, :, 1:] = -kv
+        # same sign it carries in K(sign * alpha); an impedance xi adds
+        # +xi <H_N, t> since (H x n) x n = n<H,n> - H
+        d = 0.5 * np.cross(col.normal[:, None, :], t)
+        if problem.impedance is not None:
+            d = d + sign * (complex(problem.impedance) / 2j) * t
+        P[:, :, 0, 1:] = -d
+        A[:, :2, branch] = _mul_components(P, K[:, None]) * _CONJ
+        # the scalar constraints Sc(K a) and Sc(sign K a)
+        A[:, 2, branch] = K * _CONJ
         A[:, 3, branch] = sign * A[:, 2, branch]
 
     rhs = np.zeros(4 * n_col, dtype=complex)
@@ -322,6 +313,15 @@ def solve_problem(problem: MfsProblem) -> MfsSolution:
     )
 
 
+def _kernel_sum(K: Biquaternion, coeffs: Biquaternion) -> np.ndarray:
+    """sum_s K_s a_s over the source axis of K (batch shape (..., S)).
+
+    sum_s K_s a_s = sum_j e_j (sum_s K_sj a_s) over the units e_j: the
+    sources are contracted first, so no per-source product is formed.
+    """
+    return _mul_components(np.eye(4), np.swapaxes(K.components, -1, -2) @ coeffs.components).sum(axis=-2)
+
+
 def evaluate_fields(sol: MfsSolution, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """E_N, H_N and the scalar-part leak at points x (batched, (..., 3)).
 
@@ -333,12 +333,8 @@ def evaluate_fields(sol: MfsSolution, x) -> tuple[np.ndarray, np.ndarray, np.nda
     dx = x[..., None, :] - sol.sources
     if np.min(np.linalg.norm(dx, axis=-1)) < COINCIDENCE_TOL:
         raise SourceSingularity("evaluation point coincides with a source")
-    Kp = fundamental_solution(sol.medium.alpha1, dx, sign=1)
-    Km = fundamental_solution(sol.medium.alpha2, dx, sign=-1)
-    terms_a = _mul_components(Kp.components, sol.coeffs_a.components)
-    terms_b = _mul_components(Km.components, sol.coeffs_b.components)
-    sum_a = terms_a.sum(axis=-2)
-    sum_b = terms_b.sum(axis=-2)
+    sum_a = _kernel_sum(fundamental_solution(sol.medium.alpha1, dx, sign=1), sol.coeffs_a)
+    sum_b = _kernel_sum(fundamental_solution(sol.medium.alpha2, dx, sign=-1), sol.coeffs_b)
     plus = sum_a + sum_b
     minus = sum_a - sum_b
     E = 0.5 * plus[..., 1:]
@@ -397,15 +393,8 @@ def chiral_point_source(medium: ChiralMedium, y0, moment) -> Fields:
     return fields
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """One row per N of the benchmark sweep."""
-
-    rows: list[dict] = field(default_factory=list)
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([row[name] for row in self.rows])
-
+# The dipole moment of the benchmark reference and of the chiral self-test.
+DIPOLE_MOMENT = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
 
 # Where run_benchmark measures errors: an (n_eta, n_nu) parametric grid on
 # the surface scaled by eval_scale, and a spiral of
@@ -418,26 +407,25 @@ def run_benchmark(
     problem: MfsProblem,
     n_values,
     reference: Fields | None = None,
-    moment=None,
     eval_scale: float = 5.0,
-) -> ConvergenceReport:
+) -> list[dict]:
     """Solve the problem for each N and compare against the exact fields.
 
-    ``reference`` maps points to the exact (E, H); when omitted, the
-    achiral magnetic dipole with the given moment is used and the boundary
-    data is derived from it.  Errors are the maximum componentwise complex
-    modulus of the field difference over the EVAL_GRID parametric grid on
-    the surface scaled by ``eval_scale``; the boundary error is measured
-    the same way on an offset spiral denser than the collocation set.
+    Returns one row per N.  ``reference`` maps points to the exact (E, H);
+    when omitted, the achiral magnetic dipole with DIPOLE_MOMENT is used.
+    The boundary data is derived from the reference.  Errors are the
+    maximum componentwise complex modulus of the field difference over the
+    EVAL_GRID parametric grid on the surface scaled by ``eval_scale``; the
+    boundary error errB is measured the same way on an offset spiral denser
+    than the collocation set, and ``residual`` is the relative residual of
+    the dense solve.
     """
     if reference is None:
-        if moment is None:
-            moment = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-        reference = partial(dipole_field, moment, problem.medium.alpha)
+        reference = partial(dipole_field, DIPOLE_MOMENT, problem.medium.alpha)
     boundary_data = tangential_datum(reference)
     eval_pts = parametric_grid(problem.surface, *EVAL_GRID, scale=eval_scale).pos
 
-    report = ConvergenceReport()
+    rows = []
     for n in n_values:
         prob_n = replace(problem, n_sources=int(n), boundary_data=boundary_data)
         t0 = time.perf_counter()
@@ -448,18 +436,19 @@ def run_benchmark(
         check = sample_surface(problem.surface, BOUNDARY_CHECK_FACTOR * prob_n.n_collocation() + 7, 1.0)
         err_b = max(field_errors(sol, reference, check.pos)[:2])
 
-        report.rows.append(
+        rows.append(
             {
                 "N": int(n),
                 "errE": err_e,
                 "errH": err_h,
                 "errB": err_b,
+                "residual": sol.residual,
                 "cond": sol.cond,
                 "sc_leak": leak,
                 "wall_ms": wall_ms,
             }
         )
-    return report
+    return rows
 
 
 @dataclass(frozen=True)
@@ -468,25 +457,24 @@ class SelftestResult:
     far_error: float
 
 
-def chiral_selftest(
-    medium: ChiralMedium,
-    n_sources: int,
-    surface: Ellipsoid = Ellipsoid(5.0, 3.0, 2.0),
-    source_scale: float = 0.15,
-    eval_scale: float = 5.0,
-    y0=(0.05, -0.03, 0.04),
-    moment=(0.577350269189626, 0.577350269189626, 0.577350269189626),
-) -> SelftestResult:
+# The manufactured problem of chiral_selftest: the benchmark ellipsoid and
+# source scale, and a point source near the centre of the auxiliary
+# surface; moving it toward the sources slows the geometric convergence of
+# the boundary fit.
+SELFTEST_SURFACE = Ellipsoid(5.0, 3.0, 2.0)
+SELFTEST_SOURCE_SCALE = 0.15
+SELFTEST_Y0 = (0.05, -0.03, 0.04)
+
+
+def chiral_selftest(medium: ChiralMedium, n_sources: int) -> SelftestResult:
     """Manufactured chiral exterior problem: solve against the exact
     point-source solution and report boundary and far-field errors.
 
     This is one ``run_benchmark`` row on the ``chiral_point_source``
-    reference: ``errB`` is the boundary error and max(errE, errH) the far
-    error.  The default source point sits near the centre of the auxiliary
-    surface; pushing it toward the sources slows the geometric convergence
-    of the boundary fit.
+    reference with DIPOLE_MOMENT at SELFTEST_Y0: ``errB`` is the boundary
+    error and max(errE, errH) the far error.
     """
-    problem = MfsProblem(surface=surface, medium=medium, n_sources=n_sources, source_scale=source_scale)
-    exact = chiral_point_source(medium, y0, moment)
-    row = run_benchmark(problem, [n_sources], reference=exact, eval_scale=eval_scale).rows[0]
+    problem = MfsProblem(surface=SELFTEST_SURFACE, medium=medium, n_sources=n_sources, source_scale=SELFTEST_SOURCE_SCALE)
+    exact = chiral_point_source(medium, SELFTEST_Y0, DIPOLE_MOMENT)
+    row = run_benchmark(problem, [n_sources], reference=exact)[0]
     return SelftestResult(boundary_error=row["errB"], far_error=max(row["errE"], row["errH"]))

@@ -50,13 +50,12 @@ def test_criterion_1_benchmark_table():
         medium=ChiralMedium(beta=0.0, alpha=1 + 0.3j),
         n_sources=10,
         source_scale=0.15,
-        side="exterior",
     )
-    rep = run_benchmark(problem, [10, 15, 20, 25, 30, 35], eval_scale=5.0)
+    rows = run_benchmark(problem, [10, 15, 20, 25, 30, 35], eval_scale=5.0)
     wall = time.perf_counter() - t0
 
-    err_e = rep.column("errE")
-    err_h = rep.column("errH")
+    err_e = [row["errE"] for row in rows]
+    err_h = [row["errH"] for row in rows]
     assert err_e[0] <= 1e-3 and err_h[0] <= 1e-3
     assert err_e[-1] <= 1e-4 and err_h[-1] <= 1e-4
     assert err_e[-1] / err_e[0] <= 1e-2

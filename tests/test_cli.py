@@ -39,7 +39,7 @@ def test_scatter_csv_shape(tmp_path, capsys):
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
     header = [ln for ln in lines if ln.startswith("N,")]
-    assert header == ["N,errE,errH,cond,sc_leak,wall_ms"]
+    assert header == ["N,errE,errH,errB,residual,cond,sc_leak,wall_ms"]
     data = [ln for ln in lines if not ln.startswith(("#", "N,"))]
     assert len(data) == 2
     assert data[0].split(",")[0] == "5"
@@ -60,7 +60,7 @@ def test_scatter_json(tmp_path, capsys):
     assert main(["scatter", "--config", cfg, "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert isinstance(rows, list) and len(rows) == 2
-    assert set(rows[0]) == {"N", "errE", "errH", "cond", "sc_leak", "wall_ms"}
+    assert set(rows[0]) == {"N", "errE", "errH", "errB", "residual", "cond", "sc_leak", "wall_ms"}
     assert rows[1]["errE"] < 1e-3
 
 
@@ -116,10 +116,16 @@ def test_scatter_ill_conditioned_plateau(tmp_path, capsys, oversample):
         {"eval_scale": 0},
         {"eval_scale": 0.5},
         {"alpha": [1.0, -0.3]},
+        {"eval_scale": float("inf")},
+        {"alpha": [float("nan"), 0.3]},
+        {"alpha": float("nan")},
+        {"ellipsoid": {"a": float("nan"), "b": 3, "c": 2}},
+        {"eval_scale": 10**400},
     ],
     ids=["n_values_empty", "n_values_bool", "axis_zero", "axis_negative",
          "source_scale_zero", "source_scale_above_one", "oversample_below_one",
-         "eval_scale_zero", "eval_scale_inside_scatterer", "alpha_negative_imag"],
+         "eval_scale_zero", "eval_scale_inside_scatterer", "alpha_negative_imag",
+         "eval_scale_infinite", "alpha_nan_part", "alpha_nan", "axis_nan", "eval_scale_beyond_float"],
 )
 def test_scatter_bad_config_values(tmp_path, capsys, override):
     cfg = write_config(tmp_path, dict(TINY_SCATTER, **override))
@@ -205,8 +211,13 @@ def test_green_eval_refine_table(capsys):
         ({}, ["--beta", "0"]),
         ({}, ["--beta", "0", "--refine"]),
         ({}, ["--x", "0,0,0"]),
+        ({}, ["--x", "nan,0,0"]),
+        ({}, ["--beta", "inf"]),
+        ({}, ["--t", "nan"]),
+        ({"mu": float("inf")}, []),
     ],
-    ids=["levels_not_int", "levels_zero", "x_not_number", "eps_negative", "beta_zero", "beta_zero_refine", "x_origin"],
+    ids=["levels_not_int", "levels_zero", "x_not_number", "eps_negative", "beta_zero", "beta_zero_refine", "x_origin",
+         "x_nan", "beta_infinite", "t_nan", "mu_infinite"],
 )
 def test_green_eval_bad_config_values(tmp_path, capsys, cfg, flags):
     path = write_config(tmp_path, cfg)

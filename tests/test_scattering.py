@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from bqem.kernels import ChiralMedium, dipole_field, fundamental_solution
 from bqem.scattering import (
     Ellipsoid,
     MfsProblem,
+    MfsSolution,
     SurfaceSamples,
     _assemble_rows,
     assemble_system,
@@ -38,7 +41,6 @@ def dipole_problem(n, moment=(1.0, 0.0, 0.0), **kw):
         medium=MEDIUM,
         n_sources=n,
         source_scale=0.15,
-        side="exterior",
         boundary_data=dipole_boundary_data(np.asarray(moment), MEDIUM),
         **kw,
     )
@@ -102,7 +104,7 @@ def test_parametric_grid_excludes_poles():
 
 def test_system_shape_and_zero_rhs():
     prob = MfsProblem(
-        surface=SURFACE, medium=MEDIUM, n_sources=10, source_scale=0.15, side="exterior"
+        surface=SURFACE, medium=MEDIUM, n_sources=10, source_scale=0.15
     )
     A, b = assemble_system(prob)
     assert A.shape == (80, 80)
@@ -124,7 +126,6 @@ def test_matrix_entries_against_naive_oracle(medium, impedance):
         medium=medium,
         n_sources=4,
         source_scale=0.15,
-        side="exterior",
         impedance=impedance,
     )
     A, b = assemble_system(prob)
@@ -174,7 +175,7 @@ def test_source_on_boundary_guard():
 def test_chiral_resonance_propagates():
     med = ChiralMedium(beta=0.5, alpha=2.0)  # 1 - alpha*beta = 0
     prob = MfsProblem(
-        surface=SURFACE, medium=med, n_sources=4, source_scale=0.15, side="exterior"
+        surface=SURFACE, medium=med, n_sources=4, source_scale=0.15
     )
     with pytest.raises(ChiralResonance):
         assemble_system(prob)
@@ -270,6 +271,33 @@ def test_evaluate_single_source_definition():
     assert leak == pytest.approx(abs(K.scalar))
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 3)], ids=["one_point", "batch"])
+def test_evaluate_fields_against_naive_sum(shape):
+    # the per-source sum of Biquaternion products, both branches non-zero
+    med = ChiralMedium(beta=0.1, alpha=1 + 0.3j)
+    rng = np.random.default_rng(3)
+    n = 5
+    sources = sample_surface(SURFACE, n, 0.15).pos
+
+    def random_coeffs():
+        return Biquaternion(rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4)))
+
+    sol = MfsSolution(sources=sources, coeffs_a=random_coeffs(), coeffs_b=random_coeffs(), medium=med)
+    x = rng.uniform(2.0, 6.0, size=shape)
+    E, H, leak = evaluate_fields(sol, x)
+
+    sum_a = sum_b = Biquaternion.zeros(shape[:-1])
+    for y, a, b in zip(sources, sol.coeffs_a, sol.coeffs_b):
+        sum_a = sum_a + fundamental_solution(med.alpha1, x - y, sign=1) * a
+        sum_b = sum_b + fundamental_solution(med.alpha2, x - y, sign=-1) * b
+    plus, minus = sum_a + sum_b, sum_a - sum_b
+    E_ref, H_ref = 0.5 * plus.vector, minus.vector / 2j
+    leak_ref = np.maximum(np.abs(plus.scalar), np.abs(minus.scalar))
+    for ours, ref in ((E, E_ref), (H, H_ref), (leak, leak_ref)):
+        assert ours.shape == ref.shape
+        np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=0)
+
+
 def test_evaluate_at_source_rejected():
     sol = solve_problem(dipole_problem(4))
     with pytest.raises(SourceSingularity):
@@ -362,7 +390,6 @@ def test_interior_problem():
         medium=MEDIUM,
         n_sources=48,
         source_scale=2.5,
-        side="interior",
         boundary_data=boundary_data,
     )
     sol = solve_problem(prob)
@@ -387,7 +414,6 @@ def test_impedance_condition():
         medium=MEDIUM,
         n_sources=16,
         source_scale=0.15,
-        side="exterior",
         boundary_data=boundary_data,
         impedance=xi,
     )
@@ -400,12 +426,13 @@ def test_impedance_condition():
 
 
 def test_problem_validation():
+    # source_scale picks the side (< 1 exterior, > 1 interior), so only
+    # non-positive scales and the surface itself are rejected
+    for source_scale in (0.0, 1.0, -0.5):
+        with pytest.raises(ValueError):
+            MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=4, source_scale=source_scale)
     with pytest.raises(ValueError):
-        MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=4, source_scale=1.2, side="exterior")
-    with pytest.raises(ValueError):
-        MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=4, source_scale=0.5, side="interior")
-    with pytest.raises(ValueError):
-        MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=0, source_scale=0.15, side="exterior")
+        MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=0, source_scale=0.15)
 
 
 def test_oversampled_least_squares_solve():
@@ -452,13 +479,11 @@ def test_condition_warning_names_resonance(monkeypatch):
 
 def test_benchmark_trend_and_stability():
     prob = MfsProblem(
-        surface=SURFACE, medium=MEDIUM, n_sources=6, source_scale=0.15, side="exterior"
+        surface=SURFACE, medium=MEDIUM, n_sources=6, source_scale=0.15
     )
     ns = [6, 10, 14, 18]
-    rep = run_benchmark(prob, ns)
-    err_e = rep.column("errE")
-    err_h = rep.column("errH")
-    err_b = rep.column("errB")
+    rows = run_benchmark(prob, ns)
+    err_e, err_h, err_b = (np.array([row[name] for row in rows]) for name in ("errE", "errH", "errB"))
 
     # log-error regression slope is negative for both fields
     for err in (err_e, err_h):
@@ -469,6 +494,21 @@ def test_benchmark_trend_and_stability():
     ratios = np.maximum(err_e, err_h) / err_b
     k_fit = float(np.exp(np.mean(np.log(ratios))))
     assert np.all(np.maximum(err_e, err_h) <= 10.0 * k_fit * err_b)
+
+
+def test_readme_benchmark_table():
+    # the README's scattering table, to its printed 4 significant figures
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].isdigit():
+            table[int(cells[0])] = (cells[1], cells[2])
+    assert sorted(table) == [10, 15, 20, 25, 30, 35]
+
+    prob = MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=10, source_scale=0.15)
+    rows = run_benchmark(prob, sorted(table), eval_scale=5.0)
+    assert {row["N"]: (f"{row['errE']:.3e}", f"{row['errH']:.3e}") for row in rows} == table
 
 
 def test_error_metric_stable_under_grid_doubling():
