@@ -4,7 +4,7 @@
 
 import numpy as np
 
-from bqem import Biquaternion, I1, I2, ONE, cross, dot, quat_conj, complex_conj
+from bqem import Biquaternion, I1, I2, ONE, cross, dot
 
 print("== unit table ==")
 print("i1*i2 =", (I1 * I2).components, " (i3)")
@@ -24,7 +24,7 @@ batch = Biquaternion(rng.normal(size=(100_000, 4)) + 1j * rng.normal(size=(100_0
 print("\n== bulk laws on", batch.shape[0], "random values ==")
 x, y, z = batch[:30_000], batch[30_000:60_000], batch[60_000:90_000]
 print("max associativity error   :", ((x * y) * z - x * (y * z)).max_abs())
-print("conjugation reverses mul  :", (quat_conj(x * y) - quat_conj(y) * quat_conj(x)).max_abs())
+print("conjugation reverses mul  :", ((x * y).quat_conj() - y.quat_conj() * x.quat_conj()).max_abs())
 
 # The product splits into scalar/vector pieces the way vector calculus
 # expects: Sc(ab) = a0 b0 - <av, bv>, Vec(ab) = a0 bv + b0 av + av x bv.
@@ -37,5 +37,5 @@ print("scalar/vector reconstruction:", (rebuilt - x * y).max_abs())
 # complex_conj flips 1j only; quat_conj flips the vector part only.
 v = Biquaternion.from_parts(2.0 + 1j, (1.0, -1j, 0.5))
 print("\nv             =", v.components)
-print("quat_conj(v)  =", quat_conj(v).components)
-print("complex_conj(v) =", complex_conj(v).components)
+print("v.quat_conj()    =", v.quat_conj().components)
+print("v.complex_conj() =", v.complex_conj().components)

@@ -16,20 +16,13 @@ from .algebra import (
     I2,
     I3,
     ONE,
-    complex_conj,
     cross,
     dot,
-    mul,
-    quat_conj,
-    sc,
-    vec,
 )
 from .chiral_time import (
-    GreenIntermediates,
     apply_M,
     bessel_j,
     green_function,
-    green_intermediates,
     green_refinement,
     green_residual,
     maxwell_equivalence_residual,
@@ -43,10 +36,8 @@ from .diffops import (
     conductivity_factorization_residual,
     darboux_transform,
     dirac_residual,
-    embed_scalar,
     generating_quartet,
     helmholtz_factorization_residual,
-    left_mult,
     right_mult,
     schrodinger_factorization_residual,
     vekua_coefficient_identity_residual,
@@ -57,7 +48,6 @@ from .grids import (
     Lattice,
     QuaternionGrid,
     ScalarGrid,
-    SpaceTimeGrid,
     SpaceTimeLattice,
 )
 from .inhomog import (
@@ -78,8 +68,6 @@ from .kernels import (
     fundamental_solution,
     helmholtz_kernel,
     helmholtz_kernel_grad,
-    vector_potential_curl,
-    vector_potential_curl_curl,
 )
 from .scattering import (
     Ellipsoid,
@@ -89,12 +77,10 @@ from .scattering import (
     assemble_system,
     chiral_point_source,
     chiral_selftest,
-    dipole_boundary_data,
     evaluate_fields,
-    parametric_grid,
     run_benchmark,
     sample_surface,
     solve_dense,
     solve_problem,
-    surface_frame,
+    tangential_datum,
 )

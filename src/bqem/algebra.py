@@ -158,31 +158,6 @@ I2 = Biquaternion((0, 0, 1, 0))
 I3 = Biquaternion((0, 0, 0, 1))
 
 
-def mul(a: Biquaternion, b: Biquaternion) -> Biquaternion:
-    """Quaternion product a*b."""
-    return a * b
-
-
-def quat_conj(a: Biquaternion) -> Biquaternion:
-    """Quaternionic conjugation a0 + av -> a0 - av.  Reverses products."""
-    return a.quat_conj()
-
-
-def complex_conj(a: Biquaternion) -> Biquaternion:
-    """Conjugate 1j -> -1j in every component; the units are untouched."""
-    return a.complex_conj()
-
-
-def sc(a: Biquaternion) -> np.ndarray:
-    """Scalar part, as a complex array of the batch shape."""
-    return a.scalar
-
-
-def vec(a: Biquaternion) -> Biquaternion:
-    """Vector part, as a purely vectorial biquaternion."""
-    return Biquaternion.from_vector(a.vector)
-
-
 def dot(a: Biquaternion, b: Biquaternion) -> np.ndarray:
     """Euclidean (bilinear, not Hermitian) product of the vector parts."""
     return np.sum(a.vector * b.vector, axis=-1)

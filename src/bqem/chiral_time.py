@@ -27,13 +27,12 @@ J0 and J1 come from ``scipy.special``, accurate for every argument
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import Biquaternion
 from .errors import AchiralUnsupported, ArgumentOutOfRange, OriginSingularity
-from .grids import Lattice, SpaceTimeGrid, SpaceTimeLattice, diff, dirac, div, max_abs_interior, rot
+from .grids import Lattice, SpaceTimeLattice, diff, dirac, div, max_abs_interior, rot, widen_margin
 from .kernels import FOUR_PI, ORIGIN_TOL, ChiralMedium
 
 
@@ -54,18 +53,12 @@ def bessel_j(order: int, z) -> np.ndarray:
     return j if j.ndim else float(j)
 
 
-@dataclass(frozen=True)
-class GreenIntermediates:
-    """The pieces a, c(x), E(x), A(x), B(x) of the Green function."""
+def green_function(t, x, medium: ChiralMedium) -> Biquaternion:
+    """Causal Green function of M at times t and positions x (broadcast).
 
-    a: float
-    c_of_x: np.ndarray
-    E_of_x: np.ndarray
-    A_of_x: Biquaternion
-    B_of_x: Biquaternion
-
-
-def green_intermediates(x, medium: ChiralMedium) -> GreenIntermediates:
+    Identically zero for t < 0; H(0) = 1 so the t -> 0+ limit is attained
+    at t = 0.
+    """
     beta = medium.beta
     if beta == 0.0:
         raise AchiralUnsupported("Green function requires beta != 0")
@@ -77,29 +70,17 @@ def green_intermediates(x, medium: ChiralMedium) -> GreenIntermediates:
     a = 1.0 / (beta * rt_em)
     c = r / (beta * beta * rt_em)
     E = np.exp(1j * r / beta) / (FOUR_PI * r)
-    xhat = x / r[..., None]
-    one_minus_ixhat = Biquaternion.from_parts(
-        scalar=np.ones_like(r), vector=-1j * xhat
-    )
+    one_minus_ixhat = Biquaternion.from_parts(scalar=np.ones_like(r), vector=-1j * (x / r[..., None]))
     A = (1j / (beta ** 3 * medium.eps * medium.mu)) * one_minus_ixhat
     B = (1j / (beta * rt_em)) * (
         (1.0 / beta) * one_minus_ixhat
         + Biquaternion.from_vector(x / (r * r)[..., None])
     )
-    return GreenIntermediates(a=a, c_of_x=c, E_of_x=E, A_of_x=A, B_of_x=B)
 
-
-def green_function(t, x, medium: ChiralMedium) -> Biquaternion:
-    """Causal Green function of M at times t and positions x (broadcast).
-
-    Identically zero for t < 0; H(0) = 1 so the t -> 0+ limit is attained
-    at t = 0.
-    """
-    parts = green_intermediates(x, medium)
     t = np.asarray(t, dtype=float)
-    shape = np.broadcast_shapes(t.shape, parts.c_of_x.shape)
+    shape = np.broadcast_shapes(t.shape, c.shape)
     tb = np.broadcast_to(t, shape)
-    c = np.broadcast_to(parts.c_of_x, shape)
+    c = np.broadcast_to(c, shape)
     heavi = tb >= 0.0
     tpos = np.where(heavi, tb, 0.0)
 
@@ -107,24 +88,25 @@ def green_function(t, x, medium: ChiralMedium) -> Biquaternion:
     j0 = np.asarray(bessel_j(0, z))
     j1_scaled = np.sqrt(tpos / c) * np.asarray(bessel_j(1, z))
 
-    phase = np.where(heavi, np.exp(1j * parts.a * tpos) * parts.E_of_x, 0.0)
-    comps = (
-        1j * parts.B_of_x.components * j0[..., None]
-        - parts.A_of_x.components * j1_scaled[..., None]
-    )
+    phase = np.where(heavi, np.exp(1j * a * tpos) * E, 0.0)
+    comps = 1j * B.components * j0[..., None] - A.components * j1_scaled[..., None]
     return Biquaternion(phase[..., None] * comps)
 
 
-def apply_M(field: SpaceTimeGrid, medium: ChiralMedium, star: bool = False) -> SpaceTimeGrid:
+def apply_M(values: np.ndarray, st: SpaceTimeLattice, medium: ChiralMedium, star: bool = False) -> np.ndarray:
     """Central-difference action of M (or M* when ``star``) on a space-time field,
-    as dt(beta sqrt(eps mu) Dv + sqrt(eps mu) v) -/+ 1j Dv: one time difference."""
-    st = field.lattice
-    v = field.values
-    Dv = dirac(v, st.space.spacing, axes=(1, 2, 3))
+    as dt(beta sqrt(eps mu) Dv + sqrt(eps mu) v) -/+ 1j Dv: one time difference.
+
+    ``values`` and the result have shape (nt,) + dims + (4,); the result
+    carries one more NaN face layer in time and in space.
+    """
+    expect = (st.nt,) + st.space.dims + (4,)
+    if values.shape != expect:
+        raise ValueError(f"values shape {values.shape} != {expect}")
+    Dv = dirac(values, st.space.spacing, axes=(1, 2, 3))
     rt_em = np.sqrt(medium.eps * medium.mu)
     sign = 1j if star else -1j
-    out = diff(medium.beta * rt_em * Dv + rt_em * v, 0, st.dt) + sign * Dv
-    return SpaceTimeGrid(st, out, field.margin_t + 1, field.margin_s + 1)
+    return diff(medium.beta * rt_em * Dv + rt_em * values, 0, st.dt) + sign * Dv
 
 
 def green_residual(
@@ -140,7 +122,7 @@ def green_residual(
     may be widened to compare refinement levels over one physical region.
     """
     f = green_function(st.times()[:, None, None, None], st.space.points(), medium)
-    return apply_M(SpaceTimeGrid(st, f.components), medium).interior_max(margin_t, margin_s)
+    return max_abs_interior(apply_M(f.components, st, medium), widen_margin(margin_s, 1), widen_margin(margin_t, 1))
 
 
 def green_refinement(medium: ChiralMedium, levels: int) -> list[tuple[float, float, float]]:
@@ -194,11 +176,11 @@ def maxwell_equivalence_residual(
 
     V = np.zeros(E.shape[:-1] + (4,), dtype=complex)
     V[..., 1:] = E - 1j * imp * H
-    MV = apply_M(SpaceTimeGrid(st, V), medium)
+    MV = apply_M(V, st, medium)
     rhs = np.zeros_like(V)
     rhs[..., 0] = -beta * imp * diff(rho, 0, ht) + 1j * rho / eps
     rhs[..., 1:] = -imp * j
-    r_quat = max_abs_interior(MV.values - rhs, 1, margin_t=1)
+    r_quat = max_abs_interior(MV - rhs, 1, margin_t=1)
 
     rotE = rot(E, h, axes=(1, 2, 3))
     rotH = rot(H, h, axes=(1, 2, 3))

@@ -47,11 +47,6 @@ from .grids import (
 VANISHING_F_TOL = 1e-8
 
 
-def embed_scalar(g: ScalarGrid) -> QuaternionGrid:
-    """Scalar grid as a quaternion field with zero vector part."""
-    return QuaternionGrid.from_scalar_grid(g)
-
-
 def apply_D(field: QuaternionGrid) -> QuaternionGrid:
     """Central-difference Dirac operator; margin grows by one."""
     out = dirac(field.values, field.lattice.spacing)
@@ -148,7 +143,7 @@ def helmholtz_factorization_residual(alpha: complex, g: ScalarGrid, margin: int 
     minimum so refinement levels can be compared over one physical region.
     """
     h = g.lattice.spacing
-    qg = embed_scalar(g)
+    qg = QuaternionGrid.from_scalar_grid(g)
     composed = apply_D_shifted(apply_D_shifted(qg, -alpha), alpha)
     res = composed.values.copy()
     res[..., 0] += laplacian(g.values, h) + alpha * alpha * g.values
@@ -162,7 +157,8 @@ def schrodinger_factorization_residual(slot: PotentialSlot, g: ScalarGrid, margi
     h = g.lattice.spacing
     w = slot.df_over_f()
     mw = right_mult(w)
-    inner = apply_D(embed_scalar(g)) - mw(embed_scalar(g))
+    qg = QuaternionGrid.from_scalar_grid(g)
+    inner = apply_D(qg) - mw(qg)
     outer = apply_D(inner) + mw(inner)
     res = outer.values.copy()
     res[..., 0] -= -laplacian(g.values, h) + slot.nu.values * g.values
@@ -182,7 +178,8 @@ def conductivity_factorization_residual(slot: PotentialSlot, phi: ScalarGrid, ma
     w = slot.df_over_f()
     mw = right_mult(w)
     scaled = ScalarGrid(phi.lattice, sp * phi.values, phi.margin)
-    inner = apply_D(embed_scalar(scaled)) - mw(embed_scalar(scaled))
+    qs = QuaternionGrid.from_scalar_grid(scaled)
+    inner = apply_D(qs) - mw(qs)
     outer = apply_D(inner) + mw(inner)
     rhs = -sp[..., None] * outer.values
 
@@ -196,7 +193,7 @@ def darboux_transform(slot: PotentialSlot, g: ScalarGrid) -> QuaternionGrid:
     if g.lattice != slot.f.lattice:
         raise LatticeMismatch("g must live on the slot's lattice")
     ratio = ScalarGrid(g.lattice, g.values / slot.f.values, max(g.margin, slot.f.margin))
-    return apply_D(embed_scalar(ratio)).scale(slot.f.values)
+    return apply_D(QuaternionGrid.from_scalar_grid(ratio)).scale(slot.f.values)
 
 
 def dirac_residual(slot: PotentialSlot, F: QuaternionGrid, margin: int | None = None) -> float:
@@ -313,7 +310,7 @@ def generating_quartet(slot: PotentialSlot) -> list[QuaternionGrid]:
     """The four exact solutions f, i1/f, i2/f, i3/f of the Vekua equation."""
     lat = slot.f.lattice
     f = slot.f.values
-    quartet = [embed_scalar(slot.f)]
+    quartet = [QuaternionGrid.from_scalar_grid(slot.f)]
     for k in (1, 2, 3):
         vals = np.zeros(lat.dims + (4,), dtype=complex)
         vals[..., k] = 1.0 / f

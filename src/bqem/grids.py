@@ -2,8 +2,9 @@
 
 A Lattice fixes the geometry (origin, spacing, node counts) and the grid
 containers pair it with one complex value per node: a plain complex array
-for scalar fields, a trailing length-4 axis for biquaternion fields, and a
-leading time axis for space-time fields.
+for scalar fields, a trailing length-4 axis for biquaternion fields.
+Space-time fields are raw arrays with a leading time axis on a
+SpaceTimeLattice, measured with ``max_abs_interior(values, margin, margin_t)``.
 
 Only central stencils are used, all one shifted-slice difference
 (``_central``).  Every stencil axis gets a NaN face layer, and each grid
@@ -162,31 +163,6 @@ class SpaceTimeLattice:
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.nt)
-
-
-@dataclass(frozen=True)
-class SpaceTimeGrid:
-    """Biquaternion samples on a space-time lattice, shape (nt,) + dims + (4,)."""
-
-    lattice: SpaceTimeLattice
-    values: np.ndarray
-    margin_t: int = 0
-    margin_s: int = 0
-
-    def __post_init__(self):
-        expect = (self.lattice.nt,) + self.lattice.space.dims + (4,)
-        if self.values.shape != expect:
-            raise ValueError(f"values shape {self.values.shape} != {expect}")
-
-    @classmethod
-    def from_function(cls, lattice: SpaceTimeLattice, fn: Callable[[float, np.ndarray], np.ndarray]) -> "SpaceTimeGrid":
-        """Sample fn(t, points) -> (..., 4) for each time level."""
-        pts = lattice.space.points()
-        slices = [np.asarray(fn(t, pts), dtype=complex) for t in lattice.times()]
-        return cls(lattice, np.stack(slices, axis=0))
-
-    def interior_max(self, margin_t: int | None = None, margin_s: int | None = None) -> float:
-        return max_abs_interior(self.values, widen_margin(margin_s, self.margin_s), widen_margin(margin_t, self.margin_t))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ componentwise error on an inflated evaluation ellipsoid for a sweep of N.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -48,14 +47,6 @@ GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 # Collocation and source points closer than this are rejected outright.
 COINCIDENCE_TOL = 1e-10
-
-# Above this condition estimate a solve warns that one of the split
-# wavenumbers may sit near a Dirichlet eigenvalue of the auxiliary domain
-# (the completeness hypothesis); conditioning is the observable symptom.
-# The estimate is LAPACK's 1-norm one, which runs 8-20 times the 2-norm
-# condition number on the benchmark systems, so 1e18 flags a 2-norm
-# condition of about 1e17, ten times the reciprocal of the unit roundoff.
-CONDITION_WARN = 1e18
 
 
 @dataclass(frozen=True)
@@ -295,12 +286,6 @@ class MfsSolution:
 def solve_problem(problem: MfsProblem) -> MfsSolution:
     A, rhs = assemble_system(problem)
     out = solve_dense(A, rhs)
-    if out.cond > CONDITION_WARN:
-        warnings.warn(
-            f"condition estimate {out.cond:.2e}: a split wavenumber may be near a "
-            "Dirichlet eigenvalue of the auxiliary domain",
-            stacklevel=2,
-        )
     n = problem.n_sources
     coeffs = out.coeffs.reshape(2 * n, 4)
     return MfsSolution(
@@ -354,11 +339,6 @@ def tangential_datum(reference: Fields) -> Callable[[SurfaceSamples], np.ndarray
         return np.cross(E, samples.normal)
 
     return f
-
-
-def dipole_boundary_data(moment, medium: ChiralMedium) -> Callable[[SurfaceSamples], np.ndarray]:
-    """Tangential datum f = E_dipole x n for the achiral reference problem."""
-    return tangential_datum(partial(dipole_field, np.asarray(moment, dtype=float), medium.alpha))
 
 
 def field_errors(sol: MfsSolution, reference: Fields, pts) -> tuple[float, float, float]:

@@ -1,20 +1,7 @@
 import numpy as np
 import pytest
 
-from bqem.algebra import (
-    Biquaternion,
-    I1,
-    I2,
-    I3,
-    ONE,
-    complex_conj,
-    cross,
-    dot,
-    mul,
-    quat_conj,
-    sc,
-    vec,
-)
+from bqem.algebra import Biquaternion, I1, I2, I3, ONE, cross, dot
 
 
 def rand_bq(rng, n):
@@ -40,8 +27,8 @@ def test_complex_unit_commutes_with_quaternion_units():
 
 def test_unit_element():
     a = Biquaternion((0.3 + 1j, -2.0, 0.5j, 1.25))
-    assert np.array_equal(mul(a, ONE).components, a.components)
-    assert np.array_equal(mul(ONE, a).components, a.components)
+    assert np.array_equal((a * ONE).components, a.components)
+    assert np.array_equal((ONE * a).components, a.components)
 
 
 def test_zero_divisors():
@@ -52,35 +39,33 @@ def test_zero_divisors():
 
 
 def test_quat_conj_values():
-    assert np.array_equal(quat_conj(I1).components, (-I1).components)
-    assert np.array_equal(
-        quat_conj(ONE + I2).components, (ONE - I2).components
-    )
+    assert np.array_equal(I1.quat_conj().components, (-I1).components)
+    assert np.array_equal((ONE + I2).quat_conj().components, (ONE - I2).components)
 
 
 def test_quat_conj_antiautomorphism():
     rng = np.random.default_rng(7)
     a, b = rand_bq(rng, 500), rand_bq(rng, 500)
-    err = (quat_conj(a * b) - quat_conj(b) * quat_conj(a)).max_abs()
+    err = ((a * b).quat_conj() - b.quat_conj() * a.quat_conj()).max_abs()
     assert err <= 1e-12
 
 
 def test_complex_conj():
-    assert np.array_equal(complex_conj(1j * ONE).components, (-1j * ONE).components)
+    assert np.array_equal((1j * ONE).complex_conj().components, (-1j * ONE).components)
     real = Biquaternion((1.0, -2.0, 3.0, 0.25))
-    assert np.array_equal(complex_conj(real).components, real.components)
+    assert np.array_equal(real.complex_conj().components, real.components)
     # real part recovery: (V + V*)/2 strips the imaginary vector content
     calE = np.array([1.0, -0.5, 2.0])
     calH = np.array([0.3, 0.7, -1.1])
     V = Biquaternion.from_vector(calE + 1j * calH)
-    rec = 0.5 * (V + complex_conj(V))
+    rec = 0.5 * (V + V.complex_conj())
     assert np.allclose(rec.vector, calE) and abs(rec.scalar) == 0.0
 
 
 def test_projections():
-    assert sc(I1) == 0.0
+    assert I1.scalar == 0.0
     five_i3 = Biquaternion((5.0, 0, 0, 1.0))
-    assert np.array_equal(vec(five_i3).components, I3.components)
+    assert np.array_equal(Biquaternion.from_vector(five_i3.vector).components, I3.components)
     assert np.array_equal(cross(I1, I2).components, I3.components)
     assert dot(I1, I1) == 1.0
 
@@ -95,8 +80,8 @@ def test_mul_reconstruction_from_projections():
     rng = np.random.default_rng(3)
     a, b = rand_bq(rng, 2000), rand_bq(rng, 2000)
     rebuilt = Biquaternion.from_parts(
-        sc(a) * sc(b) - dot(a, b),
-        sc(a)[..., None] * b.vector + sc(b)[..., None] * a.vector + cross(a, b).vector,
+        a.scalar * b.scalar - dot(a, b),
+        a.scalar[..., None] * b.vector + b.scalar[..., None] * a.vector + cross(a, b).vector,
     )
     assert (rebuilt - a * b).max_abs() <= 1e-12
 

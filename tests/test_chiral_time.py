@@ -7,16 +7,20 @@ from bqem.chiral_time import (
     apply_M,
     bessel_j,
     green_function,
-    green_intermediates,
     green_refinement,
     green_residual,
     maxwell_equivalence_residual,
 )
 from bqem.errors import AchiralUnsupported, ArgumentOutOfRange, OriginSingularity
-from bqem.grids import Lattice, SpaceTimeGrid, SpaceTimeLattice, max_abs_interior
+from bqem.grids import Lattice, SpaceTimeLattice, max_abs_interior
 from bqem.kernels import ChiralMedium, fundamental_solution, helmholtz_kernel
 
 MED = ChiralMedium(eps=1.0, mu=1.0, beta=1.0)
+
+
+def sampled(st, fn):
+    """fn(t, points) on the space-time lattice, t broadcast over the leading time axis."""
+    return fn(st.times()[:, None, None, None], st.space.points())
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +116,18 @@ def test_green_t_zero_limit():
     assert np.max(np.abs(g0.components - lim)) < 1e-15
 
 
-def test_green_matches_closed_form_display():
-    # the kernel-and-theta closed form agrees with the intermediates route
-    med = ChiralMedium(eps=2.0, mu=0.5, beta=0.7)
-    t, x = 1.3, np.array([1.0, 0.5, -0.3])
+@pytest.mark.parametrize(
+    "med, x",
+    [
+        (ChiralMedium(eps=2.0, mu=0.5, beta=0.7), (1.0, 0.5, -0.3)),
+        # |x| = 5: a = 1, c(x) = 10, E(x) = e^{10j}/(20 pi), Sc A(x) = 2j
+        (ChiralMedium(eps=4.0, mu=1.0, beta=0.5), (0.0, 3.0, 4.0)),
+    ],
+    ids=["eps2_mu05_beta07", "eps4_mu1_beta05"],
+)
+def test_green_matches_closed_form_display(med, x):
+    # the kernel-and-theta closed form agrees with the a, c, E, A, B route
+    t, x = 1.3, np.array(x)
     r = np.linalg.norm(x)
     b = med.beta
     em = med.eps * med.mu
@@ -129,16 +141,6 @@ def test_green_matches_closed_form_display():
     )
     got = green_function(t, x, med)
     assert np.max(np.abs(got.components - expected.components)) < 1e-15
-
-
-def test_green_intermediates_values():
-    med = ChiralMedium(eps=4.0, mu=1.0, beta=0.5)
-    x = np.array([0.0, 3.0, 4.0])  # |x| = 5
-    parts = green_intermediates(x, med)
-    assert parts.a == pytest.approx(1.0 / (0.5 * 2.0))
-    assert parts.c_of_x == pytest.approx(5.0 / (0.25 * 2.0))
-    assert parts.E_of_x == pytest.approx(np.exp(1j * 10.0) / (4 * np.pi * 5.0))
-    assert np.allclose(parts.A_of_x.scalar, 1j / (0.5**3 * 4.0))
 
 
 def test_green_guards():
@@ -161,11 +163,18 @@ def test_green_annihilated_by_M():
 def test_apply_M_constant_field_achiral():
     med = ChiralMedium(eps=1.0, mu=1.0, beta=0.0)
     st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, 7), 0.0, 0.1, 7)
-    g = SpaceTimeGrid.from_function(
-        st, lambda t, p: np.broadcast_to(np.array([1.0, 2.0, 0.5, -1.0]), p.shape[:-1] + (4,))
-    )
-    out = apply_M(g, med)
-    assert out.interior_max() == 0.0
+    g = np.broadcast_to(np.array([1.0, 2.0, 0.5, -1.0]), (st.nt,) + st.space.dims + (4,))
+    out = apply_M(g, st, med)
+    assert max_abs_interior(out, 1, margin_t=1) == 0.0
+
+
+def test_apply_M_shape_guard():
+    st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, 7), 0.0, 0.1, 6)
+    good = np.zeros((6,) + st.space.dims + (4,), complex)
+    assert apply_M(good, st, MED).shape == good.shape
+    for shape in (st.space.dims + (4,), (7,) + st.space.dims + (4,), (6,) + st.space.dims + (3,)):
+        with pytest.raises(ValueError, match="values shape"):
+            apply_M(np.zeros(shape, complex), st, MED)
 
 
 def test_apply_M_matches_plane_wave_symbol():
@@ -177,7 +186,7 @@ def test_apply_M_matches_plane_wave_symbol():
 
     def V_fn(t, pts):
         ph = np.exp(1j * (w * t - pts @ kv))
-        vals = np.zeros(pts.shape[:-1] + (4,), complex)
+        vals = np.zeros(ph.shape + (4,), complex)
         vals[..., 1:] = v * ph[..., None]
         return vals
 
@@ -188,17 +197,15 @@ def test_apply_M_matches_plane_wave_symbol():
         rt = np.sqrt(med.eps * med.mu)
         out_sc = (med.beta * rt * 1j * w - 1j) * sc
         out_vec = (med.beta * rt * 1j * w - 1j) * vec + rt * 1j * w * v
-        vals = np.zeros(pts.shape[:-1] + (4,), complex)
+        vals = np.zeros(ph.shape + (4,), complex)
         vals[..., 0] = out_sc * ph
         vals[..., 1:] = out_vec * ph[..., None]
         return vals
 
     def res(n, m):
         st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, n), 0.0, 0.8 / (n - 1), n)
-        g = SpaceTimeGrid.from_function(st, V_fn)
-        ref = SpaceTimeGrid.from_function(st, exact_M)
-        out = apply_M(g, med)
-        return max_abs_interior(out.values - ref.values, m, margin_t=m)
+        out = apply_M(sampled(st, V_fn), st, med)
+        return max_abs_interior(out - sampled(st, exact_M), m, margin_t=m)
 
     r1, r2 = res(9, 1), res(17, 2)
     assert 3.2 <= r1 / r2 <= 4.8
@@ -210,15 +217,15 @@ def test_wave_operator_factorization():
     kz = np.sqrt(2.0)
 
     def wave(t, pts):
-        vals = np.zeros(pts.shape[:-1] + (4,), complex)
-        vals[..., 1] = np.cos(t - kz * pts[..., 2])
+        phase = t - kz * pts[..., 2]
+        vals = np.zeros(phase.shape + (4,), complex)
+        vals[..., 1] = np.cos(phase)
         return vals
 
     def res(n, m):
         st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, n), 0.0, 0.8 / (n - 1), n)
-        g = SpaceTimeGrid.from_function(st, wave)
-        out = apply_M(apply_M(g, med, star=True), med)
-        return out.interior_max(m, m)
+        out = apply_M(apply_M(sampled(st, wave), st, med, star=True), st, med)
+        return max_abs_interior(out, m, m)
 
     r1, r2 = res(9, 2), res(17, 4)
     assert 3.2 <= r1 / r2 <= 4.8
@@ -232,15 +239,14 @@ def test_chiral_wave_annihilated_by_MMstar():
 
     def wave(t, pts):
         ph = np.exp(1j * (med.omega * t - k * pts[..., 2]))
-        vals = np.zeros(pts.shape[:-1] + (4,), complex)
+        vals = np.zeros(ph.shape + (4,), complex)
         vals[..., 1:] = np.real(p * ph[..., None])
         return vals
 
     def res(n, m):
         st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, n), 0.0, 0.9 / (n - 1), n)
-        g = SpaceTimeGrid.from_function(st, wave)
-        out = apply_M(apply_M(g, med, star=True), med)
-        return out.interior_max(m, m)
+        out = apply_M(apply_M(sampled(st, wave), st, med, star=True), st, med)
+        return max_abs_interior(out, m, m)
 
     r1, r2 = res(9, 2), res(17, 4)
     assert 3.2 <= r1 / r2 <= 4.8

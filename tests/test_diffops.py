@@ -72,7 +72,7 @@ def test_apply_D_on_theta_matches_kernel():
     def residual(n, margin):
         lat = Lattice.cube((2.0, 0.5, 1.0), 0.4, n)
         theta = ScalarGrid.from_function(lat, lambda p: helmholtz_kernel(ALPHA, p))
-        lhs = diffops.apply_D_shifted(diffops.embed_scalar(theta), -ALPHA)
+        lhs = diffops.apply_D_shifted(QuaternionGrid.from_scalar_grid(theta), -ALPHA)
         K = QuaternionGrid.from_function(
             lat, lambda p: fundamental_solution(ALPHA, p).components
         )
@@ -209,7 +209,7 @@ def test_helmholtz_factorization_trivial_and_orderings():
 
     # both operator orderings agree: swap the shift signs
     g = ScalarGrid.from_function(cube(11), lambda p: p[..., 0] ** 3 + p[..., 1] * p[..., 2])
-    qg = diffops.embed_scalar(g)
+    qg = QuaternionGrid.from_scalar_grid(g)
     one = diffops.apply_D_shifted(diffops.apply_D_shifted(qg, -ALPHA), ALPHA)
     two = diffops.apply_D_shifted(diffops.apply_D_shifted(qg, ALPHA), -ALPHA)
     assert max_abs_interior(one.values - two.values, 2) <= 1e-12
@@ -341,7 +341,8 @@ def test_operator_identity_reduction():
         slot, lat = exp_slot(n)
         g = ScalarGrid.from_function(lat, lambda p: np.sin(p[..., 0]) + p[..., 1] ** 2)
         mw = diffops.right_mult(slot.df_over_f())
-        lhs = diffops.apply_D(diffops.embed_scalar(g)) - mw(diffops.embed_scalar(g))
+        qg = QuaternionGrid.from_scalar_grid(g)
+        lhs = diffops.apply_D(qg) - mw(qg)
         rhs = diffops.darboux_transform(slot, g)
         return max_abs_interior(lhs.values - rhs.values, margin)
 

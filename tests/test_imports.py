@@ -1,4 +1,5 @@
-"""Import budget: sympy, scipy.linalg and scipy.special load on first use only.
+"""Import budget: sympy, scipy.linalg and scipy.special load on first use only;
+and the exact set of names ``bqem`` exports.
 
 Each case runs in a fresh interpreter so that sys.modules starts clean.
 """
@@ -7,11 +8,13 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 import sympy
 
+import bqem
 import bqem.inhomog
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -68,3 +71,31 @@ def test_inhomog_symbols_import_by_name():
 def test_inhomog_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         bqem.inhomog.no_such_name
+
+
+# One spelling per operation: a name joins this list only with the routine it spells.
+PUBLIC_NAMES = [
+    "Biquaternion", "ChiralMedium", "EMState", "Ellipsoid", "I1", "I2", "I3", "Lattice",
+    "MediumFields", "MfsProblem", "MfsSolution", "ONE", "PotentialSlot", "QuaternionGrid",
+    "ScalarGrid", "SpaceTimeLattice", "SurfaceSamples", "antiderivative", "apply_D",
+    "apply_D_shifted", "apply_M", "assemble_system", "bessel_j", "build_medium",
+    "chiral_point_source", "chiral_selftest", "chiral_wavenumbers", "coefficients_to_vekua",
+    "conductivity_factorization_residual", "cross", "darboux_transform", "dipole_field",
+    "dirac_residual", "dot", "evaluate_fields", "fundamental_solution", "generating_quartet",
+    "green_function", "green_refinement", "green_residual", "helmholtz_factorization_residual",
+    "helmholtz_kernel", "helmholtz_kernel_grad", "manufactured_solution",
+    "maxwell_equivalence_residual", "maxwell_residuals", "medium_from_expressions",
+    "quaternionic_residual", "right_mult", "run_benchmark", "sample_surface",
+    "schrodinger_factorization_residual", "solve_dense", "solve_problem", "split_residuals",
+    "static_residuals", "tangential_datum", "vekua_coefficient_identity_residual",
+    "vekua_consequences", "vekua_residual",
+]
+
+
+def test_public_surface_is_pinned():
+    exported = sorted(
+        name for name, value in vars(bqem).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert len(PUBLIC_NAMES) == 60
+    assert exported == PUBLIC_NAMES

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bqem.diffops import apply_D_shifted, embed_scalar
+from bqem.diffops import apply_D_shifted
 from bqem.errors import ChiralResonance, InadmissibleAlpha, OriginSingularity
 from bqem.grids import Lattice, QuaternionGrid, ScalarGrid, max_abs_interior
 from bqem.kernels import (
@@ -119,7 +119,7 @@ def test_conjugate_kernel_identity():
     def residual(n, margin):
         lat = Lattice.cube((1.5, -0.5, 1.0), 0.4, n)
         theta = ScalarGrid.from_function(lat, lambda p: helmholtz_kernel(ALPHA, p))
-        lhs = -apply_D_shifted(embed_scalar(theta), ALPHA).values
+        lhs = -apply_D_shifted(QuaternionGrid.from_scalar_grid(theta), ALPHA).values
         K = QuaternionGrid.from_function(
             lat, lambda p: fundamental_solution(ALPHA, p, sign=-1).components
         )

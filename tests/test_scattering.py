@@ -1,3 +1,4 @@
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ from bqem.scattering import (
     assemble_system,
     chiral_point_source,
     chiral_selftest,
-    dipole_boundary_data,
     evaluate_fields,
     parametric_grid,
     run_benchmark,
@@ -29,6 +29,7 @@ from bqem.scattering import (
     solve_dense,
     solve_problem,
     surface_frame,
+    tangential_datum,
 )
 
 SURFACE = Ellipsoid(5.0, 3.0, 2.0)
@@ -41,7 +42,7 @@ def dipole_problem(n, moment=(1.0, 0.0, 0.0), **kw):
         medium=MEDIUM,
         n_sources=n,
         source_scale=0.15,
-        boundary_data=dipole_boundary_data(np.asarray(moment), MEDIUM),
+        boundary_data=tangential_datum(partial(dipole_field, np.asarray(moment, dtype=float), MEDIUM.alpha)),
         **kw,
     )
 
@@ -462,14 +463,6 @@ def test_determinism():
     b = solve_problem(dipole_problem(8))
     assert np.array_equal(a.coeffs_a.components, b.coeffs_a.components)
     assert np.array_equal(a.coeffs_b.components, b.coeffs_b.components)
-
-
-def test_condition_warning_names_resonance(monkeypatch):
-    import bqem.scattering as sc
-
-    monkeypatch.setattr(sc, "CONDITION_WARN", 1.0)
-    with pytest.warns(UserWarning, match="Dirichlet eigenvalue"):
-        solve_problem(dipole_problem(6))
 
 
 # ---------------------------------------------------------------------------
