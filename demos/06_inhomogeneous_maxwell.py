@@ -30,13 +30,13 @@ print("residuals on the manufactured solution (h halves between rows):")
 print(f"{'n':>4} {'rot H eq':>11} {'rot E eq':>11} {'div eps E':>11} {'div mu H':>11} {'quaternionic':>13}")
 for n, m in ((9, 1), (17, 2)):
     med, state = build(n)
-    r = maxwell_residuals(state, med, margin_t=m, margin_s=m)
-    q = quaternionic_residual(state, med, margin_t=m, margin_s=m)
+    r = maxwell_residuals(state, med, margin=m)
+    q = quaternionic_residual(state, med, margin=m)
     print(f"{n:4d} {r[0]:11.3e} {r[1]:11.3e} {r[2]:11.3e} {r[3]:11.3e} {q:13.3e}")
 
 # Sabotage one equation at a time: the single quaternionic equation sees it.
 med, state = build(9)
-base = quaternionic_residual(state, med, margin_t=1, margin_s=1)
+base = quaternionic_residual(state, med, margin=1)
 pts = state.st.space.points()
 bump = np.exp(-np.sum(pts * pts, axis=-1))
 gradbump = -2.0 * pts * bump[..., None]
@@ -47,5 +47,5 @@ for name, bad in (
     ("gradient added to H (breaks div(mu H) = 0)  ", replace(state, H=state.H + 0.3 * gradbump[None])),
     ("rho replaced by zero                        ", replace(state, rho=np.zeros_like(state.rho))),
 ):
-    r = quaternionic_residual(bad, med, margin_t=1, margin_s=1)
+    r = quaternionic_residual(bad, med, margin=1)
     print(f"{name}: {r:.3e}  ({r / base:.0f}x)")

@@ -32,8 +32,13 @@ import numpy as np
 
 from .algebra import Biquaternion
 from .errors import AchiralUnsupported, ArgumentOutOfRange, OriginSingularity
-from .grids import Lattice, SpaceTimeLattice, diff, dirac, div, max_abs_interior, rot, widen_margin
+from .grids import Lattice, SpaceTimeLattice, diff, dirac, div, max_abs_interior, rot
+from .inhomog import EMState
 from .kernels import FOUR_PI, ORIGIN_TOL, ChiralMedium
+
+# Relative size of |dt rho + div j| above which the sources are reported
+# as violating charge continuity.
+CONTINUITY_TOL = 1e-6
 
 
 def bessel_j(order: int, z) -> np.ndarray:
@@ -109,20 +114,16 @@ def apply_M(values: np.ndarray, st: SpaceTimeLattice, medium: ChiralMedium, star
     return diff(medium.beta * rt_em * Dv + rt_em * values, 0, st.dt) + sign * Dv
 
 
-def green_residual(
-    st: SpaceTimeLattice,
-    medium: ChiralMedium,
-    margin_t: int | None = None,
-    margin_s: int | None = None,
-) -> float:
+def green_residual(st: SpaceTimeLattice, medium: ChiralMedium, margin: int = 0) -> float:
     """Max interior |M f| for the Green function sampled on the lattice.
 
     Away from the source (t > 0, x != 0) the Green function solves M f = 0,
-    so this is a pure discretization residual, O(h^2) + O(ht^2).  Margins
-    may be widened to compare refinement levels over one physical region.
+    so this is a pure discretization residual, O(h^2) + O(ht^2).  ``margin``
+    may widen the interior's boundary band, in space and time alike, to
+    compare refinement levels over one physical region.
     """
     f = green_function(st.times()[:, None, None, None], st.space.points(), medium)
-    return max_abs_interior(apply_M(f.components, st, medium), widen_margin(margin_s, 1), widen_margin(margin_t, 1))
+    return max_abs_interior(apply_M(f.components, st, medium), margin, time_axis=True)
 
 
 def green_refinement(medium: ChiralMedium, levels: int) -> list[tuple[float, float, float]]:
@@ -136,19 +137,11 @@ def green_refinement(medium: ChiralMedium, levels: int) -> list[tuple[float, flo
     for k in range(levels):
         n = 2 ** (k + 3) + 1
         st = SpaceTimeLattice(Lattice.cube((0.8, 0.8, 0.8), 0.4, n), 0.5, 1.5 / (n - 1), n)
-        rows.append((st.space.spacing, st.dt, green_residual(st, medium, margin_t=2**k, margin_s=2**k)))
+        rows.append((st.space.spacing, st.dt, green_residual(st, medium, margin=2**k)))
     return rows
 
 
-def maxwell_equivalence_residual(
-    E: np.ndarray,
-    H: np.ndarray,
-    rho: np.ndarray,
-    j: np.ndarray,
-    st: SpaceTimeLattice,
-    medium: ChiralMedium,
-    continuity_tol: float = 1e-6,
-) -> tuple[float, float]:
+def maxwell_equivalence_residual(state: EMState, medium: ChiralMedium) -> tuple[float, float]:
     """Residuals of the single quaternionic equation and of the component system.
 
     The quaternionic form acts on V = E - 1j sqrt(mu/eps) H:
@@ -157,18 +150,20 @@ def maxwell_equivalence_residual(
 
     and the component system is the chiral Maxwell system with the
     constitutive curls folded in plus the two divergence equations.  Both
-    residuals vanish together, to stencil accuracy, on exact solutions.
+    residuals vanish together, to stencil accuracy, on exact solutions; the
+    component residual is the max over all four equations on one interior.
     Warns when the input charge/current pair violates continuity.
     """
-    h = st.space.spacing
-    ht = st.dt
+    E, H, rho, j = state.E, state.H, state.rho, state.j
+    h = state.st.space.spacing
+    ht = state.st.dt
     eps, mu, beta = medium.eps, medium.mu, medium.beta
     imp = np.sqrt(mu / eps)
 
     cont = diff(rho, 0, ht) + div(j, h, axes=(1, 2, 3))
-    cont_norm = max_abs_interior(cont, 1, margin_t=1)
+    cont_norm = max_abs_interior(cont, time_axis=True)
     scale = max(float(np.max(np.abs(rho))), float(np.max(np.abs(j))), 1e-30)
-    if cont_norm > continuity_tol * scale:
+    if cont_norm > CONTINUITY_TOL * scale:
         warnings.warn(
             f"charge/current pair violates continuity: |dt rho + div j| = {cont_norm:.3e}",
             stacklevel=2,
@@ -176,11 +171,11 @@ def maxwell_equivalence_residual(
 
     V = np.zeros(E.shape[:-1] + (4,), dtype=complex)
     V[..., 1:] = E - 1j * imp * H
-    MV = apply_M(V, st, medium)
+    MV = apply_M(V, state.st, medium)
     rhs = np.zeros_like(V)
     rhs[..., 0] = -beta * imp * diff(rho, 0, ht) + 1j * rho / eps
     rhs[..., 1:] = -imp * j
-    r_quat = max_abs_interior(MV - rhs, 1, margin_t=1)
+    r_quat = max_abs_interior(MV - rhs, time_axis=True)
 
     rotE = rot(E, h, axes=(1, 2, 3))
     rotH = rot(H, h, axes=(1, 2, 3))
@@ -188,5 +183,6 @@ def maxwell_equivalence_residual(
     res2 = rotE + mu * (diff(H, 0, ht) + beta * diff(rotH, 0, ht))
     res3 = div(E, h, axes=(1, 2, 3)) - rho / eps
     res4 = div(H, h, axes=(1, 2, 3))
-    r_comp = max(max_abs_interior(r, 1, margin_t=1) for r in (res1, res2, res3, res4))
+    comp = np.concatenate([res1, res2, res3[..., None], res4[..., None]], axis=-1)
+    r_comp = max_abs_interior(comp, time_axis=True)
     return r_quat, r_comp

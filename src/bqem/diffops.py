@@ -2,7 +2,7 @@
 
 D acts on quaternion fields as Df = -div(fv) + grad(f0) + rot(fv); here it
 is discretized with second-order central differences only, so every
-application widens the invalid boundary margin by one node.  On top of D
+application adds one NaN face layer to each side of the lattice.  On top of D
 this module verifies, on manufactured grids, the operator identities
 
     Lap + alpha^2            = -(D + alpha)(D - alpha)
@@ -14,7 +14,8 @@ plus the first-order reduction F = f D(f^-1 g), its quadrature inverse, and
 the quaternionic Vekua equation (D - (Df/f) C_H) W = 0 with its scalar- and
 vector-part consequences.  Every residual routine returns the maximum
 componentwise modulus over the valid interior, which is the quantity the
-refinement-ratio checks watch.
+refinement-ratio checks watch; the interior is read from the NaN faces
+(``grids.max_abs_interior``), and ``margin=`` only widens it.
 
 M^p denotes right multiplication by p (pointwise, p is never differentiated)
 and ^pM left multiplication; for purely vectorial p, q the exact identity
@@ -34,13 +35,13 @@ from .grids import (
     Lattice,
     QuaternionGrid,
     ScalarGrid,
+    _valid_box,
     dirac,
     div,
     grad,
     laplacian,
     max_abs_interior,
     rot,
-    widen_margin,
 )
 
 # Division by f appears throughout; below this the slot is rejected.
@@ -48,9 +49,8 @@ VANISHING_F_TOL = 1e-8
 
 
 def apply_D(field: QuaternionGrid) -> QuaternionGrid:
-    """Central-difference Dirac operator; margin grows by one."""
-    out = dirac(field.values, field.lattice.spacing)
-    return field.with_values(out, field.margin + 1)
+    """Central-difference Dirac operator; one more NaN face layer."""
+    return field.with_values(dirac(field.values, field.lattice.spacing))
 
 
 def apply_D_shifted(field: QuaternionGrid, alpha: complex) -> QuaternionGrid:
@@ -59,34 +59,34 @@ def apply_D_shifted(field: QuaternionGrid, alpha: complex) -> QuaternionGrid:
     return shifted.with_values(shifted.values + alpha * field.values)
 
 
-def _multiplier(p) -> tuple[np.ndarray, int, Lattice | None]:
+def _multiplier(p) -> tuple[np.ndarray, Lattice | None]:
     if isinstance(p, QuaternionGrid):
-        return p.values, p.margin, p.lattice
+        return p.values, p.lattice
     if isinstance(p, Biquaternion):
-        return p.components, 0, None
+        return p.components, None
     raise TypeError("multiplier must be a QuaternionGrid or a Biquaternion")
 
 
 def right_mult(p) -> Callable[[QuaternionGrid], QuaternionGrid]:
     """The operator M^p: f -> f*p, pointwise right multiplication."""
-    pv, pm, plat = _multiplier(p)
+    pv, plat = _multiplier(p)
 
     def apply(field: QuaternionGrid) -> QuaternionGrid:
         if plat is not None and plat != field.lattice:
             raise LatticeMismatch("multiplier grid lives on a different lattice")
-        return field.with_values(_mul_components(field.values, pv), max(field.margin, pm))
+        return field.with_values(_mul_components(field.values, pv))
 
     return apply
 
 
 def left_mult(p) -> Callable[[QuaternionGrid], QuaternionGrid]:
     """The operator ^pM: f -> p*f, pointwise left multiplication."""
-    pv, pm, plat = _multiplier(p)
+    pv, plat = _multiplier(p)
 
     def apply(field: QuaternionGrid) -> QuaternionGrid:
         if plat is not None and plat != field.lattice:
             raise LatticeMismatch("multiplier grid lives on a different lattice")
-        return field.with_values(_mul_components(pv, field.values), max(field.margin, pm))
+        return field.with_values(_mul_components(pv, field.values))
 
     return apply
 
@@ -110,7 +110,7 @@ class PotentialSlot:
     def from_particular_solution(cls, f: ScalarGrid) -> "PotentialSlot":
         _check_nonvanishing(f.values, "f")
         nu_vals = laplacian(f.values, f.lattice.spacing) / f.values
-        return cls(f=f, nu=f.with_values(nu_vals, f.margin + 1))
+        return cls(f=f, nu=f.with_values(nu_vals))
 
     @classmethod
     def from_conductivity(cls, p: ScalarGrid, q: ScalarGrid, u0: ScalarGrid) -> "PotentialSlot":
@@ -119,15 +119,15 @@ class PotentialSlot:
         _check_nonvanishing(p.values, "p")
         _check_nonvanishing(u0.values, "u0")
         f_vals = np.sqrt(p.values.astype(complex)) * u0.values
-        f = ScalarGrid(p.lattice, f_vals, max(p.margin, u0.margin))
+        f = ScalarGrid(p.lattice, f_vals)
         _check_nonvanishing(f.values, "f = sqrt(p)*u0")
         nu_vals = laplacian(f.values, f.lattice.spacing) / f.values
-        return cls(f=f, nu=f.with_values(nu_vals, f.margin + 1), p=p, q=q, u0=u0)
+        return cls(f=f, nu=f.with_values(nu_vals), p=p, q=q, u0=u0)
 
     def df_over_f(self) -> QuaternionGrid:
-        """Df/f as a purely vectorial quaternion grid (margin one)."""
+        """Df/f as a purely vectorial quaternion grid, with one NaN face layer."""
         g = grad(self.f.values, self.f.lattice.spacing) / self.f.values[..., None]
-        return QuaternionGrid.from_vector_values(self.f.lattice, g, self.f.margin + 1)
+        return QuaternionGrid.from_vector_values(self.f.lattice, g)
 
 
 def _check_nonvanishing(values: np.ndarray, name: str) -> None:
@@ -136,7 +136,7 @@ def _check_nonvanishing(values: np.ndarray, name: str) -> None:
         raise VanishingF(f"min |{name}| = {m:.3e} below {VANISHING_F_TOL}")
 
 
-def helmholtz_factorization_residual(alpha: complex, g: ScalarGrid, margin: int | None = None) -> float:
+def helmholtz_factorization_residual(alpha: complex, g: ScalarGrid, margin: int = 0) -> float:
     """Max interior norm of (Lap + alpha^2) g + (D + alpha)(D - alpha) g.
 
     ``margin`` may widen the excluded boundary band beyond the required
@@ -147,10 +147,10 @@ def helmholtz_factorization_residual(alpha: complex, g: ScalarGrid, margin: int 
     composed = apply_D_shifted(apply_D_shifted(qg, -alpha), alpha)
     res = composed.values.copy()
     res[..., 0] += laplacian(g.values, h) + alpha * alpha * g.values
-    return max_abs_interior(res, widen_margin(margin, composed.margin, g.margin + 1))
+    return max_abs_interior(res, margin)
 
 
-def schrodinger_factorization_residual(slot: PotentialSlot, g: ScalarGrid, margin: int | None = None) -> float:
+def schrodinger_factorization_residual(slot: PotentialSlot, g: ScalarGrid, margin: int = 0) -> float:
     """Max interior norm of (D + M^w)(D - M^w) g - (-Lap + nu) g, w = Df/f."""
     if g.lattice != slot.f.lattice:
         raise LatticeMismatch("g must live on the slot's lattice")
@@ -162,10 +162,10 @@ def schrodinger_factorization_residual(slot: PotentialSlot, g: ScalarGrid, margi
     outer = apply_D(inner) + mw(inner)
     res = outer.values.copy()
     res[..., 0] -= -laplacian(g.values, h) + slot.nu.values * g.values
-    return max_abs_interior(res, widen_margin(margin, outer.margin, slot.nu.margin, g.margin + 1))
+    return max_abs_interior(res, margin)
 
 
-def conductivity_factorization_residual(slot: PotentialSlot, phi: ScalarGrid, margin: int | None = None) -> float:
+def conductivity_factorization_residual(slot: PotentialSlot, phi: ScalarGrid, margin: int = 0) -> float:
     """Max interior norm of (div p grad + q) phi + sqrt(p) (D + M^w)(D - M^w) sqrt(p) phi."""
     if slot.p is None or slot.q is None or slot.u0 is None:
         raise ValueError("slot was not built from conductivity data (p, q, u0)")
@@ -177,7 +177,7 @@ def conductivity_factorization_residual(slot: PotentialSlot, phi: ScalarGrid, ma
 
     w = slot.df_over_f()
     mw = right_mult(w)
-    scaled = ScalarGrid(phi.lattice, sp * phi.values, phi.margin)
+    scaled = ScalarGrid(phi.lattice, sp * phi.values)
     qs = QuaternionGrid.from_scalar_grid(scaled)
     inner = apply_D(qs) - mw(qs)
     outer = apply_D(inner) + mw(inner)
@@ -185,18 +185,18 @@ def conductivity_factorization_residual(slot: PotentialSlot, phi: ScalarGrid, ma
 
     res = -rhs
     res[..., 0] += lhs
-    return max_abs_interior(res, widen_margin(margin, outer.margin, phi.margin + 2))
+    return max_abs_interior(res, margin)
 
 
 def darboux_transform(slot: PotentialSlot, g: ScalarGrid) -> QuaternionGrid:
     """F = f D(f^-1 g); purely vectorial, solves (D + M^{Df/f}) F = 0 when g does."""
     if g.lattice != slot.f.lattice:
         raise LatticeMismatch("g must live on the slot's lattice")
-    ratio = ScalarGrid(g.lattice, g.values / slot.f.values, max(g.margin, slot.f.margin))
+    ratio = ScalarGrid(g.lattice, g.values / slot.f.values)
     return apply_D(QuaternionGrid.from_scalar_grid(ratio)).scale(slot.f.values)
 
 
-def dirac_residual(slot: PotentialSlot, F: QuaternionGrid, margin: int | None = None) -> float:
+def dirac_residual(slot: PotentialSlot, F: QuaternionGrid, margin: int = 0) -> float:
     """Max interior norm of (D + M^{Df/f}) F."""
     out = apply_D(F) + right_mult(slot.df_over_f())(F)
     return out.interior_max(margin)
@@ -241,45 +241,42 @@ def antiderivative(G: QuaternionGrid, base: tuple[int, int, int]) -> ScalarGrid:
 
     On gradient fields this inverts grad up to the value at the base node.
     Composite-Simpson quadrature; output is defined on the valid interior
-    of G and NaN on its margin.
+    of G, the box inside its NaN faces, and NaN outside it.
     """
-    m = G.margin
-    dims = G.lattice.dims
-    bi, bj, bk = base
-    if not all(m <= b < n - m for b, n in zip(base, dims)):
-        raise BaseOutOfGrid(f"base {base} outside valid interior (margin {m}, dims {dims})")
+    box = _valid_box(G.values)
+    if not all(s.start <= b < s.stop for b, s in zip(base, box)):
+        raise BaseOutOfGrid(f"base {base} outside the valid interior {box} of dims {G.lattice.dims}")
 
-    box = tuple(slice(m, n - m) for n in dims)
     vals = G.values[box]
     scale = max(1.0, float(np.max(np.abs(vals[..., 1:]))))
     if float(np.max(np.abs(vals[..., 0]))) > 1e-12 * scale:
         raise ValueError("antiderivative needs a purely vectorial field")
     h = G.lattice.spacing
-    b = (bi - m, bj - m, bk - m)
+    b = tuple(i - s.start for i, s in zip(base, box))
 
     leg_x = _cumulative_simpson_from(vals[:, b[1], b[2], 1], b[0], h)
     leg_y = _cumulative_simpson_from(vals[:, :, b[2], 2], b[1], h, axis=1)
     leg_z = _cumulative_simpson_from(vals[..., 3], b[2], h, axis=2)
     acc = leg_x[:, None, None] + leg_y[:, :, None] + leg_z
 
-    out = np.full(dims, np.nan, dtype=complex)
+    out = np.full(G.lattice.dims, np.nan, dtype=complex)
     out[box] = acc
-    return ScalarGrid(G.lattice, out, m)
+    return ScalarGrid(G.lattice, out)
 
 
 def _vekua_image(slot: PotentialSlot, W: QuaternionGrid) -> QuaternionGrid:
-    """D W - (Df/f) C_H(W), carrying the wider margin of its two terms."""
+    """D W - (Df/f) C_H(W), carrying the NaN faces of both terms."""
     return apply_D(W) - left_mult(slot.df_over_f())(W.with_values(W.bq().quat_conj().components))
 
 
-def vekua_residual(slot: PotentialSlot, W: QuaternionGrid, margin: int | None = None) -> float:
+def vekua_residual(slot: PotentialSlot, W: QuaternionGrid, margin: int = 0) -> float:
     """Max interior norm of D W - (Df/f) C_H(W)."""
     if W.lattice != slot.f.lattice:
         raise LatticeMismatch("W must live on the slot's lattice")
     return _vekua_image(slot, W).interior_max(margin)
 
 
-def vekua_consequences(slot: PotentialSlot, W: QuaternionGrid, margin: int | None = None) -> tuple[float, float, float]:
+def vekua_consequences(slot: PotentialSlot, W: QuaternionGrid, margin: int = 0) -> tuple[float, float, float]:
     """Residuals implied for a solution W = W0 + Wv of the Vekua equation.
 
     Returns the max interior norms of (-Lap + nu) W0,
@@ -291,18 +288,9 @@ def vekua_consequences(slot: PotentialSlot, W: QuaternionGrid, margin: int | Non
     f = slot.f.values
     w0 = W.values[..., 0]
     wv = W.values[..., 1:]
-    r_schr = max_abs_interior(
-        -laplacian(w0, h) + slot.nu.values * w0,
-        widen_margin(margin, W.margin + 1, slot.nu.margin),
-    )
-    r_sc = max_abs_interior(
-        div((f * f)[..., None] * grad(w0 / f, h), h),
-        widen_margin(margin, W.margin + 2),
-    )
-    r_vec = max_abs_interior(
-        rot((f ** -2.0)[..., None] * rot(f[..., None] * wv, h), h),
-        widen_margin(margin, W.margin + 2),
-    )
+    r_schr = max_abs_interior(-laplacian(w0, h) + slot.nu.values * w0, margin)
+    r_sc = max_abs_interior(div((f * f)[..., None] * grad(w0 / f, h), h), margin)
+    r_vec = max_abs_interior(rot((f ** -2.0)[..., None] * rot(f[..., None] * wv, h), h), margin)
     return r_schr, r_sc, r_vec
 
 
@@ -314,7 +302,7 @@ def generating_quartet(slot: PotentialSlot) -> list[QuaternionGrid]:
     for k in (1, 2, 3):
         vals = np.zeros(lat.dims + (4,), dtype=complex)
         vals[..., k] = 1.0 / f
-        quartet.append(QuaternionGrid(lat, vals, slot.f.margin))
+        quartet.append(QuaternionGrid(lat, vals))
     return quartet
 
 
@@ -327,11 +315,11 @@ def coefficients_to_vekua(slot: PotentialSlot, w: QuaternionGrid) -> QuaternionG
     vals = np.empty_like(w.values)
     vals[..., 0] = w.values[..., 0] * f
     vals[..., 1:] = w.values[..., 1:] / f[..., None]
-    return QuaternionGrid(w.lattice, vals, max(w.margin, slot.f.margin))
+    return QuaternionGrid(w.lattice, vals)
 
 
 def vekua_coefficient_identity_residual(
-    slot: PotentialSlot, w: QuaternionGrid, margin: int | None = None
+    slot: PotentialSlot, w: QuaternionGrid, margin: int = 0
 ) -> float:
     """Residual of the coefficient form of the Vekua equation.
 
@@ -358,4 +346,4 @@ def vekua_coefficient_identity_residual(
     lhs = ((1.0 + fr * fr) / (2.0 * fr))[..., None] * (Dw.values - ratio * Dwbar.values)
 
     rhs = _vekua_image(slot, coefficients_to_vekua(slot, w))
-    return max_abs_interior(lhs - rhs.values, widen_margin(margin, Dw.margin, rhs.margin))
+    return max_abs_interior(lhs - rhs.values, margin)

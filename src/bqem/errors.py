@@ -18,7 +18,7 @@ class ChiralResonance(BqemError):
 
 
 class GridTooSmall(BqemError):
-    """The lattice has too few nodes to apply a central stencil with the required margin."""
+    """The lattice has too few nodes for a central stencil, or leaves no valid interior."""
 
 
 class LatticeMismatch(BqemError):

@@ -4,14 +4,14 @@ A Lattice fixes the geometry (origin, spacing, node counts) and the grid
 containers pair it with one complex value per node: a plain complex array
 for scalar fields, a trailing length-4 axis for biquaternion fields.
 Space-time fields are raw arrays with a leading time axis on a
-SpaceTimeLattice, measured with ``max_abs_interior(values, margin, margin_t)``.
+SpaceTimeLattice, measured with ``max_abs_interior(values, margin, time_axis=True)``.
 
 Only central stencils are used, all one shifted-slice difference
-(``_central``).  Every stencil axis gets a NaN face layer, and each grid
-carries a ``margin`` count of invalid boundary layers; composing operators
-lets NaN propagate so the margin bookkeeping stays honest.  Norms are taken
-over the interior that excludes the margin, and ``interior_max(m)`` or a
-residual's ``margin=`` only widens the carried margin, never narrows it.
+(``_central``).  Every stencil axis gets a NaN face layer, and composing
+operators lets NaN propagate, so the NaN faces are the one record of which
+nodes are valid.  Norms are taken over the interior that excludes every
+face layer whose nodes all have a non-finite component; ``interior_max(m)``
+or a residual's ``margin=`` only widens that, never narrows it.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class ScalarGrid:
 
     lattice: Lattice
     values: np.ndarray
-    margin: int = 0
 
     def __post_init__(self):
         if self.values.shape != self.lattice.dims:
@@ -76,11 +75,11 @@ class ScalarGrid:
         """Sample fn(points) where points has shape (..., 3)."""
         return cls(lattice, np.asarray(fn(lattice.points()), dtype=complex))
 
-    def with_values(self, values: np.ndarray, margin: int | None = None) -> "ScalarGrid":
-        return ScalarGrid(self.lattice, values, self.margin if margin is None else margin)
+    def with_values(self, values: np.ndarray) -> "ScalarGrid":
+        return ScalarGrid(self.lattice, values)
 
-    def interior_max(self, margin: int | None = None) -> float:
-        return max_abs_interior(self.values, widen_margin(margin, self.margin))
+    def interior_max(self, margin: int = 0) -> float:
+        return max_abs_interior(self.values, margin)
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,6 @@ class QuaternionGrid:
 
     lattice: Lattice
     values: np.ndarray
-    margin: int = 0
 
     def __post_init__(self):
         if self.values.shape != self.lattice.dims + (4,):
@@ -104,13 +102,13 @@ class QuaternionGrid:
     def from_scalar_grid(cls, g: ScalarGrid) -> "QuaternionGrid":
         out = np.zeros(g.lattice.dims + (4,), dtype=complex)
         out[..., 0] = g.values
-        return cls(g.lattice, out, g.margin)
+        return cls(g.lattice, out)
 
     @classmethod
-    def from_vector_values(cls, lattice: Lattice, v: np.ndarray, margin: int = 0) -> "QuaternionGrid":
+    def from_vector_values(cls, lattice: Lattice, v: np.ndarray) -> "QuaternionGrid":
         out = np.zeros(lattice.dims + (4,), dtype=complex)
         out[..., 1:] = v
-        return cls(lattice, out, margin)
+        return cls(lattice, out)
 
     @property
     def scalar(self) -> np.ndarray:
@@ -123,21 +121,21 @@ class QuaternionGrid:
     def bq(self) -> Biquaternion:
         return Biquaternion(self.values)
 
-    def with_values(self, values: np.ndarray, margin: int | None = None) -> "QuaternionGrid":
-        return QuaternionGrid(self.lattice, values, self.margin if margin is None else margin)
+    def with_values(self, values: np.ndarray) -> "QuaternionGrid":
+        return QuaternionGrid(self.lattice, values)
 
-    def interior_max(self, margin: int | None = None) -> float:
-        return max_abs_interior(self.values, widen_margin(margin, self.margin))
+    def interior_max(self, margin: int = 0) -> float:
+        return max_abs_interior(self.values, margin)
 
-    # pointwise helpers; margins combine to the max of the operands
+    # pointwise helpers; the NaN faces of the operands carry over
 
     def __add__(self, other: "QuaternionGrid") -> "QuaternionGrid":
         _same_lattice(self.lattice, other.lattice)
-        return QuaternionGrid(self.lattice, self.values + other.values, max(self.margin, other.margin))
+        return self.with_values(self.values + other.values)
 
     def __sub__(self, other: "QuaternionGrid") -> "QuaternionGrid":
         _same_lattice(self.lattice, other.lattice)
-        return QuaternionGrid(self.lattice, self.values - other.values, max(self.margin, other.margin))
+        return self.with_values(self.values - other.values)
 
     def __neg__(self) -> "QuaternionGrid":
         return self.with_values(-self.values)
@@ -256,23 +254,46 @@ def dirac(values: np.ndarray, h: float, axes=(0, 1, 2)) -> np.ndarray:
     return out
 
 
-def widen_margin(requested: int | None, *carried: int) -> int:
-    """The margin rule: a requested margin widens the carried ones, never narrows them."""
-    return max(requested or 0, *carried)
+def _nan_layer(layer: np.ndarray, k: int) -> bool:
+    """Whether every node of ``layer`` (``k`` lattice axes, then the
+    components of one node) has a non-finite component."""
+    if np.isfinite(layer[tuple(n // 2 for n in layer.shape[:k])]).all():
+        return False  # the centre node is valid: no need to scan the layer
+    return not np.isfinite(layer).all(axis=tuple(range(k, layer.ndim))).any()
 
 
-def max_abs_interior(values: np.ndarray, margin: int, margin_t: int | None = None) -> float:
-    """Max componentwise modulus over the interior that excludes the margin.
+def _valid_box(values: np.ndarray, margin: int = 0, time_axis: bool = False) -> tuple[slice, ...]:
+    """Index of the valid interior of a lattice array.
 
-    ``margin`` layers leave each face of the space axes 0-2, or of axes 1-3
-    when ``margin_t`` is given and axis 0 is time, which loses ``margin_t``.
-    Raises if the interior is empty or still contains non-finite values,
-    which would mean an operator was applied with too small a margin.
+    The lattice axes are the space axes 0-2, or axes 0-3 when ``time_axis``
+    and axis 0 is time; trailing axes hold the components of one node.
+    Each face first loses ``margin`` layers, then every further layer whose
+    nodes all have a non-finite component: the NaN faces the stencils
+    write.  Only those face layers are scanned, never the whole array.
     """
-    margins = (margin,) * 3 if margin_t is None else (margin_t,) + (margin,) * 3
-    if any(2 * m >= n for m, n in zip(margins, values.shape)):
-        raise GridTooSmall(f"margins {margins} leave no interior in shape {values.shape}")
-    inner = values[tuple(slice(m, n - m) for m, n in zip(margins, values.shape))]
+    k = 4 if time_axis else 3
+    box = []
+    for ax in range(k):
+        face = (slice(None),) * ax
+        lo, hi = margin, values.shape[ax] - margin
+        while lo < hi and _nan_layer(values[face + (lo,)], k - 1):
+            lo += 1
+        while lo < hi and _nan_layer(values[face + (hi - 1,)], k - 1):
+            hi -= 1
+        if lo >= hi:
+            raise GridTooSmall(f"margin {margin} and NaN faces leave no interior on axis {ax} of {values.shape}")
+        box.append(slice(lo, hi))
+    return tuple(box)
+
+
+def max_abs_interior(values: np.ndarray, margin: int = 0, time_axis: bool = False) -> float:
+    """Max componentwise modulus over the valid interior (``_valid_box``).
+
+    Raises if the interior is empty or still contains a non-finite value,
+    which would mean a NaN face layer was only partly written or a value
+    inside the grid went bad.
+    """
+    inner = values[_valid_box(values, margin, time_axis)]
     if not np.all(np.isfinite(inner)):
-        raise ValueError("non-finite values inside the declared interior")
+        raise ValueError("non-finite values inside the valid interior")
     return float(np.max(np.abs(inner)))

@@ -23,7 +23,9 @@ E = -dt(A) + grad(phi) satisfy the two curl-free/divergence-free halves
 identically, and rho := div(eps E), j := rot(H) - eps dt(E) make the other
 two hold by definition.  The potentials and the medium are sympy
 expressions and all sources are differentiated symbolically, so the state
-is exact and every finite-difference residual is pure stencil error.
+is exact and every finite-difference residual is pure stencil error.  Each
+residual is the max over the interior inside the NaN faces its time and
+space stencils write; ``margin=`` widens that band alike in time and space.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .grids import (
     grad,
     max_abs_interior,
     rot,
-    widen_margin,
 )
 
 _SYMBOL_NAMES = ("T", "X1", "X2", "X3")
@@ -93,8 +94,8 @@ def _sample(exprs, times, pts) -> np.ndarray:
 class MediumFields:
     """Sampled eps, mu and every derived field the quaternionic form needs.
 
-    The log-derivative grids (margin one) are purely vectorial quaternion
-    fields; closed forms of eps and mu are kept when known so manufactured
+    The log-derivative grids are purely vectorial quaternion fields with
+    one NaN face layer; closed forms of eps and mu are kept when known so manufactured
     sources can be differentiated analytically.
     """
 
@@ -118,7 +119,7 @@ class MediumFields:
 def _log_derivative(values: np.ndarray, lattice: Lattice) -> QuaternionGrid:
     """grad(sqrt(s))/sqrt(s) = grad(s)/(2 s) as a pure-vector quaternion grid."""
     g = grad(values, lattice.spacing) / (2.0 * values[..., None])
-    return QuaternionGrid.from_vector_values(lattice, g, 1)
+    return QuaternionGrid.from_vector_values(lattice, g)
 
 
 def build_medium(
@@ -147,7 +148,7 @@ def build_medium(
     # the two gradient identities tying the derived fields together
     id1 = epsvec.values[..., 1:] + muvec.values[..., 1:] + grad(cv, h) / cv[..., None]
     id2 = epsvec.values[..., 1:] - muvec.values[..., 1:] + grad(Wv, h) / Wv[..., None]
-    residuals = (max_abs_interior(id1, 1), max_abs_interior(id2, 1))
+    residuals = (max_abs_interior(id1), max_abs_interior(id2))
 
     return MediumFields(
         eps=eps,
@@ -254,12 +255,7 @@ def _dirac_plus_M(u: np.ndarray, p: QuaternionGrid, h: float) -> np.ndarray:
     return dirac(q, h, axes=(1, 2, 3)) + _mul_components(q, p.values)
 
 
-def maxwell_residuals(
-    state: EMState,
-    medium: MediumFields,
-    margin_t: int | None = None,
-    margin_s: int | None = None,
-) -> tuple[float, float, float, float]:
+def maxwell_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> tuple[float, float, float, float]:
     """Max interior residuals of the four Maxwell equations, in order:
     rot H - eps dt E - j,  rot E + mu dt H,  div(eps E) - rho,  div(mu H)."""
     st = state.st
@@ -273,16 +269,10 @@ def maxwell_residuals(
         div(ev * state.E, h, axes=(1, 2, 3)) - state.rho,
         div(mv * state.H, h, axes=(1, 2, 3)),
     )
-    mt, ms = widen_margin(margin_t, 1), widen_margin(margin_s, 1)
-    return tuple(max_abs_interior(r, ms, mt) for r in res)
+    return tuple(max_abs_interior(r, margin, time_axis=True) for r in res)
 
 
-def quaternionic_residual(
-    state: EMState,
-    medium: MediumFields,
-    margin_t: int | None = None,
-    margin_s: int | None = None,
-) -> float:
+def quaternionic_residual(state: EMState, medium: MediumFields, margin: int = 0) -> float:
     """Max interior residual of the single quaternionic Maxwell equation."""
     if not all(np.allclose(np.imag(f), 0.0, atol=1e-14) for f in (state.E, state.H)):
         warnings.warn(
@@ -308,15 +298,10 @@ def quaternionic_residual(
     rhs = np.zeros_like(V)
     rhs[..., 0] = -1j * state.rho / np.sqrt(ev)
     rhs[..., 1:] = -np.sqrt(mv)[..., None] * state.j
-    return max_abs_interior(lhs - rhs, widen_margin(margin_s, 1), widen_margin(margin_t, 1))
+    return max_abs_interior(lhs - rhs, margin, time_axis=True)
 
 
-def split_residuals(
-    state: EMState,
-    medium: MediumFields,
-    margin_t: int | None = None,
-    margin_s: int | None = None,
-) -> tuple[float, float]:
+def split_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> tuple[float, float]:
     """Residuals of the two intermediate equations on calE and calH:
     (D + M^epsvec) calE + (1/c) dt calH + rho/sqrt(eps) and
     (D + M^muvec) calH - (1/c) dt calE - sqrt(mu) j."""
@@ -335,15 +320,10 @@ def split_residuals(
     r2[..., 1:] -= diff(calE, 0, ht) / cv[..., None]
     r2[..., 1:] -= np.sqrt(mv)[..., None] * state.j
 
-    mt, ms = widen_margin(margin_t, 1), widen_margin(margin_s, 1)
-    return max_abs_interior(r1, ms, mt), max_abs_interior(r2, ms, mt)
+    return max_abs_interior(r1, margin, time_axis=True), max_abs_interior(r2, margin, time_axis=True)
 
 
-def static_residuals(
-    state: EMState,
-    medium: MediumFields,
-    margin_s: int | None = None,
-) -> tuple[float, float]:
+def static_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> tuple[float, float]:
     """Residuals of the two decoupled static equations (time slice 0):
     (D + M^epsvec) calE + rho/sqrt(eps) and (D + M^muvec) calH - sqrt(mu) j."""
     if state.st.nt > 1:
@@ -362,5 +342,4 @@ def static_residuals(
     r2 = _dirac_plus_M(calH[:1], medium.muvec, h)[0]
     r2[..., 1:] -= np.sqrt(mv)[..., None] * state.j[0]
 
-    ms = widen_margin(margin_s, 1)
-    return max_abs_interior(r1, ms), max_abs_interior(r2, ms)
+    return max_abs_interior(r1, margin), max_abs_interior(r2, margin)

@@ -287,7 +287,7 @@ def suite_factorizations(seed: int = 0) -> list[CheckRow]:
             axis=-1,
         ),
     )
-    ferr = max_abs_interior((F - closed).values, F.margin)
+    ferr = max_abs_interior((F - closed).values)
     rows.append(_row("factorizations", "darboux_closed_form", ferr, 5e-3))
     rows.append(_row("factorizations", "darboux_dirac_residual", diffops.dirac_residual(slot, F), 5e-2))
 
@@ -311,7 +311,7 @@ def suite_factorizations(seed: int = 0) -> list[CheckRow]:
         _row(
             "factorizations",
             "antiderivative_inverts_gradient",
-            max_abs_interior(rec.values - target, rec.margin),
+            max_abs_interior(rec.values - target),
             1e-12,
         )
     )
@@ -428,7 +428,7 @@ def suite_green(seed: int = 0) -> list[CheckRow]:
     def mmstar(n, m):
         st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, n), 0.0, 0.8 / (n - 1), n)
         v = wave(st.times()[:, None, None, None], st.space.points())
-        return max_abs_interior(apply_M(apply_M(v, st, med0, star=True), st, med0), m, m)
+        return max_abs_interior(apply_M(apply_M(v, st, med0, star=True), st, med0), m, time_axis=True)
 
     rows.append(_ratio_row("green", "wave_operator_factorization_order", mmstar(9, 2), mmstar(17, 4)))
     return rows
@@ -463,12 +463,12 @@ def suite_inhomog(seed: int = 0) -> list[CheckRow]:
         _row("inhomog", "medium_gradient_identities", max(med17.identity_residuals), 1e-3)
     )
 
-    r9 = inhomog.quaternionic_residual(st9, med9, margin_t=1, margin_s=1)
-    r17 = inhomog.quaternionic_residual(st17, med17, margin_t=2, margin_s=2)
+    r9 = inhomog.quaternionic_residual(st9, med9, margin=1)
+    r17 = inhomog.quaternionic_residual(st17, med17, margin=2)
     rows.append(_ratio_row("inhomog", "quaternionic_equation_order", r9, r17))
 
-    m9 = inhomog.maxwell_residuals(st9, med9, margin_t=1, margin_s=1)
-    m17 = inhomog.maxwell_residuals(st17, med17, margin_t=2, margin_s=2)
+    m9 = inhomog.maxwell_residuals(st9, med9, margin=1)
+    m17 = inhomog.maxwell_residuals(st17, med17, margin=2)
     for i in (0, 1, 2):
         rows.append(_ratio_row("inhomog", f"maxwell_eq{i + 1}_order", m9[i], m17[i]))
     rows.append(_row("inhomog", "maxwell_eq4_residual", m17[3], 1e-12))
@@ -486,7 +486,7 @@ def suite_inhomog(seed: int = 0) -> list[CheckRow]:
         "violation_rho_data": replace(st9, rho=st9.rho + 0.3 * bump[None]),
     }
     for name, state in violations.items():
-        r = inhomog.quaternionic_residual(state, med9, margin_t=1, margin_s=1)
+        r = inhomog.quaternionic_residual(state, med9, margin=1)
         rows.append(_row("inhomog", name, r / base, np.inf, lo=10.0))
     return rows
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.special
@@ -13,6 +15,7 @@ from bqem.chiral_time import (
 )
 from bqem.errors import AchiralUnsupported, ArgumentOutOfRange, OriginSingularity
 from bqem.grids import Lattice, SpaceTimeLattice, max_abs_interior
+from bqem.inhomog import EMState
 from bqem.kernels import ChiralMedium, fundamental_solution, helmholtz_kernel
 
 MED = ChiralMedium(eps=1.0, mu=1.0, beta=1.0)
@@ -83,7 +86,7 @@ def test_bessel_range_guards():
 
     def res(n, m):
         st = SpaceTimeLattice(Lattice.cube((1.0, 0.0, 0.0), 0.2, n), 500.0, 0.4 / (n - 1), n)
-        return green_residual(st, MED, margin_t=m, margin_s=m)
+        return green_residual(st, MED, margin=m)
 
     assert 3.2 < res(9, 1) / res(17, 2) < 4.8
     with pytest.raises(ArgumentOutOfRange):
@@ -165,7 +168,7 @@ def test_apply_M_constant_field_achiral():
     st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, 7), 0.0, 0.1, 7)
     g = np.broadcast_to(np.array([1.0, 2.0, 0.5, -1.0]), (st.nt,) + st.space.dims + (4,))
     out = apply_M(g, st, med)
-    assert max_abs_interior(out, 1, margin_t=1) == 0.0
+    assert max_abs_interior(out, time_axis=True) == 0.0
 
 
 def test_apply_M_shape_guard():
@@ -205,7 +208,7 @@ def test_apply_M_matches_plane_wave_symbol():
     def res(n, m):
         st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, n), 0.0, 0.8 / (n - 1), n)
         out = apply_M(sampled(st, V_fn), st, med)
-        return max_abs_interior(out - sampled(st, exact_M), m, margin_t=m)
+        return max_abs_interior(out - sampled(st, exact_M), m, time_axis=True)
 
     r1, r2 = res(9, 1), res(17, 2)
     assert 3.2 <= r1 / r2 <= 4.8
@@ -225,7 +228,7 @@ def test_wave_operator_factorization():
     def res(n, m):
         st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, n), 0.0, 0.8 / (n - 1), n)
         out = apply_M(apply_M(sampled(st, wave), st, med, star=True), st, med)
-        return max_abs_interior(out, m, m)
+        return max_abs_interior(out, m, time_axis=True)
 
     r1, r2 = res(9, 2), res(17, 4)
     assert 3.2 <= r1 / r2 <= 4.8
@@ -246,7 +249,7 @@ def test_chiral_wave_annihilated_by_MMstar():
     def res(n, m):
         st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, n), 0.0, 0.9 / (n - 1), n)
         out = apply_M(apply_M(sampled(st, wave), st, med, star=True), st, med)
-        return max_abs_interior(out, m, m)
+        return max_abs_interior(out, m, time_axis=True)
 
     r1, r2 = res(9, 2), res(17, 4)
     assert 3.2 <= r1 / r2 <= 4.8
@@ -283,18 +286,15 @@ def make_state(med, n, nt, perturb_H=None):
     H = np.stack([H_fn(t, pts) for t in ts])
     if perturb_H is not None:
         H = H + perturb_H(pts)[None]
-    rho = np.zeros(E.shape[:-1])
-    j = np.zeros_like(E)
-    return E, H, rho, j, st
+    return EMState(st, E, H, np.zeros(E.shape[:-1]), np.zeros_like(E))
 
 
 def test_equivalence_zero_state():
     med = ChiralMedium(eps=1.0, mu=1.0, beta=0.2)
     st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, 7), 0.0, 0.1, 7)
     shape = (7,) + st.space.dims
-    r_quat, r_comp = maxwell_equivalence_residual(
-        np.zeros(shape + (3,)), np.zeros(shape + (3,)), np.zeros(shape), np.zeros(shape + (3,)), st, med
-    )
+    zero = np.zeros(shape + (3,))
+    r_quat, r_comp = maxwell_equivalence_residual(EMState(st, zero, zero, np.zeros(shape), zero), med)
     assert r_quat == 0.0 and r_comp == 0.0
 
 
@@ -303,8 +303,7 @@ def test_equivalence_on_chiral_mode():
     rq = []
     rc = []
     for n in (9, 17):
-        E, H, rho, j, st = make_state(med, n, n)
-        q, c = maxwell_equivalence_residual(E, H, rho, j, st, med)
+        q, c = maxwell_equivalence_residual(make_state(med, n, n), med)
         rq.append(q)
         rc.append(c)
     assert 3.2 <= rq[0] / rq[1] <= 4.8
@@ -313,22 +312,20 @@ def test_equivalence_on_chiral_mode():
 
 def test_equivalence_negative_control():
     med = ChiralMedium(eps=1.0, mu=1.0, beta=0.2)
-    E, H, rho, j, st = make_state(med, 9, 9)
-    q0, c0 = maxwell_equivalence_residual(E, H, rho, j, st, med)
+    q0, c0 = maxwell_equivalence_residual(make_state(med, 9, 9), med)
 
     def grad_field(pts):
         bump = np.exp(-np.sum(pts * pts, axis=-1))
         return -2.0 * pts * bump[..., None]
 
-    E2, H2, rho2, j2, st2 = make_state(med, 9, 9, perturb_H=grad_field)
-    q1, c1 = maxwell_equivalence_residual(E2, H2, rho2, j2, st2, med)
+    q1, c1 = maxwell_equivalence_residual(make_state(med, 9, 9, perturb_H=grad_field), med)
     assert q1 > 10 * q0 and c1 > 10 * c0
 
 
 def test_continuity_warning():
     med = ChiralMedium(eps=1.0, mu=1.0, beta=0.2)
-    E, H, rho, j, st = make_state(med, 9, 9)
-    pts = st.space.points()
-    rho_bad = rho + np.exp(-np.sum(pts * pts, axis=-1))[None] * np.linspace(0, 1, 9)[:, None, None, None]
+    state = make_state(med, 9, 9)
+    pts = state.st.space.points()
+    rho_bad = state.rho + np.exp(-np.sum(pts * pts, axis=-1))[None] * np.linspace(0, 1, 9)[:, None, None, None]
     with pytest.warns(UserWarning, match="continuity"):
-        maxwell_equivalence_residual(E, H, rho_bad, j, st, med)
+        maxwell_equivalence_residual(replace(state, rho=rho_bad), med)

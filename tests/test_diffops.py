@@ -64,7 +64,7 @@ def test_apply_D_constant_field():
         lat, lambda p: np.broadcast_to(np.array([1.0, 2.0, -1.0, 0.5]), p.shape[:-1] + (4,))
     )
     out = diffops.apply_D(field)
-    assert max_abs_interior(out.values, out.margin) == 0.0
+    assert max_abs_interior(out.values) == 0.0
 
 
 def test_apply_D_on_theta_matches_kernel():
@@ -142,14 +142,43 @@ def test_stencil_faces_margin_and_exactness(name, axes):
     exact = np.broadcast_to(exact, out.shape)
     assert np.max(np.abs(out[~face] - exact[~face])) <= 1e-12 * np.max(np.abs(exact))
 
-    # an under-declared margin is caught; the one-node margin is enough
-    margin_t = 0 if axes == (1, 2, 3) else None
-    with pytest.raises(ValueError):
-        max_abs_interior(out, 0, margin_t)
-    assert np.isfinite(max_abs_interior(out, 1, margin_t))
+    # the valid interior is read from the NaN faces; with axes=(1, 2, 3)
+    # axis 0 is time and is a lattice axis too
+    time_axis = axes == (1, 2, 3)
+    k = 4 if time_axis else 3
+    assert max_abs_interior(out, time_axis=time_axis) == np.max(np.abs(out[~face]))
 
+    # a non-finite node inside the interior raises, and so does a face layer
+    # that is only partly non-finite, whether its centre node or another is valid
+    inside = out.copy()
+    inside[2, 2, 2, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        max_abs_interior(inside, time_axis=time_axis)
+    layer_dims = np.delete(STENCIL_SHAPE, stencil_axes[0])[: k - 1]  # lattice axes of a face layer
+    for node in ((1,) * (k - 1), tuple(layer_dims // 2)):
+        partial = out.copy()
+        np.moveaxis(partial, stencil_axes[0], 0)[0][node] = 0.0
+        with pytest.raises(ValueError, match="non-finite"):
+            max_abs_interior(partial, time_axis=time_axis)
+
+    # an empty interior raises, whether the faces or the margin empty it
+    with pytest.raises(GridTooSmall):
+        max_abs_interior(np.full_like(out, np.nan), time_axis=time_axis)
+    with pytest.raises(GridTooSmall):
+        max_abs_interior(out, 3, time_axis=time_axis)
     with pytest.raises(GridTooSmall):
         op(values.take([0, 1], axis=stencil_axes[0]))
+
+    # composed stencils: two whole-node NaN layers, and the interior is [2:-2]
+    if name == "dirac":
+        twice = op(out)
+        box = tuple(slice(2, -2) if ax in stencil_axes else slice(None) for ax in range(4))
+        face2 = np.ones(STENCIL_SHAPE, dtype=bool)
+        face2[box] = False
+        nan2 = np.isnan(twice).reshape(STENCIL_SHAPE + (-1,))
+        assert np.array_equal(nan2.any(axis=-1), face2)
+        assert np.array_equal(nan2.all(axis=-1), face2)
+        assert max_abs_interior(twice, time_axis=time_axis) == np.max(np.abs(twice[box]))
 
 
 def test_right_mult_identity_and_table():
@@ -306,7 +335,7 @@ def test_conductivity_exponential_p_exact():
 def test_darboux_g_equals_f_is_zero():
     slot, _ = exp_slot(9)
     F = diffops.darboux_transform(slot, slot.f)
-    assert max_abs_interior(F.values, F.margin) <= 1e-13
+    assert max_abs_interior(F.values) <= 1e-13
 
 
 def test_darboux_closed_form():
@@ -324,7 +353,7 @@ def test_darboux_closed_form():
             axis=-1,
         ),
     )
-    assert max_abs_interior((F - closed).values, F.margin) <= 5e-3
+    assert max_abs_interior((F - closed).values) <= 5e-3
     # and F solves the shifted Dirac equation at second order
     def dres(n, margin):
         slot_n, lat_n = exp_slot(n)
@@ -394,9 +423,12 @@ def test_antiderivative_quadrature_order():
 
 def test_antiderivative_guards():
     lat = cube(7)
-    G = QuaternionGrid.from_vector_values(lat, np.zeros(lat.dims + (3,)), margin=1)
-    with pytest.raises(BaseOutOfGrid):
-        diffops.antiderivative(G, (0, 3, 3))
+    # D of a constant is purely vectorial zero inside one NaN face layer
+    G = diffops.apply_D(QuaternionGrid.from_scalar_grid(ScalarGrid(lat, np.ones(lat.dims, complex))))
+    assert np.max(np.abs(diffops.antiderivative(G, (1, 3, 5)).values[1:-1, 1:-1, 1:-1])) == 0.0
+    for base in ((0, 3, 3), (3, 6, 3), (3, 3, 7)):
+        with pytest.raises(BaseOutOfGrid):
+            diffops.antiderivative(G, base)
     bad = QuaternionGrid.from_function(lat, lambda p: np.ones(p.shape[:-1] + (4,)))
     with pytest.raises(ValueError):
         diffops.antiderivative(bad, (3, 3, 3))
@@ -408,24 +440,21 @@ def test_round_trip_recovers_solution():
         slot, lat = exp_slot(n)
         g = ScalarGrid.from_function(lat, lambda p: np.exp(-(p @ K_UNIT)))
         F = diffops.darboux_transform(slot, g)
-        ratio = QuaternionGrid(lat, F.values / slot.f.values[..., None], F.margin)
+        ratio = QuaternionGrid(lat, F.values / slot.f.values[..., None])
         base = (n // 2, n // 2, n // 2)
         g_back = diffops.antiderivative(ratio, base)
         g_prime = g_back.values * slot.f.values
 
-        box = tuple(slice(F.margin, d - F.margin) for d in lat.dims)
-        diffs = (g_prime - g.values)[box]
-        fs = slot.f.values[box]
+        valid = np.isfinite(g_prime)  # g' is NaN on the faces of F
+        diffs = (g_prime - g.values)[valid]
+        fs = slot.f.values[valid]
         lam = np.vdot(fs, diffs) / np.vdot(fs, fs)
         prop_residual = np.max(np.abs(diffs - lam * fs))
 
-        # g' again solves the Schrodinger equation with nu = Lap f / f
-        gp = ScalarGrid(lat, np.where(np.isfinite(g_prime), g_prime, 0.0), F.margin)
-        h = lat.spacing
-        from bqem.grids import laplacian
-
-        schro = -laplacian(gp.values, h) + slot.nu.values * gp.values
-        schro_res = max_abs_interior(schro, F.margin + 1)
+        # g' again solves the Schrodinger equation with nu = Lap f / f; its
+        # NaN faces widen by one under the Laplacian
+        schro = -laplacian(g_prime, lat.spacing) + slot.nu.values * g_prime
+        schro_res = max_abs_interior(schro)
         return prop_residual, schro_res
 
     p1, s1 = roundtrip(11)
@@ -470,7 +499,7 @@ def test_vekua_constant_combination():
     def res(n, margin):
         slot_n, lat_n = trig_slot(n)
         q_n = diffops.generating_quartet(slot_n)
-        W_n = QuaternionGrid(lat_n, sum(c * q.values for c, q in zip(coeffs, q_n)), 0)
+        W_n = QuaternionGrid(lat_n, sum(c * q.values for c, q in zip(coeffs, q_n)))
         return diffops.vekua_residual(slot_n, W_n, margin=margin)
 
     r1, r2 = res(11, 2), res(21, 4)

@@ -101,8 +101,8 @@ def test_zero_potentials_give_zero_state():
 def test_standard_wave_residuals_refine():
     med9, st9 = standard_setup(9, 9)
     med17, st17 = standard_setup(17, 17)
-    m9 = maxwell_residuals(st9, med9, margin_t=1, margin_s=1)
-    m17 = maxwell_residuals(st17, med17, margin_t=2, margin_s=2)
+    m9 = maxwell_residuals(st9, med9, margin=1)
+    m17 = maxwell_residuals(st17, med17, margin=2)
     for i in range(3):
         assert 3.2 <= m9[i] / m17[i] <= 4.8
     # the fourth equation is satisfied exactly for this potential
@@ -112,16 +112,16 @@ def test_standard_wave_residuals_refine():
 def test_quaternionic_residual_refines():
     med9, st9 = standard_setup(9, 9)
     med17, st17 = standard_setup(17, 17)
-    r9 = quaternionic_residual(st9, med9, margin_t=1, margin_s=1)
-    r17 = quaternionic_residual(st17, med17, margin_t=2, margin_s=2)
+    r9 = quaternionic_residual(st9, med9, margin=1)
+    r17 = quaternionic_residual(st17, med17, margin=2)
     assert 3.2 <= r9 / r17 <= 4.8
 
 
 def test_split_residuals_refine():
     med9, st9 = standard_setup(9, 9)
     med17, st17 = standard_setup(17, 17)
-    s9 = split_residuals(st9, med9, margin_t=1, margin_s=1)
-    s17 = split_residuals(st17, med17, margin_t=2, margin_s=2)
+    s9 = split_residuals(st9, med9, margin=1)
+    s17 = split_residuals(st17, med17, margin=2)
     for a, b in zip(s9, s17):
         assert 3.2 <= a / b <= 4.8
 
@@ -139,7 +139,7 @@ def test_constant_medium_plane_wave():
 
 def test_single_violations_detected():
     med, state = standard_setup(9, 9)
-    base = quaternionic_residual(state, med, margin_t=1, margin_s=1)
+    base = quaternionic_residual(state, med, margin=1)
     pts = state.st.space.points()
     bump = np.exp(-np.sum(pts * pts, axis=-1))
     gradbump = -2.0 * pts * bump[..., None]
@@ -152,7 +152,7 @@ def test_single_violations_detected():
         "charge_rho": replace(state, rho=state.rho + 0.3 * bump[None]),
     }
     for name, bad in cases.items():
-        r = quaternionic_residual(bad, med, margin_t=1, margin_s=1)
+        r = quaternionic_residual(bad, med, margin=1)
         assert r > 10 * base, name
 
 
@@ -160,11 +160,11 @@ def test_scalar_part_tracks_divergence_content():
     # dropping rho moves both the scalar part of the quaternionic equation
     # and the divergence residual by the same order
     med, state = standard_setup(9, 9)
-    m0 = maxwell_residuals(state, med, margin_t=1, margin_s=1)
-    q0 = quaternionic_residual(state, med, margin_t=1, margin_s=1)
+    m0 = maxwell_residuals(state, med, margin=1)
+    q0 = quaternionic_residual(state, med, margin=1)
     no_rho = replace(state, rho=np.zeros_like(state.rho))
-    m1 = maxwell_residuals(no_rho, med, margin_t=1, margin_s=1)
-    q1 = quaternionic_residual(no_rho, med, margin_t=1, margin_s=1)
+    m1 = maxwell_residuals(no_rho, med, margin=1)
+    q1 = quaternionic_residual(no_rho, med, margin=1)
     rho_scale = np.max(np.abs(state.rho))
     assert m1[2] > 10 * m0[2]
     assert q1 > 5 * q0
@@ -201,7 +201,7 @@ def test_electrostatic_state_refines():
         med = medium_from_expressions(lat, EPS_EXPR, MU_EXPR)
         st = SpaceTimeLattice(lat, 0.0, 0.1, 1)
         state = manufactured_solution((0, 0, 0), sp.sin(X1) * X2, med, st)
-        return static_residuals(state, med, margin_s=margin)
+        return static_residuals(state, med, margin=margin)
 
     r9 = res(9, 1)
     r17 = res(17, 2)
@@ -225,10 +225,9 @@ def test_static_darboux_cross_link():
 
         st = SpaceTimeLattice(lat, 0.0, 0.1, 1)
         E = np.real(F.values[None, ..., 1:]) / np.sqrt(np.real(med.eps.values))[None, ..., None]
-        E = np.where(np.isfinite(E), E, 0.0)
         zero = np.zeros_like(E)
         state = EMState(st, E, zero, np.zeros(E.shape[:-1]), zero)
-        return static_residuals(state, med, margin_s=margin)[0]
+        return static_residuals(state, med, margin=margin)[0]
 
     r1, r2 = res(11, 2), res(21, 4)
     assert 3.2 <= r1 / r2 <= 4.8
