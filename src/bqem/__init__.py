@@ -30,15 +30,12 @@ from .chiral_time import (
 from .diffops import (
     PotentialSlot,
     antiderivative,
-    apply_D,
-    apply_D_shifted,
     coefficients_to_vekua,
     conductivity_factorization_residual,
     darboux_transform,
     dirac_residual,
     generating_quartet,
     helmholtz_factorization_residual,
-    right_mult,
     schrodinger_factorization_residual,
     vekua_coefficient_identity_residual,
     vekua_consequences,
@@ -46,8 +43,6 @@ from .diffops import (
 )
 from .grids import (
     Lattice,
-    QuaternionGrid,
-    ScalarGrid,
     SpaceTimeLattice,
 )
 from .inhomog import (

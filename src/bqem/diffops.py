@@ -1,7 +1,7 @@
 """Grid realizations of the Dirac operator D and the identities built on it.
 
 D acts on quaternion fields as Df = -div(fv) + grad(f0) + rot(fv); here it
-is discretized with second-order central differences only, so every
+is ``grids.dirac``, second-order central differences only, so every
 application adds one NaN face layer to each side of the lattice.  On top of D
 this module verifies, on manufactured grids, the operator identities
 
@@ -17,24 +17,27 @@ componentwise modulus over the valid interior, which is the quantity the
 refinement-ratio checks watch; the interior is read from the NaN faces
 (``grids.max_abs_interior``), and ``margin=`` only widens it.
 
-M^p denotes right multiplication by p (pointwise, p is never differentiated)
-and ^pM left multiplication; for purely vectorial p, q the exact identity
-<p, q> = -(^pM + M^p) q / 2 holds nodewise.
+Fields are plain complex arrays on a Lattice: shape ``dims`` for a scalar
+field, ``dims + (4,)`` for a quaternion field.  A PotentialSlot holds its
+lattice, and every routine takes the geometry from the slot or from the
+lattice it is handed.  M^p denotes right multiplication by p, f -> f p
+(pointwise, p is never differentiated), and ^pM left multiplication
+f -> p f; both are ``algebra._mul_components`` with the operands in that
+order.  For purely vectorial p, q the exact identity
+<p, q> = -(p q + q p) / 2 holds nodewise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .algebra import Biquaternion, _mul_components
-from .errors import BaseOutOfGrid, LatticeMismatch, VanishingF
+from .errors import BaseOutOfGrid, VanishingF
 from .grids import (
     Lattice,
-    QuaternionGrid,
-    ScalarGrid,
+    _on_lattice,
     _valid_box,
     dirac,
     div,
@@ -48,158 +51,113 @@ from .grids import (
 VANISHING_F_TOL = 1e-8
 
 
-def apply_D(field: QuaternionGrid) -> QuaternionGrid:
-    """Central-difference Dirac operator; one more NaN face layer."""
-    return field.with_values(dirac(field.values, field.lattice.spacing))
-
-
-def apply_D_shifted(field: QuaternionGrid, alpha: complex) -> QuaternionGrid:
-    """(D + alpha) f for a complex constant alpha."""
-    shifted = apply_D(field)
-    return shifted.with_values(shifted.values + alpha * field.values)
-
-
-def _multiplier(p) -> tuple[np.ndarray, Lattice | None]:
-    if isinstance(p, QuaternionGrid):
-        return p.values, p.lattice
-    if isinstance(p, Biquaternion):
-        return p.components, None
-    raise TypeError("multiplier must be a QuaternionGrid or a Biquaternion")
-
-
-def right_mult(p) -> Callable[[QuaternionGrid], QuaternionGrid]:
-    """The operator M^p: f -> f*p, pointwise right multiplication."""
-    pv, plat = _multiplier(p)
-
-    def apply(field: QuaternionGrid) -> QuaternionGrid:
-        if plat is not None and plat != field.lattice:
-            raise LatticeMismatch("multiplier grid lives on a different lattice")
-        return field.with_values(_mul_components(field.values, pv))
-
-    return apply
-
-
-def left_mult(p) -> Callable[[QuaternionGrid], QuaternionGrid]:
-    """The operator ^pM: f -> p*f, pointwise left multiplication."""
-    pv, plat = _multiplier(p)
-
-    def apply(field: QuaternionGrid) -> QuaternionGrid:
-        if plat is not None and plat != field.lattice:
-            raise LatticeMismatch("multiplier grid lives on a different lattice")
-        return field.with_values(_mul_components(pv, field.values))
-
-    return apply
-
-
 @dataclass(frozen=True)
 class PotentialSlot:
     """A nonvanishing particular solution f with its derived potential nu = Lap f / f.
 
     nu is computed on the grid, not analytically, so both sides of the
     factorization identities share the same discretization error.  For the
-    conductivity form, p, q and u0 are kept and f = sqrt(p) * u0.
+    conductivity form, p, q and u0 are kept and f = sqrt(p) * u0.  Every
+    field is a complex array of shape ``lattice.dims``.
     """
 
-    f: ScalarGrid
-    nu: ScalarGrid
-    p: ScalarGrid | None = None
-    q: ScalarGrid | None = None
-    u0: ScalarGrid | None = None
+    lattice: Lattice
+    f: np.ndarray
+    nu: np.ndarray
+    p: np.ndarray | None = None
+    q: np.ndarray | None = None
+    u0: np.ndarray | None = None
 
     @classmethod
-    def from_particular_solution(cls, f: ScalarGrid) -> "PotentialSlot":
-        _check_nonvanishing(f.values, "f")
-        nu_vals = laplacian(f.values, f.lattice.spacing) / f.values
-        return cls(f=f, nu=f.with_values(nu_vals))
+    def from_particular_solution(cls, lattice: Lattice, f) -> "PotentialSlot":
+        f = _on_lattice(f, lattice, "f")
+        _check_nonvanishing(f, "f")
+        return cls(lattice, f, laplacian(f, lattice.spacing) / f)
 
     @classmethod
-    def from_conductivity(cls, p: ScalarGrid, q: ScalarGrid, u0: ScalarGrid) -> "PotentialSlot":
-        if p.lattice != q.lattice or p.lattice != u0.lattice:
-            raise LatticeMismatch("p, q, u0 must share one lattice")
-        _check_nonvanishing(p.values, "p")
-        _check_nonvanishing(u0.values, "u0")
-        f_vals = np.sqrt(p.values.astype(complex)) * u0.values
-        f = ScalarGrid(p.lattice, f_vals)
-        _check_nonvanishing(f.values, "f = sqrt(p)*u0")
-        nu_vals = laplacian(f.values, f.lattice.spacing) / f.values
-        return cls(f=f, nu=f.with_values(nu_vals), p=p, q=q, u0=u0)
+    def from_conductivity(cls, lattice: Lattice, p, q, u0) -> "PotentialSlot":
+        p = _on_lattice(p, lattice, "p")
+        q = _on_lattice(q, lattice, "q")
+        u0 = _on_lattice(u0, lattice, "u0")
+        _check_nonvanishing(p, "p")
+        _check_nonvanishing(u0, "u0")
+        f = np.sqrt(p) * u0
+        _check_nonvanishing(f, "f = sqrt(p)*u0")
+        return cls(lattice, f, laplacian(f, lattice.spacing) / f, p=p, q=q, u0=u0)
 
-    def df_over_f(self) -> QuaternionGrid:
-        """Df/f as a purely vectorial quaternion grid, with one NaN face layer."""
-        g = grad(self.f.values, self.f.lattice.spacing) / self.f.values[..., None]
-        return QuaternionGrid.from_vector_values(self.f.lattice, g)
+    def df_over_f(self) -> np.ndarray:
+        """Df/f as a purely vectorial dims + (4,) array, with one NaN face layer."""
+        g = grad(self.f, self.lattice.spacing) / self.f[..., None]
+        return Biquaternion.from_vector(g).components
 
 
 def _check_nonvanishing(values: np.ndarray, name: str) -> None:
-    m = float(np.min(np.abs(values)))
+    """Reject ``values`` whose modulus drops below VANISHING_F_TOL at a
+    finite node; the NaN faces a stencil wrote are not nodes of the field."""
+    m = float(np.min(np.abs(values), where=np.isfinite(values), initial=np.inf))
     if m < VANISHING_F_TOL:
         raise VanishingF(f"min |{name}| = {m:.3e} below {VANISHING_F_TOL}")
 
 
-def helmholtz_factorization_residual(alpha: complex, g: ScalarGrid, margin: int = 0) -> float:
+def helmholtz_factorization_residual(alpha: complex, g, lattice: Lattice, margin: int = 0) -> float:
     """Max interior norm of (Lap + alpha^2) g + (D + alpha)(D - alpha) g.
 
     ``margin`` may widen the excluded boundary band beyond the required
     minimum so refinement levels can be compared over one physical region.
     """
-    h = g.lattice.spacing
-    qg = QuaternionGrid.from_scalar_grid(g)
-    composed = apply_D_shifted(apply_D_shifted(qg, -alpha), alpha)
-    res = composed.values.copy()
-    res[..., 0] += laplacian(g.values, h) + alpha * alpha * g.values
+    g = _on_lattice(g, lattice, "g")
+    h = lattice.spacing
+    qg = Biquaternion.from_scalar(g).components
+    inner = dirac(qg, h) - alpha * qg
+    res = dirac(inner, h) + alpha * inner
+    res[..., 0] += laplacian(g, h) + alpha * alpha * g
     return max_abs_interior(res, margin)
 
 
-def schrodinger_factorization_residual(slot: PotentialSlot, g: ScalarGrid, margin: int = 0) -> float:
-    """Max interior norm of (D + M^w)(D - M^w) g - (-Lap + nu) g, w = Df/f."""
-    if g.lattice != slot.f.lattice:
-        raise LatticeMismatch("g must live on the slot's lattice")
-    h = g.lattice.spacing
+def _dirac_minus_plus_M(slot: PotentialSlot, g: np.ndarray) -> np.ndarray:
+    """(D + M^w)(D - M^w) g for a scalar g, w = Df/f."""
+    h = slot.lattice.spacing
     w = slot.df_over_f()
-    mw = right_mult(w)
-    qg = QuaternionGrid.from_scalar_grid(g)
-    inner = apply_D(qg) - mw(qg)
-    outer = apply_D(inner) + mw(inner)
-    res = outer.values.copy()
-    res[..., 0] -= -laplacian(g.values, h) + slot.nu.values * g.values
+    qg = Biquaternion.from_scalar(g).components
+    inner = dirac(qg, h) - _mul_components(qg, w)
+    return dirac(inner, h) + _mul_components(inner, w)
+
+
+def schrodinger_factorization_residual(slot: PotentialSlot, g, margin: int = 0) -> float:
+    """Max interior norm of (D + M^w)(D - M^w) g - (-Lap + nu) g, w = Df/f."""
+    g = _on_lattice(g, slot.lattice, "g")
+    res = _dirac_minus_plus_M(slot, g)
+    res[..., 0] -= -laplacian(g, slot.lattice.spacing) + slot.nu * g
     return max_abs_interior(res, margin)
 
 
-def conductivity_factorization_residual(slot: PotentialSlot, phi: ScalarGrid, margin: int = 0) -> float:
+def conductivity_factorization_residual(slot: PotentialSlot, phi, margin: int = 0) -> float:
     """Max interior norm of (div p grad + q) phi + sqrt(p) (D + M^w)(D - M^w) sqrt(p) phi."""
     if slot.p is None or slot.q is None or slot.u0 is None:
         raise ValueError("slot was not built from conductivity data (p, q, u0)")
-    if phi.lattice != slot.f.lattice:
-        raise LatticeMismatch("phi must live on the slot's lattice")
-    h = phi.lattice.spacing
-    sp = np.sqrt(slot.p.values.astype(complex))
-    lhs = div(slot.p.values[..., None] * grad(phi.values, h), h) + slot.q.values * phi.values
-
-    w = slot.df_over_f()
-    mw = right_mult(w)
-    scaled = ScalarGrid(phi.lattice, sp * phi.values)
-    qs = QuaternionGrid.from_scalar_grid(scaled)
-    inner = apply_D(qs) - mw(qs)
-    outer = apply_D(inner) + mw(inner)
-    rhs = -sp[..., None] * outer.values
+    phi = _on_lattice(phi, slot.lattice, "phi")
+    h = slot.lattice.spacing
+    sp = np.sqrt(slot.p)
+    lhs = div(slot.p[..., None] * grad(phi, h), h) + slot.q * phi
+    rhs = -sp[..., None] * _dirac_minus_plus_M(slot, sp * phi)
 
     res = -rhs
     res[..., 0] += lhs
     return max_abs_interior(res, margin)
 
 
-def darboux_transform(slot: PotentialSlot, g: ScalarGrid) -> QuaternionGrid:
+def darboux_transform(slot: PotentialSlot, g) -> np.ndarray:
     """F = f D(f^-1 g); purely vectorial, solves (D + M^{Df/f}) F = 0 when g does."""
-    if g.lattice != slot.f.lattice:
-        raise LatticeMismatch("g must live on the slot's lattice")
-    ratio = ScalarGrid(g.lattice, g.values / slot.f.values)
-    return apply_D(QuaternionGrid.from_scalar_grid(ratio)).scale(slot.f.values)
+    g = _on_lattice(g, slot.lattice, "g")
+    ratio = Biquaternion.from_scalar(g / slot.f).components
+    return dirac(ratio, slot.lattice.spacing) * slot.f[..., None]
 
 
-def dirac_residual(slot: PotentialSlot, F: QuaternionGrid, margin: int = 0) -> float:
+def dirac_residual(slot: PotentialSlot, F, margin: int = 0) -> float:
     """Max interior norm of (D + M^{Df/f}) F."""
-    out = apply_D(F) + right_mult(slot.df_over_f())(F)
-    return out.interior_max(margin)
+    F = _on_lattice(F, slot.lattice, "F", (4,))
+    out = dirac(F, slot.lattice.spacing) + _mul_components(F, slot.df_over_f())
+    return max_abs_interior(out, margin)
 
 
 def _cumulative_simpson_from(f: np.ndarray, base: int, h: float, axis: int = 0) -> np.ndarray:
@@ -230,8 +188,8 @@ def _cumulative_simpson_from(f: np.ndarray, base: int, h: float, axis: int = 0) 
     return np.moveaxis(out, 0, axis)
 
 
-def antiderivative(G: QuaternionGrid, base: tuple[int, int, int]) -> ScalarGrid:
-    """Path antiderivative of a purely vectorial field.
+def antiderivative(G, lattice: Lattice, base: tuple[int, int, int]) -> np.ndarray:
+    """Path antiderivative of a purely vectorial dims + (4,) field.
 
     Integrates G1 along the x-leg from the base node, then G2 along y, then
     G3 along z (this leg order is fixed; the free constant is taken as 0):
@@ -243,15 +201,16 @@ def antiderivative(G: QuaternionGrid, base: tuple[int, int, int]) -> ScalarGrid:
     Composite-Simpson quadrature; output is defined on the valid interior
     of G, the box inside its NaN faces, and NaN outside it.
     """
-    box = _valid_box(G.values)
+    G = _on_lattice(G, lattice, "G", (4,))
+    box = _valid_box(G)
     if not all(s.start <= b < s.stop for b, s in zip(base, box)):
-        raise BaseOutOfGrid(f"base {base} outside the valid interior {box} of dims {G.lattice.dims}")
+        raise BaseOutOfGrid(f"base {base} outside the valid interior {box} of dims {lattice.dims}")
 
-    vals = G.values[box]
+    vals = G[box]
     scale = max(1.0, float(np.max(np.abs(vals[..., 1:]))))
     if float(np.max(np.abs(vals[..., 0]))) > 1e-12 * scale:
         raise ValueError("antiderivative needs a purely vectorial field")
-    h = G.lattice.spacing
+    h = lattice.spacing
     b = tuple(i - s.start for i, s in zip(base, box))
 
     leg_x = _cumulative_simpson_from(vals[:, b[1], b[2], 1], b[0], h)
@@ -259,68 +218,63 @@ def antiderivative(G: QuaternionGrid, base: tuple[int, int, int]) -> ScalarGrid:
     leg_z = _cumulative_simpson_from(vals[..., 3], b[2], h, axis=2)
     acc = leg_x[:, None, None] + leg_y[:, :, None] + leg_z
 
-    out = np.full(G.lattice.dims, np.nan, dtype=complex)
+    out = np.full(lattice.dims, np.nan, dtype=complex)
     out[box] = acc
-    return ScalarGrid(G.lattice, out)
+    return out
 
 
-def _vekua_image(slot: PotentialSlot, W: QuaternionGrid) -> QuaternionGrid:
+def _vekua_image(slot: PotentialSlot, W: np.ndarray) -> np.ndarray:
     """D W - (Df/f) C_H(W), carrying the NaN faces of both terms."""
-    return apply_D(W) - left_mult(slot.df_over_f())(W.with_values(W.bq().quat_conj().components))
+    Wbar = Biquaternion(W).quat_conj().components
+    return dirac(W, slot.lattice.spacing) - _mul_components(slot.df_over_f(), Wbar)
 
 
-def vekua_residual(slot: PotentialSlot, W: QuaternionGrid, margin: int = 0) -> float:
+def vekua_residual(slot: PotentialSlot, W, margin: int = 0) -> float:
     """Max interior norm of D W - (Df/f) C_H(W)."""
-    if W.lattice != slot.f.lattice:
-        raise LatticeMismatch("W must live on the slot's lattice")
-    return _vekua_image(slot, W).interior_max(margin)
+    W = _on_lattice(W, slot.lattice, "W", (4,))
+    return max_abs_interior(_vekua_image(slot, W), margin)
 
 
-def vekua_consequences(slot: PotentialSlot, W: QuaternionGrid, margin: int = 0) -> tuple[float, float, float]:
+def vekua_consequences(slot: PotentialSlot, W, margin: int = 0) -> tuple[float, float, float]:
     """Residuals implied for a solution W = W0 + Wv of the Vekua equation.
 
     Returns the max interior norms of (-Lap + nu) W0,
     div(f^2 grad(W0/f)), and rot(f^-2 rot(f Wv)).
     """
-    if W.lattice != slot.f.lattice:
-        raise LatticeMismatch("W must live on the slot's lattice")
-    h = W.lattice.spacing
-    f = slot.f.values
-    w0 = W.values[..., 0]
-    wv = W.values[..., 1:]
-    r_schr = max_abs_interior(-laplacian(w0, h) + slot.nu.values * w0, margin)
+    W = _on_lattice(W, slot.lattice, "W", (4,))
+    h = slot.lattice.spacing
+    f = slot.f
+    w0 = W[..., 0]
+    wv = W[..., 1:]
+    r_schr = max_abs_interior(-laplacian(w0, h) + slot.nu * w0, margin)
     r_sc = max_abs_interior(div((f * f)[..., None] * grad(w0 / f, h), h), margin)
     r_vec = max_abs_interior(rot((f ** -2.0)[..., None] * rot(f[..., None] * wv, h), h), margin)
     return r_schr, r_sc, r_vec
 
 
-def generating_quartet(slot: PotentialSlot) -> list[QuaternionGrid]:
+def generating_quartet(slot: PotentialSlot) -> list[np.ndarray]:
     """The four exact solutions f, i1/f, i2/f, i3/f of the Vekua equation."""
-    lat = slot.f.lattice
-    f = slot.f.values
-    quartet = [QuaternionGrid.from_scalar_grid(slot.f)]
-    for k in (1, 2, 3):
-        vals = np.zeros(lat.dims + (4,), dtype=complex)
-        vals[..., k] = 1.0 / f
-        quartet.append(QuaternionGrid(lat, vals))
+    f = slot.f
+    quartet = []
+    for k in range(4):
+        vals = np.zeros(slot.lattice.dims + (4,), dtype=complex)
+        vals[..., k] = f if k == 0 else 1.0 / f
+        quartet.append(vals)
     return quartet
 
 
-def coefficients_to_vekua(slot: PotentialSlot, w: QuaternionGrid) -> QuaternionGrid:
+def coefficients_to_vekua(slot: PotentialSlot, w) -> np.ndarray:
     """Expand a coefficient field w = phi0 + sum phi_k i_k over the quartet:
     W = phi0 f + sum phi_k i_k / f."""
-    if w.lattice != slot.f.lattice:
-        raise LatticeMismatch("w must live on the slot's lattice")
-    f = slot.f.values
-    vals = np.empty_like(w.values)
-    vals[..., 0] = w.values[..., 0] * f
-    vals[..., 1:] = w.values[..., 1:] / f[..., None]
-    return QuaternionGrid(w.lattice, vals)
+    w = _on_lattice(w, slot.lattice, "w", (4,))
+    f = slot.f
+    vals = np.empty_like(w)
+    vals[..., 0] = w[..., 0] * f
+    vals[..., 1:] = w[..., 1:] / f[..., None]
+    return vals
 
 
-def vekua_coefficient_identity_residual(
-    slot: PotentialSlot, w: QuaternionGrid, margin: int = 0
-) -> float:
+def vekua_coefficient_identity_residual(slot: PotentialSlot, w, margin: int = 0) -> float:
     """Residual of the coefficient form of the Vekua equation.
 
     Writing W = phi0 f + sum phi_k i_k / f with w = phi0 + sum phi_k i_k,
@@ -333,17 +287,17 @@ def vekua_coefficient_identity_residual(
     can make 1 + f^2 vanish, which the transformation does not cover.
     Returns the max interior mismatch between the two sides.
     """
-    if w.lattice != slot.f.lattice:
-        raise LatticeMismatch("w must live on the slot's lattice")
-    f = slot.f.values
+    w = _on_lattice(w, slot.lattice, "w", (4,))
+    f = slot.f
     if np.max(np.abs(np.imag(f))) > 0.0 or np.min(np.real(f)) <= 0.0:
         raise ValueError("coefficient identity requires real positive f")
     fr = np.real(f)
+    h = slot.lattice.spacing
 
-    Dw = apply_D(w)
-    Dwbar = apply_D(w.with_values(w.bq().quat_conj().components))
+    Dw = dirac(w, h)
+    Dwbar = dirac(Biquaternion(w).quat_conj().components, h)
     ratio = ((1.0 - fr * fr) / (1.0 + fr * fr))[..., None]
-    lhs = ((1.0 + fr * fr) / (2.0 * fr))[..., None] * (Dw.values - ratio * Dwbar.values)
+    lhs = ((1.0 + fr * fr) / (2.0 * fr))[..., None] * (Dw - ratio * Dwbar)
 
     rhs = _vekua_image(slot, coefficients_to_vekua(slot, w))
-    return max_abs_interior(lhs - rhs.values, margin)
+    return max_abs_interior(lhs - rhs, margin)

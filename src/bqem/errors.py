@@ -22,7 +22,7 @@ class GridTooSmall(BqemError):
 
 
 class LatticeMismatch(BqemError):
-    """Two grids that must share a lattice do not."""
+    """A field's shape does not match the lattice it is used on, or two lattices that must agree differ."""
 
 
 class VanishingF(BqemError):
@@ -51,7 +51,7 @@ class SingularMatrix(BqemError):
 
 
 class NonPositiveMedium(BqemError):
-    """Permittivity or permeability is not strictly positive on the grid."""
+    """Permittivity or permeability is not finite and strictly positive on the grid."""
 
 
 class ArgumentOutOfRange(BqemError):

@@ -1,27 +1,27 @@
 """Uniform sample grids and second-order central-difference stencils.
 
-A Lattice fixes the geometry (origin, spacing, node counts) and the grid
-containers pair it with one complex value per node: a plain complex array
-for scalar fields, a trailing length-4 axis for biquaternion fields.
-Space-time fields are raw arrays with a leading time axis on a
-SpaceTimeLattice, measured with ``max_abs_interior(values, margin, time_axis=True)``.
+A Lattice fixes the geometry (origin, spacing, node counts); a field on it
+is a plain complex array with the lattice axes first: shape ``dims`` for a
+scalar field, ``dims + (3,)`` for a vector field and ``dims + (4,)`` for a
+biquaternion field.  Space-time fields put a time axis in front,
+``(nt,) + dims + ...`` on a SpaceTimeLattice, and are measured with
+``max_abs_interior(values, margin, time_axis=True)``.  Routines take the
+geometry once, from the lattice they are handed.
 
 Only central stencils are used, all one shifted-slice difference
 (``_central``).  Every stencil axis gets a NaN face layer, and composing
 operators lets NaN propagate, so the NaN faces are the one record of which
 nodes are valid.  Norms are taken over the interior that excludes every
-face layer whose nodes all have a non-finite component; ``interior_max(m)``
-or a residual's ``margin=`` only widens that, never narrows it.
+face layer whose nodes all have a non-finite component; the ``margin=`` of
+``max_abs_interior`` or of a residual only widens that, never narrows it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .algebra import Biquaternion
 from .errors import GridTooSmall, LatticeMismatch
 
 
@@ -54,96 +54,13 @@ class Lattice:
         return np.stack(xs, axis=-1)
 
 
-def _same_lattice(a: Lattice, b: Lattice) -> None:
-    if a != b:
-        raise LatticeMismatch(f"lattices differ: {a} vs {b}")
-
-
-@dataclass(frozen=True)
-class ScalarGrid:
-    """One complex value per lattice node."""
-
-    lattice: Lattice
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != self.lattice.dims:
-            raise ValueError("values shape does not match lattice dims")
-
-    @classmethod
-    def from_function(cls, lattice: Lattice, fn: Callable[[np.ndarray], np.ndarray]) -> "ScalarGrid":
-        """Sample fn(points) where points has shape (..., 3)."""
-        return cls(lattice, np.asarray(fn(lattice.points()), dtype=complex))
-
-    def with_values(self, values: np.ndarray) -> "ScalarGrid":
-        return ScalarGrid(self.lattice, values)
-
-    def interior_max(self, margin: int = 0) -> float:
-        return max_abs_interior(self.values, margin)
-
-
-@dataclass(frozen=True)
-class QuaternionGrid:
-    """One biquaternion per lattice node, components on the trailing axis."""
-
-    lattice: Lattice
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != self.lattice.dims + (4,):
-            raise ValueError("values shape does not match lattice dims + (4,)")
-
-    @classmethod
-    def from_function(cls, lattice: Lattice, fn: Callable[[np.ndarray], np.ndarray]) -> "QuaternionGrid":
-        """Sample fn(points) -> (..., 4) components."""
-        return cls(lattice, np.asarray(fn(lattice.points()), dtype=complex))
-
-    @classmethod
-    def from_scalar_grid(cls, g: ScalarGrid) -> "QuaternionGrid":
-        out = np.zeros(g.lattice.dims + (4,), dtype=complex)
-        out[..., 0] = g.values
-        return cls(g.lattice, out)
-
-    @classmethod
-    def from_vector_values(cls, lattice: Lattice, v: np.ndarray) -> "QuaternionGrid":
-        out = np.zeros(lattice.dims + (4,), dtype=complex)
-        out[..., 1:] = v
-        return cls(lattice, out)
-
-    @property
-    def scalar(self) -> np.ndarray:
-        return self.values[..., 0]
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self.values[..., 1:]
-
-    def bq(self) -> Biquaternion:
-        return Biquaternion(self.values)
-
-    def with_values(self, values: np.ndarray) -> "QuaternionGrid":
-        return QuaternionGrid(self.lattice, values)
-
-    def interior_max(self, margin: int = 0) -> float:
-        return max_abs_interior(self.values, margin)
-
-    # pointwise helpers; the NaN faces of the operands carry over
-
-    def __add__(self, other: "QuaternionGrid") -> "QuaternionGrid":
-        _same_lattice(self.lattice, other.lattice)
-        return self.with_values(self.values + other.values)
-
-    def __sub__(self, other: "QuaternionGrid") -> "QuaternionGrid":
-        _same_lattice(self.lattice, other.lattice)
-        return self.with_values(self.values - other.values)
-
-    def __neg__(self) -> "QuaternionGrid":
-        return self.with_values(-self.values)
-
-    def scale(self, s) -> "QuaternionGrid":
-        """Multiply by a complex number or a nodewise complex array."""
-        s = np.asarray(s, dtype=complex)
-        return self.with_values(self.values * s[..., None] if s.ndim else self.values * s)
+def _on_lattice(values, lattice: Lattice, name: str, tail: tuple = ()) -> np.ndarray:
+    """``values`` as a complex array, checked to be one node value (shape
+    ``tail``) per node of ``lattice``."""
+    values = np.asarray(values, dtype=complex)
+    if values.shape != lattice.dims + tail:
+        raise LatticeMismatch(f"{name} has shape {values.shape}, expected {lattice.dims + tail}")
+    return values
 
 
 @dataclass(frozen=True)

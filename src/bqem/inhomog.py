@@ -36,13 +36,12 @@ from functools import cache
 
 import numpy as np
 
-from .algebra import _mul_components
+from .algebra import Biquaternion, _mul_components
 from .errors import LatticeMismatch, NonPositiveMedium
 from .grids import (
     Lattice,
-    QuaternionGrid,
-    ScalarGrid,
     SpaceTimeLattice,
+    _on_lattice,
     diff,
     dirac,
     div,
@@ -94,67 +93,66 @@ def _sample(exprs, times, pts) -> np.ndarray:
 class MediumFields:
     """Sampled eps, mu and every derived field the quaternionic form needs.
 
-    The log-derivative grids are purely vectorial quaternion fields with
-    one NaN face layer; closed forms of eps and mu are kept when known so manufactured
-    sources can be differentiated analytically.
+    eps, mu, c and W are complex arrays of shape ``lattice.dims``; the
+    log-derivative fields are purely vectorial ``dims + (4,)`` arrays with
+    one NaN face layer.  Closed forms of eps and mu are kept when known so
+    manufactured sources can be differentiated analytically.
     """
 
-    eps: ScalarGrid
-    mu: ScalarGrid
-    c: ScalarGrid
-    W: ScalarGrid
-    epsvec: QuaternionGrid
-    muvec: QuaternionGrid
-    cvec: QuaternionGrid
-    Wvec: QuaternionGrid
+    lattice: Lattice
+    eps: np.ndarray
+    mu: np.ndarray
+    c: np.ndarray
+    W: np.ndarray
+    epsvec: np.ndarray
+    muvec: np.ndarray
+    cvec: np.ndarray
+    Wvec: np.ndarray
     eps_form: sp.Expr | None = None
     mu_form: sp.Expr | None = None
     identity_residuals: tuple[float, float] = (np.nan, np.nan)
 
-    @property
-    def lattice(self) -> Lattice:
-        return self.eps.lattice
 
-
-def _log_derivative(values: np.ndarray, lattice: Lattice) -> QuaternionGrid:
-    """grad(sqrt(s))/sqrt(s) = grad(s)/(2 s) as a pure-vector quaternion grid."""
-    g = grad(values, lattice.spacing) / (2.0 * values[..., None])
-    return QuaternionGrid.from_vector_values(lattice, g)
+def _log_derivative(values: np.ndarray, h: float) -> np.ndarray:
+    """grad(sqrt(s))/sqrt(s) = grad(s)/(2 s) as a pure-vector quaternion array."""
+    return Biquaternion.from_vector(grad(values, h) / (2.0 * values[..., None])).components
 
 
 def build_medium(
-    eps: ScalarGrid,
-    mu: ScalarGrid,
+    lattice: Lattice,
+    eps,
+    mu,
     eps_form: sp.Expr | None = None,
     mu_form: sp.Expr | None = None,
 ) -> MediumFields:
     """Derive c, W and the four log-derivative fields from eps(x), mu(x)."""
-    if eps.lattice != mu.lattice:
-        raise LatticeMismatch("eps and mu must share one lattice")
-    ev = np.real(eps.values)
-    mv = np.real(mu.values)
-    if np.min(ev) <= 0.0 or np.min(mv) <= 0.0:
-        raise NonPositiveMedium("eps and mu must be strictly positive")
-    lat = eps.lattice
-    h = lat.spacing
+    eps = _on_lattice(eps, lattice, "eps")
+    mu = _on_lattice(mu, lattice, "mu")
+    ev = np.real(eps)
+    mv = np.real(mu)
+    # written so that a NaN node fails the test too
+    if not (np.all((ev > 0.0) & (ev < np.inf)) and np.all((mv > 0.0) & (mv < np.inf))):
+        raise NonPositiveMedium("eps and mu must be finite and strictly positive")
+    h = lattice.spacing
     cv = 1.0 / np.sqrt(ev * mv)
     Wv = np.sqrt(mv / ev)
 
-    epsvec = _log_derivative(ev, lat)
-    muvec = _log_derivative(mv, lat)
-    cvec = _log_derivative(cv, lat)
-    Wvec = _log_derivative(Wv, lat)
+    epsvec = _log_derivative(ev, h)
+    muvec = _log_derivative(mv, h)
+    cvec = _log_derivative(cv, h)
+    Wvec = _log_derivative(Wv, h)
 
     # the two gradient identities tying the derived fields together
-    id1 = epsvec.values[..., 1:] + muvec.values[..., 1:] + grad(cv, h) / cv[..., None]
-    id2 = epsvec.values[..., 1:] - muvec.values[..., 1:] + grad(Wv, h) / Wv[..., None]
+    id1 = epsvec[..., 1:] + muvec[..., 1:] + grad(cv, h) / cv[..., None]
+    id2 = epsvec[..., 1:] - muvec[..., 1:] + grad(Wv, h) / Wv[..., None]
     residuals = (max_abs_interior(id1), max_abs_interior(id2))
 
     return MediumFields(
+        lattice=lattice,
         eps=eps,
         mu=mu,
-        c=ScalarGrid(lat, cv.astype(complex)),
-        W=ScalarGrid(lat, Wv.astype(complex)),
+        c=cv.astype(complex),
+        W=Wv.astype(complex),
         epsvec=epsvec,
         muvec=muvec,
         cvec=cvec,
@@ -172,9 +170,7 @@ def medium_from_expressions(lattice: Lattice, eps_expr, mu_expr) -> MediumFields
     eps_expr = sp.sympify(eps_expr)
     mu_expr = sp.sympify(mu_expr)
     eps, mu = _sample((eps_expr, mu_expr), 0.0, lattice.points())[:, 0]
-    return build_medium(
-        ScalarGrid(lattice, eps), ScalarGrid(lattice, mu), eps_form=eps_expr, mu_form=mu_expr
-    )
+    return build_medium(lattice, eps, mu, eps_form=eps_expr, mu_form=mu_expr)
 
 
 @dataclass(frozen=True)
@@ -243,16 +239,16 @@ def manufactured_solution(A, phi, medium: MediumFields, st: SpaceTimeLattice) ->
 
 def _scaled(state: EMState, medium: MediumFields) -> tuple[np.ndarray, np.ndarray]:
     """(sqrt(eps) E, sqrt(mu) H), the fields of the quaternionic form."""
-    se = np.sqrt(np.real(medium.eps.values))[None, ..., None]
-    sm = np.sqrt(np.real(medium.mu.values))[None, ..., None]
+    se = np.sqrt(np.real(medium.eps))[None, ..., None]
+    sm = np.sqrt(np.real(medium.mu))[None, ..., None]
     return se * state.E, sm * state.H
 
 
-def _dirac_plus_M(u: np.ndarray, p: QuaternionGrid, h: float) -> np.ndarray:
+def _dirac_plus_M(u: np.ndarray, p: np.ndarray, h: float) -> np.ndarray:
     """(D + M^p) u for a pure-vector field u of shape (nt,) + dims + (3,)."""
     q = np.zeros(u.shape[:-1] + (4,), dtype=complex)
     q[..., 1:] = u
-    return dirac(q, h, axes=(1, 2, 3)) + _mul_components(q, p.values)
+    return dirac(q, h, axes=(1, 2, 3)) + _mul_components(q, p)
 
 
 def maxwell_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> tuple[float, float, float, float]:
@@ -261,8 +257,8 @@ def maxwell_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> 
     st = state.st
     h = st.space.spacing
     ht = st.dt
-    ev = np.real(medium.eps.values)[None, ..., None]
-    mv = np.real(medium.mu.values)[None, ..., None]
+    ev = np.real(medium.eps)[None, ..., None]
+    mv = np.real(medium.mu)[None, ..., None]
     res = (
         rot(state.H, h, axes=(1, 2, 3)) - ev * diff(state.E, 0, ht) - state.j,
         rot(state.E, h, axes=(1, 2, 3)) + mv * diff(state.H, 0, ht),
@@ -282,9 +278,9 @@ def quaternionic_residual(state: EMState, medium: MediumFields, margin: int = 0)
     st = state.st
     h = st.space.spacing
     ht = st.dt
-    ev = np.real(medium.eps.values)[None, ...]
-    mv = np.real(medium.mu.values)[None, ...]
-    cv = np.real(medium.c.values)[None, ...]
+    ev = np.real(medium.eps)[None, ...]
+    mv = np.real(medium.mu)[None, ...]
+    cv = np.real(medium.c)[None, ...]
 
     calE, calH = _scaled(state, medium)
     V = np.zeros(calE.shape[:-1] + (4,), dtype=complex)
@@ -292,8 +288,8 @@ def quaternionic_residual(state: EMState, medium: MediumFields, margin: int = 0)
     lhs = (
         diff(V, 0, ht) / cv[..., None]
         + 1j * dirac(V, h, axes=(1, 2, 3))
-        - _mul_components(V, 1j * medium.cvec.values)
-        - _mul_components(np.conj(V), 1j * medium.Wvec.values)
+        - _mul_components(V, 1j * medium.cvec)
+        - _mul_components(np.conj(V), 1j * medium.Wvec)
     )
     rhs = np.zeros_like(V)
     rhs[..., 0] = -1j * state.rho / np.sqrt(ev)
@@ -308,9 +304,9 @@ def split_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> tu
     st = state.st
     h = st.space.spacing
     ht = st.dt
-    ev = np.real(medium.eps.values)[None, ...]
-    mv = np.real(medium.mu.values)[None, ...]
-    cv = np.real(medium.c.values)[None, ...]
+    ev = np.real(medium.eps)[None, ...]
+    mv = np.real(medium.mu)[None, ...]
+    cv = np.real(medium.c)[None, ...]
 
     calE, calH = _scaled(state, medium)
     r1 = _dirac_plus_M(calE, medium.epsvec, h)
@@ -333,8 +329,8 @@ def static_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> t
         if spread > 1e-12:
             warnings.warn("state is not time-independent; using slice 0", stacklevel=2)
     h = state.st.space.spacing
-    ev = np.real(medium.eps.values)
-    mv = np.real(medium.mu.values)
+    ev = np.real(medium.eps)
+    mv = np.real(medium.mu)
 
     calE, calH = _scaled(state, medium)
     r1 = _dirac_plus_M(calE[:1], medium.epsvec, h)[0]

@@ -16,13 +16,7 @@ import numpy as np
 from . import diffops, inhomog
 from .algebra import Biquaternion, I1, I2, I3, ONE, cross, dot
 from .chiral_time import apply_M, bessel_j, green_function, green_refinement
-from .grids import (
-    Lattice,
-    QuaternionGrid,
-    ScalarGrid,
-    SpaceTimeLattice,
-    max_abs_interior,
-)
+from .grids import Lattice, SpaceTimeLattice, max_abs_interior
 from .kernels import (
     ChiralMedium,
     chiral_wavenumbers,
@@ -237,8 +231,8 @@ def suite_factorizations(seed: int = 0) -> list[CheckRow]:
 
     def helm(n, margin):
         lat = Lattice.cube((1, 1, 1), 0.5, n)
-        g = ScalarGrid.from_function(lat, lambda p: np.exp(1j * alpha * p[..., 0]))
-        return diffops.helmholtz_factorization_residual(alpha, g, margin=margin)
+        g = np.exp(1j * alpha * lat.points()[..., 0])
+        return diffops.helmholtz_factorization_residual(alpha, g, lat, margin=margin)
 
     rows.append(_ratio_row("factorizations", "helmholtz_identity_order", helm(11, 2), helm(21, 4)))
 
@@ -246,9 +240,9 @@ def suite_factorizations(seed: int = 0) -> list[CheckRow]:
 
     def schro(n, margin):
         lat = Lattice.cube((0.4, 0.5, 0.6), 0.5, n)
-        f = ScalarGrid.from_function(lat, lambda p: np.exp(p @ k))
-        slot = diffops.PotentialSlot.from_particular_solution(f)
-        g = ScalarGrid.from_function(lat, lambda p: p[..., 0] ** 2 * p[..., 1])
+        pts = lat.points()
+        slot = diffops.PotentialSlot.from_particular_solution(lat, np.exp(pts @ k))
+        g = pts[..., 0] ** 2 * pts[..., 1]
         return diffops.schrodinger_factorization_residual(slot, g, margin=margin)
 
     rows.append(_ratio_row("factorizations", "schrodinger_identity_order", schro(11, 2), schro(21, 4)))
@@ -257,11 +251,12 @@ def suite_factorizations(seed: int = 0) -> list[CheckRow]:
     # q = -(1-x1)^2; flipping the sign of the exponent breaks the hypothesis
     def conductivity(n, margin, u0_sign=-1.0):
         lat = Lattice.cube((0.4, 0.5, 0.6), 0.5, n)
-        p = ScalarGrid.from_function(lat, lambda q: 1.0 + q[..., 0] ** 2)
-        qg = ScalarGrid.from_function(lat, lambda q: -((1.0 - q[..., 0]) ** 2))
-        u0 = ScalarGrid.from_function(lat, lambda q: np.exp(u0_sign * q[..., 0]))
-        slot = diffops.PotentialSlot.from_conductivity(p, qg, u0)
-        phi = ScalarGrid.from_function(lat, lambda q: np.sin(q[..., 0]) * q[..., 2])
+        x = lat.points()
+        p = 1.0 + x[..., 0] ** 2
+        q = -((1.0 - x[..., 0]) ** 2)
+        u0 = np.exp(u0_sign * x[..., 0])
+        slot = diffops.PotentialSlot.from_conductivity(lat, p, q, u0)
+        phi = np.sin(x[..., 0]) * x[..., 2]
         return diffops.conductivity_factorization_residual(slot, phi, margin=margin)
 
     rows.append(
@@ -273,45 +268,38 @@ def suite_factorizations(seed: int = 0) -> list[CheckRow]:
     rows.append(_row("factorizations", "conductivity_negative_control", bad / good, np.inf, lo=10.0))
 
     lat = Lattice.cube((0.4, 0.5, 0.6), 0.5, 17)
-    f = ScalarGrid.from_function(lat, lambda p: np.exp(p @ k))
-    slot = diffops.PotentialSlot.from_particular_solution(f)
-    g = ScalarGrid.from_function(lat, lambda p: np.exp(-(p @ k)))
+    pts = lat.points()
+    slot = diffops.PotentialSlot.from_particular_solution(lat, np.exp(pts @ k))
+    g = np.exp(-(pts @ k))
     F = diffops.darboux_transform(slot, g)
-    closed = QuaternionGrid.from_function(
-        lat,
-        lambda p: np.concatenate(
-            [
-                np.zeros(p.shape[:-1] + (1,)),
-                -2.0 * np.exp(-(p @ k))[..., None] * np.broadcast_to(k, p.shape),
-            ],
-            axis=-1,
-        ),
+    closed = np.concatenate(
+        [
+            np.zeros(pts.shape[:-1] + (1,)),
+            -2.0 * np.exp(-(pts @ k))[..., None] * np.broadcast_to(k, pts.shape),
+        ],
+        axis=-1,
     )
-    ferr = max_abs_interior((F - closed).values)
+    ferr = max_abs_interior(F - closed)
     rows.append(_row("factorizations", "darboux_closed_form", ferr, 5e-3))
     rows.append(_row("factorizations", "darboux_dirac_residual", diffops.dirac_residual(slot, F), 5e-2))
 
-    analytic = QuaternionGrid.from_function(
-        lat,
-        lambda p: np.stack(
-            [
-                np.zeros(p.shape[:-1]),
-                p[..., 1] * p[..., 2],
-                p[..., 0] * p[..., 2],
-                p[..., 0] * p[..., 1],
-            ],
-            axis=-1,
-        ),
+    analytic = np.stack(
+        [
+            np.zeros(pts.shape[:-1]),
+            pts[..., 1] * pts[..., 2],
+            pts[..., 0] * pts[..., 2],
+            pts[..., 0] * pts[..., 1],
+        ],
+        axis=-1,
     )
-    rec = diffops.antiderivative(analytic, (8, 8, 8))
-    pts = lat.points()
+    rec = diffops.antiderivative(analytic, lat, (8, 8, 8))
     target = pts[..., 0] * pts[..., 1] * pts[..., 2]
     target = target - target[8, 8, 8]
     rows.append(
         _row(
             "factorizations",
             "antiderivative_inverts_gradient",
-            max_abs_interior(rec.values - target),
+            max_abs_interior(rec - target),
             1e-12,
         )
     )
@@ -320,7 +308,7 @@ def suite_factorizations(seed: int = 0) -> list[CheckRow]:
     worst = max(diffops.vekua_residual(slot, W) for W in quartet)
     rows.append(_row("factorizations", "vekua_quartet_residual", worst, 5e-2))
 
-    Wbad = QuaternionGrid(lat, rng.uniform(-1, 1, lat.dims + (4,)) + 0j)
+    Wbad = rng.uniform(-1, 1, lat.dims + (4,)) + 0j
     rows.append(
         _row(
             "factorizations",
@@ -347,16 +335,12 @@ def suite_factorizations(seed: int = 0) -> list[CheckRow]:
     # coefficient form of the Vekua equation (real positive f only)
     def coeff_identity(n, margin):
         lat = Lattice.cube((0.4, 0.5, 0.6), 0.5, n)
-        f = ScalarGrid.from_function(
-            lat, lambda p: 2.0 + np.sin(p[..., 0]) * np.cos(p[..., 1]) + 0.2 * p[..., 2] ** 2
-        )
-        slot_n = diffops.PotentialSlot.from_particular_solution(f)
-        wfield = QuaternionGrid.from_function(
-            lat,
-            lambda p: np.stack(
-                [np.sin(p[..., 0]) * p[..., 1], p[..., 2] ** 2, np.cos(p[..., 1]), p[..., 0] * p[..., 2]],
-                axis=-1,
-            ),
+        pts = lat.points()
+        f = 2.0 + np.sin(pts[..., 0]) * np.cos(pts[..., 1]) + 0.2 * pts[..., 2] ** 2
+        slot_n = diffops.PotentialSlot.from_particular_solution(lat, f)
+        wfield = np.stack(
+            [np.sin(pts[..., 0]) * pts[..., 1], pts[..., 2] ** 2, np.cos(pts[..., 1]), pts[..., 0] * pts[..., 2]],
+            axis=-1,
         )
         return diffops.vekua_coefficient_identity_residual(slot_n, wfield, margin=margin)
 

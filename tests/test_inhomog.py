@@ -6,7 +6,7 @@ import sympy as sp
 
 from bqem import diffops
 from bqem.errors import NonPositiveMedium
-from bqem.grids import Lattice, ScalarGrid, SpaceTimeLattice, max_abs_interior
+from bqem.grids import Lattice, SpaceTimeLattice, max_abs_interior
 from bqem.inhomog import (
     EMState,
     T,
@@ -43,10 +43,10 @@ def standard_setup(n, nt):
 def test_constant_medium_has_zero_log_derivatives():
     lat = Lattice.cube((0, 0, 0), 1.0, 7)
     med = medium_from_expressions(lat, 2, sp.Rational(1, 2))
-    for fieldgrid in (med.epsvec, med.muvec, med.cvec, med.Wvec):
-        assert max_abs_interior(fieldgrid.values, 1) == 0.0
-    assert np.allclose(np.real(med.c.values), 1.0)
-    assert np.allclose(np.real(med.W.values), 0.5)
+    for field in (med.epsvec, med.muvec, med.cvec, med.Wvec):
+        assert max_abs_interior(field, 1) == 0.0
+    assert np.allclose(np.real(med.c), 1.0)
+    assert np.allclose(np.real(med.W), 0.5)
 
 
 def test_exponential_eps_log_derivative():
@@ -54,7 +54,7 @@ def test_exponential_eps_log_derivative():
     def err(n):
         lat = Lattice.cube((0, 0, 0), 1.0, n)
         med = medium_from_expressions(lat, sp.exp(2 * X1), 1)
-        inner = med.epsvec.values[1:-1, 1:-1, 1:-1]
+        inner = med.epsvec[1:-1, 1:-1, 1:-1]
         assert np.max(np.abs(inner[..., 2])) == 0.0
         assert np.max(np.abs(inner[..., 3])) == 0.0
         return np.max(np.abs(inner[..., 1] - 1.0))
@@ -76,10 +76,16 @@ def test_gradient_identities_order():
 
 def test_non_positive_medium_rejected():
     lat = Lattice.cube((0, 0, 0), 1.0, 7)
-    eps = ScalarGrid.from_function(lat, lambda p: p[..., 0])  # crosses zero
-    mu = ScalarGrid.from_function(lat, lambda p: np.ones(p.shape[:-1]))
+    mu = np.ones(lat.dims)
     with pytest.raises(NonPositiveMedium):
-        build_medium(eps, mu)
+        build_medium(lat, lat.points()[..., 0], mu)  # crosses zero
+    # one non-finite node fails the guard too, not a later norm
+    for bad in (np.nan, np.inf):
+        eps = np.ones(lat.dims)
+        eps[3, 2, 4] = bad
+        with pytest.raises(NonPositiveMedium):
+            build_medium(lat, eps, mu)
+    assert build_medium(lat, 2.0 * mu, mu).identity_residuals == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +224,12 @@ def test_static_darboux_cross_link():
         lat = Lattice.cube((0.2, 0.3, 0.1), 0.5, n)
         eps_expr = sp.exp(2 * (sp.Rational(36, 100) * X1 + sp.Rational(48, 100) * X2 + sp.Rational(80, 100) * X3))
         med = medium_from_expressions(lat, eps_expr, 1)
-        f = ScalarGrid.from_function(lat, lambda p: np.exp(p @ k))
-        slot = diffops.PotentialSlot.from_particular_solution(f)
-        g = ScalarGrid.from_function(lat, lambda p: np.exp(-(p @ k)))
-        F = diffops.darboux_transform(slot, g)
+        p = lat.points()
+        slot = diffops.PotentialSlot.from_particular_solution(lat, np.exp(p @ k))
+        F = diffops.darboux_transform(slot, np.exp(-(p @ k)))
 
         st = SpaceTimeLattice(lat, 0.0, 0.1, 1)
-        E = np.real(F.values[None, ..., 1:]) / np.sqrt(np.real(med.eps.values))[None, ..., None]
+        E = np.real(F[None, ..., 1:]) / np.sqrt(np.real(med.eps))[None, ..., None]
         zero = np.zeros_like(E)
         state = EMState(st, E, zero, np.zeros(E.shape[:-1]), zero)
         return static_residuals(state, med, margin=margin)[0]
@@ -236,9 +241,8 @@ def test_static_darboux_cross_link():
 def test_manufactured_solution_needs_closed_forms():
     # a medium sampled without closed forms cannot carry symbolic sources
     lat = Lattice.cube((0, 0, 0), 1.0, 7)
-    eps = ScalarGrid.from_function(lat, lambda p: 1 + 0.3 * np.exp(-np.sum(p * p, axis=-1)))
-    mu = ScalarGrid.from_function(lat, lambda p: 1 + 0.1 * p[..., 0] ** 2)
-    med = build_medium(eps, mu)
+    p = lat.points()
+    med = build_medium(lat, 1 + 0.3 * np.exp(-np.sum(p * p, axis=-1)), 1 + 0.1 * p[..., 0] ** 2)
     st = SpaceTimeLattice(lat, 0.0, 0.1, 3)
     with pytest.raises(ValueError, match="closed form"):
         manufactured_solution(WAVE_POTENTIAL, 0, med, st)
