@@ -49,6 +49,15 @@ class Biquaternion:
         c.setflags(write=False)
         self._c = c
 
+    @classmethod
+    def _own(cls, components: np.ndarray) -> "Biquaternion":
+        """Wrap a fresh complex (..., 4) array that no one else writes,
+        without the copy ``__init__`` makes; the array becomes read-only."""
+        components.setflags(write=False)
+        q = cls.__new__(cls)
+        q._c = components
+        return q
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -22,6 +22,10 @@ part -1j x/|x|.  It vanishes identically for t < 0 (Heaviside convention
 H(0) = 1) and reduces to K_{1/beta}(x) / (beta sqrt(eps mu)) at t = 0+.
 J0 and J1 come from ``scipy.special``, accurate for every argument
 2 sqrt(c t) >= 0, so the closed form holds at any t and |x|.
+
+On a space-time lattice f is built as one (nt,) + dims + (4,) array, and
+M f is evaluated one time slab at a time: it holds the result plus three
+slabs, never a second full-size temporary.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ import warnings
 import numpy as np
 
 from .algebra import Biquaternion
-from .errors import AchiralUnsupported, ArgumentOutOfRange, OriginSingularity
-from .grids import Lattice, SpaceTimeLattice, diff, dirac, div, max_abs_interior, rot
+from .errors import AchiralUnsupported, ArgumentOutOfRange, GridTooSmall, OriginSingularity
+from .grids import Lattice, SpaceTimeLattice, _central, diff, dirac, div, max_abs_interior, rot
 from .inhomog import EMState
 from .kernels import FOUR_PI, ORIGIN_TOL, ChiralMedium
 
@@ -94,8 +98,13 @@ def green_function(t, x, medium: ChiralMedium) -> Biquaternion:
     j1_scaled = np.sqrt(tpos / c) * np.asarray(bessel_j(1, z))
 
     phase = np.where(heavi, np.exp(1j * a * tpos) * E, 0.0)
-    comps = 1j * B.components * j0[..., None] - A.components * j1_scaled[..., None]
-    return Biquaternion(phase[..., None] * comps)
+    # one full-size array, filled a component at a time: the (x, 4) factors
+    # iB and A broadcast over t
+    iB = 1j * B.components
+    out = np.empty(shape + (4,), dtype=complex)
+    for k in range(4):
+        out[..., k] = phase * (iB[..., k] * j0 - A.components[..., k] * j1_scaled)
+    return Biquaternion._own(out)
 
 
 def apply_M(values: np.ndarray, st: SpaceTimeLattice, medium: ChiralMedium, star: bool = False) -> np.ndarray:
@@ -103,15 +112,31 @@ def apply_M(values: np.ndarray, st: SpaceTimeLattice, medium: ChiralMedium, star
     as dt(beta sqrt(eps mu) Dv + sqrt(eps mu) v) -/+ 1j Dv: one time difference.
 
     ``values`` and the result have shape (nt,) + dims + (4,); the result
-    carries one more NaN face layer in time and in space.
+    carries one more NaN face layer in time and in space.  It is evaluated
+    one time slab at a time: besides the result it holds Dv and w =
+    beta sqrt(eps mu) Dv + sqrt(eps mu) v on three slabs, t-1, t and t+1.
     """
     expect = (st.nt,) + st.space.dims + (4,)
     if values.shape != expect:
         raise ValueError(f"values shape {values.shape} != {expect}")
-    Dv = dirac(values, st.space.spacing, axes=(1, 2, 3))
+    if st.nt < 3:
+        raise GridTooSmall(f"time axis has {st.nt} nodes, need 3")
+    h = st.space.spacing
     rt_em = np.sqrt(medium.eps * medium.mu)
     sign = 1j if star else -1j
-    return diff(medium.beta * rt_em * Dv + rt_em * values, 0, st.dt) + sign * Dv
+    out = np.empty(expect, dtype=complex)
+    out[[0, -1]] = np.nan
+    # Dv and w on the slabs s-2, s-1, s; out[s-1] takes the central time
+    # difference of w across them, the stencil of grids.diff
+    Dv = np.empty((3,) + expect[1:], dtype=complex)
+    w = np.empty_like(Dv)
+    for s in range(st.nt):
+        Dv[:2], w[:2] = Dv[1:], w[1:]
+        Dv[2] = dirac(values[s], h)
+        w[2] = medium.beta * rt_em * Dv[2] + rt_em * values[s]
+        if s >= 2:
+            out[s - 1] = _central(w, 0, 1, (0,))[0] / (2.0 * st.dt) + sign * Dv[1]
+    return out
 
 
 def green_residual(st: SpaceTimeLattice, medium: ChiralMedium, margin: int = 0) -> float:
@@ -122,8 +147,10 @@ def green_residual(st: SpaceTimeLattice, medium: ChiralMedium, margin: int = 0) 
     may widen the interior's boundary band, in space and time alike, to
     compare refinement levels over one physical region.
     """
-    f = green_function(st.times()[:, None, None, None], st.space.points(), medium)
-    return max_abs_interior(apply_M(f.components, st, medium), margin, time_axis=True)
+    t, x = st.times()[:, None, None, None], st.space.points()
+    # f lives only as apply_M's argument: it is freed before the norm's |M f|
+    Mf = apply_M(green_function(t, x, medium).components, st, medium)
+    return max_abs_interior(Mf, margin, time_axis=True)
 
 
 def green_refinement(medium: ChiralMedium, levels: int) -> list[tuple[float, float, float]]:

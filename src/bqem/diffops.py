@@ -289,7 +289,9 @@ def vekua_coefficient_identity_residual(slot: PotentialSlot, w, margin: int = 0)
     """
     w = _on_lattice(w, slot.lattice, "w", (4,))
     f = slot.f
-    if np.max(np.abs(np.imag(f))) > 0.0 or np.min(np.real(f)) <= 0.0:
+    finite = np.isfinite(f)  # the NaN faces a stencil wrote are not nodes of f
+    im = np.max(np.abs(np.imag(f)), where=finite, initial=0.0)
+    if im > 0.0 or np.min(np.real(f), where=finite, initial=np.inf) <= 0.0:
         raise ValueError("coefficient identity requires real positive f")
     fr = np.real(f)
     h = slot.lattice.spacing

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from bqem.chiral_time import (
     green_residual,
     maxwell_equivalence_residual,
 )
-from bqem.errors import AchiralUnsupported, ArgumentOutOfRange, OriginSingularity
-from bqem.grids import Lattice, SpaceTimeLattice, max_abs_interior
+from bqem.errors import AchiralUnsupported, ArgumentOutOfRange, GridTooSmall, OriginSingularity
+from bqem.grids import Lattice, SpaceTimeLattice, diff, dirac, max_abs_interior
 from bqem.inhomog import EMState
 from bqem.kernels import ChiralMedium, fundamental_solution, helmholtz_kernel
 
@@ -146,6 +147,17 @@ def test_green_matches_closed_form_display(med, x):
     assert np.max(np.abs(got.components - expected.components)) < 1e-15
 
 
+def test_green_function_owns_a_read_only_result():
+    g = green_function(np.array([0.5, 1.0])[:, None], np.array([[1.0, 0.5, -0.3], [0.2, 0.0, 0.4]]), MED)
+    assert not g.components.flags.writeable
+    # the public constructor still copies: its input stays the caller's
+    arr = np.ones((2, 4), complex)
+    q = Biquaternion(arr)
+    assert arr.flags.writeable and not np.shares_memory(arr, q.components)
+    arr[0, 0] = 5.0
+    assert q.components[0, 0] == 1.0
+
+
 def test_green_guards():
     with pytest.raises(AchiralUnsupported):
         green_function(1.0, [1.0, 0, 0], ChiralMedium(beta=0.0))
@@ -171,6 +183,39 @@ def test_apply_M_constant_field_achiral():
     assert max_abs_interior(out, time_axis=True) == 0.0
 
 
+@pytest.mark.parametrize("star", [False, True], ids=["M", "Mstar"])
+@pytest.mark.parametrize("beta", [0.0, 0.7], ids=["achiral", "chiral"])
+def test_apply_M_matches_whole_array_expression(beta, star):
+    # the slab-by-slab evaluation against dt(beta sqrt(eps mu) Dv + sqrt(eps mu) v) -/+ 1j Dv
+    # built on the whole array at once, on a non-cubic lattice with nt != n
+    med = ChiralMedium(eps=2.0, mu=0.5, beta=beta)
+    st = SpaceTimeLattice(Lattice((0.1, -0.2, 0.3), 0.05, (7, 9, 6)), 0.3, 0.04, 5)
+    rng = np.random.default_rng(14)
+    v = rng.normal(size=(5, 7, 9, 6, 4)) + 1j * rng.normal(size=(5, 7, 9, 6, 4))
+    Dv = dirac(v, st.space.spacing, axes=(1, 2, 3))
+    rt_em = np.sqrt(med.eps * med.mu)
+    want = diff(beta * rt_em * Dv + rt_em * v, 0, st.dt) + (1j if star else -1j) * Dv
+    got = apply_M(v, st, med, star=star)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    valid = ~np.isnan(want)
+    assert np.max(np.abs(got[valid] - want[valid])) <= 1e-12 * np.max(np.abs(want[valid]))
+
+
+def test_green_residual_holds_under_three_fields():
+    # f and M f are each built once; the 17^3 x 17 level of green_refinement
+    n = 17
+    st = SpaceTimeLattice(Lattice.cube((0.8, 0.8, 0.8), 0.4, n), 0.5, 1.5 / (n - 1), n)
+    green_residual(st, MED, margin=2)  # first call imports scipy.special
+    tracemalloc.start()
+    try:
+        green_residual(st, MED, margin=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field_bytes = st.nt * n**3 * 4 * np.dtype(complex).itemsize
+    assert peak <= 3.0 * field_bytes
+
+
 def test_apply_M_shape_guard():
     st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, 7), 0.0, 0.1, 6)
     good = np.zeros((6,) + st.space.dims + (4,), complex)
@@ -178,6 +223,10 @@ def test_apply_M_shape_guard():
     for shape in (st.space.dims + (4,), (7,) + st.space.dims + (4,), (6,) + st.space.dims + (3,)):
         with pytest.raises(ValueError, match="values shape"):
             apply_M(np.zeros(shape, complex), st, MED)
+    # the time difference needs three slabs
+    short = replace(st, nt=2)
+    with pytest.raises(GridTooSmall):
+        apply_M(np.zeros((2,) + st.space.dims + (4,), complex), short, MED)
 
 
 def test_apply_M_matches_plane_wave_symbol():

@@ -197,6 +197,8 @@ def test_green_eval_refine_table(capsys):
     assert lines[0] == "level,h,ht,residual,ratio"
     rows = [ln.split(",") for ln in lines[1:]]
     assert len(rows) == 3
+    # the printed residuals, pinned to all 9 figures
+    assert [r[3] for r in rows] == ["2.16783099e-03", "5.45389382e-04", "1.36562732e-04"]
     ratios = [float(r[4]) for r in rows[1:]]
     assert all(3.2 <= r <= 4.8 for r in ratios)
 

@@ -554,6 +554,21 @@ def test_vekua_coefficient_identity():
         diffops.vekua_coefficient_identity_residual(slot_bad, w_at(lat))
 
 
+def test_vekua_coefficient_identity_guard_skips_nan_faces():
+    # the real-positive test reads the finite nodes only: a NaN face layer
+    # neither hides a negative node nor rejects an admissible f
+    lat = cube(7)
+    w = np.ones(lat.dims + (4,))
+    f = np.full(lat.dims, 2.0)
+    f[0] = np.nan
+    ok = diffops.PotentialSlot.from_particular_solution(lat, f)
+    assert np.isfinite(diffops.vekua_coefficient_identity_residual(ok, w))
+    f[3, 3, 3] = -1.0
+    bad = diffops.PotentialSlot.from_particular_solution(lat, f)
+    with pytest.raises(ValueError, match="real positive f"):
+        diffops.vekua_coefficient_identity_residual(bad, w)
+
+
 def test_coefficients_to_vekua_roundtrip():
     slot, lat = trig_slot(9)
     rng = np.random.default_rng(8)
