@@ -170,7 +170,7 @@ def cmd_scatter(cfg: dict, seed: int, fmt: str, out: str | None) -> int:
         MfsProblem,
         surface=surface,
         medium=medium,
-        n_sources=n_values[0],
+        n_sources=max(n_values),
         source_scale=source_scale,
         impedance=impedance,
         oversample=oversample,

@@ -160,8 +160,20 @@ class MfsProblem:
             raise ValueError("n_sources must be >= 1")
         if not (self.source_scale > 0.0 and self.source_scale != 1.0):
             raise ValueError("source_scale must be positive and != 1 (< 1 exterior, > 1 interior)")
-        if self.oversample < 1.0:
+        if not self.oversample >= 1.0:
             raise ValueError("oversample must be >= 1")
+        # the 4C x 8N complex system matrix (16 bytes an entry) must be an
+        # array numpy can index; each test guards the conversion in the next
+        limit = np.iinfo(np.intp).max
+        if not (
+            self.n_sources <= limit
+            and 2.0 * self.n_sources * self.oversample <= limit
+            and 4 * self.n_collocation() * 8 * self.n_sources * 16 <= limit
+        ):
+            raise ValueError(
+                f"n_sources {self.n_sources} with oversample {self.oversample} gives a system matrix "
+                "beyond numpy's array size limit"
+            )
 
     def n_collocation(self) -> int:
         return int(np.ceil(2 * self.n_sources * self.oversample))
@@ -175,9 +187,20 @@ def collocation_points(problem: MfsProblem) -> SurfaceSamples:
     return sample_surface(problem.surface, problem.n_collocation(), 1.0)
 
 
-# Sc(X a) = <conj X, a> for the componentwise bilinear product, so the
-# coefficients over a of a row Sc(P K a) are the quaternion conjugate of P K.
+# The quaternion conjugate, componentwise.
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _kernels(medium: ChiralMedium, dx) -> tuple[np.ndarray, np.ndarray]:
+    """Components of K(alpha1) and K(alpha2) at the offsets dx.
+
+    Branch b uses K(-alpha2), which is K(alpha2) with its scalar part
+    negated; the callers apply that sign.  With alpha1 == alpha2 (beta = 0)
+    the kernel is evaluated once and shared by both branches.
+    """
+    alpha1, alpha2 = medium.alpha1, medium.alpha2
+    k1 = fundamental_solution(alpha1, dx).components
+    return k1, (k1 if alpha2 == alpha1 else fundamental_solution(alpha2, dx).components)
 
 
 def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: SurfaceSamples):
@@ -185,28 +208,32 @@ def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: SurfaceSamples
     dx = col.pos[:, None, :] - src.pos[None, :, :]
     if np.min(np.linalg.norm(dx, axis=-1)) < COINCIDENCE_TOL:
         raise SourceOnBoundary("a source point coincides with a collocation point")
-    med = problem.medium
     n_col, n_src = len(col), len(src)
     t = np.stack([col.t1, col.t2], axis=1)
-    # tangential projections of E_N x n reduce to dots <d, Vec q> with d = (n x t)/2
-    # and q = sum K a; for a pure vector d that is -Sc(d q), so a row is Sc(P K a), P = -d
-    P = np.zeros((n_col, 2, 1, 4), dtype=complex)
+    # Every row is Sc(X K(sign*alpha) a) with one quaternion X per point and
+    # row kind: X = -d for the two tangential rows (the projection <d, Vec q>
+    # of E_N x n on t is -Sc(d q) for the pure vector d = (n x t)/2), and
+    # X = 1 and sign for the scalar constraints Sc(K a) and Sc(sign K a).
+    # As Sc(Y a) = <conj Y, a> componentwise, the block of one point and row
+    # kind is L K, with L the 4 x 4 map K(alpha) -> conj(X K(sign*alpha)) and
+    # K(sign*alpha) = K(alpha) with its scalar part times sign.  Lt is L
+    # transposed, so the block is the (n_src, 4) product K(alpha) Lt.
+    X = np.zeros((n_col, 4, 1, 4), dtype=complex)
+    X[:, 2, 0, 0] = 1.0
 
     # axes: collocation point, row kind, branch (a or b), source, component
     A = np.empty((n_col, 4, 2, n_src, 4), dtype=complex)
-    for branch, (alpha, sign) in enumerate(((med.alpha1, 1), (med.alpha2, -1))):
-        K = fundamental_solution(alpha, dx, sign=sign).components
+    for branch, (K, sign) in enumerate(zip(_kernels(problem.medium, dx), (1, -1))):
         # branch b enters H_N and the second scalar constraint with the
         # same sign it carries in K(sign * alpha); an impedance xi adds
         # +xi <H_N, t> since (H x n) x n = n<H,n> - H
         d = 0.5 * np.cross(col.normal[:, None, :], t)
         if problem.impedance is not None:
             d = d + sign * (complex(problem.impedance) / 2j) * t
-        P[:, :, 0, 1:] = -d
-        A[:, :2, branch] = _mul_components(P, K[:, None]) * _CONJ
-        # the scalar constraints Sc(K a) and Sc(sign K a)
-        A[:, 2, branch] = K * _CONJ
-        A[:, 3, branch] = sign * A[:, 2, branch]
+        X[:, :2, 0, 1:] = -d
+        X[:, 3, 0, 0] = sign
+        Lt = _mul_components(X, np.eye(4)) * np.outer([sign, 1.0, 1.0, 1.0], _CONJ)
+        np.matmul(K[:, None], Lt, out=A[:, :, branch])
 
     rhs = np.zeros(4 * n_col, dtype=complex)
     if problem.boundary_data is not None:
@@ -241,7 +268,11 @@ def _check_triangular(tri: np.ndarray) -> None:
 
 
 def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> SolveResult:
-    """LU with partial pivoting (square) or economic QR least squares (tall).
+    """LU with partial pivoting (square) or Householder QR least squares (tall).
+
+    The tall solve keeps Q in its Householder reflectors (``zgeqrf``) and
+    applies Q^H to the right-hand side with ``zunmqr``; Q is never formed.
+    Neither ``matrix`` nor ``rhs`` is overwritten.
 
     ``cond`` is LAPACK's 1-norm condition estimate on the triangular factor
     (``zgecon`` on the LU factors, ``ztrcon`` on R).  Conditioning rejects
@@ -259,10 +290,16 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> SolveResult:
         x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
         rcond, _ = scipy.linalg.lapack.zgecon(lu, np.linalg.norm(matrix, 1), norm="1")
     elif m > n:
-        q, r = scipy.linalg.qr(matrix, mode="economic", check_finite=False)
+        lapack = scipy.linalg.lapack
+        lwork, _ = lapack.zgeqrf_lwork(m, n)
+        qr, tau, _, _ = lapack.zgeqrf(matrix, lwork=int(lwork.real))
+        r = np.triu(qr[:n])
         _check_triangular(r)
-        x = scipy.linalg.solve_triangular(r, q.conj().T @ rhs, check_finite=False)
-        rcond, _ = scipy.linalg.lapack.ztrcon(r, norm="1")
+        c = rhs[:, None]
+        _, work, _ = lapack.zunmqr("L", "C", qr, tau, c, -1)
+        qhb, _, _ = lapack.zunmqr("L", "C", qr, tau, c, int(work[0].real))
+        x = scipy.linalg.solve_triangular(r, qhb[:n, 0], check_finite=False)
+        rcond, _ = lapack.ztrcon(r, norm="1")
     else:
         raise ValueError("system has fewer rows than unknowns")
     if not np.all(np.isfinite(x)):
@@ -298,13 +335,19 @@ def solve_problem(problem: MfsProblem) -> MfsSolution:
     )
 
 
-def _kernel_sum(K: Biquaternion, coeffs: Biquaternion) -> np.ndarray:
-    """sum_s K_s a_s over the source axis of K (batch shape (..., S)).
+def _kernel_sum(K: np.ndarray, coeffs: Biquaternion, sign: int) -> np.ndarray:
+    """sum_s K_s a_s over the source axis of K(sign * alpha), given K = K(alpha)
+    components of batch shape (..., S).
 
     sum_s K_s a_s = sum_j e_j (sum_s K_sj a_s) over the units e_j: the
     sources are contracted first, so no per-source product is formed.
+    K(-alpha) is K(alpha) with its scalar part negated, so sign = -1 negates
+    row j = 0 of the contraction.
     """
-    return _mul_components(np.eye(4), np.swapaxes(K.components, -1, -2) @ coeffs.components).sum(axis=-2)
+    Ka = np.swapaxes(K, -1, -2) @ coeffs.components
+    if sign < 0:
+        Ka[..., 0, :] *= -1.0
+    return _mul_components(np.eye(4), Ka).sum(axis=-2)
 
 
 def evaluate_fields(sol: MfsSolution, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -318,8 +361,9 @@ def evaluate_fields(sol: MfsSolution, x) -> tuple[np.ndarray, np.ndarray, np.nda
     dx = x[..., None, :] - sol.sources
     if np.min(np.linalg.norm(dx, axis=-1)) < COINCIDENCE_TOL:
         raise SourceSingularity("evaluation point coincides with a source")
-    sum_a = _kernel_sum(fundamental_solution(sol.medium.alpha1, dx, sign=1), sol.coeffs_a)
-    sum_b = _kernel_sum(fundamental_solution(sol.medium.alpha2, dx, sign=-1), sol.coeffs_b)
+    K1, K2 = _kernels(sol.medium, dx)
+    sum_a = _kernel_sum(K1, sol.coeffs_a, 1)
+    sum_b = _kernel_sum(K2, sol.coeffs_b, -1)
     plus = sum_a + sum_b
     minus = sum_a - sum_b
     E = 0.5 * plus[..., 1:]

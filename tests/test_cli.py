@@ -121,13 +121,18 @@ def test_scatter_ill_conditioned_plateau(tmp_path, capsys, oversample):
         {"alpha": float("nan")},
         {"ellipsoid": {"a": float("nan"), "b": 3, "c": 2}},
         {"eval_scale": 10**400},
+        {"oversample": 1e300},
+        {"n_values": [5, 10**12]},
     ],
     ids=["n_values_empty", "n_values_bool", "axis_zero", "axis_negative",
          "source_scale_zero", "source_scale_above_one", "oversample_below_one",
          "eval_scale_zero", "eval_scale_inside_scatterer", "alpha_negative_imag",
-         "eval_scale_infinite", "alpha_nan_part", "alpha_nan", "axis_nan", "eval_scale_beyond_float"],
+         "eval_scale_infinite", "alpha_nan_part", "alpha_nan", "axis_nan", "eval_scale_beyond_float",
+         "oversample_beyond_array_limit", "largest_n_beyond_array_limit"],
 )
-def test_scatter_bad_config_values(tmp_path, capsys, override):
+def test_scatter_bad_config_values(tmp_path, capsys, monkeypatch, override):
+    # rejected while the config is read: no solve starts, so no array is built
+    monkeypatch.setattr("bqem.cli.run_benchmark", lambda *args, **kw: pytest.fail("sweep started"))
     cfg = write_config(tmp_path, dict(TINY_SCATTER, **override))
     assert main(["scatter", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err

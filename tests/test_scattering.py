@@ -239,6 +239,33 @@ def test_solve_least_squares():
     assert np.allclose(out.coeffs, x_true)
 
 
+def random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (20, 12)], ids=["square", "tall"])
+def test_solve_leaves_inputs_untouched(shape):
+    rng = np.random.default_rng(4)
+    A, b = random_complex(rng, shape), random_complex(rng, shape[0])
+    A0, b0 = A.copy(), b.copy()
+    solve_dense(A, b)
+    assert np.array_equal(A, A0) and np.array_equal(b, b0)
+
+
+def test_solve_tall_matches_lstsq_and_qr_condition():
+    # complex data: applying Q^T instead of Q^H would not go unnoticed
+    import scipy.linalg
+
+    rng = np.random.default_rng(5)
+    A, b = random_complex(rng, (30, 16)), random_complex(rng, 30)
+    out = solve_dense(A, b)
+    x_ref = scipy.linalg.lstsq(A, b)[0]
+    np.testing.assert_allclose(out.coeffs, x_ref, rtol=1e-12, atol=0)
+    r = scipy.linalg.qr(A, mode="economic")[1]
+    rcond, _ = scipy.linalg.lapack.ztrcon(r, norm="1")
+    assert out.cond == pytest.approx(1.0 / rcond, rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # field evaluation
 # ---------------------------------------------------------------------------
@@ -272,10 +299,14 @@ def test_evaluate_single_source_definition():
     assert leak == pytest.approx(abs(K.scalar))
 
 
-@pytest.mark.parametrize("shape", [(3,), (2, 3, 3)], ids=["one_point", "batch"])
-def test_evaluate_fields_against_naive_sum(shape):
+@pytest.mark.parametrize(
+    "shape, beta",
+    [((3,), 0.1), ((2, 3, 3), 0.1), ((3,), 0.0), ((2, 3, 3), 0.0)],
+    ids=["one_point", "batch", "one_point_shared_kernel", "batch_shared_kernel"],
+)
+def test_evaluate_fields_against_naive_sum(shape, beta):
     # the per-source sum of Biquaternion products, both branches non-zero
-    med = ChiralMedium(beta=0.1, alpha=1 + 0.3j)
+    med = ChiralMedium(beta=beta, alpha=1 + 0.3j)
     rng = np.random.default_rng(3)
     n = 5
     sources = sample_surface(SURFACE, n, 0.15).pos
@@ -297,6 +328,28 @@ def test_evaluate_fields_against_naive_sum(shape):
     for ours, ref in ((E, E_ref), (H, H_ref), (leak, leak_ref)):
         assert ours.shape == ref.shape
         np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("beta, calls", [(0.0, 1), (0.1, 2)], ids=["shared_kernel", "chiral"])
+def test_one_kernel_evaluation_per_wavenumber(monkeypatch, beta, calls):
+    # alpha1 == alpha2 at beta = 0: both branches share one K(alpha)
+    import bqem.scattering as scattering
+
+    alphas = []
+
+    def counted(alpha, x, sign=1):
+        alphas.append(alpha)
+        return fundamental_solution(alpha, x, sign)
+
+    monkeypatch.setattr(scattering, "fundamental_solution", counted)
+    med = ChiralMedium(beta=beta, alpha=1 + 0.3j)
+    assemble_system(MfsProblem(surface=SURFACE, medium=med, n_sources=4, source_scale=0.15))
+    assert len(alphas) == calls
+    alphas.clear()
+    coeffs = Biquaternion(np.ones((4, 4)))
+    sol = MfsSolution(sources=sample_surface(SURFACE, 4, 0.15).pos, coeffs_a=coeffs, coeffs_b=coeffs, medium=med)
+    evaluate_fields(sol, np.array([[6.0, 0.0, 0.0]]))
+    assert len(alphas) == calls
 
 
 def test_evaluate_at_source_rejected():
@@ -434,6 +487,12 @@ def test_problem_validation():
             MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=4, source_scale=source_scale)
     with pytest.raises(ValueError):
         MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=0, source_scale=0.15)
+    # oversample must be >= 1, and the 4C x 8N matrix must fit a numpy array
+    for oversample in (np.nan, 1e300, np.inf):
+        with pytest.raises(ValueError):
+            MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=4, source_scale=0.15, oversample=oversample)
+    with pytest.raises(ValueError, match="array size limit"):
+        MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=10**30, source_scale=0.15)
 
 
 def test_oversampled_least_squares_solve():
