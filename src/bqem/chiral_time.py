@@ -23,9 +23,12 @@ H(0) = 1) and reduces to K_{1/beta}(x) / (beta sqrt(eps mu)) at t = 0+.
 J0 and J1 come from ``scipy.special``, accurate for every argument
 2 sqrt(c t) >= 0, so the closed form holds at any t and |x|.
 
-On a space-time lattice f is built as one (nt,) + dims + (4,) array, and
-M f is evaluated one time slab at a time: it holds the result plus three
-slabs, never a second full-size temporary.
+The factors of f that depend on x alone are computed once per lattice
+(``_green_factors``), and f is filled from them at any time
+(``_green_at``).  One slab kernel, ``_M_slab``, evaluates M on a time slab
+from the three field slabs around it: ``apply_M`` runs it over a whole
+(nt,) + dims + (4,) field, and ``green_residual`` streams it, so that
+neither f nor M f is ever built whole.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from .algebra import Biquaternion
 from .errors import AchiralUnsupported, ArgumentOutOfRange, GridTooSmall, OriginSingularity
-from .grids import Lattice, SpaceTimeLattice, _central, diff, dirac, div, max_abs_interior, rot
+from .grids import Lattice, SpaceTimeLattice, diff, dirac, div, max_abs_interior, rot
 from .inhomog import EMState
 from .kernels import FOUR_PI, ORIGIN_TOL, ChiralMedium
 
@@ -62,11 +65,11 @@ def bessel_j(order: int, z) -> np.ndarray:
     return j if j.ndim else float(j)
 
 
-def green_function(t, x, medium: ChiralMedium) -> Biquaternion:
-    """Causal Green function of M at times t and positions x (broadcast).
+def _green_factors(x, medium: ChiralMedium):
+    """The x-only factors of the Green function at positions x:
+    (a, c(x), P, Q) with P = E iB and Q = E A, shape x.shape[:-1] + (4,).
 
-    Identically zero for t < 0; H(0) = 1 so the t -> 0+ limit is attained
-    at t = 0.
+    Computed once per lattice; ``_green_at`` fills f at any time from them.
     """
     beta = medium.beta
     if beta == 0.0:
@@ -78,43 +81,66 @@ def green_function(t, x, medium: ChiralMedium) -> Biquaternion:
     rt_em = np.sqrt(medium.eps * medium.mu)
     a = 1.0 / (beta * rt_em)
     c = r / (beta * beta * rt_em)
-    E = np.exp(1j * r / beta) / (FOUR_PI * r)
-    one_minus_ixhat = Biquaternion.from_parts(scalar=np.ones_like(r), vector=-1j * (x / r[..., None]))
-    A = (1j / (beta ** 3 * medium.eps * medium.mu)) * one_minus_ixhat
-    B = (1j / (beta * rt_em)) * (
-        (1.0 / beta) * one_minus_ixhat
-        + Biquaternion.from_vector(x / (r * r)[..., None])
-    )
+    E = (np.exp(1j * r / beta) / (FOUR_PI * r))[..., None]
+    one_minus_ixhat = np.empty(r.shape + (4,), dtype=complex)
+    one_minus_ixhat[..., 0] = 1.0
+    one_minus_ixhat[..., 1:] = -1j * (x / r[..., None])
+    A = (1j / (beta**3 * medium.eps * medium.mu)) * one_minus_ixhat
+    B = (1.0 / beta) * one_minus_ixhat
+    B[..., 1:] += x / (r * r)[..., None]
+    iB = 1j * ((1j / (beta * rt_em)) * B)
+    return a, c, E * iB, E * A
 
+
+def _green_at(t, factors) -> np.ndarray:
+    """Components of f at times t (broadcast against the factors' positions):
+    H(t) e^{iat} (P J0 - Q sqrt(t/c) J1), with J0, J1 at 2 sqrt(c t)."""
+    a, c, P, Q = factors
     t = np.asarray(t, dtype=float)
-    shape = np.broadcast_shapes(t.shape, c.shape)
-    tb = np.broadcast_to(t, shape)
-    c = np.broadcast_to(c, shape)
-    heavi = tb >= 0.0
-    tpos = np.where(heavi, tb, 0.0)
-
+    heavi = t >= 0.0
+    tpos = np.where(heavi, t, 0.0)
     z = 2.0 * np.sqrt(c * tpos)
     j0 = np.asarray(bessel_j(0, z))
     j1_scaled = np.sqrt(tpos / c) * np.asarray(bessel_j(1, z))
-
-    phase = np.where(heavi, np.exp(1j * a * tpos) * E, 0.0)
-    # one full-size array, filled a component at a time: the (x, 4) factors
-    # iB and A broadcast over t
-    iB = 1j * B.components
-    out = np.empty(shape + (4,), dtype=complex)
+    # e^{iat} on the times alone, zero where t < 0
+    phase = np.where(heavi, np.exp(1j * a * tpos), 0.0)
+    out = np.empty(j0.shape + (4,), dtype=complex)
     for k in range(4):
-        out[..., k] = phase * (iB[..., k] * j0 - A.components[..., k] * j1_scaled)
-    return Biquaternion._own(out)
+        out[..., k] = phase * (P[..., k] * j0 - Q[..., k] * j1_scaled)
+    return out
+
+
+def green_function(t, x, medium: ChiralMedium) -> Biquaternion:
+    """Causal Green function of M at times t and positions x (broadcast).
+
+    Identically zero for t < 0; H(0) = 1 so the t -> 0+ limit is attained
+    at t = 0.
+    """
+    return Biquaternion._own(_green_at(t, _green_factors(x, medium)))
+
+
+def _M_slab(prev, cur, nxt, h: float, dt: float, medium: ChiralMedium, sign: complex) -> np.ndarray:
+    """M (``sign`` -1j) or M* (``sign`` 1j) on the middle of three consecutive
+    time slabs of a field: D(beta sqrt(eps mu) g + sign cur) + sqrt(eps mu) g
+    with g = (nxt - prev) / (2 dt), the central time difference.
+
+    This is dt(beta sqrt(eps mu) Dv + sqrt(eps mu) v) + sign Dv, since the
+    central differences in t and x commute.  The result has the NaN space
+    faces of ``grids.dirac``.
+    """
+    rt_em = np.sqrt(medium.eps * medium.mu)
+    g = (nxt - prev) / (2.0 * dt)
+    out = dirac(medium.beta * rt_em * g + sign * cur, h)
+    out += rt_em * g
+    return out
 
 
 def apply_M(values: np.ndarray, st: SpaceTimeLattice, medium: ChiralMedium, star: bool = False) -> np.ndarray:
-    """Central-difference action of M (or M* when ``star``) on a space-time field,
-    as dt(beta sqrt(eps mu) Dv + sqrt(eps mu) v) -/+ 1j Dv: one time difference.
+    """Central-difference action of M (or M* when ``star``) on a space-time field.
 
     ``values`` and the result have shape (nt,) + dims + (4,); the result
-    carries one more NaN face layer in time and in space.  It is evaluated
-    one time slab at a time: besides the result it holds Dv and w =
-    beta sqrt(eps mu) Dv + sqrt(eps mu) v on three slabs, t-1, t and t+1.
+    carries one more NaN face layer in time and in space.  Each inner time
+    slab of the result is ``_M_slab`` of the three slabs around it.
     """
     expect = (st.nt,) + st.space.dims + (4,)
     if values.shape != expect:
@@ -122,20 +148,11 @@ def apply_M(values: np.ndarray, st: SpaceTimeLattice, medium: ChiralMedium, star
     if st.nt < 3:
         raise GridTooSmall(f"time axis has {st.nt} nodes, need 3")
     h = st.space.spacing
-    rt_em = np.sqrt(medium.eps * medium.mu)
     sign = 1j if star else -1j
     out = np.empty(expect, dtype=complex)
     out[[0, -1]] = np.nan
-    # Dv and w on the slabs s-2, s-1, s; out[s-1] takes the central time
-    # difference of w across them, the stencil of grids.diff
-    Dv = np.empty((3,) + expect[1:], dtype=complex)
-    w = np.empty_like(Dv)
-    for s in range(st.nt):
-        Dv[:2], w[:2] = Dv[1:], w[1:]
-        Dv[2] = dirac(values[s], h)
-        w[2] = medium.beta * rt_em * Dv[2] + rt_em * values[s]
-        if s >= 2:
-            out[s - 1] = _central(w, 0, 1, (0,))[0] / (2.0 * st.dt) + sign * Dv[1]
+    for s in range(1, st.nt - 1):
+        out[s] = _M_slab(values[s - 1], values[s], values[s + 1], h, st.dt, medium, sign)
     return out
 
 
@@ -146,11 +163,26 @@ def green_residual(st: SpaceTimeLattice, medium: ChiralMedium, margin: int = 0) 
     so this is a pure discretization residual, O(h^2) + O(ht^2).  ``margin``
     may widen the interior's boundary band, in space and time alike, to
     compare refinement levels over one physical region.
+
+    The value is that of ``max_abs_interior(apply_M(f), margin,
+    time_axis=True)``, but neither f nor M f is built whole: f is evaluated
+    only on the time slabs the margin keeps, at most three at a time, and
+    M f one slab at a time.
     """
-    t, x = st.times()[:, None, None, None], st.space.points()
-    # f lives only as apply_M's argument: it is freed before the norm's |M f|
-    Mf = apply_M(green_function(t, x, medium).components, st, medium)
-    return max_abs_interior(Mf, margin, time_axis=True)
+    keep = max(margin, 1)  # the first kept slab of M f; apply_M's NaN face is slab 0
+    if 2 * keep >= st.nt:
+        raise GridTooSmall(f"margin {margin} leaves no time interior on {st.nt} time nodes")
+    factors = _green_factors(st.space.points(), medium)
+    times = st.times()
+    h = st.space.spacing
+    window = [_green_at(times[s], factors) for s in (keep - 1, keep)]
+    worst = 0.0
+    for s in range(keep, st.nt - keep):
+        window.append(_green_at(times[s + 1], factors))
+        Mf = _M_slab(*window, h, st.dt, medium, -1j)
+        worst = max(worst, max_abs_interior(Mf, margin))
+        del window[0]
+    return worst
 
 
 def green_refinement(medium: ChiralMedium, levels: int) -> list[tuple[float, float, float]]:

@@ -10,8 +10,10 @@ config fields):
                     factorizations, green, inhomog, all); exit code 0 only
                     when every check passes.
 * ``green-eval`` -- prints the chiral Green function at one (t, x), eight
-                    reals with 15 significant digits; ``--refine`` appends
-                    a residual refinement table instead.
+                    reals with 15 significant digits (one ``sc re=.. im=..``
+                    line per component; JSON rows component, re, im with
+                    ``--format json``); ``--refine`` emits a residual
+                    refinement table instead.
 
 Output is CSV (default) or JSON.  CSV starts with ``# key=value`` metadata
 lines; everything except the timestamp line is byte-deterministic for a
@@ -115,7 +117,10 @@ def render_json(report: Report) -> str:
 
 
 def _emit(report: Report, fmt: str, out: str | None) -> None:
-    text = render_csv(report) if fmt == "csv" else render_json(report)
+    _write(render_csv(report) if fmt == "csv" else render_json(report), out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
@@ -253,9 +258,14 @@ def cmd_green_eval(args, cfg: dict, seed: int, fmt: str, out: str | None) -> int
     if np.linalg.norm(x) <= ORIGIN_TOL:
         raise ConfigError("x must be away from the origin, where the Green function is singular")
     value = green_function(t, np.asarray(x, dtype=float), medium)
-    names = ("sc", "v1", "v2", "v3")
-    for name, comp in zip(names, np.asarray(value.components).reshape(4)):
-        sys.stdout.write(f"{name} re={comp.real:.15g} im={comp.imag:.15g}\n")
+    rows = [
+        {"component": name, "re": comp.real, "im": comp.imag}
+        for name, comp in zip(("sc", "v1", "v2", "v3"), value.components.reshape(4))
+    ]
+    if fmt == "json":
+        _write(render_json(Report(command="green-eval", columns=["component", "re", "im"], rows=rows)), out)
+    else:
+        _write("".join(f"{r['component']} re={r['re']:.15g} im={r['im']:.15g}\n" for r in rows), out)
     return 0
 
 

@@ -48,6 +48,12 @@ GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 # Collocation and source points closer than this are rejected outright.
 COINCIDENCE_TOL = 1e-10
 
+# Largest 4C x 8N complex system matrix (16 bytes an entry) a problem may
+# ask for: 2 GiB, a square system up to N = 1448.  The dense solve holds a
+# few arrays of that size, so a larger one is refused as a config error
+# before anything is allocated.
+MAX_MATRIX_BYTES = 2**31
+
 
 @dataclass(frozen=True)
 class Ellipsoid:
@@ -144,7 +150,8 @@ class MfsProblem:
     sources on a shrunk copy of the surface (scale < 1) give an exterior
     problem, on an inflated one (scale > 1) an interior problem.
     ``oversample`` > 1 collocates more than 2N points and solves in the
-    least-squares sense.
+    least-squares sense.  The 4C x 8N system matrix (C = ceil(2N oversample)
+    collocation points) may take at most ``MAX_MATRIX_BYTES``.
     """
 
     surface: Ellipsoid
@@ -162,17 +169,16 @@ class MfsProblem:
             raise ValueError("source_scale must be positive and != 1 (< 1 exterior, > 1 interior)")
         if not self.oversample >= 1.0:
             raise ValueError("oversample must be >= 1")
-        # the 4C x 8N complex system matrix (16 bytes an entry) must be an
-        # array numpy can index; each test guards the conversion in the next
-        limit = np.iinfo(np.intp).max
+        # bytes counted in floats, after n_sources is bounded, so that no
+        # size overflows on the way
         if not (
-            self.n_sources <= limit
-            and 2.0 * self.n_sources * self.oversample <= limit
-            and 4 * self.n_collocation() * 8 * self.n_sources * 16 <= limit
+            self.n_sources <= MAX_MATRIX_BYTES
+            and 4.0 * np.ceil(2.0 * self.n_sources * self.oversample) * 8.0 * self.n_sources * 16.0
+            <= MAX_MATRIX_BYTES
         ):
             raise ValueError(
                 f"n_sources {self.n_sources} with oversample {self.oversample} gives a system matrix "
-                "beyond numpy's array size limit"
+                f"beyond the {MAX_MATRIX_BYTES / 2**30:g} GiB ceiling"
             )
 
     def n_collocation(self) -> int:

@@ -201,19 +201,53 @@ def test_apply_M_matches_whole_array_expression(beta, star):
     assert np.max(np.abs(got[valid] - want[valid])) <= 1e-12 * np.max(np.abs(want[valid]))
 
 
-def test_green_residual_holds_under_three_fields():
-    # f and M f are each built once; the 17^3 x 17 level of green_refinement
+@pytest.mark.parametrize("margin", [0, 1, 2, 3])
+def test_green_residual_matches_whole_array_path(margin):
+    # the streamed residual against M f built whole, on a non-cubic lattice
+    # with nt != n whose first times are negative, so the Heaviside zeros of f
+    # and the jump at t = 0 are inside
+    med = ChiralMedium(eps=2.0, mu=0.5, beta=0.7)
+    st = SpaceTimeLattice(Lattice((0.3, 0.1, 0.2), 0.05, (9, 11, 8)), -0.12, 0.04, 13)
+    f = sampled(st, lambda t, x: green_function(t, x, med).components)
+    want = max_abs_interior(apply_M(f, st, med), margin, time_axis=True)
+    assert np.any(f[0] == 0.0) and want > 0.0
+    assert abs(green_residual(st, med, margin) - want) <= 1e-12 * want
+
+
+def test_green_residual_guards():
+    st = SpaceTimeLattice(Lattice((0.3, 0.1, 0.2), 0.05, (9, 11, 8)), 0.5, 0.04, 7)
+    f = sampled(st, lambda t, x: green_function(t, x, MED).components)
+    assert green_residual(st, MED, margin=3) > 0.0  # one time slab is left
+    # the margin leaves no time interior: the whole-array path agrees
+    with pytest.raises(GridTooSmall):
+        max_abs_interior(apply_M(f, st, MED), 4, time_axis=True)
+    with pytest.raises(GridTooSmall):
+        green_residual(st, MED, margin=4)
+    with pytest.raises(GridTooSmall):
+        green_residual(replace(st, nt=2), MED)
+    with pytest.raises(AchiralUnsupported):
+        green_residual(st, ChiralMedium(beta=0.0))
+
+
+def test_green_residual_holds_a_few_slabs():
+    # f and M f are never built whole: the peak is a few time slabs of
+    # n^3 x 4 complex values, whatever the number of time nodes
     n = 17
-    st = SpaceTimeLattice(Lattice.cube((0.8, 0.8, 0.8), 0.4, n), 0.5, 1.5 / (n - 1), n)
-    green_residual(st, MED, margin=2)  # first call imports scipy.special
-    tracemalloc.start()
-    try:
-        green_residual(st, MED, margin=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    field_bytes = st.nt * n**3 * 4 * np.dtype(complex).itemsize
-    assert peak <= 3.0 * field_bytes
+    slab_bytes = n**3 * 4 * np.dtype(complex).itemsize
+
+    def peak(nt):
+        st = SpaceTimeLattice(Lattice.cube((0.8, 0.8, 0.8), 0.4, n), 0.5, 1.5 / (nt - 1), nt)
+        green_residual(st, MED, margin=2)  # the first call imports scipy.special
+        tracemalloc.start()
+        try:
+            green_residual(st, MED, margin=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(17) <= 12 * slab_bytes
+    short, long = peak(9), peak(33)
+    assert abs(long - short) <= 0.1 * short
 
 
 def test_apply_M_shape_guard():

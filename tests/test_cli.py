@@ -123,12 +123,13 @@ def test_scatter_ill_conditioned_plateau(tmp_path, capsys, oversample):
         {"eval_scale": 10**400},
         {"oversample": 1e300},
         {"n_values": [5, 10**12]},
+        {"oversample": 1e8, "n_values": [35]},
     ],
     ids=["n_values_empty", "n_values_bool", "axis_zero", "axis_negative",
          "source_scale_zero", "source_scale_above_one", "oversample_below_one",
          "eval_scale_zero", "eval_scale_inside_scatterer", "alpha_negative_imag",
          "eval_scale_infinite", "alpha_nan_part", "alpha_nan", "axis_nan", "eval_scale_beyond_float",
-         "oversample_beyond_array_limit", "largest_n_beyond_array_limit"],
+         "oversample_beyond_array_limit", "largest_n_beyond_array_limit", "oversample_beyond_ceiling"],
 )
 def test_scatter_bad_config_values(tmp_path, capsys, monkeypatch, override):
     # rejected while the config is read: no solve starts, so no array is built
@@ -183,6 +184,27 @@ def test_green_eval_matches_library(capsys):
         printed.append(complex(float(parts["re"]), float(parts["im"])))
     expected = green_function(0.8, np.array([1.0, 0.5, -0.3]), ChiralMedium(beta=1.0))
     assert np.allclose(printed, expected.components, rtol=1e-14)
+
+
+def test_green_eval_json(capsys):
+    argv = ["green-eval", "--t", "0.8", "--x", "1,0.5,-0.3", "--beta", "1"]
+    assert main(argv + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["component"] for r in rows] == ["sc", "v1", "v2", "v3"]
+    expected = green_function(0.8, np.array([1.0, 0.5, -0.3]), ChiralMedium(beta=1.0))
+    # JSON floats round-trip: the values are the library's, bit for bit
+    assert [complex(r["re"], r["im"]) for r in rows] == list(expected.components)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_green_eval_out_file(tmp_path, capsys, fmt):
+    argv = ["green-eval", "--t", "0.8", "--x", "1,0.5,-0.3", "--beta", "1", "--format", fmt]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / f"g.{fmt}"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes().decode() == printed
 
 
 def test_green_eval_causality(capsys):

@@ -15,6 +15,7 @@ from bqem.errors import (
 from bqem.kernels import ChiralMedium, dipole_field, fundamental_solution
 from bqem.scattering import (
     Ellipsoid,
+    MAX_MATRIX_BYTES,
     MfsProblem,
     MfsSolution,
     SurfaceSamples,
@@ -487,12 +488,18 @@ def test_problem_validation():
             MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=4, source_scale=source_scale)
     with pytest.raises(ValueError):
         MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=0, source_scale=0.15)
-    # oversample must be >= 1, and the 4C x 8N matrix must fit a numpy array
+    # oversample must be >= 1, and the 4C x 8N matrix must stay under the
+    # ceiling; a problem allocates nothing, so each case is cheap
     for oversample in (np.nan, 1e300, np.inf):
         with pytest.raises(ValueError):
             MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=4, source_scale=0.15, oversample=oversample)
-    with pytest.raises(ValueError, match="array size limit"):
-        MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=10**30, source_scale=0.15)
+    for n, oversample in ((10**30, 1.0), (10**400, 1.0), (35, 1e8), (1449, 1.0), (1183, 1.5)):
+        with pytest.raises(ValueError, match="GiB ceiling"):
+            MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=n, source_scale=0.15, oversample=oversample)
+    # the largest square system under MAX_MATRIX_BYTES = 2^31 is 64 N^2 x 16 bytes at N = 1448
+    assert 64 * 1448**2 * 16 <= MAX_MATRIX_BYTES < 64 * 1449**2 * 16
+    MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=1448, source_scale=0.15)
+    MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=1182, source_scale=0.15, oversample=1.5)
 
 
 def test_oversampled_least_squares_solve():
