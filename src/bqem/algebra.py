@@ -11,11 +11,32 @@ a complex array of shape (..., 4) and every operation acts elementwise on
 the leading axes, so a single number and a whole field of values share one
 code path.  All operations are pure functions; concurrent use needs no
 synchronization.
+
+Inside the package most fields are plain (..., 4) component arrays, not
+Biquaternion values.  ``_components`` is the one place such an array is
+built from a scalar and a vector part, and ``_CONJ`` is the one spelling
+of the quaternion conjugate on components (multiply by it).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# The quaternion conjugate, componentwise.
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _components(scalar=0.0, vector=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """A fresh complex (..., 4) array with scalar part ``scalar`` and vector
+    part ``vector`` (trailing length 3), broadcast against each other."""
+    s = np.asarray(scalar)
+    v = np.asarray(vector)
+    if v.ndim == 0 or v.shape[-1] != 3:
+        raise ValueError("vector part must have trailing length 3")
+    out = np.empty(np.broadcast_shapes(s.shape, v.shape[:-1]) + (4,), dtype=complex)
+    out[..., 0] = s
+    out[..., 1:] = v
+    return out
 
 
 def _mul_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -62,15 +83,7 @@ class Biquaternion:
 
     @classmethod
     def from_parts(cls, scalar=0.0, vector=(0.0, 0.0, 0.0)) -> "Biquaternion":
-        s = np.asarray(scalar, dtype=complex)
-        v = np.asarray(vector, dtype=complex)
-        if v.shape[-1] != 3:
-            raise ValueError("vector part must have trailing length 3")
-        shape = np.broadcast_shapes(s.shape, v.shape[:-1])
-        out = np.empty(shape + (4,), dtype=complex)
-        out[..., 0] = s
-        out[..., 1:] = np.broadcast_to(v, shape + (3,))
-        return cls(out)
+        return cls._own(_components(scalar, vector))
 
     @classmethod
     def from_scalar(cls, scalar) -> "Biquaternion":
@@ -137,9 +150,7 @@ class Biquaternion:
         return Biquaternion(-self._c)
 
     def quat_conj(self) -> "Biquaternion":
-        out = self._c.copy()
-        out[..., 1:] = -out[..., 1:]
-        return Biquaternion(out)
+        return Biquaternion._own(self._c * _CONJ)
 
     def complex_conj(self) -> "Biquaternion":
         return Biquaternion(np.conj(self._c))

@@ -18,7 +18,8 @@ refinement-ratio checks watch; the interior is read from the NaN faces
 (``grids.max_abs_interior``), and ``margin=`` only widens it.
 
 Fields are plain complex arrays on a Lattice: shape ``dims`` for a scalar
-field, ``dims + (4,)`` for a quaternion field.  A PotentialSlot holds its
+field, ``dims + (4,)`` for a quaternion field, which ``algebra._components``
+builds from its scalar and vector parts.  A PotentialSlot holds its
 lattice, and every routine takes the geometry from the slot or from the
 lattice it is handed.  M^p denotes right multiplication by p, f -> f p
 (pointwise, p is never differentiated), and ^pM left multiplication
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Biquaternion, _mul_components
+from .algebra import _CONJ, _components, _mul_components
 from .errors import BaseOutOfGrid, VanishingF
 from .grids import (
     Lattice,
@@ -87,8 +88,7 @@ class PotentialSlot:
 
     def df_over_f(self) -> np.ndarray:
         """Df/f as a purely vectorial dims + (4,) array, with one NaN face layer."""
-        g = grad(self.f, self.lattice.spacing) / self.f[..., None]
-        return Biquaternion.from_vector(g).components
+        return _components(vector=grad(self.f, self.lattice.spacing) / self.f[..., None])
 
 
 def _check_nonvanishing(values: np.ndarray, name: str) -> None:
@@ -107,7 +107,7 @@ def helmholtz_factorization_residual(alpha: complex, g, lattice: Lattice, margin
     """
     g = _on_lattice(g, lattice, "g")
     h = lattice.spacing
-    qg = Biquaternion.from_scalar(g).components
+    qg = _components(g)
     inner = dirac(qg, h) - alpha * qg
     res = dirac(inner, h) + alpha * inner
     res[..., 0] += laplacian(g, h) + alpha * alpha * g
@@ -118,7 +118,7 @@ def _dirac_minus_plus_M(slot: PotentialSlot, g: np.ndarray) -> np.ndarray:
     """(D + M^w)(D - M^w) g for a scalar g, w = Df/f."""
     h = slot.lattice.spacing
     w = slot.df_over_f()
-    qg = Biquaternion.from_scalar(g).components
+    qg = _components(g)
     inner = dirac(qg, h) - _mul_components(qg, w)
     return dirac(inner, h) + _mul_components(inner, w)
 
@@ -149,8 +149,7 @@ def conductivity_factorization_residual(slot: PotentialSlot, phi, margin: int = 
 def darboux_transform(slot: PotentialSlot, g) -> np.ndarray:
     """F = f D(f^-1 g); purely vectorial, solves (D + M^{Df/f}) F = 0 when g does."""
     g = _on_lattice(g, slot.lattice, "g")
-    ratio = Biquaternion.from_scalar(g / slot.f).components
-    return dirac(ratio, slot.lattice.spacing) * slot.f[..., None]
+    return dirac(_components(g / slot.f), slot.lattice.spacing) * slot.f[..., None]
 
 
 def dirac_residual(slot: PotentialSlot, F, margin: int = 0) -> float:
@@ -225,8 +224,7 @@ def antiderivative(G, lattice: Lattice, base: tuple[int, int, int]) -> np.ndarra
 
 def _vekua_image(slot: PotentialSlot, W: np.ndarray) -> np.ndarray:
     """D W - (Df/f) C_H(W), carrying the NaN faces of both terms."""
-    Wbar = Biquaternion(W).quat_conj().components
-    return dirac(W, slot.lattice.spacing) - _mul_components(slot.df_over_f(), Wbar)
+    return dirac(W, slot.lattice.spacing) - _mul_components(slot.df_over_f(), W * _CONJ)
 
 
 def vekua_residual(slot: PotentialSlot, W, margin: int = 0) -> float:
@@ -255,12 +253,7 @@ def vekua_consequences(slot: PotentialSlot, W, margin: int = 0) -> tuple[float, 
 def generating_quartet(slot: PotentialSlot) -> list[np.ndarray]:
     """The four exact solutions f, i1/f, i2/f, i3/f of the Vekua equation."""
     f = slot.f
-    quartet = []
-    for k in range(4):
-        vals = np.zeros(slot.lattice.dims + (4,), dtype=complex)
-        vals[..., k] = f if k == 0 else 1.0 / f
-        quartet.append(vals)
-    return quartet
+    return [_components(f)] + [_components(vector=unit / f[..., None]) for unit in np.eye(3)]
 
 
 def coefficients_to_vekua(slot: PotentialSlot, w) -> np.ndarray:
@@ -268,10 +261,7 @@ def coefficients_to_vekua(slot: PotentialSlot, w) -> np.ndarray:
     W = phi0 f + sum phi_k i_k / f."""
     w = _on_lattice(w, slot.lattice, "w", (4,))
     f = slot.f
-    vals = np.empty_like(w)
-    vals[..., 0] = w[..., 0] * f
-    vals[..., 1:] = w[..., 1:] / f[..., None]
-    return vals
+    return _components(w[..., 0] * f, w[..., 1:] / f[..., None])
 
 
 def vekua_coefficient_identity_residual(slot: PotentialSlot, w, margin: int = 0) -> float:
@@ -297,7 +287,7 @@ def vekua_coefficient_identity_residual(slot: PotentialSlot, w, margin: int = 0)
     h = slot.lattice.spacing
 
     Dw = dirac(w, h)
-    Dwbar = dirac(Biquaternion(w).quat_conj().components, h)
+    Dwbar = dirac(w * _CONJ, h)
     ratio = ((1.0 - fr * fr) / (1.0 + fr * fr))[..., None]
     lhs = ((1.0 + fr * fr) / (2.0 * fr))[..., None] * (Dw - ratio * Dwbar)
 

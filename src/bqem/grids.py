@@ -188,6 +188,8 @@ def _valid_box(values: np.ndarray, margin: int = 0, time_axis: bool = False) -> 
     nodes all have a non-finite component: the NaN faces the stencils
     write.  Only those face layers are scanned, never the whole array.
     """
+    if margin < 0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
     k = 4 if time_axis else 3
     box = []
     for ax in range(k):

@@ -36,7 +36,7 @@ from functools import cache
 
 import numpy as np
 
-from .algebra import Biquaternion, _mul_components
+from .algebra import _components, _mul_components
 from .errors import LatticeMismatch, NonPositiveMedium
 from .grids import (
     Lattice,
@@ -115,7 +115,7 @@ class MediumFields:
 
 def _log_derivative(values: np.ndarray, h: float) -> np.ndarray:
     """grad(sqrt(s))/sqrt(s) = grad(s)/(2 s) as a pure-vector quaternion array."""
-    return Biquaternion.from_vector(grad(values, h) / (2.0 * values[..., None])).components
+    return _components(vector=grad(values, h) / (2.0 * values[..., None]))
 
 
 def build_medium(
@@ -246,8 +246,7 @@ def _scaled(state: EMState, medium: MediumFields) -> tuple[np.ndarray, np.ndarra
 
 def _dirac_plus_M(u: np.ndarray, p: np.ndarray, h: float) -> np.ndarray:
     """(D + M^p) u for a pure-vector field u of shape (nt,) + dims + (3,)."""
-    q = np.zeros(u.shape[:-1] + (4,), dtype=complex)
-    q[..., 1:] = u
+    q = _components(vector=u)
     return dirac(q, h, axes=(1, 2, 3)) + _mul_components(q, p)
 
 
@@ -283,17 +282,14 @@ def quaternionic_residual(state: EMState, medium: MediumFields, margin: int = 0)
     cv = np.real(medium.c)[None, ...]
 
     calE, calH = _scaled(state, medium)
-    V = np.zeros(calE.shape[:-1] + (4,), dtype=complex)
-    V[..., 1:] = calE + 1j * calH
+    V = _components(vector=calE + 1j * calH)
     lhs = (
         diff(V, 0, ht) / cv[..., None]
         + 1j * dirac(V, h, axes=(1, 2, 3))
         - _mul_components(V, 1j * medium.cvec)
         - _mul_components(np.conj(V), 1j * medium.Wvec)
     )
-    rhs = np.zeros_like(V)
-    rhs[..., 0] = -1j * state.rho / np.sqrt(ev)
-    rhs[..., 1:] = -np.sqrt(mv)[..., None] * state.j
+    rhs = _components(-1j * state.rho / np.sqrt(ev), -np.sqrt(mv)[..., None] * state.j)
     return max_abs_interior(lhs - rhs, margin, time_axis=True)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Biquaternion
+from .algebra import Biquaternion, _components
 from .errors import ChiralResonance, InadmissibleAlpha, OriginSingularity
 
 FOUR_PI = 4.0 * np.pi
@@ -69,7 +69,9 @@ def helmholtz_kernel_grad(alpha: complex, x) -> Biquaternion:
     Returned as a purely vectorial biquaternion with the batch shape of x.
     """
     x, _, _, G = _theta_and_radial(alpha, x)
-    return Biquaternion.from_vector(G[..., None] * x)
+    out = _components(vector=x)
+    out[..., 1:] *= G[..., None]
+    return Biquaternion._own(out)
 
 
 def fundamental_solution(alpha: complex, x, sign: int = 1) -> Biquaternion:
@@ -77,7 +79,10 @@ def fundamental_solution(alpha: complex, x, sign: int = 1) -> Biquaternion:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     x, _, theta, G = _theta_and_radial(alpha, x)
-    return Biquaternion.from_parts(scalar=sign * complex(alpha) * theta, vector=-G[..., None] * x)
+    # filled in place: -G * x as one expression would be a second (..., 3) array
+    out = _components(sign * complex(alpha) * theta, x)
+    out[..., 1:] *= -G[..., None]
+    return Biquaternion._own(out)
 
 
 def chiral_wavenumbers(alpha: complex, beta: float) -> tuple[complex, complex]:

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 import scipy  # scipy.linalg loads on first attribute access, at the first solve
 
-from .algebra import Biquaternion, _mul_components
+from .algebra import _CONJ, Biquaternion, _mul_components
 from .errors import DegenerateSample, SingularMatrix, SourceOnBoundary, SourceSingularity
 from .kernels import (
     ChiralMedium,
@@ -191,10 +191,6 @@ def source_points(problem: MfsProblem) -> SurfaceSamples:
 
 def collocation_points(problem: MfsProblem) -> SurfaceSamples:
     return sample_surface(problem.surface, problem.n_collocation(), 1.0)
-
-
-# The quaternion conjugate, componentwise.
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def _kernels(medium: ChiralMedium, dx) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diffops, inhomog
-from .algebra import Biquaternion, I1, I2, I3, ONE, cross, dot
+from .algebra import Biquaternion, I1, I2, I3, ONE, _components, cross, dot
 from .chiral_time import apply_M, bessel_j, green_function, green_refinement
 from .grids import Lattice, SpaceTimeLattice, max_abs_interior
 from .kernels import (
@@ -272,25 +272,13 @@ def suite_factorizations(seed: int = 0) -> list[CheckRow]:
     slot = diffops.PotentialSlot.from_particular_solution(lat, np.exp(pts @ k))
     g = np.exp(-(pts @ k))
     F = diffops.darboux_transform(slot, g)
-    closed = np.concatenate(
-        [
-            np.zeros(pts.shape[:-1] + (1,)),
-            -2.0 * np.exp(-(pts @ k))[..., None] * np.broadcast_to(k, pts.shape),
-        ],
-        axis=-1,
-    )
+    closed = _components(vector=-2.0 * np.exp(-(pts @ k))[..., None] * k)
     ferr = max_abs_interior(F - closed)
     rows.append(_row("factorizations", "darboux_closed_form", ferr, 5e-3))
     rows.append(_row("factorizations", "darboux_dirac_residual", diffops.dirac_residual(slot, F), 5e-2))
 
-    analytic = np.stack(
-        [
-            np.zeros(pts.shape[:-1]),
-            pts[..., 1] * pts[..., 2],
-            pts[..., 0] * pts[..., 2],
-            pts[..., 0] * pts[..., 1],
-        ],
-        axis=-1,
+    analytic = _components(
+        vector=np.stack([pts[..., 1] * pts[..., 2], pts[..., 0] * pts[..., 2], pts[..., 0] * pts[..., 1]], axis=-1)
     )
     rec = diffops.antiderivative(analytic, lat, (8, 8, 8))
     target = pts[..., 0] * pts[..., 1] * pts[..., 2]
@@ -404,10 +392,7 @@ def suite_green(seed: int = 0) -> list[CheckRow]:
     kz = np.sqrt(2.0)
 
     def wave(t, pts):
-        phase = t - kz * pts[..., 2]
-        vals = np.zeros(phase.shape + (4,), complex)
-        vals[..., 1] = np.cos(phase)
-        return vals
+        return _components(vector=np.cos(t - kz * pts[..., 2])[..., None] * (1.0, 0.0, 0.0))
 
     def mmstar(n, m):
         st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, n), 0.0, 0.8 / (n - 1), n)

@@ -114,3 +114,7 @@ def test_immutability():
 def test_bad_shape_rejected():
     with pytest.raises(ValueError):
         Biquaternion((1.0, 2.0, 3.0))
+    # a vector part needs trailing length 3, whatever its shape
+    for vector in (5.0, (1.0, 2.0)):
+        with pytest.raises(ValueError, match="trailing length 3"):
+            Biquaternion.from_parts(vector=vector)

@@ -1,6 +1,7 @@
 from dataclasses import replace
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -147,6 +148,46 @@ def test_green_matches_closed_form_display(med, x):
     assert np.max(np.abs(got.components - expected.components)) < 1e-15
 
 
+def _green_mpmath(t, x, beta, eps, mu):
+    """The closed form of the module docstring at 40 digits, on the exact
+    values of the double inputs."""
+    with mpmath.workdps(40):
+        t, beta, eps, mu = (mpmath.mpf(v) for v in (t, beta, eps, mu))
+        x = [mpmath.mpf(v) for v in x]
+        r = mpmath.sqrt(sum(v * v for v in x))
+        rt_em = mpmath.sqrt(eps * mu)
+        c = r / (beta**2 * rt_em)
+        E = mpmath.exp(1j * r / beta) / (4 * mpmath.pi * r)
+        one_minus_ixhat = [mpmath.mpc(1)] + [-1j * v / r for v in x]
+        A = [1j / (beta**3 * eps * mu) * q for q in one_minus_ixhat]
+        grad_part = [0] + [v / r**2 for v in x]
+        B = [(1j / (beta * rt_em)) * (q / beta + g) for q, g in zip(one_minus_ixhat, grad_part)]
+        z = 2 * mpmath.sqrt(c * t)
+        j0, j1 = mpmath.besselj(0, z), mpmath.besselj(1, z) * mpmath.sqrt(t / c)
+        front = mpmath.exp(1j * t / (beta * rt_em)) * E
+        return np.array([complex(front * (1j * b * j0 - a * j1)) for a, b in zip(A, B)])
+
+
+def test_green_function_precision_against_mpmath():
+    # the docstring's bound: relative error <= 4 (1 + a t + |x|/beta) eps_mach,
+    # a t and |x|/beta being the phases of e^{iat} and E(x)
+    eps_mach = np.finfo(float).eps
+    dirs = (np.array([0.6, 0.64, 0.48]), np.array([-0.48, 0.8, -0.36]))  # unit vectors
+    worst = 0.0
+    for beta in (0.1, 0.5, 1.0, 3.0):
+        med = ChiralMedium(eps=2.0, mu=0.5, beta=beta)
+        a = 1.0 / (beta * np.sqrt(med.eps * med.mu))
+        for t in (0.0, 0.3, 1.0, 7.0, 50.0, 1e3, 1e5):
+            for r in np.linspace(0.05, 5.4, 8):
+                for d in dirs:
+                    x = r * d
+                    got = green_function(t, x, med).components
+                    want = _green_mpmath(t, x, beta, med.eps, med.mu)
+                    err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                    worst = max(worst, err / (4.0 * (1.0 + a * t + r / beta) * eps_mach))
+    assert worst <= 1.0
+
+
 def test_green_function_owns_a_read_only_result():
     g = green_function(np.array([0.5, 1.0])[:, None], np.array([[1.0, 0.5, -0.3], [0.2, 0.0, 0.4]]), MED)
     assert not g.components.flags.writeable
@@ -218,6 +259,9 @@ def test_green_residual_guards():
     st = SpaceTimeLattice(Lattice((0.3, 0.1, 0.2), 0.05, (9, 11, 8)), 0.5, 0.04, 7)
     f = sampled(st, lambda t, x: green_function(t, x, MED).components)
     assert green_residual(st, MED, margin=3) > 0.0  # one time slab is left
+    assert green_residual(st, MED, margin=0) > 0.0
+    with pytest.raises(ValueError, match="margin"):
+        green_residual(st, MED, margin=-1)
     # the margin leaves no time interior: the whole-array path agrees
     with pytest.raises(GridTooSmall):
         max_abs_interior(apply_M(f, st, MED), 4, time_axis=True)

@@ -113,6 +113,14 @@ def _stencil_case(name, axes):
     return q, lambda v: dirac(v, h, axes), c * np.array([-8.0, 7.0, 2.0, 0.0]), axes
 
 
+def test_negative_margin_is_an_input_error():
+    v = np.random.default_rng(4).normal(size=(7, 7, 7, 4)) + 0j
+    Dv = dirac(v, 0.1)
+    assert max_abs_interior(Dv, 0) == max_abs_interior(Dv) > 0.0
+    with pytest.raises(ValueError, match="margin"):
+        max_abs_interior(Dv, -1)
+
+
 @pytest.mark.parametrize("axes", [(0, 1, 2), (1, 2, 3)])
 @pytest.mark.parametrize("name", ["diff", "grad", "div", "rot", "laplacian", "dirac"])
 def test_stencil_faces_margin_and_exactness(name, axes):

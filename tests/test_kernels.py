@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -187,3 +189,30 @@ def test_batched_positions():
     K = fundamental_solution(ALPHA, pts)
     assert K.shape == (3,)
     assert K.scalar[0] == pytest.approx(ALPHA * th[0])
+
+
+def test_kernels_build_their_array_once():
+    # the kernel array is filled in place: a second full-size copy of it
+    # would push the peak above 3x the result
+    x = np.random.default_rng(2).uniform(-2.0, 2.0, (300, 100, 3))
+    for kernel in (lambda: fundamental_solution(ALPHA, x), lambda: helmholtz_kernel_grad(ALPHA, x)):
+        kernel()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = kernel()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert not out.components.flags.writeable
+        assert peak <= 2.5 * out.components.nbytes
+
+    # the constructors that build a fresh array own it: read-only, and
+    # sharing no memory with what they were built from
+    s = np.ones((3,), complex)
+    v = np.ones((3, 3), complex)
+    q = Biquaternion.from_parts(s, v)
+    c = q.quat_conj()
+    for out, inputs in ((q, (s, v)), (c, (q.components,))):
+        assert not out.components.flags.writeable
+        assert not any(np.shares_memory(out.components, a) for a in inputs)
