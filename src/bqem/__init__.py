@@ -21,7 +21,6 @@ from .algebra import (
 )
 from .chiral_time import (
     apply_M,
-    bessel_j,
     green_function,
     green_refinement,
     green_residual,

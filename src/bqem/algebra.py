@@ -95,7 +95,7 @@ class Biquaternion:
 
     @classmethod
     def zeros(cls, shape=()) -> "Biquaternion":
-        return cls(np.zeros(tuple(shape) + (4,), dtype=complex))
+        return cls._own(np.zeros(tuple(shape) + (4,), dtype=complex))
 
     # -- views -------------------------------------------------------------
 
@@ -123,19 +123,19 @@ class Biquaternion:
 
     def __mul__(self, other):
         if isinstance(other, Biquaternion):
-            return Biquaternion(_mul_components(self._c, other._c))
-        return Biquaternion(self._c * np.asarray(other, dtype=complex)[..., None])
+            return Biquaternion._own(_mul_components(self._c, other._c))
+        return Biquaternion._own(self._c * np.asarray(other, dtype=complex)[..., None])
 
     def __rmul__(self, other):
         # other is a plain number/array: scaling commutes
-        return Biquaternion(np.asarray(other, dtype=complex)[..., None] * self._c)
+        return Biquaternion._own(np.asarray(other, dtype=complex)[..., None] * self._c)
 
     def __truediv__(self, other):
-        return Biquaternion(self._c / np.asarray(other, dtype=complex)[..., None])
+        return Biquaternion._own(self._c / np.asarray(other, dtype=complex)[..., None])
 
     def __add__(self, other):
         if isinstance(other, Biquaternion):
-            return Biquaternion(self._c + other._c)
+            return Biquaternion._own(self._c + other._c)
         return self + Biquaternion.from_scalar(other)
 
     def __radd__(self, other):
@@ -143,17 +143,17 @@ class Biquaternion:
 
     def __sub__(self, other):
         if isinstance(other, Biquaternion):
-            return Biquaternion(self._c - other._c)
+            return Biquaternion._own(self._c - other._c)
         return self - Biquaternion.from_scalar(other)
 
     def __neg__(self):
-        return Biquaternion(-self._c)
+        return Biquaternion._own(-self._c)
 
     def quat_conj(self) -> "Biquaternion":
         return Biquaternion._own(self._c * _CONJ)
 
     def complex_conj(self) -> "Biquaternion":
-        return Biquaternion(np.conj(self._c))
+        return Biquaternion._own(np.conj(self._c))
 
     # -- batch helpers -----------------------------------------------------
 
@@ -163,7 +163,7 @@ class Biquaternion:
     def sum(self, axis=None) -> "Biquaternion":
         if axis is None:
             axis = tuple(range(self._c.ndim - 1))
-        return Biquaternion(self._c.sum(axis=axis))
+        return Biquaternion._own(self._c.sum(axis=axis))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self._c)))

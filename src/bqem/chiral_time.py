@@ -7,21 +7,21 @@ The first-order operator acting on purely vectorial space-time fields is
 whose complex conjugate M* flips the sign of the 1j D term; for beta = 0
 the pair factorizes the wave operator, eps*mu dt^2 - Lap = M M*.
 
-The causal Green function of M (beta != 0) has the closed form
+The causal Green function of M (beta != 0) is written over the fundamental
+solution K = K_{1/beta} of D + 1/beta and its kernel theta = theta_{1/beta}
+(``kernels``):
 
-    f(t,x) = H(t) e^{1j a t} E(x) ( 1j B(x) J0(2 sqrt(c t))
-                                    - A(x) sqrt(t/c) J1(2 sqrt(c t)) )
+    f(t,x) = H(t) e^{1j a t} ( P(x) J0(2 sqrt(c t)) - Q(x) sqrt(t/c) J1(2 sqrt(c t)) )
 
 with  a = 1/(beta sqrt(eps mu)),      c(x) = |x| / (beta^2 sqrt(eps mu)),
-      E(x) = e^{1j |x|/beta} / (4 pi |x|),
-      A(x) = (1j / (beta^3 eps mu)) (1 - 1j x/|x|),
-      B(x) = (1j / (beta sqrt(eps mu))) ((1/beta)(1 - 1j x/|x|) + x/|x|^2),
+      P(x) = K(x) / (beta sqrt(eps mu)),
+      Q(x) = -1j theta(x) (1 - 1j x/|x|) / (beta^3 eps mu),
 
 where 1 - 1j x/|x| is the biquaternion with unit scalar part and vector
-part -1j x/|x|.  It vanishes identically for t < 0 (Heaviside convention
-H(0) = 1) and reduces to K_{1/beta}(x) / (beta sqrt(eps mu)) at t = 0+.
-J0 and J1 come from ``scipy.special``, accurate for every argument
-2 sqrt(c t) >= 0, so the closed form holds at any t and |x|.
+part -1j x/|x|, and theta = beta Sc K.  It vanishes identically for t < 0
+(Heaviside convention H(0) = 1) and reduces to P = K / (beta sqrt(eps mu))
+at t = 0+.  J0 and J1 are ``scipy.special.j0``/``j1``, accurate for every
+argument 2 sqrt(c t) >= 0, so the closed form holds at any t and |x|.
 
 The factors of f that depend on x alone are computed once per lattice
 (``_green_factors``), and f is filled from them at any time
@@ -38,68 +38,59 @@ import warnings
 import numpy as np
 
 from .algebra import Biquaternion, _components
-from .errors import AchiralUnsupported, ArgumentOutOfRange, GridTooSmall, OriginSingularity
-from .grids import Lattice, SpaceTimeLattice, diff, dirac, div, max_abs_interior, rot
+from .errors import AchiralUnsupported, GridTooSmall
+from .grids import Lattice, SpaceTimeLattice, _stencil_output, diff, dirac, div, max_abs_interior, rot
 from .inhomog import EMState
-from .kernels import FOUR_PI, ORIGIN_TOL, ChiralMedium
+from .kernels import ChiralMedium, fundamental_solution
 
 # Relative size of |dt rho + div j| above which the sources are reported
 # as violating charge continuity.
 CONTINUITY_TOL = 1e-6
 
-
-def bessel_j(order: int, z) -> np.ndarray:
-    """J0 or J1 of real z >= 0, from ``scipy.special``.
-
-    scipy.special is imported on first use: at module level it would add
-    tens of milliseconds to ``import bqem`` for every command.
-    """
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
-        raise ArgumentOutOfRange("Bessel functions evaluated for z >= 0 only")
-    import scipy.special
-
-    j = scipy.special.j0(z) if order == 0 else scipy.special.j1(z)
-    return j if j.ndim else float(j)
+# Largest complex (n^3, 4) time slab that green_refinement may reach:
+# 256 MiB, so at most 5 levels (n = 129, 137 MB a slab).  green_residual
+# holds about ten slabs; 6 levels (n = 257, 1.09 GB a slab) would need
+# about 11 GB, and are refused before anything is allocated.
+MAX_SLAB_BYTES = 2**28
+MAX_REFINE_LEVELS = max(k for k in range(1, 32) if 64 * (2 ** (k + 2) + 1) ** 3 <= MAX_SLAB_BYTES)
 
 
 def _green_factors(x, medium: ChiralMedium):
     """The x-only factors of the Green function at positions x:
-    (a, c(x), P, Q) with P = E iB and Q = E A, shape x.shape[:-1] + (4,).
+    (a, c(x), P, Q), P and Q of shape x.shape[:-1] + (4,).
 
     Computed once per lattice; ``_green_at`` fills f at any time from them.
+    K_{1/beta} rejects |x| = 0 before |x| is divided by.
     """
     beta = medium.beta
     if beta == 0.0:
         raise AchiralUnsupported("Green function requires beta != 0")
+    K = fundamental_solution(1.0 / beta, x).components
     x = np.asarray(x, dtype=float)
     r = np.sqrt(np.sum(x * x, axis=-1))
-    if np.any(r <= ORIGIN_TOL):
-        raise OriginSingularity("Green function evaluated at |x| = 0")
     rt_em = np.sqrt(medium.eps * medium.mu)
-    a = 1.0 / (beta * rt_em)
-    c = r / (beta * beta * rt_em)
-    E = (np.exp(1j * r / beta) / (FOUR_PI * r))[..., None]
-    one_minus_ixhat = _components(1.0, -1j * (x / r[..., None]))
-    A = (1j / (beta**3 * medium.eps * medium.mu)) * one_minus_ixhat
-    B = (1.0 / beta) * one_minus_ixhat
-    B[..., 1:] += x / (r * r)[..., None]
-    iB = 1j * ((1j / (beta * rt_em)) * B)
-    return a, c, E * iB, E * A
+    # -1j theta / (beta^3 eps mu), with theta = beta Sc K
+    q = (-1j / (beta * beta * medium.eps * medium.mu)) * K[..., 0]
+    Q = _components(q, (-1j * q / r)[..., None] * x)
+    return 1.0 / (beta * rt_em), r / (beta * beta * rt_em), K / (beta * rt_em), Q
 
 
 def _green_at(t, factors) -> np.ndarray:
     """Components of f at times t (broadcast against the factors' positions):
-    H(t) e^{iat} (P J0 - Q sqrt(t/c) J1), with J0, J1 at 2 sqrt(c t)."""
+    H(t) e^{iat} (P J0 - Q sqrt(t/c) J1), with J0, J1 at 2 sqrt(c t).
+
+    scipy.special is imported on first use: at module level it would add
+    tens of milliseconds to ``import bqem`` for every command.
+    """
+    import scipy.special
+
     a, c, P, Q = factors
     t = np.asarray(t, dtype=float)
     heavi = t >= 0.0
     tpos = np.where(heavi, t, 0.0)
     z = 2.0 * np.sqrt(c * tpos)
-    j0 = np.asarray(bessel_j(0, z))
-    j1_scaled = np.sqrt(tpos / c) * np.asarray(bessel_j(1, z))
+    j0 = scipy.special.j0(z)
+    j1_scaled = np.sqrt(tpos / c) * scipy.special.j1(z)
     # e^{iat} on the times alone, zero where t < 0
     phase = np.where(heavi, np.exp(1j * a * tpos), 0.0)
     out = np.empty(j0.shape + (4,), dtype=complex)
@@ -111,11 +102,13 @@ def _green_at(t, factors) -> np.ndarray:
 def green_function(t, x, medium: ChiralMedium) -> Biquaternion:
     """Causal Green function of M at times t and positions x (broadcast).
 
-    Identically zero for t < 0; H(0) = 1 so the t -> 0+ limit is attained
-    at t = 0.  Each value is within a relative error (largest component
-    error over largest component) of 4 (1 + a t + |x|/beta) eps_mach of the
-    exact closed form: a t and |x|/beta are the phases of e^{iat} and E(x),
-    whose rounding grows with them.
+    P = K_{1/beta}(x) / (beta sqrt(eps mu)) and Q = -1j theta_{1/beta}(x)
+    (1 - 1j x/|x|) / (beta^3 eps mu) weigh J0 and sqrt(t/c) J1 (module
+    docstring).  Identically zero for t < 0; H(0) = 1 so the t -> 0+ limit
+    P is attained at t = 0.  Each value is within a relative error (largest
+    component error over largest component) of 4 (1 + a t + |x|/beta)
+    eps_mach of the exact closed form: a t and |x|/beta are the phases of
+    e^{iat} and of theta_{1/beta}(x), whose rounding grows with them.
     """
     return Biquaternion._own(_green_at(t, _green_factors(x, medium)))
 
@@ -140,18 +133,16 @@ def apply_M(values: np.ndarray, st: SpaceTimeLattice, medium: ChiralMedium, star
     """Central-difference action of M (or M* when ``star``) on a space-time field.
 
     ``values`` and the result have shape (nt,) + dims + (4,); the result
-    carries one more NaN face layer in time and in space.  Each inner time
-    slab of the result is ``_M_slab`` of the three slabs around it.
+    carries one more NaN face layer in time (from ``grids._stencil_output``,
+    which also needs nt >= 3) and in space.  Each inner time slab of the
+    result is ``_M_slab`` of the three slabs around it.
     """
     expect = (st.nt,) + st.space.dims + (4,)
     if values.shape != expect:
         raise ValueError(f"values shape {values.shape} != {expect}")
-    if st.nt < 3:
-        raise GridTooSmall(f"time axis has {st.nt} nodes, need 3")
+    out, _ = _stencil_output(expect, (0,))
     h = st.space.spacing
     sign = 1j if star else -1j
-    out = np.empty(expect, dtype=complex)
-    out[[0, -1]] = np.nan
     for s in range(1, st.nt - 1):
         out[s] = _M_slab(values[s - 1], values[s], values[s + 1], h, st.dt, medium, sign)
     return out
@@ -192,7 +183,10 @@ def green_refinement(medium: ChiralMedium, levels: int) -> list[tuple[float, flo
     Level k has n = 2^(k+3) + 1 nodes (9, 17, 33, ...) on the cube of side
     0.4 centred at (0.8, 0.8, 0.8) and on t in [0.5, 2], with margin 2^k in
     space and time, so every level measures M f over one physical region.
+    ``levels`` runs from 1 to ``MAX_REFINE_LEVELS``.
     """
+    if not 1 <= levels <= MAX_REFINE_LEVELS:
+        raise ValueError(f"levels must be in [1, {MAX_REFINE_LEVELS}], got {levels}")
     rows = []
     for k in range(levels):
         n = 2 ** (k + 3) + 1

@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .chiral_time import green_function, green_refinement
+from .chiral_time import MAX_REFINE_LEVELS, MAX_SLAB_BYTES, green_function, green_refinement
 from .errors import BqemError, ConfigError
 from .kernels import ORIGIN_TOL, ChiralMedium, dipole_field
 from .scattering import DIPOLE_MOMENT, Ellipsoid, MfsProblem, run_benchmark
@@ -238,8 +238,11 @@ def cmd_green_eval(args, cfg: dict, seed: int, fmt: str, out: str | None) -> int
 
     if args.refine:
         levels = _get(cfg, "levels", 3)
-        if isinstance(levels, bool) or not isinstance(levels, int) or levels < 1:
-            raise ConfigError("config field levels must be an integer >= 1")
+        if isinstance(levels, bool) or not isinstance(levels, int) or not 1 <= levels <= MAX_REFINE_LEVELS:
+            raise ConfigError(
+                f"config field levels must be an integer in [1, {MAX_REFINE_LEVELS}]: the finest "
+                f"level's time slabs may take at most {MAX_SLAB_BYTES / 2**20:g} MiB each"
+            )
         rows = []
         prev = None
         for k, (h, ht, res) in enumerate(green_refinement(medium, levels)):

@@ -54,10 +54,6 @@ class NonPositiveMedium(BqemError):
     """Permittivity or permeability is not finite and strictly positive on the grid."""
 
 
-class ArgumentOutOfRange(BqemError):
-    """Argument outside the domain of a special-function evaluation (Bessel J0/J1 take z >= 0)."""
-
-
 class AchiralUnsupported(BqemError):
     """The chiral Green function is not defined for beta = 0."""
 

@@ -86,14 +86,14 @@ def _sample(exprs, times, pts) -> np.ndarray:
     t = np.reshape(np.asarray(times, dtype=float), (-1,) + (1,) * (pts.ndim - 1))
     shape = t.shape[:1] + pts.shape[:-1]
     out = fn(t, pts[..., 0], pts[..., 1], pts[..., 2])
-    return np.stack([np.broadcast_to(np.asarray(v), shape) for v in out]).astype(complex)
+    return np.stack([np.broadcast_to(np.asarray(v), shape) for v in out])
 
 
 @dataclass(frozen=True)
 class MediumFields:
     """Sampled eps, mu and every derived field the quaternionic form needs.
 
-    eps, mu, c and W are complex arrays of shape ``lattice.dims``; the
+    eps, mu, c and W are real (float) arrays of shape ``lattice.dims``; the
     log-derivative fields are purely vectorial ``dims + (4,)`` arrays with
     one NaN face layer.  Closed forms of eps and mu are kept when known so
     manufactured sources can be differentiated analytically.
@@ -128,11 +128,11 @@ def build_medium(
     """Derive c, W and the four log-derivative fields from eps(x), mu(x)."""
     eps = _on_lattice(eps, lattice, "eps")
     mu = _on_lattice(mu, lattice, "mu")
-    ev = np.real(eps)
-    mv = np.real(mu)
     # written so that a NaN node fails the test too
-    if not (np.all((ev > 0.0) & (ev < np.inf)) and np.all((mv > 0.0) & (mv < np.inf))):
-        raise NonPositiveMedium("eps and mu must be finite and strictly positive")
+    if not all(np.all((v.imag == 0.0) & (v.real > 0.0) & (v.real < np.inf)) for v in (eps, mu)):
+        raise NonPositiveMedium("eps and mu must be real, finite and strictly positive")
+    ev = eps.real
+    mv = mu.real
     h = lattice.spacing
     cv = 1.0 / np.sqrt(ev * mv)
     Wv = np.sqrt(mv / ev)
@@ -149,10 +149,10 @@ def build_medium(
 
     return MediumFields(
         lattice=lattice,
-        eps=eps,
-        mu=mu,
-        c=cv.astype(complex),
-        W=Wv.astype(complex),
+        eps=ev,
+        mu=mv,
+        c=cv,
+        W=Wv,
         epsvec=epsvec,
         muvec=muvec,
         cvec=cvec,
@@ -239,9 +239,7 @@ def manufactured_solution(A, phi, medium: MediumFields, st: SpaceTimeLattice) ->
 
 def _scaled(state: EMState, medium: MediumFields) -> tuple[np.ndarray, np.ndarray]:
     """(sqrt(eps) E, sqrt(mu) H), the fields of the quaternionic form."""
-    se = np.sqrt(np.real(medium.eps))[None, ..., None]
-    sm = np.sqrt(np.real(medium.mu))[None, ..., None]
-    return se * state.E, sm * state.H
+    return np.sqrt(medium.eps)[..., None] * state.E, np.sqrt(medium.mu)[..., None] * state.H
 
 
 def _dirac_plus_M(u: np.ndarray, p: np.ndarray, h: float) -> np.ndarray:
@@ -256,8 +254,8 @@ def maxwell_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> 
     st = state.st
     h = st.space.spacing
     ht = st.dt
-    ev = np.real(medium.eps)[None, ..., None]
-    mv = np.real(medium.mu)[None, ..., None]
+    ev = medium.eps[..., None]
+    mv = medium.mu[..., None]
     res = (
         rot(state.H, h, axes=(1, 2, 3)) - ev * diff(state.E, 0, ht) - state.j,
         rot(state.E, h, axes=(1, 2, 3)) + mv * diff(state.H, 0, ht),
@@ -277,19 +275,16 @@ def quaternionic_residual(state: EMState, medium: MediumFields, margin: int = 0)
     st = state.st
     h = st.space.spacing
     ht = st.dt
-    ev = np.real(medium.eps)[None, ...]
-    mv = np.real(medium.mu)[None, ...]
-    cv = np.real(medium.c)[None, ...]
 
     calE, calH = _scaled(state, medium)
     V = _components(vector=calE + 1j * calH)
     lhs = (
-        diff(V, 0, ht) / cv[..., None]
+        diff(V, 0, ht) / medium.c[..., None]
         + 1j * dirac(V, h, axes=(1, 2, 3))
         - _mul_components(V, 1j * medium.cvec)
         - _mul_components(np.conj(V), 1j * medium.Wvec)
     )
-    rhs = _components(-1j * state.rho / np.sqrt(ev), -np.sqrt(mv)[..., None] * state.j)
+    rhs = _components(-1j * state.rho / np.sqrt(medium.eps), -np.sqrt(medium.mu)[..., None] * state.j)
     return max_abs_interior(lhs - rhs, margin, time_axis=True)
 
 
@@ -300,17 +295,14 @@ def split_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> tu
     st = state.st
     h = st.space.spacing
     ht = st.dt
-    ev = np.real(medium.eps)[None, ...]
-    mv = np.real(medium.mu)[None, ...]
-    cv = np.real(medium.c)[None, ...]
 
     calE, calH = _scaled(state, medium)
     r1 = _dirac_plus_M(calE, medium.epsvec, h)
-    r1[..., 1:] += diff(calH, 0, ht) / cv[..., None]
-    r1[..., 0] += state.rho / np.sqrt(ev)
+    r1[..., 1:] += diff(calH, 0, ht) / medium.c[..., None]
+    r1[..., 0] += state.rho / np.sqrt(medium.eps)
     r2 = _dirac_plus_M(calH, medium.muvec, h)
-    r2[..., 1:] -= diff(calE, 0, ht) / cv[..., None]
-    r2[..., 1:] -= np.sqrt(mv)[..., None] * state.j
+    r2[..., 1:] -= diff(calE, 0, ht) / medium.c[..., None]
+    r2[..., 1:] -= np.sqrt(medium.mu)[..., None] * state.j
 
     return max_abs_interior(r1, margin, time_axis=True), max_abs_interior(r2, margin, time_axis=True)
 
@@ -325,13 +317,11 @@ def static_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> t
         if spread > 1e-12:
             warnings.warn("state is not time-independent; using slice 0", stacklevel=2)
     h = state.st.space.spacing
-    ev = np.real(medium.eps)
-    mv = np.real(medium.mu)
 
     calE, calH = _scaled(state, medium)
     r1 = _dirac_plus_M(calE[:1], medium.epsvec, h)[0]
-    r1[..., 0] += state.rho[0] / np.sqrt(ev)
+    r1[..., 0] += state.rho[0] / np.sqrt(medium.eps)
     r2 = _dirac_plus_M(calH[:1], medium.muvec, h)[0]
-    r2[..., 1:] -= np.sqrt(mv)[..., None] * state.j[0]
+    r2[..., 1:] -= np.sqrt(medium.mu)[..., None] * state.j[0]
 
     return max_abs_interior(r1, margin), max_abs_interior(r2, margin)

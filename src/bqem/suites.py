@@ -15,7 +15,7 @@ import numpy as np
 
 from . import diffops, inhomog
 from .algebra import Biquaternion, I1, I2, I3, ONE, _components, cross, dot
-from .chiral_time import apply_M, bessel_j, green_function, green_refinement
+from .chiral_time import apply_M, green_function, green_refinement
 from .grids import Lattice, SpaceTimeLattice, max_abs_interior
 from .kernels import (
     ChiralMedium,
@@ -361,7 +361,7 @@ def suite_green(seed: int = 0) -> list[CheckRow]:
     lo, hi = 2.0, 3.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if bessel_j(0, lo) * bessel_j(0, mid) <= 0.0:
+        if scipy.special.j0(lo) * scipy.special.j0(mid) <= 0.0:
             hi = mid
         else:
             lo = mid
@@ -373,11 +373,12 @@ def suite_green(seed: int = 0) -> list[CheckRow]:
     z = np.linspace(0.5, 60.0, 2381)
     h = 2.5e-4
 
-    def with_derivatives(n):
-        jm, j, jp = (bessel_j(n, z + s) for s in (-h, 0.0, h))
+    def with_derivatives(jn):
+        jm, j, jp = (jn(z + s) for s in (-h, 0.0, h))
         return j, (jp - jm) / (2 * h), (jp - 2 * j + jm) / (h * h)
 
-    (j0, d_j0, dd_j0), (j1, d_j1, dd_j1) = with_derivatives(0), with_derivatives(1)
+    j0, d_j0, dd_j0 = with_derivatives(scipy.special.j0)
+    j1, d_j1, dd_j1 = with_derivatives(scipy.special.j1)
     bessel_dev = max(
         np.max(np.abs(dd_j0 + d_j0 / z + j0)),
         np.max(np.abs(dd_j1 + d_j1 / z + (1 - 1 / (z * z)) * j1)),

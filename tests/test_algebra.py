@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,33 @@ def test_immutability():
     a = Biquaternion((1.0, 0, 0, 0))
     with pytest.raises(ValueError):
         a.components[0] = 2.0
+
+
+def test_operators_own_their_result():
+    # every operator builds one fresh array and wraps it: the result is
+    # read-only, shares no memory with the operands, and is not copied again
+    rng = np.random.default_rng(5)
+    p, q = rand_bq(rng, 20000), rand_bq(rng, 20000)
+    ops = {
+        "mul": lambda: p * q, "scale": lambda: p * 2.0, "rscale": lambda: 2.0 * p, "div": lambda: p / 2.0,
+        "add": lambda: p + q, "sub": lambda: p - q, "neg": lambda: -p, "conj": p.complex_conj,
+        "quat_conj": p.quat_conj, "sum": lambda: p.sum(axis=()),
+    }
+    for name, op in ops.items():
+        op()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = op()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert not out.components.flags.writeable, name
+        assert not any(np.shares_memory(out.components, o.components) for o in (p, q)), name
+        # the product stacks its four components: they are one more result's worth
+        bound = 2.5 if name == "mul" else 1.5
+        assert peak <= bound * out.components.nbytes, (name, peak / out.components.nbytes)
+    assert not Biquaternion.zeros((3,)).components.flags.writeable
 
 
 def test_bad_shape_rejected():

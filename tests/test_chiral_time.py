@@ -8,14 +8,14 @@ import scipy.special
 
 from bqem.algebra import Biquaternion
 from bqem.chiral_time import (
+    MAX_REFINE_LEVELS,
     apply_M,
-    bessel_j,
     green_function,
     green_refinement,
     green_residual,
     maxwell_equivalence_residual,
 )
-from bqem.errors import AchiralUnsupported, ArgumentOutOfRange, GridTooSmall, OriginSingularity
+from bqem.errors import AchiralUnsupported, GridTooSmall, OriginSingularity
 from bqem.grids import Lattice, SpaceTimeLattice, diff, dirac, max_abs_interior
 from bqem.inhomog import EMState
 from bqem.kernels import ChiralMedium, fundamental_solution, helmholtz_kernel
@@ -29,13 +29,15 @@ def sampled(st, fn):
 
 
 # ---------------------------------------------------------------------------
-# Bessel series
+# the Bessel functions the Green function calls: scipy.special.j0, j1
 # ---------------------------------------------------------------------------
+
+BESSEL_J = (scipy.special.j0, scipy.special.j1)
 
 
 def test_bessel_at_zero():
-    assert bessel_j(0, 0.0) == 1.0
-    assert bessel_j(1, 0.0) == 0.0
+    assert scipy.special.j0(0.0) == 1.0
+    assert scipy.special.j1(0.0) == 0.0
 
 
 def test_bessel_ode_and_j1_identity():
@@ -45,14 +47,14 @@ def test_bessel_ode_and_j1_identity():
     h = 2.5e-4
 
     def with_derivatives(n):
-        jm, j, jp = (bessel_j(n, z + s) for s in (-h, 0.0, h))
+        jm, j, jp = (BESSEL_J[n](z + s) for s in (-h, 0.0, h))
         return j, (jp - jm) / (2 * h), (jp - 2 * j + jm) / (h * h)
 
     for n in (0, 1):
         j, d1, d2 = with_derivatives(n)
         assert np.max(np.abs(d2 + d1 / z + (1 - n * n / (z * z)) * j)) < 1e-7
     _, d_j0, _ = with_derivatives(0)
-    assert np.max(np.abs(bessel_j(1, z) + d_j0)) < 1e-7
+    assert np.max(np.abs(scipy.special.j1(z) + d_j0)) < 1e-7
 
 
 def test_bessel_large_z_hankel_asymptotics():
@@ -66,35 +68,19 @@ def test_bessel_large_z_hankel_asymptotics():
         q = (mu - 1) / (8 * z) - (mu - 1) * (mu - 9) * (mu - 25) / (6.0 * (8 * z) ** 3)
         chi = z - (n / 2 + 0.25) * np.pi
         hankel = np.sqrt(2.0 / (np.pi * z)) * (p * np.cos(chi) - q * np.sin(chi))
-        assert np.max(np.abs(bessel_j(n, z) - hankel)) < 1e-8
+        assert np.max(np.abs(BESSEL_J[n](z) - hankel)) < 1e-8
 
 
 def test_bessel_first_root_against_independent_oracle():
     lo, hi = 2.0, 3.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if bessel_j(0, lo) * bessel_j(0, mid) <= 0.0:
+        if scipy.special.j0(lo) * scipy.special.j0(mid) <= 0.0:
             hi = mid
         else:
             lo = mid
     root = 0.5 * (lo + hi)
     assert abs(root - float(scipy.special.jn_zeros(0, 1)[0])) < 1e-9
-
-
-def test_bessel_range_guards():
-    # long times need large arguments: at t = 500, |x| = 1 the Bessel
-    # argument is 2 sqrt(500) ~ 44.7, and M still annihilates f at second order
-    assert np.all(np.isfinite(green_function(500.0, np.array([1.0, 0.0, 0.0]), MED).components))
-
-    def res(n, m):
-        st = SpaceTimeLattice(Lattice.cube((1.0, 0.0, 0.0), 0.2, n), 500.0, 0.4 / (n - 1), n)
-        return green_residual(st, MED, margin=m)
-
-    assert 3.2 < res(9, 1) / res(17, 2) < 4.8
-    with pytest.raises(ArgumentOutOfRange):
-        bessel_j(1, -0.5)
-    with pytest.raises(ValueError):
-        bessel_j(2, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +117,8 @@ def test_green_t_zero_limit():
     ids=["eps2_mu05_beta07", "eps4_mu1_beta05"],
 )
 def test_green_matches_closed_form_display(med, x):
-    # the kernel-and-theta closed form agrees with the a, c, E, A, B route
+    # the paper's display form, K J0 plus theta sqrt(t/|x|) J1 (1 - 1j x/|x|),
+    # written out here with its own |x| and Bessel argument
     t, x = 1.3, np.array(x)
     r = np.linalg.norm(x)
     b = med.beta
@@ -141,8 +128,8 @@ def test_green_matches_closed_form_display(med, x):
     one_minus_ixhat = Biquaternion.from_parts(1.0, -1j * x / r)
     K = fundamental_solution(1.0 / b, x)
     expected = (np.exp(1j * t / (b * np.sqrt(em))) / (b * np.sqrt(em))) * (
-        bessel_j(0, arg) * K
-        + (1j * theta / (b * em**0.25)) * np.sqrt(t / r) * bessel_j(1, arg) * one_minus_ixhat
+        scipy.special.j0(arg) * K
+        + (1j * theta / (b * em**0.25)) * np.sqrt(t / r) * scipy.special.j1(arg) * one_minus_ixhat
     )
     got = green_function(t, x, med)
     assert np.max(np.abs(got.components - expected.components)) < 1e-15
@@ -209,6 +196,26 @@ def test_green_guards():
 def test_green_annihilated_by_M():
     (_, _, r1), (_, _, r2) = green_refinement(MED, 2)
     assert 3.2 <= r1 / r2 <= 4.8
+
+
+def test_green_refinement_levels_bounded():
+    # 6 levels would hold ten 1.09 GB time slabs: refused before any is built
+    assert MAX_REFINE_LEVELS == 5
+    for levels in (0, 6, 10**9):
+        with pytest.raises(ValueError, match="levels"):
+            green_refinement(MED, levels)
+
+
+def test_green_annihilated_by_M_at_large_bessel_argument():
+    # long times need large arguments: at t = 500, |x| = 1 the Bessel
+    # argument is 2 sqrt(500) ~ 44.7, and M still annihilates f at second order
+    assert np.all(np.isfinite(green_function(500.0, np.array([1.0, 0.0, 0.0]), MED).components))
+
+    def res(n, m):
+        st = SpaceTimeLattice(Lattice.cube((1.0, 0.0, 0.0), 0.2, n), 500.0, 0.4 / (n - 1), n)
+        return green_residual(st, MED, margin=m)
+
+    assert 3.2 < res(9, 1) / res(17, 2) < 4.8
 
 
 # ---------------------------------------------------------------------------

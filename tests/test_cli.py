@@ -235,6 +235,8 @@ def test_green_eval_refine_table(capsys):
     [
         ({"levels": "x"}, ["--refine"]),
         ({"levels": 0}, ["--refine"]),
+        ({"levels": 6}, ["--refine"]),
+        ({"levels": 10**9}, ["--refine"]),
         ({"x": ["a", 1, 2]}, []),
         ({}, ["--eps", "-1"]),
         ({}, ["--beta", "0"]),
@@ -245,8 +247,8 @@ def test_green_eval_refine_table(capsys):
         ({}, ["--t", "nan"]),
         ({"mu": float("inf")}, []),
     ],
-    ids=["levels_not_int", "levels_zero", "x_not_number", "eps_negative", "beta_zero", "beta_zero_refine", "x_origin",
-         "x_nan", "beta_infinite", "t_nan", "mu_infinite"],
+    ids=["levels_not_int", "levels_zero", "levels_beyond_memory", "levels_huge", "x_not_number", "eps_negative",
+         "beta_zero", "beta_zero_refine", "x_origin", "x_nan", "beta_infinite", "t_nan", "mu_infinite"],
 )
 def test_green_eval_bad_config_values(tmp_path, capsys, cfg, flags):
     path = write_config(tmp_path, cfg)

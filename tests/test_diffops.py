@@ -569,12 +569,14 @@ def test_vekua_coefficient_identity_guard_skips_nan_faces():
     w = np.ones(lat.dims + (4,))
     f = np.full(lat.dims, 2.0)
     f[0] = np.nan
-    ok = diffops.PotentialSlot.from_particular_solution(lat, f)
-    assert np.isfinite(diffops.vekua_coefficient_identity_residual(ok, w))
-    f[3, 3, 3] = -1.0
-    bad = diffops.PotentialSlot.from_particular_solution(lat, f)
-    with pytest.raises(ValueError, match="real positive f"):
-        diffops.vekua_coefficient_identity_residual(bad, w)
+    # the NaN face divides through the slot's fields on purpose
+    with np.errstate(invalid="ignore"):
+        ok = diffops.PotentialSlot.from_particular_solution(lat, f)
+        assert np.isfinite(diffops.vekua_coefficient_identity_residual(ok, w))
+        f[3, 3, 3] = -1.0
+        bad = diffops.PotentialSlot.from_particular_solution(lat, f)
+        with pytest.raises(ValueError, match="real positive f"):
+            diffops.vekua_coefficient_identity_residual(bad, w)
 
 
 def test_coefficients_to_vekua_roundtrip():

@@ -45,8 +45,8 @@ def test_constant_medium_has_zero_log_derivatives():
     med = medium_from_expressions(lat, 2, sp.Rational(1, 2))
     for field in (med.epsvec, med.muvec, med.cvec, med.Wvec):
         assert max_abs_interior(field, 1) == 0.0
-    assert np.allclose(np.real(med.c), 1.0)
-    assert np.allclose(np.real(med.W), 0.5)
+    assert np.allclose(med.c, 1.0)
+    assert np.allclose(med.W, 0.5)
 
 
 def test_exponential_eps_log_derivative():
@@ -86,6 +86,21 @@ def test_non_positive_medium_rejected():
         with pytest.raises(NonPositiveMedium):
             build_medium(lat, eps, mu)
     assert build_medium(lat, 2.0 * mu, mu).identity_residuals == (0.0, 0.0)
+
+
+def test_complex_medium_rejected():
+    # a lossy eps or mu is outside the real-field equivalence: its imaginary
+    # part is refused, not dropped
+    lat = Lattice.cube((0, 0, 0), 1.0, 7)
+    one = np.ones(lat.dims)
+    for eps, mu in ((2 + 5j, 1), (2, 1 + 1e-12j), (2, complex(1, np.nan))):
+        with pytest.raises(NonPositiveMedium, match="real"):
+            build_medium(lat, eps * one, mu * one)
+    # a complex dtype with zero imaginary part is a real medium, stored real
+    med = build_medium(lat, (2 + 0j) * one, one)
+    for field in (med.eps, med.mu, med.c, med.W):
+        assert field.dtype == float
+    assert np.allclose(med.c, np.sqrt(0.5))
 
 
 # ---------------------------------------------------------------------------
