@@ -60,11 +60,12 @@ def _green_factors(x, medium: ChiralMedium):
     (a, c(x), P, Q), P and Q of shape x.shape[:-1] + (4,).
 
     Computed once per lattice; ``_green_at`` fills f at any time from them.
-    K_{1/beta} rejects |x| = 0 before |x| is divided by.
+    beta is rejected when beta^2 eps mu, which Q divides by, is 0 to double
+    precision; K_{1/beta} rejects |x| = 0 or not finite before |x| is used.
     """
     beta = medium.beta
-    if beta == 0.0:
-        raise AchiralUnsupported("Green function requires beta != 0")
+    if beta * beta * medium.eps * medium.mu == 0.0:
+        raise AchiralUnsupported(f"Green function requires beta != 0 to double precision, got beta = {beta}")
     K = fundamental_solution(1.0 / beta, x).components
     x = np.asarray(x, dtype=float)
     r = np.sqrt(np.sum(x * x, axis=-1))
@@ -123,6 +124,8 @@ def _M_slab(prev, cur, nxt, h: float, dt: float, medium: ChiralMedium, sign: com
     faces of ``grids.dirac``.
     """
     rt_em = np.sqrt(medium.eps * medium.mu)
+    # the one central difference not taken by grids: it is streamed over
+    # three slabs, where grids.diff would need the whole time axis
     g = (nxt - prev) / (2.0 * dt)
     out = dirac(medium.beta * rt_em * g + sign * cur, h)
     out += rt_em * g
@@ -214,7 +217,7 @@ def maxwell_equivalence_residual(state: EMState, medium: ChiralMedium) -> tuple[
     eps, mu, beta = medium.eps, medium.mu, medium.beta
     imp = np.sqrt(mu / eps)
 
-    cont = diff(rho, 0, ht) + div(j, h, axes=(1, 2, 3))
+    cont = diff(rho, 0, ht) + div(j, h)
     cont_norm = max_abs_interior(cont, time_axis=True)
     scale = max(float(np.max(np.abs(rho))), float(np.max(np.abs(j))), 1e-30)
     if cont_norm > CONTINUITY_TOL * scale:
@@ -227,12 +230,12 @@ def maxwell_equivalence_residual(state: EMState, medium: ChiralMedium) -> tuple[
     rhs = _components(-beta * imp * diff(rho, 0, ht) + 1j * rho / eps, -imp * j)
     r_quat = max_abs_interior(MV - rhs, time_axis=True)
 
-    rotE = rot(E, h, axes=(1, 2, 3))
-    rotH = rot(H, h, axes=(1, 2, 3))
+    rotE = rot(E, h)
+    rotH = rot(H, h)
     res1 = rotH - eps * (diff(E, 0, ht) + beta * diff(rotE, 0, ht)) - j
     res2 = rotE + mu * (diff(H, 0, ht) + beta * diff(rotH, 0, ht))
-    res3 = div(E, h, axes=(1, 2, 3)) - rho / eps
-    res4 = div(H, h, axes=(1, 2, 3))
+    res3 = div(E, h) - rho / eps
+    res4 = div(H, h)
     comp = np.concatenate([res1, res2, res3[..., None], res4[..., None]], axis=-1)
     r_comp = max_abs_interior(comp, time_axis=True)
     return r_quat, r_comp

@@ -35,8 +35,8 @@ import numpy as np
 
 from . import __version__
 from .chiral_time import MAX_REFINE_LEVELS, MAX_SLAB_BYTES, green_function, green_refinement
-from .errors import BqemError, ConfigError
-from .kernels import ORIGIN_TOL, ChiralMedium, dipole_field
+from .errors import AchiralUnsupported, BqemError, ConfigError, OriginSingularity
+from .kernels import ChiralMedium, dipole_field
 from .scattering import DIPOLE_MOMENT, Ellipsoid, MfsProblem, run_benchmark
 from .suites import SUITES, run_suites
 
@@ -233,9 +233,6 @@ def cmd_green_eval(args, cfg: dict, seed: int, fmt: str, out: str | None) -> int
         beta=_as_float(args.beta if args.beta is not None else _get(cfg, "beta", 1.0), "beta"),
     )
 
-    if medium.beta == 0.0:
-        raise ConfigError("beta must be nonzero: the Green function is for a chiral medium")
-
     if args.refine:
         levels = _get(cfg, "levels", 3)
         if isinstance(levels, bool) or not isinstance(levels, int) or not 1 <= levels <= MAX_REFINE_LEVELS:
@@ -243,9 +240,16 @@ def cmd_green_eval(args, cfg: dict, seed: int, fmt: str, out: str | None) -> int
                 f"config field levels must be an integer in [1, {MAX_REFINE_LEVELS}]: the finest "
                 f"level's time slabs may take at most {MAX_SLAB_BYTES / 2**20:g} MiB each"
             )
+    try:
+        result = green_refinement(medium, levels) if args.refine else green_function(t, x, medium)
+    except (AchiralUnsupported, OriginSingularity, ValueError) as exc:
+        # beta 0 to double precision, or x at the origin or with |x| not finite
+        raise ConfigError(str(exc)) from exc
+
+    if args.refine:
         rows = []
         prev = None
-        for k, (h, ht, res) in enumerate(green_refinement(medium, levels)):
+        for k, (h, ht, res) in enumerate(result):
             ratio = (prev / res) if prev is not None else float("nan")
             rows.append({"level": k, "h": h, "ht": ht, "residual": res, "ratio": ratio})
             prev = res
@@ -258,12 +262,9 @@ def cmd_green_eval(args, cfg: dict, seed: int, fmt: str, out: str | None) -> int
         _emit(report, fmt, out)
         return 0
 
-    if np.linalg.norm(x) <= ORIGIN_TOL:
-        raise ConfigError("x must be away from the origin, where the Green function is singular")
-    value = green_function(t, np.asarray(x, dtype=float), medium)
     rows = [
         {"component": name, "re": comp.real, "im": comp.imag}
-        for name, comp in zip(("sc", "v1", "v2", "v3"), value.components.reshape(4))
+        for name, comp in zip(("sc", "v1", "v2", "v3"), result.components.reshape(4))
     ]
     if fmt == "json":
         _write(render_json(Report(command="green-eval", columns=["component", "re", "im"], rows=rows)), out)

@@ -58,7 +58,7 @@ class PotentialSlot:
 
     nu is computed on the grid, not analytically, so both sides of the
     factorization identities share the same discretization error.  For the
-    conductivity form, p, q and u0 are kept and f = sqrt(p) * u0.  Every
+    conductivity form, f = sqrt(p) * u0 and p, q are kept.  Every
     field is a complex array of shape ``lattice.dims``.
     """
 
@@ -67,7 +67,6 @@ class PotentialSlot:
     nu: np.ndarray
     p: np.ndarray | None = None
     q: np.ndarray | None = None
-    u0: np.ndarray | None = None
 
     @classmethod
     def from_particular_solution(cls, lattice: Lattice, f) -> "PotentialSlot":
@@ -84,7 +83,7 @@ class PotentialSlot:
         _check_nonvanishing(u0, "u0")
         f = np.sqrt(p) * u0
         _check_nonvanishing(f, "f = sqrt(p)*u0")
-        return cls(lattice, f, laplacian(f, lattice.spacing) / f, p=p, q=q, u0=u0)
+        return cls(lattice, f, laplacian(f, lattice.spacing) / f, p=p, q=q)
 
     def df_over_f(self) -> np.ndarray:
         """Df/f as a purely vectorial dims + (4,) array, with one NaN face layer."""
@@ -133,8 +132,8 @@ def schrodinger_factorization_residual(slot: PotentialSlot, g, margin: int = 0) 
 
 def conductivity_factorization_residual(slot: PotentialSlot, phi, margin: int = 0) -> float:
     """Max interior norm of (div p grad + q) phi + sqrt(p) (D + M^w)(D - M^w) sqrt(p) phi."""
-    if slot.p is None or slot.q is None or slot.u0 is None:
-        raise ValueError("slot was not built from conductivity data (p, q, u0)")
+    if slot.p is None or slot.q is None:
+        raise ValueError("slot was not built from conductivity data (p, q)")
     phi = _on_lattice(phi, slot.lattice, "phi")
     h = slot.lattice.spacing
     sp = np.sqrt(slot.p)

@@ -55,7 +55,7 @@ class NonPositiveMedium(BqemError):
 
 
 class AchiralUnsupported(BqemError):
-    """The chiral Green function is not defined for beta = 0."""
+    """The chiral Green function is not defined for beta = 0 (or beta^2 eps mu = 0 in double precision)."""
 
 
 class ConfigError(BqemError):

@@ -1,19 +1,22 @@
 """Uniform sample grids and second-order central-difference stencils.
 
 A Lattice fixes the geometry (origin, spacing, node counts); a field on it
-is a plain complex array with the lattice axes first: shape ``dims`` for a
-scalar field, ``dims + (3,)`` for a vector field and ``dims + (4,)`` for a
-biquaternion field.  Space-time fields put a time axis in front,
-``(nt,) + dims + ...`` on a SpaceTimeLattice, and are measured with
-``max_abs_interior(values, margin, time_axis=True)``.  Routines take the
-geometry once, from the lattice they are handed.
+is a plain complex array of shape ``dims`` for a scalar field, ``dims +
+(3,)`` for a vector field and ``dims + (4,)`` for a biquaternion field.
+Space-time fields put a time axis in front, ``(nt,) + dims + ...`` on a
+SpaceTimeLattice, and are measured with ``max_abs_interior(values, margin,
+time_axis=True)``.  Routines take the geometry once, from the lattice they
+are handed.
 
-Only central stencils are used, all one shifted-slice difference
-(``_central``).  Every stencil axis gets a NaN face layer, and composing
-operators lets NaN propagate, so the NaN faces are the one record of which
-nodes are valid.  Norms are taken over the interior that excludes every
-face layer whose nodes all have a non-finite component; the ``margin=`` of
-``max_abs_interior`` or of a residual only widens that, never narrows it.
+The stencils read the lattice axes from that layout: a scalar field's are
+its last three, a vector or quaternion field's the three in front of its
+component axis, and any leading axis (time) is carried along.  Only central
+stencils are used, all one shifted-slice difference (``_central``).  Every
+stencil axis gets a NaN face layer, and composing operators lets NaN
+propagate, so the NaN faces are the one record of which nodes are valid.
+Norms are taken over the interior that excludes every face layer whose nodes
+all have a non-finite component; the ``margin=`` of ``max_abs_interior`` or
+of a residual only widens that, never narrows it.
 """
 
 from __future__ import annotations
@@ -85,6 +88,12 @@ class SpaceTimeLattice:
 # ---------------------------------------------------------------------------
 
 
+# The lattice axes of a field: the last three of a scalar field, the three
+# in front of the component axis of a vector or quaternion field.
+_SCALAR_AXES = (-3, -2, -1)
+_FIELD_AXES = (-4, -3, -2)
+
+
 def _stencil_output(shape: tuple, axes) -> tuple[np.ndarray, tuple]:
     """Complex array of ``shape`` with NaN on the face layer of each stencil
     axis, and the index of its interior box, which the caller fills."""
@@ -98,9 +107,10 @@ def _stencil_output(shape: tuple, axes) -> tuple[np.ndarray, tuple]:
     return out, tuple(box)
 
 
-def _central(values: np.ndarray, axis: int, order: int, axes) -> np.ndarray:
+def _central(values: np.ndarray, axis: int, order: int, axes=_SCALAR_AXES) -> np.ndarray:
     """Undivided central difference of order 1 or 2 along ``axis``, on the
-    interior box of the stencil ``axes`` only."""
+    interior box of the stencil ``axes`` only (by default the lattice axes
+    of a scalar field)."""
     mid = [slice(None)] * values.ndim
     for ax in axes:
         mid[ax] = slice(1, -1)
@@ -119,48 +129,48 @@ def diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
-def grad(values: np.ndarray, h: float, axes=(0, 1, 2)) -> np.ndarray:
+def grad(values: np.ndarray, h: float) -> np.ndarray:
     """Gradient of a scalar array, components stacked on a new trailing axis."""
-    out, box = _stencil_output(values.shape + (3,), axes)
-    out[box] = np.stack([_central(values, ax, 1, axes) for ax in axes], axis=-1) / (2.0 * h)
+    out, box = _stencil_output(values.shape + (3,), _FIELD_AXES)
+    out[box] = np.stack([_central(values, ax, 1) for ax in _SCALAR_AXES], axis=-1) / (2.0 * h)
     return out
 
 
-def div(vec_values: np.ndarray, h: float, axes=(0, 1, 2)) -> np.ndarray:
+def div(vec_values: np.ndarray, h: float) -> np.ndarray:
     """Divergence of a (..., 3) vector array."""
-    out, box = _stencil_output(vec_values.shape[:-1], axes)
-    out[box] = sum(_central(vec_values[..., k], ax, 1, axes) for k, ax in enumerate(axes)) / (2.0 * h)
+    out, box = _stencil_output(vec_values.shape[:-1], _SCALAR_AXES)
+    out[box] = sum(_central(vec_values[..., k], ax, 1) for k, ax in enumerate(_SCALAR_AXES)) / (2.0 * h)
     return out
 
 
-def rot(vec_values: np.ndarray, h: float, axes=(0, 1, 2)) -> np.ndarray:
+def rot(vec_values: np.ndarray, h: float) -> np.ndarray:
     """Curl of a (..., 3) vector array."""
-    out, box = _stencil_output(vec_values.shape, axes)
+    out, box = _stencil_output(vec_values.shape, _FIELD_AXES)
 
-    def d(k, j):  # undivided derivative of component k along axes[j]
-        return _central(vec_values[..., k], axes[j], 1, axes)
+    def d(k, j):  # undivided derivative of component k along lattice axis j
+        return _central(vec_values[..., k], _SCALAR_AXES[j], 1)
 
     out[box] = np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=-1) / (2.0 * h)
     return out
 
 
-def laplacian(values: np.ndarray, h: float, axes=(0, 1, 2)) -> np.ndarray:
+def laplacian(values: np.ndarray, h: float) -> np.ndarray:
     """Compact 7-point Laplacian of a scalar array."""
-    out, box = _stencil_output(values.shape, axes)
-    out[box] = sum(_central(values, ax, 2, axes) for ax in axes) / (h * h)
+    out, box = _stencil_output(values.shape, _SCALAR_AXES)
+    out[box] = sum(_central(values, ax, 2) for ax in _SCALAR_AXES) / (h * h)
     return out
 
 
-def dirac(values: np.ndarray, h: float, axes=(0, 1, 2)) -> np.ndarray:
+def dirac(values: np.ndarray, h: float) -> np.ndarray:
     """Dirac operator on (..., 4) quaternion components.
 
     Scalar part -div of the vector part, vector part grad of the scalar
-    part plus rot of the vector part; ``axes`` names the three spatial axes.
+    part plus rot of the vector part.
     """
-    out, box = _stencil_output(values.shape, axes)
+    out, box = _stencil_output(values.shape, _FIELD_AXES)
 
-    def d(c, j):  # undivided derivative of component c along axes[j]
-        return _central(values[..., c], axes[j], 1, axes)
+    def d(c, j):  # undivided derivative of component c along lattice axis j
+        return _central(values[..., c], _SCALAR_AXES[j], 1)
 
     inner = out[box]
     inner[..., 0] = -(d(1, 0) + d(2, 1) + d(3, 2))

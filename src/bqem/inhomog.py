@@ -243,9 +243,9 @@ def _scaled(state: EMState, medium: MediumFields) -> tuple[np.ndarray, np.ndarra
 
 
 def _dirac_plus_M(u: np.ndarray, p: np.ndarray, h: float) -> np.ndarray:
-    """(D + M^p) u for a pure-vector field u of shape (nt,) + dims + (3,)."""
+    """(D + M^p) u for a pure-vector field u of shape [(nt,) +] dims + (3,)."""
     q = _components(vector=u)
-    return dirac(q, h, axes=(1, 2, 3)) + _mul_components(q, p)
+    return dirac(q, h) + _mul_components(q, p)
 
 
 def maxwell_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> tuple[float, float, float, float]:
@@ -257,10 +257,10 @@ def maxwell_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> 
     ev = medium.eps[..., None]
     mv = medium.mu[..., None]
     res = (
-        rot(state.H, h, axes=(1, 2, 3)) - ev * diff(state.E, 0, ht) - state.j,
-        rot(state.E, h, axes=(1, 2, 3)) + mv * diff(state.H, 0, ht),
-        div(ev * state.E, h, axes=(1, 2, 3)) - state.rho,
-        div(mv * state.H, h, axes=(1, 2, 3)),
+        rot(state.H, h) - ev * diff(state.E, 0, ht) - state.j,
+        rot(state.E, h) + mv * diff(state.H, 0, ht),
+        div(ev * state.E, h) - state.rho,
+        div(mv * state.H, h),
     )
     return tuple(max_abs_interior(r, margin, time_axis=True) for r in res)
 
@@ -280,7 +280,7 @@ def quaternionic_residual(state: EMState, medium: MediumFields, margin: int = 0)
     V = _components(vector=calE + 1j * calH)
     lhs = (
         diff(V, 0, ht) / medium.c[..., None]
-        + 1j * dirac(V, h, axes=(1, 2, 3))
+        + 1j * dirac(V, h)
         - _mul_components(V, 1j * medium.cvec)
         - _mul_components(np.conj(V), 1j * medium.Wvec)
     )
@@ -311,17 +311,15 @@ def static_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> t
     """Residuals of the two decoupled static equations (time slice 0):
     (D + M^epsvec) calE + rho/sqrt(eps) and (D + M^muvec) calH - sqrt(mu) j."""
     if state.st.nt > 1:
-        spread = float(np.max(np.abs(state.E - state.E[:1]))) + float(
-            np.max(np.abs(state.H - state.H[:1]))
-        )
+        spread = float(np.max(np.abs(state.E - state.E[0]))) + float(np.max(np.abs(state.H - state.H[0])))
         if spread > 1e-12:
             warnings.warn("state is not time-independent; using slice 0", stacklevel=2)
     h = state.st.space.spacing
 
     calE, calH = _scaled(state, medium)
-    r1 = _dirac_plus_M(calE[:1], medium.epsvec, h)[0]
+    r1 = _dirac_plus_M(calE[0], medium.epsvec, h)
     r1[..., 0] += state.rho[0] / np.sqrt(medium.eps)
-    r2 = _dirac_plus_M(calH[:1], medium.muvec, h)[0]
+    r2 = _dirac_plus_M(calH[0], medium.muvec, h)
     r2[..., 1:] -= np.sqrt(medium.mu)[..., None] * state.j[0]
 
     return max_abs_interior(r1, margin), max_abs_interior(r2, margin)

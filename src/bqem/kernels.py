@@ -14,8 +14,9 @@ signs share the same theta_alpha, so one routine takes (alpha, sign).
 
 theta_alpha and its radial gradient factor G (grad theta = G(r) x) are
 computed in one routine, ``_theta_and_radial``, which is also the only place
-that rejects Im(alpha) < 0 and |x| = 0.  Every public kernel is a view of
-it; only ``vector_potential_curl_curl`` adds the Hessian factor dG/dr.
+that rejects Im(alpha) < 0, |x| = 0 and |x| not finite.  Every public kernel
+is a view of it; only ``vector_potential_curl_curl`` adds the Hessian factor
+dG/dr.
 
 All evaluators are pure and broadcast over a trailing-(3,) position array,
 which is what the scattering matrix assembly relies on.
@@ -41,8 +42,9 @@ RESONANCE_TOL = 1e-12
 def _theta_and_radial(alpha: complex, x):
     """The one evaluation of theta_alpha and its radial gradient factor.
 
-    Rejects Im(alpha) < 0 and |x| = 0, then returns (x, r, theta, G) with
-    grad theta = G(r) * x.
+    Rejects Im(alpha) < 0, |x| = 0 (``OriginSingularity``) and |x| not
+    finite in double precision (``ValueError``), then returns (x, r, theta,
+    G) with grad theta = G(r) * x.
     """
     alpha = complex(alpha)
     if alpha.imag < 0.0:
@@ -50,9 +52,12 @@ def _theta_and_radial(alpha: complex, x):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 3:
         raise ValueError("positions must have trailing length 3")
-    r = np.sqrt(np.sum(x * x, axis=-1))
+    with np.errstate(over="ignore"):  # an overflowing |x|^2 is rejected below
+        r = np.sqrt(np.sum(x * x, axis=-1))
     if np.any(r <= ORIGIN_TOL):
         raise OriginSingularity("kernel evaluated at |x| = 0")
+    if not np.all(r < np.inf):  # NaN fails too
+        raise ValueError("kernel evaluated at a position whose |x| is not finite")
     theta = -np.exp(1j * alpha * r) / (FOUR_PI * r)
     G = theta * (1j * alpha * r - 1.0) / (r * r)
     return x, r, theta, G
@@ -101,26 +106,23 @@ def chiral_wavenumbers(alpha: complex, beta: float) -> tuple[complex, complex]:
 
 @dataclass(frozen=True)
 class ChiralMedium:
-    """Homogeneous chiral medium: permittivity, permeability, chirality, frequency.
+    """Homogeneous chiral medium: permittivity, permeability, chirality, wavenumber.
 
-    The wavenumber is omega*sqrt(eps*mu) unless an explicit ``alpha`` is
-    supplied (the benchmark configurations prescribe a complex alpha
+    The wavenumber ``alpha`` defaults to sqrt(eps*mu), that of unit
+    frequency (the benchmark configurations prescribe a complex alpha
     directly).  ``alpha1``/``alpha2`` are the split chiral wavenumbers.
     """
 
     eps: float = 1.0
     mu: float = 1.0
     beta: float = 0.0
-    omega: float = 1.0
     alpha: complex | None = None
 
     def __post_init__(self):
         if self.eps <= 0.0 or self.mu <= 0.0:
             raise ValueError("eps and mu must be positive")
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", complex(self.omega * np.sqrt(self.eps * self.mu)))
-        else:
-            object.__setattr__(self, "alpha", complex(self.alpha))
+        alpha = np.sqrt(self.eps * self.mu) if self.alpha is None else self.alpha
+        object.__setattr__(self, "alpha", complex(alpha))
 
     @property
     def alpha1(self) -> complex:

@@ -16,7 +16,7 @@ import numpy as np
 from . import diffops, inhomog
 from .algebra import Biquaternion, I1, I2, I3, ONE, _components, cross, dot
 from .chiral_time import apply_M, green_function, green_refinement
-from .grids import Lattice, SpaceTimeLattice, max_abs_interior
+from .grids import Lattice, SpaceTimeLattice, _central, diff, grad, laplacian, max_abs_interior, rot
 from .kernels import (
     ChiralMedium,
     chiral_wavenumbers,
@@ -112,25 +112,11 @@ def suite_algebra(seed: int = 0) -> list[CheckRow]:
 # ---------------------------------------------------------------------------
 
 
-def _fd_scalar_laplacian(fn, x, h):
-    x = np.asarray(x, dtype=float)
-    total = -6.0 * fn(x)
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = h
-        total = total + fn(x + e) + fn(x - e)
-    return total / (h * h)
-
-
-def _fd_vector_rot(fn, x, h):
-    def partial(i, j):
-        e = np.zeros(3)
-        e[i] = h
-        return (fn(x + e)[j] - fn(x - e)[j]) / (2 * h)
-
-    return np.array(
-        [partial(1, 2) - partial(2, 1), partial(2, 0) - partial(0, 2), partial(0, 1) - partial(1, 0)]
-    )
+def _stencil_at(op, fn, x, h):
+    """The grids stencil ``op`` of ``fn`` at x: ``fn`` sampled on the 5^3
+    cube of spacing h centred at x, ``op`` read at its centre node."""
+    lat = Lattice.cube(x, 4 * h, 5)
+    return op(fn(lat.points()), lat.spacing)[2, 2, 2]
 
 
 def suite_kernels(seed: int = 0) -> list[CheckRow]:
@@ -148,18 +134,11 @@ def suite_kernels(seed: int = 0) -> list[CheckRow]:
 
     x0 = np.array([1.0, 1.0, 1.0])
     fth = lambda p: helmholtz_kernel(alpha, p)
-    res = [
-        abs(_fd_scalar_laplacian(fth, x0, h) + alpha * alpha * fth(x0)) for h in (1e-2, 5e-3)
-    ]
+    res = [abs(_stencil_at(laplacian, fth, x0, h) + alpha * alpha * fth(x0)) for h in (1e-2, 5e-3)]
     rows.append(_ratio_row("kernels", "helmholtz_pde_residual_order", res[0], res[1]))
 
     grads = helmholtz_kernel_grad(alpha, x0).vector
-    fd = np.array(
-        [
-            (fth(x0 + np.eye(3)[k] * 1e-5) - fth(x0 - np.eye(3)[k] * 1e-5)) / 2e-5
-            for k in range(3)
-        ]
-    )
+    fd = _stencil_at(grad, fth, x0, 1e-5)
     rows.append(_row("kernels", "gradient_matches_fd", float(np.max(np.abs(grads - fd))), 1e-9))
 
     K = fundamental_solution(alpha, x0, sign=1)
@@ -194,7 +173,7 @@ def suite_kernels(seed: int = 0) -> list[CheckRow]:
     x1 = np.array([0.9, -0.4, 1.2])
     E_at = lambda p: dipole_field(moment, alpha, p)[0]
     E, H = dipole_field(moment, alpha, x1)
-    rotE = _fd_vector_rot(E_at, x1, 1e-4)
+    rotE = _stencil_at(rot, E_at, x1, 1e-4)
     rows.append(
         _row(
             "kernels",
@@ -369,13 +348,14 @@ def suite_green(seed: int = 0) -> list[CheckRow]:
     rows.append(_row("green", "bessel_j0_first_root", abs(0.5 * (lo + hi) - root_ref), 1e-9))
 
     # Bessel ODE J_n'' + J_n'/z + (1 - n^2/z^2) J_n = 0 and J1 = -J0', by
-    # central differences: an oracle independent of the implementation
+    # the grids central differences of J_n at z - h, z, z + h: an oracle
+    # independent of the implementation
     z = np.linspace(0.5, 60.0, 2381)
     h = 2.5e-4
 
     def with_derivatives(jn):
-        jm, j, jp = (jn(z + s) for s in (-h, 0.0, h))
-        return j, (jp - jm) / (2 * h), (jp - 2 * j + jm) / (h * h)
+        v = np.stack([jn(z + s) for s in (-h, 0.0, h)])
+        return v[1], diff(v, 0, h)[1], _central(v, 0, 2, (0,))[0] / (h * h)
 
     j0, d_j0, dd_j0 = with_derivatives(scipy.special.j0)
     j1, d_j1, dd_j1 = with_derivatives(scipy.special.j1)

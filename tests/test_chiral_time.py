@@ -189,8 +189,13 @@ def test_green_function_owns_a_read_only_result():
 def test_green_guards():
     with pytest.raises(AchiralUnsupported):
         green_function(1.0, [1.0, 0, 0], ChiralMedium(beta=0.0))
+    # beta^2 eps mu underflows to 0: beta is 0 to double precision
+    with pytest.raises(AchiralUnsupported):
+        green_function(1.0, [1.0, 0, 0], ChiralMedium(beta=1e-300))
     with pytest.raises(OriginSingularity):
         green_function(1.0, [0.0, 0, 0], MED)
+    with pytest.raises(ValueError, match="not finite"):
+        green_function(1.0, [1e200, 0, 0], MED)
 
 
 def test_green_annihilated_by_M():
@@ -240,7 +245,7 @@ def test_apply_M_matches_whole_array_expression(beta, star):
     st = SpaceTimeLattice(Lattice((0.1, -0.2, 0.3), 0.05, (7, 9, 6)), 0.3, 0.04, 5)
     rng = np.random.default_rng(14)
     v = rng.normal(size=(5, 7, 9, 6, 4)) + 1j * rng.normal(size=(5, 7, 9, 6, 4))
-    Dv = dirac(v, st.space.spacing, axes=(1, 2, 3))
+    Dv = dirac(v, st.space.spacing)
     rt_em = np.sqrt(med.eps * med.mu)
     want = diff(beta * rt_em * Dv + rt_em * v, 0, st.dt) + (1j if star else -1j) * Dv
     got = apply_M(v, st, med, star=star)
@@ -370,12 +375,12 @@ def test_wave_operator_factorization():
 
 def test_chiral_wave_annihilated_by_MMstar():
     # chiral circular mode solves the fourth-order wave equation as well
-    med = ChiralMedium(eps=1.0, mu=1.0, beta=0.2, omega=1.0)
+    med = ChiralMedium(eps=1.0, mu=1.0, beta=0.2, alpha=1.0)
     k = (med.alpha / (1 - med.alpha * med.beta)).real
     p = np.array([1.0, -1j, 0.0])
 
     def wave(t, pts):
-        ph = np.exp(1j * (med.omega * t - k * pts[..., 2]))
+        ph = np.exp(1j * (t - k * pts[..., 2]))  # unit frequency: alpha = sqrt(eps mu)
         vals = np.zeros(ph.shape + (4,), complex)
         vals[..., 1:] = np.real(p * ph[..., None])
         return vals
@@ -396,7 +401,7 @@ def test_chiral_wave_annihilated_by_MMstar():
 
 def chiral_plane_wave(med):
     k = (med.alpha / (1 - med.alpha * med.beta)).real
-    w = med.omega
+    w = (med.alpha / np.sqrt(med.eps * med.mu)).real  # the frequency of alpha
     gamma = 1j * med.eps * w * (1 + med.beta * k) / k
     p = np.array([1.0, -1j, 0.0])
 

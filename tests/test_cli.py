@@ -243,14 +243,19 @@ def test_green_eval_refine_table(capsys):
         ({}, ["--beta", "0", "--refine"]),
         ({}, ["--x", "0,0,0"]),
         ({}, ["--x", "nan,0,0"]),
+        ({}, ["--x", "1e200,0,0"]),
+        ({}, ["--beta", "1e-300"]),
         ({}, ["--beta", "inf"]),
         ({}, ["--t", "nan"]),
         ({"mu": float("inf")}, []),
     ],
     ids=["levels_not_int", "levels_zero", "levels_beyond_memory", "levels_huge", "x_not_number", "eps_negative",
-         "beta_zero", "beta_zero_refine", "x_origin", "x_nan", "beta_infinite", "t_nan", "mu_infinite"],
+         "beta_zero", "beta_zero_refine", "x_origin", "x_nan", "x_norm_overflows", "beta_underflows",
+         "beta_infinite", "t_nan", "mu_infinite"],
 )
 def test_green_eval_bad_config_values(tmp_path, capsys, cfg, flags):
     path = write_config(tmp_path, cfg)
     assert main(["green-eval", "--config", path] + flags) == 2
-    assert "config error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert captured.out == ""  # no value printed, NaN or otherwise

@@ -79,38 +79,46 @@ def test_grid_too_small():
         Lattice((0, 0, 0), 0.1, (4, 9, 9))
 
 
-STENCIL_SHAPE = (5, 6, 7, 8)
+STENCIL_SPACE = (6, 7, 8)
+STENCIL_NT = 5
 STENCIL_H = 0.25
+# The two field layouts, named by the array axes that hold space: a spatial
+# field, and a space-time field with a leading time axis.  The operators are
+# not told which: they read it from the layout.
+SPACE, SPACE_TIME = (0, 1, 2), (1, 2, 3)
 
 
 def _stencil_case(name, axes):
-    """(input, operator, exact result, stencil axes) on a 4D array whose
-    space axes are ``axes``; the fourth axis is a spectator.  Each input is
-    a polynomial of the degree the operator differentiates exactly."""
-    x = np.meshgrid(*(STENCIL_H * np.arange(n) for n in STENCIL_SHAPE), indexing="ij")
+    """(input, operator, exact result, lattice shape, stencil axes) for the
+    layout whose space axes are ``axes``.  Each input is a polynomial of the
+    degree the operator differentiates exactly, and on a space-time field
+    its coefficients vary in time."""
+    shape = STENCIL_SPACE if axes == SPACE else (STENCIL_NT,) + STENCIL_SPACE
+    x = np.meshgrid(*(STENCIL_H * np.arange(n) for n in shape), indexing="ij")
     s0, s1, s2 = (x[a] for a in axes)
-    t = x[({0, 1, 2, 3} - set(axes)).pop()]
+    t = 0.75 if axes == SPACE else x[0]
     c = 1.0 - 0.5j
     h = STENCIL_H
     if name == "diff":
-        return c * (s0**2 + t * s0 + s1 * s2), lambda v: diff(v, axes[0], h), c * (2 * s0 + t), (axes[0],)
+        f = c * (s0**2 + t * s0 + s1 * s2)
+        return f, lambda v: diff(v, v.ndim - 3, h), c * (2 * s0 + t), shape, axes[:1]
     if name == "grad":
         f = c * (s0**2 + s0 * s1 + t * s2**2)
         exact = c * np.stack([2 * s0 + s1, s0, 2 * t * s2], axis=-1)
-        return f, lambda v: grad(v, h, axes), exact, axes
+        return f, lambda v: grad(v, h), exact, shape, axes
     if name == "div":
         v = c * np.stack([s0**2, s0 * s1, t * s2**2], axis=-1)
-        return v, lambda v: div(v, h, axes), c * (3 * s0 + 2 * t * s2), axes
+        return v, lambda v: div(v, h), c * (3 * s0 + 2 * t * s2), shape, axes
     if name == "rot":
         v = c * np.stack([s1 * s2, t * s2**2, s0 * s1], axis=-1)
         exact = c * np.stack([s0 - 2 * t * s2, 0 * s0, -s2], axis=-1)
-        return v, lambda v: rot(v, h, axes), exact, axes
+        return v, lambda v: rot(v, h), exact, shape, axes
     if name == "laplacian":
         f = c * (s0**3 + s1**2 * s2 + t * s2**3)
-        return f, lambda v: laplacian(v, h, axes), c * (6 * s0 + 2 * s2 + 6 * t * s2), axes
+        return f, lambda v: laplacian(v, h), c * (6 * s0 + 2 * s2 + 6 * t * s2), shape, axes
     # dirac of a linear field: -div fv = -8, grad f0 + rot fv = (2, -1, 0) + (5, 3, 0)
     q = c * np.stack([2 * s0 - s1 + t, s0 + 3 * s2, 2 * s1 - s2 + t, 4 * s1 + 5 * s2], axis=-1)
-    return q, lambda v: dirac(v, h, axes), c * np.array([-8.0, 7.0, 2.0, 0.0]), axes
+    return q, lambda v: dirac(v, h), c * np.array([-8.0, 7.0, 2.0, 0.0]), shape, axes
 
 
 def test_negative_margin_is_an_input_error():
@@ -121,19 +129,22 @@ def test_negative_margin_is_an_input_error():
         max_abs_interior(Dv, -1)
 
 
-@pytest.mark.parametrize("axes", [(0, 1, 2), (1, 2, 3)])
-@pytest.mark.parametrize("name", ["diff", "grad", "div", "rot", "laplacian", "dirac"])
+STENCIL_NAMES = ["diff", "grad", "div", "rot", "laplacian", "dirac"]
+
+
+@pytest.mark.parametrize("axes", [SPACE, SPACE_TIME])
+@pytest.mark.parametrize("name", STENCIL_NAMES)
 def test_stencil_faces_margin_and_exactness(name, axes):
-    values, op, exact, stencil_axes = _stencil_case(name, axes)
+    values, op, exact, shape, stencil_axes = _stencil_case(name, axes)
     out = op(values)
 
     # NaN on exactly the face layer of each stencil axis, whole nodes at a
-    # time; so with axes=(1, 2, 3) the faces of axis 0 (time) stay finite
-    idx = np.indices(STENCIL_SHAPE)
-    face = np.zeros(STENCIL_SHAPE, dtype=bool)
+    # time; so on a space-time field the faces of axis 0 (time) stay finite
+    idx = np.indices(shape)
+    face = np.zeros(shape, dtype=bool)
     for ax in stencil_axes:
-        face |= (idx[ax] == 0) | (idx[ax] == STENCIL_SHAPE[ax] - 1)
-    nan = np.isnan(out).reshape(STENCIL_SHAPE + (-1,))
+        face |= (idx[ax] == 0) | (idx[ax] == shape[ax] - 1)
+    nan = np.isnan(out).reshape(shape + (-1,))
     assert np.array_equal(nan.any(axis=-1), face)
     assert np.array_equal(nan.all(axis=-1), face)
     assert np.all(np.isfinite(out[~face]))
@@ -142,19 +153,19 @@ def test_stencil_faces_margin_and_exactness(name, axes):
     exact = np.broadcast_to(exact, out.shape)
     assert np.max(np.abs(out[~face] - exact[~face])) <= 1e-12 * np.max(np.abs(exact))
 
-    # the valid interior is read from the NaN faces; with axes=(1, 2, 3)
+    # the valid interior is read from the NaN faces; on a space-time field
     # axis 0 is time and is a lattice axis too
-    time_axis = axes == (1, 2, 3)
-    k = 4 if time_axis else 3
+    time_axis = axes == SPACE_TIME
+    k = len(shape)
     assert max_abs_interior(out, time_axis=time_axis) == np.max(np.abs(out[~face]))
 
     # a non-finite node inside the interior raises, and so does a face layer
     # that is only partly non-finite, whether its centre node or another is valid
     inside = out.copy()
-    inside[2, 2, 2, 2] = np.nan
+    inside[(2,) * k] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         max_abs_interior(inside, time_axis=time_axis)
-    layer_dims = np.delete(STENCIL_SHAPE, stencil_axes[0])[: k - 1]  # lattice axes of a face layer
+    layer_dims = np.delete(shape, stencil_axes[0])  # lattice axes of a face layer
     for node in ((1,) * (k - 1), tuple(layer_dims // 2)):
         partial = out.copy()
         np.moveaxis(partial, stencil_axes[0], 0)[0][node] = 0.0
@@ -172,13 +183,23 @@ def test_stencil_faces_margin_and_exactness(name, axes):
     # composed stencils: two whole-node NaN layers, and the interior is [2:-2]
     if name == "dirac":
         twice = op(out)
-        box = tuple(slice(2, -2) if ax in stencil_axes else slice(None) for ax in range(4))
-        face2 = np.ones(STENCIL_SHAPE, dtype=bool)
+        box = tuple(slice(2, -2) if ax in stencil_axes else slice(None) for ax in range(k))
+        face2 = np.ones(shape, dtype=bool)
         face2[box] = False
-        nan2 = np.isnan(twice).reshape(STENCIL_SHAPE + (-1,))
+        nan2 = np.isnan(twice).reshape(shape + (-1,))
         assert np.array_equal(nan2.any(axis=-1), face2)
         assert np.array_equal(nan2.all(axis=-1), face2)
         assert max_abs_interior(twice, time_axis=time_axis) == np.max(np.abs(twice[box]))
+
+
+@pytest.mark.parametrize("name", STENCIL_NAMES)
+def test_stencil_on_space_time_field_is_slab_by_slab(name):
+    # the leading time axis is carried along: each time slab of the result is
+    # the operator on that slab alone, bit for bit, NaN faces included
+    values, op, _, _, _ = _stencil_case(name, SPACE_TIME)
+    values = values + np.random.default_rng(5).normal(size=values.shape)
+    slabs = np.stack([op(slab) for slab in values])
+    assert np.array_equal(op(values), slabs, equal_nan=True)
 
 
 def test_scalar_product_identity():

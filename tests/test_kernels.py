@@ -59,6 +59,12 @@ def test_helmholtz_point_values():
 def test_helmholtz_guards():
     with pytest.raises(OriginSingularity):
         helmholtz_kernel(1.0, [0.0, 0.0, 0.0])
+    # |x|^2 overflows, or x is NaN: rejected, with no RuntimeWarning on the way
+    for x in ([1e200, 0.0, 0.0], [[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="not finite"):
+            helmholtz_kernel(1.0, x)
+        with pytest.raises(ValueError, match="not finite"):
+            fundamental_solution(1.0, x)
     with pytest.raises(InadmissibleAlpha):
         helmholtz_kernel(1 - 0.1j, [1.0, 0, 0])
     with pytest.raises(InadmissibleAlpha):
@@ -142,8 +148,9 @@ def test_chiral_wavenumbers():
 
 
 def test_chiral_medium():
-    med = ChiralMedium(eps=2.0, mu=0.5, beta=0.0, omega=3.0)
-    assert med.alpha == pytest.approx(3.0)
+    assert ChiralMedium(eps=2.0, mu=8.0).alpha == 4.0  # unit frequency: sqrt(eps mu)
+    med = ChiralMedium(eps=2.0, mu=0.5, beta=0.0, alpha=3.0)
+    assert med.alpha == 3.0
     assert med.alpha1 == med.alpha2 == med.alpha
     override = ChiralMedium(beta=0.1, alpha=ALPHA)
     assert override.alpha == ALPHA
