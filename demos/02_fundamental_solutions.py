@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 # The closed-form kernels: the Helmholtz fundamental solution theta_alpha,
 # the Dirac-operator kernels K(+/-alpha) built from it, and the magnetic
-# dipole field used as the scattering reference solution.
+# dipole field of a medium, used as the scattering reference solution.
 
 import numpy as np
 
 from bqem import (
+    ChiralMedium,
     chiral_wavenumbers,
     dipole_field,
     fundamental_solution,
@@ -42,10 +43,12 @@ for h in (1e-2, 5e-3):
 # In a chiral medium the wavenumber splits over the circular polarizations.
 print("\nchiral split of alpha for beta = 0.1:", chiral_wavenumbers(alpha, 0.1))
 
-# The dipole field decays per the radiation condition: r |E - xhat x H| -> 0.
+# The dipole field of a medium decays per the radiation condition:
+# r |E - xhat x H| -> 0.  In a chiral medium it excites both circular
+# polarizations, one at each split wavenumber.
 moment = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
 xhat = np.array([0.6, 0.64, 0.48])
 print("\nSilver-Mueller decay along a ray (real alpha = 1):")
 for r in (10.0, 100.0, 1000.0):
-    E, H = dipole_field(moment, 1.0, r * xhat)
+    E, H = dipole_field(moment, ChiralMedium(alpha=1.0), r * xhat)
     print(f"  r={r:6.0f}: r*|E - xhat x H| = {r * np.max(np.abs(E - np.cross(xhat, H))):.3e}")

@@ -69,8 +69,6 @@ from .scattering import (
     MfsSolution,
     SurfaceSamples,
     assemble_system,
-    chiral_point_source,
-    chiral_selftest,
     evaluate_fields,
     run_benchmark,
     sample_surface,

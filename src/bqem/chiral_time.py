@@ -61,19 +61,25 @@ def _green_factors(x, medium: ChiralMedium):
 
     Computed once per lattice; ``_green_at`` fills f at any time from them.
     beta is rejected when beta^2 eps mu, which Q divides by, is 0 to double
-    precision; K_{1/beta} rejects |x| = 0 or not finite before |x| is used.
+    precision, or when a factor is not finite (Q grows as beta^-3, and the
+    phase |x|/beta may overflow too); K_{1/beta} rejects |x| = 0 or not
+    finite before |x| is used.
     """
     beta = medium.beta
     if beta * beta * medium.eps * medium.mu == 0.0:
         raise AchiralUnsupported(f"Green function requires beta != 0 to double precision, got beta = {beta}")
-    K = fundamental_solution(1.0 / beta, x).components
-    x = np.asarray(x, dtype=float)
-    r = np.sqrt(np.sum(x * x, axis=-1))
-    rt_em = np.sqrt(medium.eps * medium.mu)
-    # -1j theta / (beta^3 eps mu), with theta = beta Sc K
-    q = (-1j / (beta * beta * medium.eps * medium.mu)) * K[..., 0]
-    Q = _components(q, (-1j * q / r)[..., None] * x)
-    return 1.0 / (beta * rt_em), r / (beta * beta * rt_em), K / (beta * rt_em), Q
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite factor is rejected below
+        K = fundamental_solution(1.0 / beta, x).components
+        x = np.asarray(x, dtype=float)
+        r = np.sqrt(np.sum(x * x, axis=-1))
+        rt_em = np.sqrt(medium.eps * medium.mu)
+        # -1j theta / (beta^3 eps mu), with theta = beta Sc K
+        q = (-1j / (beta * beta * medium.eps * medium.mu)) * K[..., 0]
+        Q = _components(q, (-1j * q / r)[..., None] * x)
+        factors = 1.0 / (beta * rt_em), r / (beta * beta * rt_em), K / (beta * rt_em), Q
+    if not all(np.all(np.isfinite(f)) for f in factors):
+        raise AchiralUnsupported(f"Green function factors overflow double precision at beta = {beta}")
+    return factors
 
 
 def _green_at(t, factors) -> np.ndarray:

@@ -35,8 +35,8 @@ import numpy as np
 
 from . import __version__
 from .chiral_time import MAX_REFINE_LEVELS, MAX_SLAB_BYTES, green_function, green_refinement
-from .errors import AchiralUnsupported, BqemError, ConfigError, OriginSingularity
-from .kernels import ChiralMedium, dipole_field
+from .errors import AchiralUnsupported, BqemError, ChiralResonance, ConfigError, OriginSingularity
+from .kernels import ChiralMedium, chiral_wavenumbers, dipole_field
 from .scattering import DIPOLE_MOMENT, Ellipsoid, MfsProblem, run_benchmark
 from .suites import SUITES, run_suites
 
@@ -80,7 +80,6 @@ def _construct(cls, **fields):
 
 @dataclass
 class Report:
-    command: str
     columns: list[str]
     rows: list[dict]
     meta: dict = field(default_factory=dict)
@@ -152,6 +151,10 @@ def cmd_scatter(cfg: dict, seed: int, fmt: str, out: str | None) -> int:
     if alpha.imag < 0.0:
         raise ConfigError(f"config field alpha must have Im(alpha) >= 0, got {alpha.imag}")
     beta = _as_float(_get(cfg, "beta", 0.0), "beta")
+    try:
+        chiral_wavenumbers(alpha, beta)
+    except ChiralResonance as exc:
+        raise ConfigError(str(exc)) from exc
     medium = ChiralMedium(beta=beta, alpha=alpha)
     source_scale = _as_float(_get(cfg, "source_scale", 0.15), "source_scale")
     if not 0.0 < source_scale < 1.0:
@@ -180,9 +183,8 @@ def cmd_scatter(cfg: dict, seed: int, fmt: str, out: str | None) -> int:
         impedance=impedance,
         oversample=oversample,
     )
-    rows = run_benchmark(problem, n_values, reference=partial(dipole_field, moment, alpha), eval_scale=eval_scale)
+    rows = run_benchmark(problem, n_values, reference=partial(dipole_field, moment, medium), eval_scale=eval_scale)
     report = Report(
-        command="scatter",
         columns=["N", "errE", "errH", "errB", "residual", "cond", "sc_leak", "wall_ms"],
         rows=rows,
         meta=_meta("scatter", cfg, seed),
@@ -195,7 +197,6 @@ def cmd_check(suite: str, cfg: dict, seed: int, fmt: str, out: str | None) -> in
     names = list(SUITES) if suite == "all" else [suite]
     rows = run_suites(names, seed=seed)
     report = Report(
-        command="check",
         columns=["suite", "check", "value", "lo", "hi", "status"],
         rows=[
             {
@@ -253,11 +254,12 @@ def cmd_green_eval(args, cfg: dict, seed: int, fmt: str, out: str | None) -> int
             ratio = (prev / res) if prev is not None else float("nan")
             rows.append({"level": k, "h": h, "ht": ht, "residual": res, "ratio": ratio})
             prev = res
+        # hashed from the inputs in effect, so a flag and its config field agree
+        inputs = {"eps": medium.eps, "mu": medium.mu, "beta": medium.beta, "levels": levels}
         report = Report(
-            command="green-eval",
             columns=["level", "h", "ht", "residual", "ratio"],
             rows=rows,
-            meta=_meta("green-eval", cfg, seed),
+            meta=_meta("green-eval", inputs, seed),
         )
         _emit(report, fmt, out)
         return 0
@@ -267,7 +269,7 @@ def cmd_green_eval(args, cfg: dict, seed: int, fmt: str, out: str | None) -> int
         for name, comp in zip(("sc", "v1", "v2", "v3"), result.components.reshape(4))
     ]
     if fmt == "json":
-        _write(render_json(Report(command="green-eval", columns=["component", "re", "im"], rows=rows)), out)
+        _write(render_json(Report(columns=["component", "re", "im"], rows=rows)), out)
     else:
         _write("".join(f"{r['component']} re={r['re']:.15g} im={r['im']:.15g}\n" for r in rows), out)
     return 0

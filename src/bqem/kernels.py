@@ -1,6 +1,7 @@
 """Closed-form kernels: Helmholtz fundamental solution, its gradient, the
 biquaternion fundamental solutions of the perturbed Dirac operators D +/- alpha,
-split wavenumbers for chiral media, and the magnetic-dipole reference field.
+split wavenumbers for chiral media, and the magnetic-dipole reference field
+of a chiral or achiral medium.
 
 Conventions.  theta_alpha(x) = -exp(1j*alpha*|x|) / (4*pi*|x|) solves
 (Lap + alpha^2) theta = delta; admissibility requires Im(alpha) >= 0 so the
@@ -156,16 +157,28 @@ def vector_potential_curl_curl(alpha: complex, x, moment) -> np.ndarray:
     return hess_c + (alpha * alpha * theta)[..., None] * np.broadcast_to(c, x.shape)
 
 
-def dipole_field(moment, alpha: complex, x) -> tuple[np.ndarray, np.ndarray]:
-    """Magnetic-dipole field with the singularity at the origin.
+def dipole_field(moment, medium: ChiralMedium, x) -> tuple[np.ndarray, np.ndarray]:
+    """Magnetic-dipole field of a homogeneous medium, singular at the origin.
 
-    E = curl(c * theta_alpha) and H = -(1/(1j*alpha)) curl E, the standard
-    achiral reference solution; it satisfies the Silver-Mueller condition at
-    infinity.  Returns (E, H) as complex (..., 3) arrays.
+    The point source excites both circular polarizations.  With
+    C_i = curl(c theta_{alpha_i}) and X_i = curl curl(c theta_{alpha_i})/alpha_i,
+    C_1 - X_1 and C_2 + X_2 are eigenfields of curl annihilated by D + alpha1
+    and D - alpha2, and E = (C_1 + C_2)/2 - (X_1 - X_2)/2,
+    H = ((C_1 - C_2) - (X_1 + X_2))/(2j) solve the chiral Maxwell system with
+    the Silver-Mueller condition.  At beta = 0 the kernel is evaluated once:
+    E = curl(c theta_alpha), H = -curl E/(1j alpha).  A source at y0 is
+    ``dipole_field(moment, medium, x - y0)``; returns complex (..., 3) arrays.
     """
-    alpha = complex(alpha)
-    if alpha == 0.0:
+    if medium.alpha == 0.0:
         raise ValueError("dipole field needs alpha != 0")
-    E = vector_potential_curl(alpha, x, moment)
-    H = -vector_potential_curl_curl(alpha, x, moment) / (1j * alpha)
+    alpha1, alpha2 = chiral_wavenumbers(medium.alpha, medium.beta)
+    curl1 = vector_potential_curl(alpha1, x, moment)
+    curl_curl1 = vector_potential_curl_curl(alpha1, x, moment)
+    if alpha2 == alpha1:
+        return curl1, -curl_curl1 / (1j * alpha1)
+    curl2 = vector_potential_curl(alpha2, x, moment)
+    X1 = curl_curl1 / alpha1
+    X2 = vector_potential_curl_curl(alpha2, x, moment) / alpha2
+    E = 0.5 * (curl1 + curl2) - 0.5 * (X1 - X2)
+    H = ((curl1 - curl2) - (X1 + X2)) / 2j
     return E, H

@@ -19,8 +19,9 @@ system.  Collocation and source points are laid out on a generalized
 parametrization poles.
 
 The magnetic-dipole exterior problem is the reference benchmark: solve
-with boundary data from the known dipole field and report the maximum
-componentwise error on an inflated evaluation ellipsoid for a sweep of N.
+with boundary data from the known dipole field of the medium, chiral or
+not, and report the maximum componentwise error on an inflated
+evaluation ellipsoid for a sweep of N.
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ import scipy  # scipy.linalg loads on first attribute access, at the first solve
 
 from .algebra import _CONJ, Biquaternion, _mul_components
 from .errors import DegenerateSample, SingularMatrix, SourceOnBoundary, SourceSingularity
-from .kernels import (
-    ChiralMedium,
-    dipole_field,
-    fundamental_solution,
-    vector_potential_curl,
-    vector_potential_curl_curl,
-)
+from .kernels import ChiralMedium, dipole_field, fundamental_solution
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
@@ -66,9 +61,6 @@ class Ellipsoid:
     def __post_init__(self):
         if min(self.a, self.b, self.c) <= 0.0:
             raise ValueError("semi-axes must be positive")
-
-    def semi_axes(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c])
 
 
 @dataclass(frozen=True)
@@ -394,32 +386,7 @@ def field_errors(sol: MfsSolution, reference: Fields, pts) -> tuple[float, float
     return float(np.max(np.abs(E - E_ref))), float(np.max(np.abs(H - H_ref))), float(np.max(leak))
 
 
-def chiral_point_source(medium: ChiralMedium, y0, moment) -> Fields:
-    """Exact exterior solution of the chiral Maxwell system from one point source.
-
-    Both circular polarizations are excited: with u_i = theta_{alpha_i}
-    centred at y0, the fields phi = curl(c u_1) - curl curl(c u_1)/alpha1
-    and psi = curl(c u_2) + curl curl(c u_2)/alpha2 satisfy
-    (D + alpha1) phi = 0 and (D - alpha2) psi = 0 away from y0 (they are
-    divergence-free eigenfields of curl), and E = (phi + psi)/2,
-    H = (phi - psi)/(2j) recover a Maxwell solution.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    moment = np.asarray(moment, dtype=float)
-    a1, a2 = medium.alpha1, medium.alpha2
-
-    def fields(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = np.asarray(pts, dtype=float) - y0
-        phi = vector_potential_curl(a1, d, moment) - vector_potential_curl_curl(a1, d, moment) / a1
-        psi = vector_potential_curl(a2, d, moment) + vector_potential_curl_curl(a2, d, moment) / a2
-        E = 0.5 * (phi + psi)
-        H = (phi - psi) / 2j
-        return E, H
-
-    return fields
-
-
-# The dipole moment of the benchmark reference and of the chiral self-test.
+# The dipole moment of the benchmark reference.
 DIPOLE_MOMENT = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
 
 # Where run_benchmark measures errors: an (n_eta, n_nu) parametric grid on
@@ -438,7 +405,8 @@ def run_benchmark(
     """Solve the problem for each N and compare against the exact fields.
 
     Returns one row per N.  ``reference`` maps points to the exact (E, H);
-    when omitted, the achiral magnetic dipole with DIPOLE_MOMENT is used.
+    when omitted, it is the ``dipole_field`` of the problem's medium (both
+    circular polarizations when beta != 0) with DIPOLE_MOMENT at the origin.
     The boundary data is derived from the reference.  Errors are the
     maximum componentwise complex modulus of the field difference over the
     EVAL_GRID parametric grid on the surface scaled by ``eval_scale``; the
@@ -447,7 +415,7 @@ def run_benchmark(
     the dense solve.
     """
     if reference is None:
-        reference = partial(dipole_field, DIPOLE_MOMENT, problem.medium.alpha)
+        reference = partial(dipole_field, DIPOLE_MOMENT, problem.medium)
     boundary_data = tangential_datum(reference)
     eval_pts = parametric_grid(problem.surface, *EVAL_GRID, scale=eval_scale).pos
 
@@ -475,32 +443,3 @@ def run_benchmark(
             }
         )
     return rows
-
-
-@dataclass(frozen=True)
-class SelftestResult:
-    boundary_error: float
-    far_error: float
-
-
-# The manufactured problem of chiral_selftest: the benchmark ellipsoid and
-# source scale, and a point source near the centre of the auxiliary
-# surface; moving it toward the sources slows the geometric convergence of
-# the boundary fit.
-SELFTEST_SURFACE = Ellipsoid(5.0, 3.0, 2.0)
-SELFTEST_SOURCE_SCALE = 0.15
-SELFTEST_Y0 = (0.05, -0.03, 0.04)
-
-
-def chiral_selftest(medium: ChiralMedium, n_sources: int) -> SelftestResult:
-    """Manufactured chiral exterior problem: solve against the exact
-    point-source solution and report boundary and far-field errors.
-
-    This is one ``run_benchmark`` row on the ``chiral_point_source``
-    reference with DIPOLE_MOMENT at SELFTEST_Y0: ``errB`` is the boundary
-    error and max(errE, errH) the far error.
-    """
-    problem = MfsProblem(surface=SELFTEST_SURFACE, medium=medium, n_sources=n_sources, source_scale=SELFTEST_SOURCE_SCALE)
-    exact = chiral_point_source(medium, SELFTEST_Y0, DIPOLE_MOMENT)
-    row = run_benchmark(problem, [n_sources], reference=exact)[0]
-    return SelftestResult(boundary_error=row["errB"], far_error=max(row["errE"], row["errH"]))

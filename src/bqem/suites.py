@@ -171,8 +171,9 @@ def suite_kernels(seed: int = 0) -> list[CheckRow]:
 
     moment = np.array([0.3, -1.0, 0.7])
     x1 = np.array([0.9, -0.4, 1.2])
-    E_at = lambda p: dipole_field(moment, alpha, p)[0]
-    E, H = dipole_field(moment, alpha, x1)
+    medium = ChiralMedium(alpha=alpha)
+    E_at = lambda p: dipole_field(moment, medium, p)[0]
+    E, H = dipole_field(moment, medium, x1)
     rotE = _stencil_at(rot, E_at, x1, 1e-4)
     rows.append(
         _row(
@@ -187,7 +188,7 @@ def suite_kernels(seed: int = 0) -> list[CheckRow]:
     for r in (10.0, 100.0, 1000.0):
         xh = np.array([0.6, 0.64, 0.48])
         p = r * xh
-        E, H = dipole_field(moment, 1.0, p)
+        E, H = dipole_field(moment, ChiralMedium(alpha=1.0), p)
         sm.append(r * float(np.max(np.abs(E - np.cross(xh, H)))))
     rows.append(_row("kernels", "silver_mueller_decay", max(sm[1] / sm[0], sm[2] / sm[1]), 1.0))
 

@@ -192,6 +192,10 @@ def test_green_guards():
     # beta^2 eps mu underflows to 0: beta is 0 to double precision
     with pytest.raises(AchiralUnsupported):
         green_function(1.0, [1.0, 0, 0], ChiralMedium(beta=1e-300))
+    # beta^2 eps mu is a normal float, but Q ~ beta^-3 overflows; no
+    # RuntimeWarning on the way (the suite makes them errors)
+    with pytest.raises(AchiralUnsupported, match="overflow"):
+        green_function(1.0, [1.0, 0, 0], ChiralMedium(beta=1e-120))
     with pytest.raises(OriginSingularity):
         green_function(1.0, [0.0, 0, 0], MED)
     with pytest.raises(ValueError, match="not finite"):

@@ -72,6 +72,15 @@ def test_scatter_default_sweep_has_six_rows(tmp_path, capsys):
     assert [ln.split(",")[0] for ln in data] == ["10", "15", "20", "25", "30", "35"]
 
 
+def test_scatter_chiral_sweep_converges(tmp_path, capsys):
+    # with beta != 0 the reference is the chiral dipole, which the MFS fields can match
+    cfg = write_config(tmp_path, {"ellipsoid": {"a": 5, "b": 3, "c": 2}, "beta": 0.1})
+    assert main(["scatter", "--config", cfg, "--format", "json"]) == 0
+    err = {row["N"]: row["errE"] for row in json.loads(capsys.readouterr().out)}
+    assert err[35] < 1e-7
+    assert err[35] < err[10]
+
+
 def test_scatter_out_file(tmp_path):
     cfg = write_config(tmp_path, TINY_SCATTER)
     out = tmp_path / "report.csv"
@@ -124,12 +133,14 @@ def test_scatter_ill_conditioned_plateau(tmp_path, capsys, oversample):
         {"oversample": 1e300},
         {"n_values": [5, 10**12]},
         {"oversample": 1e8, "n_values": [35]},
+        {"beta": 1.0, "alpha": [1.0, 0.0]},
     ],
     ids=["n_values_empty", "n_values_bool", "axis_zero", "axis_negative",
          "source_scale_zero", "source_scale_above_one", "oversample_below_one",
          "eval_scale_zero", "eval_scale_inside_scatterer", "alpha_negative_imag",
          "eval_scale_infinite", "alpha_nan_part", "alpha_nan", "axis_nan", "eval_scale_beyond_float",
-         "oversample_beyond_array_limit", "largest_n_beyond_array_limit", "oversample_beyond_ceiling"],
+         "oversample_beyond_array_limit", "largest_n_beyond_array_limit", "oversample_beyond_ceiling",
+         "chiral_resonance"],
 )
 def test_scatter_bad_config_values(tmp_path, capsys, monkeypatch, override):
     # rejected while the config is read: no solve starts, so no array is built
@@ -245,13 +256,14 @@ def test_green_eval_refine_table(capsys):
         ({}, ["--x", "nan,0,0"]),
         ({}, ["--x", "1e200,0,0"]),
         ({}, ["--beta", "1e-300"]),
+        ({}, ["--beta", "1e-120"]),
         ({}, ["--beta", "inf"]),
         ({}, ["--t", "nan"]),
         ({"mu": float("inf")}, []),
     ],
     ids=["levels_not_int", "levels_zero", "levels_beyond_memory", "levels_huge", "x_not_number", "eps_negative",
          "beta_zero", "beta_zero_refine", "x_origin", "x_nan", "x_norm_overflows", "beta_underflows",
-         "beta_infinite", "t_nan", "mu_infinite"],
+         "beta_factors_overflow", "beta_infinite", "t_nan", "mu_infinite"],
 )
 def test_green_eval_bad_config_values(tmp_path, capsys, cfg, flags):
     path = write_config(tmp_path, cfg)
@@ -259,3 +271,15 @@ def test_green_eval_bad_config_values(tmp_path, capsys, cfg, flags):
     captured = capsys.readouterr()
     assert "config error" in captured.err
     assert captured.out == ""  # no value printed, NaN or otherwise
+
+
+def test_green_eval_config_hash_names_the_inputs(tmp_path, capsys):
+    def config_hash(cfg, flags):
+        assert main(["green-eval", "--refine", "--config", write_config(tmp_path, cfg)] + flags) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("# config_hash=")]
+        return line
+
+    beta_1 = config_hash({"levels": 1}, ["--beta", "1"])
+    beta_2 = config_hash({"levels": 1}, ["--beta", "2"])
+    assert beta_1 != beta_2
+    assert config_hash({"levels": 1, "beta": 2}, []) == beta_2

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bqem import kernels
 from bqem.algebra import Biquaternion
 from bqem.errors import ChiralResonance, InadmissibleAlpha, OriginSingularity
 from bqem.grids import Lattice, dirac, max_abs_interior
@@ -161,21 +162,47 @@ def test_chiral_medium():
 
 
 def test_dipole_zero_moment():
-    E, H = dipole_field((0, 0, 0), ALPHA, [1.0, 2.0, 0.5])
+    E, H = dipole_field((0, 0, 0), ChiralMedium(alpha=ALPHA), [1.0, 2.0, 0.5])
     assert np.all(E == 0) and np.all(H == 0)
+
+
+def test_dipole_at_beta_zero_is_curl_of_moment_times_theta(monkeypatch):
+    # against the textbook closed form of the dipole, with theta = -e/(4 pi r)
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(50, 3)) * [3.0, 1.0, 0.5]
+    c = np.array([0.3, -1.0, 0.7])
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    xh = x / r
+    theta = -np.exp(1j * ALPHA * r) / (4 * np.pi * r)
+    xh_c = np.cross(xh, np.broadcast_to(c, x.shape))
+    xh_xh_c = xh * np.sum(xh * c, axis=-1, keepdims=True)
+    curl = theta * (1j * ALPHA - 1 / r) * xh_c
+    curl_curl = theta * (ALPHA**2 * np.cross(xh_c, xh) + (3 * xh_xh_c - c) * (1 / r**2 - 1j * ALPHA / r))
+    E, H = dipole_field(c, ChiralMedium(alpha=ALPHA), x)
+    for got, want in ((E, curl), (H, -curl_curl / (1j * ALPHA))):
+        assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=-1, keepdims=True)) < 1e-15
+
+    # one theta for curl, one for curl curl: both polarizations share them at beta = 0
+    calls = []
+    theta_and_radial = kernels._theta_and_radial
+    monkeypatch.setattr(kernels, "_theta_and_radial", lambda *a: calls.append(a) or theta_and_radial(*a))
+    dipole_field(c, ChiralMedium(alpha=ALPHA), x)
+    assert len(calls) == 2
+    dipole_field(c, ChiralMedium(beta=0.1, alpha=ALPHA), x)
+    assert len(calls) == 6
 
 
 def test_dipole_solves_maxwell():
     moment = np.array([0.3, -1.0, 0.7])
     x0 = np.array([0.9, -0.4, 1.2])
-    E0, H0 = dipole_field(moment, ALPHA, x0)
-    rotE = fd_rot(lambda p: dipole_field(moment, ALPHA, p)[0], x0, 1e-4)
-    rotH = fd_rot(lambda p: dipole_field(moment, ALPHA, p)[1], x0, 1e-4)
+    E0, H0 = dipole_field(moment, ChiralMedium(alpha=ALPHA), x0)
+    rotE = fd_rot(lambda p: dipole_field(moment, ChiralMedium(alpha=ALPHA), p)[0], x0, 1e-4)
+    rotH = fd_rot(lambda p: dipole_field(moment, ChiralMedium(alpha=ALPHA), p)[1], x0, 1e-4)
     scale = max(np.max(np.abs(E0)), np.max(np.abs(H0)))
     # rot E = -1j alpha H and rot H = 1j alpha E (achiral system)
     assert np.max(np.abs(rotE + 1j * ALPHA * H0)) < 1e-6 * scale
     assert np.max(np.abs(rotH - 1j * ALPHA * E0)) < 1e-6 * scale
-    divE = fd_div(lambda p: dipole_field(moment, ALPHA, p)[0], x0, 1e-4)
+    divE = fd_div(lambda p: dipole_field(moment, ChiralMedium(alpha=ALPHA), p)[0], x0, 1e-4)
     assert abs(divE) < 1e-6 * scale
 
 
@@ -184,7 +211,7 @@ def test_dipole_silver_mueller_decay():
     xhat = np.array([0.6, 0.64, 0.48])
     vals = []
     for r in (10.0, 100.0, 1000.0):
-        E, H = dipole_field(moment, 1.0, r * xhat)
+        E, H = dipole_field(moment, ChiralMedium(alpha=1.0), r * xhat)
         vals.append(r * np.max(np.abs(E - np.cross(xhat, H))))
     assert vals[0] > vals[1] > vals[2]
 

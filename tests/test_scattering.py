@@ -21,8 +21,6 @@ from bqem.scattering import (
     SurfaceSamples,
     _assemble_rows,
     assemble_system,
-    chiral_point_source,
-    chiral_selftest,
     evaluate_fields,
     parametric_grid,
     run_benchmark,
@@ -43,7 +41,7 @@ def dipole_problem(n, moment=(1.0, 0.0, 0.0), **kw):
         medium=MEDIUM,
         n_sources=n,
         source_scale=0.15,
-        boundary_data=tangential_datum(partial(dipole_field, np.asarray(moment, dtype=float), MEDIUM.alpha)),
+        boundary_data=tangential_datum(partial(dipole_field, np.asarray(moment, dtype=float), MEDIUM)),
         **kw,
     )
 
@@ -381,7 +379,7 @@ def test_solution_matches_dipole_on_eval_surface():
     sol = solve_problem(prob)
     pts = parametric_grid(SURFACE, 12, 6, scale=5.0).pos
     E, H, _ = evaluate_fields(sol, pts)
-    E_ref, H_ref = dipole_field(moment, MEDIUM.alpha, pts)
+    E_ref, H_ref = dipole_field(moment, MEDIUM, pts)
     assert np.max(np.abs(E - E_ref)) < 1e-5
     assert np.max(np.abs(H - H_ref)) < 1e-5
 
@@ -434,7 +432,7 @@ def test_interior_problem():
     center = np.array([18.0, 2.0, 1.0])
 
     def reference(pts):
-        return dipole_field(moment, MEDIUM.alpha, np.asarray(pts) - center)
+        return dipole_field(moment, MEDIUM, np.asarray(pts) - center)
 
     def boundary_data(samples):
         E, _ = reference(samples.pos)
@@ -460,7 +458,7 @@ def test_impedance_condition():
     xi = 0.4 + 0.1j
 
     def boundary_data(samples):
-        E, H = dipole_field(moment, MEDIUM.alpha, samples.pos)
+        E, H = dipole_field(moment, MEDIUM, samples.pos)
         hxn = np.cross(H, samples.normal)
         return np.cross(E, samples.normal) - xi * np.cross(hxn, samples.normal)
 
@@ -475,7 +473,7 @@ def test_impedance_condition():
     sol = solve_problem(prob)
     pts = parametric_grid(SURFACE, 12, 6, scale=5.0).pos
     E, H, _ = evaluate_fields(sol, pts)
-    E_ref, H_ref = dipole_field(moment, MEDIUM.alpha, pts)
+    E_ref, H_ref = dipole_field(moment, MEDIUM, pts)
     assert np.max(np.abs(E - E_ref)) < 1e-5
     assert np.max(np.abs(H - H_ref)) < 1e-5
 
@@ -507,7 +505,7 @@ def test_oversampled_least_squares_solve():
     sol = solve_problem(prob)
     pts = parametric_grid(SURFACE, 8, 4, scale=5.0).pos
     E, H, _ = evaluate_fields(sol, pts)
-    E_ref, H_ref = dipole_field(np.array([1.0, 0, 0]), MEDIUM.alpha, pts)
+    E_ref, H_ref = dipole_field(np.array([1.0, 0, 0]), MEDIUM, pts)
     assert np.max(np.abs(E - E_ref)) < 1e-4
 
 
@@ -519,7 +517,7 @@ def test_ill_conditioned_system_gives_accurate_field(oversample):
     sol = solve_problem(dipole_problem(100, oversample=oversample))
     pts = parametric_grid(SURFACE, 24, 12, scale=5.0).pos
     E, _, _ = evaluate_fields(sol, pts)
-    E_ref, _ = dipole_field(np.array([1.0, 0, 0]), MEDIUM.alpha, pts)
+    E_ref, _ = dipole_field(np.array([1.0, 0, 0]), MEDIUM, pts)
     assert sol.residual < 1e-10
     assert np.max(np.abs(E - E_ref)) <= 1e-12
 
@@ -532,7 +530,7 @@ def test_determinism():
 
 
 # ---------------------------------------------------------------------------
-# benchmark and chiral self-test
+# benchmark, achiral and chiral
 # ---------------------------------------------------------------------------
 
 
@@ -577,7 +575,7 @@ def test_error_metric_stable_under_grid_doubling():
     def max_err(grid):
         pts = parametric_grid(SURFACE, *grid, scale=5.0).pos
         E, H, _ = evaluate_fields(sol, pts)
-        E_ref, H_ref = dipole_field(moment, MEDIUM.alpha, pts)
+        E_ref, H_ref = dipole_field(moment, MEDIUM, pts)
         return max(np.max(np.abs(E - E_ref)), np.max(np.abs(H - H_ref)))
 
     coarse, fine = max_err((24, 12)), max_err((48, 24))
@@ -586,7 +584,8 @@ def test_error_metric_stable_under_grid_doubling():
 
 def test_chiral_point_source_solves_chiral_maxwell():
     med = ChiralMedium(beta=0.1, alpha=1 + 0.3j)
-    exact = chiral_point_source(med, (0.05, -0.03, 0.04), (0.5, 0.5, 0.7))
+    y0 = np.array([0.05, -0.03, 0.04])
+    exact = lambda x: dipole_field((0.5, 0.5, 0.7), med, x - y0)
     x0 = np.array([3.0, 1.0, 0.5])
     h = 1e-3
 
@@ -612,8 +611,8 @@ def test_chiral_point_source_solves_chiral_maxwell():
 
 
 def test_chiral_selftest_converges():
-    med = ChiralMedium(beta=0.1, alpha=1 + 0.3j)
-    r_small = chiral_selftest(med, 8)
-    r_big = chiral_selftest(med, 20)
-    assert r_big.far_error < r_small.far_error / 10
-    assert r_big.boundary_error < r_small.boundary_error
+    # the benchmark rows in a chiral medium, against its two-polarization dipole
+    prob = MfsProblem(surface=SURFACE, medium=ChiralMedium(beta=0.1, alpha=1 + 0.3j), n_sources=8, source_scale=0.15)
+    small, big = run_benchmark(prob, [8, 20])
+    assert max(big["errE"], big["errH"]) < max(small["errE"], small["errH"]) / 10
+    assert big["errB"] < small["errB"]
