@@ -28,11 +28,14 @@ The factors of f that depend on x alone are computed once per lattice
 (``_green_at``).  One slab kernel, ``_M_slab``, evaluates M on a time slab
 from the three field slabs around it: ``apply_M`` runs it over a whole
 (nt,) + dims + (4,) field, and ``green_residual`` streams it, so that
-neither f nor M f is ever built whole.
+neither f nor M f is ever built whole.  ``green_residual`` evaluates f only
+on the box its margin keeps, plus the one node on each face that the
+central differences read, in space as well as in time.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -47,19 +50,22 @@ from .kernels import ChiralMedium, fundamental_solution
 # as violating charge continuity.
 CONTINUITY_TOL = 1e-6
 
-# Largest complex (n^3, 4) time slab that green_refinement may reach:
-# 256 MiB, so at most 5 levels (n = 129, 137 MB a slab).  green_residual
-# holds about ten slabs; 6 levels (n = 257, 1.09 GB a slab) would need
-# about 11 GB, and are refused before anything is allocated.
+# Largest complex (m^3, 4) time slab that green_refinement may reach:
+# 256 MiB.  At k levels the finest lattice has n = 2^(k+2) + 1 nodes a side
+# and margin 2^(k-1), so green_residual builds slabs of m = 3 2^k + 3 nodes
+# a side: at most 5 levels (m = 99, 62 MB a slab).  green_residual holds
+# about ten slabs; 6 levels (m = 195, 475 MB a slab) would need about
+# 5 GB, and are refused before anything is allocated.
 MAX_SLAB_BYTES = 2**28
-MAX_REFINE_LEVELS = max(k for k in range(1, 32) if 64 * (2 ** (k + 2) + 1) ** 3 <= MAX_SLAB_BYTES)
+MAX_REFINE_LEVELS = max(k for k in range(1, 32) if 64 * (3 * 2**k + 3) ** 3 <= MAX_SLAB_BYTES)
 
 
 def _green_factors(x, medium: ChiralMedium):
     """The x-only factors of the Green function at positions x:
-    (a, c(x), P, Q), P and Q of shape x.shape[:-1] + (4,).
+    (a, c(x), P, Q, (min c, max c)), P and Q of shape x.shape[:-1] + (4,).
 
-    Computed once per lattice; ``_green_at`` fills f at any time from them.
+    Computed once per lattice; ``_green_at`` fills f at any time from them,
+    and checks t against the range of c without another pass over x.
     beta is rejected when beta^2 eps mu, which Q divides by, is 0 to double
     precision, or when a factor is not finite (Q grows as beta^-3, and the
     phase |x|/beta may overflow too); K_{1/beta} rejects |x| = 0 or not
@@ -79,22 +85,30 @@ def _green_factors(x, medium: ChiralMedium):
         factors = 1.0 / (beta * rt_em), r / (beta * beta * rt_em), K / (beta * rt_em), Q
     if not all(np.all(np.isfinite(f)) for f in factors):
         raise AchiralUnsupported(f"Green function factors overflow double precision at beta = {beta}")
-    return factors
+    a, c, P, Q = factors
+    return a, c, P, Q, (float(np.min(c, initial=np.inf)), float(np.max(c, initial=0.0)))
 
 
 def _green_at(t, factors) -> np.ndarray:
     """Components of f at times t (broadcast against the factors' positions):
     H(t) e^{iat} (P J0 - Q sqrt(t/c) J1), with J0, J1 at 2 sqrt(c t).
 
-    scipy.special is imported on first use: at module level it would add
-    tens of milliseconds to ``import bqem`` for every command.
+    A t so large that a t, c t or t / c overflows is rejected; the check
+    takes scalars only (the latest time and the range of c), so a time slab
+    costs no extra pass over its nodes.  scipy.special is imported on first
+    use: at module level it would add tens of milliseconds to ``import bqem``
+    for every command.
     """
     import scipy.special
 
-    a, c, P, Q = factors
+    a, c, P, Q, (c_lo, c_hi) = factors
     t = np.asarray(t, dtype=float)
     heavi = t >= 0.0
     tpos = np.where(heavi, t, 0.0)
+    t_max = float(np.max(tpos, initial=0.0))
+    # Python floats: an overflow gives inf here, not a RuntimeWarning
+    if not all(math.isfinite(v) for v in (float(a) * t_max, c_hi * t_max, t_max / c_lo)):
+        raise ValueError(f"t = {t_max} overflows the Green function's phase or Bessel argument")
     z = 2.0 * np.sqrt(c * tpos)
     j0 = scipy.special.j0(z)
     j1_scaled = np.sqrt(tpos / c) * scipy.special.j1(z)
@@ -167,13 +181,21 @@ def green_residual(st: SpaceTimeLattice, medium: ChiralMedium, margin: int = 0) 
 
     The value is that of ``max_abs_interior(apply_M(f), margin,
     time_axis=True)``, but neither f nor M f is built whole: f is evaluated
-    only on the time slabs the margin keeps, at most three at a time, and
-    M f one slab at a time.
+    only on the box the margin keeps plus one stencil node on each face, in
+    space (a slice of the lattice's points, so every coordinate and value is
+    the same) and in time, at most three time slabs at a time, and M f one
+    slab at a time.
     """
-    keep = max(margin, 1)  # the first kept slab of M f; apply_M's NaN face is slab 0
+    if margin < 0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
+    keep = max(margin, 1)  # the first kept node of M f on each axis, in time and space
     if 2 * keep >= st.nt:
         raise GridTooSmall(f"margin {margin} leaves no time interior on {st.nt} time nodes")
-    factors = _green_factors(st.space.points(), medium)
+    if 2 * keep >= min(st.space.dims):
+        raise GridTooSmall(f"margin {margin} leaves no space interior on {st.space.dims} nodes")
+    # nodes keep - 1 .. n - keep: M f's NaN faces land on keep - 1 and n - keep
+    box = tuple(slice(keep - 1, n - keep + 1) for n in st.space.dims)
+    factors = _green_factors(st.space.points()[box], medium)
     times = st.times()
     h = st.space.spacing
     window = [_green_at(times[s], factors) for s in (keep - 1, keep)]
@@ -181,7 +203,9 @@ def green_residual(st: SpaceTimeLattice, medium: ChiralMedium, margin: int = 0) 
     for s in range(keep, st.nt - keep):
         window.append(_green_at(times[s + 1], factors))
         Mf = _M_slab(*window, h, st.dt, medium, -1j)
-        worst = max(worst, max_abs_interior(Mf, margin))
+        # margin 1 drops those NaN faces by index: finding them by scanning
+        # takes a third of the norm's time
+        worst = max(worst, max_abs_interior(Mf, 1))
         del window[0]
     return worst
 
@@ -191,8 +215,10 @@ def green_refinement(medium: ChiralMedium, levels: int) -> list[tuple[float, flo
 
     Level k has n = 2^(k+3) + 1 nodes (9, 17, 33, ...) on the cube of side
     0.4 centred at (0.8, 0.8, 0.8) and on t in [0.5, 2], with margin 2^k in
-    space and time, so every level measures M f over one physical region.
-    ``levels`` runs from 1 to ``MAX_REFINE_LEVELS``.
+    space and time, so every level measures M f over one physical region;
+    ``green_residual`` evaluates f on that region's n - 2^(k+1) + 2 nodes a
+    side only (9, 15, 27, ...).  ``levels`` runs from 1 to
+    ``MAX_REFINE_LEVELS``.
     """
     if not 1 <= levels <= MAX_REFINE_LEVELS:
         raise ValueError(f"levels must be in [1, {MAX_REFINE_LEVELS}], got {levels}")

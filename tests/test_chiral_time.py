@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from bqem import chiral_time
 from bqem.algebra import Biquaternion
 from bqem.chiral_time import (
     MAX_REFINE_LEVELS,
@@ -200,6 +201,15 @@ def test_green_guards():
         green_function(1.0, [0.0, 0, 0], MED)
     with pytest.raises(ValueError, match="not finite"):
         green_function(1.0, [1e200, 0, 0], MED)
+    # a t so large that c t, a t or t / c overflows: rejected, not NaN
+    with pytest.raises(ValueError, match="overflows"):
+        green_function(1e308, [1.0, 0, 0], ChiralMedium(beta=1e-3))
+    with pytest.raises(ValueError, match="overflows"):
+        green_function(1e308, [0.1, 0, 0], MED)
+    with pytest.raises(ValueError, match="overflows"):
+        green_function(np.array([0.5, np.inf]), [1.0, 0, 0], MED)
+    # only the latest non-negative time counts: earlier ones are zeros of H(t)
+    assert np.all(green_function(np.array([-1e308, 1.0]), [1.0, 0, 0], MED).components[0] == 0.0)
 
 
 def test_green_annihilated_by_M():
@@ -208,7 +218,7 @@ def test_green_annihilated_by_M():
 
 
 def test_green_refinement_levels_bounded():
-    # 6 levels would hold ten 1.09 GB time slabs: refused before any is built
+    # 6 levels would hold ten 475 MB time slabs: refused before any is built
     assert MAX_REFINE_LEVELS == 5
     for levels in (0, 6, 10**9):
         with pytest.raises(ValueError, match="levels"):
@@ -262,7 +272,7 @@ def test_apply_M_matches_whole_array_expression(beta, star):
 def test_green_residual_matches_whole_array_path(margin):
     # the streamed residual against M f built whole, on a non-cubic lattice
     # with nt != n whose first times are negative, so the Heaviside zeros of f
-    # and the jump at t = 0 are inside
+    # and the jump at t = 0 are inside; margin 3 leaves 2 nodes on the short axis
     med = ChiralMedium(eps=2.0, mu=0.5, beta=0.7)
     st = SpaceTimeLattice(Lattice((0.3, 0.1, 0.2), 0.05, (9, 11, 8)), -0.12, 0.04, 13)
     f = sampled(st, lambda t, x: green_function(t, x, med).components)
@@ -287,6 +297,30 @@ def test_green_residual_guards():
         green_residual(replace(st, nt=2), MED)
     with pytest.raises(AchiralUnsupported):
         green_residual(st, ChiralMedium(beta=0.0))
+    # the margin leaves no space interior on the 8-node axis while time has
+    # one: the whole-array path agrees
+    st = replace(st, nt=13)
+    f = sampled(st, lambda t, x: green_function(t, x, MED).components)
+    with pytest.raises(GridTooSmall):
+        max_abs_interior(apply_M(f, st, MED), 4, time_axis=True)
+    with pytest.raises(GridTooSmall, match="space"):
+        green_residual(st, MED, margin=4)
+
+
+@pytest.mark.parametrize("margin, side", [(2, 15), (0, 17), (1, 17)])
+def test_green_residual_evaluates_the_kept_box_only(monkeypatch, margin, side):
+    # f is built on the nodes the margin keeps plus one stencil node a face
+    shapes = []
+    factors = chiral_time._green_factors
+
+    def recording(x, medium):
+        shapes.append(x.shape)
+        return factors(x, medium)
+
+    monkeypatch.setattr(chiral_time, "_green_factors", recording)
+    st = SpaceTimeLattice(Lattice.cube((0.8, 0.8, 0.8), 0.4, 17), 0.5, 1.5 / 16, 17)
+    assert green_residual(st, MED, margin) > 0.0
+    assert shapes == [(side, side, side, 3)]
 
 
 def test_green_residual_holds_a_few_slabs():

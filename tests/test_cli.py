@@ -259,11 +259,12 @@ def test_green_eval_refine_table(capsys):
         ({}, ["--beta", "1e-120"]),
         ({}, ["--beta", "inf"]),
         ({}, ["--t", "nan"]),
+        ({}, ["--t", "1e308", "--x", "1,0,0", "--beta", "1e-3"]),
         ({"mu": float("inf")}, []),
     ],
     ids=["levels_not_int", "levels_zero", "levels_beyond_memory", "levels_huge", "x_not_number", "eps_negative",
          "beta_zero", "beta_zero_refine", "x_origin", "x_nan", "x_norm_overflows", "beta_underflows",
-         "beta_factors_overflow", "beta_infinite", "t_nan", "mu_infinite"],
+         "beta_factors_overflow", "beta_infinite", "t_nan", "t_overflows", "mu_infinite"],
 )
 def test_green_eval_bad_config_values(tmp_path, capsys, cfg, flags):
     path = write_config(tmp_path, cfg)
