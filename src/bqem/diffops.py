@@ -24,8 +24,9 @@ lattice, and every routine takes the geometry from the slot or from the
 lattice it is handed.  M^p denotes right multiplication by p, f -> f p
 (pointwise, p is never differentiated), and ^pM left multiplication
 f -> p f; both are ``algebra._mul_components`` with the operands in that
-order.  For purely vectorial p, q the exact identity
-<p, q> = -(p q + q p) / 2 holds nodewise.
+order.  D + M^p has one routine, ``_dirac_plus_M``, and grad(f)/f one,
+``_log_derivative``; ``inhomog`` builds its static split from both.  For
+purely vectorial p, q the exact identity <p, q> = -(p q + q p) / 2 holds.
 """
 
 from __future__ import annotations
@@ -87,7 +88,17 @@ class PotentialSlot:
 
     def df_over_f(self) -> np.ndarray:
         """Df/f as a purely vectorial dims + (4,) array, with one NaN face layer."""
-        return _components(vector=grad(self.f, self.lattice.spacing) / self.f[..., None])
+        return _log_derivative(self.f, self.lattice.spacing)
+
+
+def _log_derivative(f: np.ndarray, h: float) -> np.ndarray:
+    """grad(f)/f as a purely vectorial dims + (4,) array, with one NaN face layer."""
+    return _components(vector=grad(f, h) / f[..., None])
+
+
+def _dirac_plus_M(q: np.ndarray, p: np.ndarray, h: float) -> np.ndarray:
+    """(D + M^p) q = D q + q p for a quaternion field q on [(nt,) +] dims."""
+    return dirac(q, h) + _mul_components(q, p)
 
 
 def _check_nonvanishing(values: np.ndarray, name: str) -> None:
@@ -117,9 +128,7 @@ def _dirac_minus_plus_M(slot: PotentialSlot, g: np.ndarray) -> np.ndarray:
     """(D + M^w)(D - M^w) g for a scalar g, w = Df/f."""
     h = slot.lattice.spacing
     w = slot.df_over_f()
-    qg = _components(g)
-    inner = dirac(qg, h) - _mul_components(qg, w)
-    return dirac(inner, h) + _mul_components(inner, w)
+    return _dirac_plus_M(_dirac_plus_M(_components(g), -w, h), w, h)
 
 
 def schrodinger_factorization_residual(slot: PotentialSlot, g, margin: int = 0) -> float:
@@ -138,9 +147,7 @@ def conductivity_factorization_residual(slot: PotentialSlot, phi, margin: int = 
     h = slot.lattice.spacing
     sp = np.sqrt(slot.p)
     lhs = div(slot.p[..., None] * grad(phi, h), h) + slot.q * phi
-    rhs = -sp[..., None] * _dirac_minus_plus_M(slot, sp * phi)
-
-    res = -rhs
+    res = sp[..., None] * _dirac_minus_plus_M(slot, sp * phi)
     res[..., 0] += lhs
     return max_abs_interior(res, margin)
 
@@ -154,8 +161,7 @@ def darboux_transform(slot: PotentialSlot, g) -> np.ndarray:
 def dirac_residual(slot: PotentialSlot, F, margin: int = 0) -> float:
     """Max interior norm of (D + M^{Df/f}) F."""
     F = _on_lattice(F, slot.lattice, "F", (4,))
-    out = dirac(F, slot.lattice.spacing) + _mul_components(F, slot.df_over_f())
-    return max_abs_interior(out, margin)
+    return max_abs_interior(_dirac_plus_M(F, slot.df_over_f(), slot.lattice.spacing), margin)
 
 
 def _cumulative_simpson_from(f: np.ndarray, base: int, h: float, axis: int = 0) -> np.ndarray:

@@ -8,15 +8,17 @@ For real fields E, H the purely vectorial biquaternion V = sqrt(eps) E +
 
 exactly when (E, H) solve the Maxwell system with sources (rho, j); here
 c = 1/sqrt(eps mu), W = sqrt(mu/eps) is the intrinsic wave impedance, and
-cvec = grad(sqrt(c))/sqrt(c), Wvec = grad(sqrt(W))/sqrt(W) are the
-logarithmic-derivative fields (M^p is pointwise right multiplication, p is
-never differentiated).  The derived fields obey
+each log-derivative field epsvec, muvec, cvec, Wvec is grad(sqrt(s))/sqrt(s)
+for s = eps, mu, c, W, from the one ``diffops._log_derivative`` (M^p is
+pointwise right multiplication, p is never differentiated).  build_medium
+checks on every medium, from the stored fields, that
 
-    epsvec + muvec = -grad(c)/c        epsvec - muvec = -grad(W)/W ,
+    epsvec + muvec + 2 cvec = 0        epsvec - muvec + 2 Wvec = 0 .
 
-which build_medium checks on every constructed medium.  In the static case
-the system splits into (D + M^epsvec) calE = -rho/sqrt(eps) and
-(D + M^muvec) calH = sqrt(mu) j with calE = sqrt(eps) E, calH = sqrt(mu) H.
+In the static case the system splits into (D + M^epsvec) calE = -rho/sqrt(eps)
+and (D + M^muvec) calH = sqrt(mu) j with calE = sqrt(eps) E, calH = sqrt(mu) H,
+both through ``diffops._dirac_plus_M``: the electric half is the first-order
+factor D + M^{Df/f} of the Schroedinger operator -Lap + Lap f/f at f = sqrt(eps).
 
 Verification uses manufactured solutions: H = rot(A)/mu and
 E = -dt(A) + grad(phi) satisfy the two curl-free/divergence-free halves
@@ -37,6 +39,7 @@ from functools import cache
 import numpy as np
 
 from .algebra import _components, _mul_components
+from .diffops import _dirac_plus_M, _log_derivative
 from .errors import LatticeMismatch, NonPositiveMedium
 from .grids import (
     Lattice,
@@ -45,7 +48,6 @@ from .grids import (
     diff,
     dirac,
     div,
-    grad,
     max_abs_interior,
     rot,
 )
@@ -113,11 +115,6 @@ class MediumFields:
     identity_residuals: tuple[float, float] = (np.nan, np.nan)
 
 
-def _log_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """grad(sqrt(s))/sqrt(s) = grad(s)/(2 s) as a pure-vector quaternion array."""
-    return _components(vector=grad(values, h) / (2.0 * values[..., None]))
-
-
 def build_medium(
     lattice: Lattice,
     eps,
@@ -137,15 +134,10 @@ def build_medium(
     cv = 1.0 / np.sqrt(ev * mv)
     Wv = np.sqrt(mv / ev)
 
-    epsvec = _log_derivative(ev, h)
-    muvec = _log_derivative(mv, h)
-    cvec = _log_derivative(cv, h)
-    Wvec = _log_derivative(Wv, h)
+    epsvec, muvec, cvec, Wvec = (_log_derivative(np.sqrt(v), h) for v in (ev, mv, cv, Wv))
 
     # the two gradient identities tying the derived fields together
-    id1 = epsvec[..., 1:] + muvec[..., 1:] + grad(cv, h) / cv[..., None]
-    id2 = epsvec[..., 1:] - muvec[..., 1:] + grad(Wv, h) / Wv[..., None]
-    residuals = (max_abs_interior(id1), max_abs_interior(id2))
+    residuals = (max_abs_interior(epsvec + muvec + 2.0 * cvec), max_abs_interior(epsvec - muvec + 2.0 * Wvec))
 
     return MediumFields(
         lattice=lattice,
@@ -200,8 +192,7 @@ def manufactured_solution(A, phi, medium: MediumFields, st: SpaceTimeLattice) ->
     """
     import sympy as sp
 
-    if st.space != medium.lattice:
-        raise LatticeMismatch("state lattice differs from the medium's")
+    _check_same_lattice(st, medium)
     if medium.eps_form is None or medium.mu_form is None:
         raise ValueError(
             "manufactured solutions need eps and mu in closed form (medium_from_expressions)"
@@ -237,21 +228,33 @@ def manufactured_solution(A, phi, medium: MediumFields, st: SpaceTimeLattice) ->
     )
 
 
+def _check_same_lattice(st: SpaceTimeLattice, medium: MediumFields) -> None:
+    """Reject a state whose space lattice is not the one the medium was sampled on."""
+    if st.space != medium.lattice:
+        raise LatticeMismatch("state lattice differs from the medium's")
+
+
 def _scaled(state: EMState, medium: MediumFields) -> tuple[np.ndarray, np.ndarray]:
     """(sqrt(eps) E, sqrt(mu) H), the fields of the quaternionic form."""
     return np.sqrt(medium.eps)[..., None] * state.E, np.sqrt(medium.mu)[..., None] * state.H
 
 
-def _dirac_plus_M(u: np.ndarray, p: np.ndarray, h: float) -> np.ndarray:
-    """(D + M^p) u for a pure-vector field u of shape [(nt,) +] dims + (3,)."""
-    q = _components(vector=u)
-    return dirac(q, h) + _mul_components(q, p)
+def _static_split(calE, calH, rho, j, medium: MediumFields) -> tuple[np.ndarray, np.ndarray]:
+    """(D + M^epsvec) calE + rho/sqrt(eps) and (D + M^muvec) calH - sqrt(mu) j
+    on [(nt,) +] dims, with their NaN faces."""
+    h = medium.lattice.spacing
+    r1 = _dirac_plus_M(_components(vector=calE), medium.epsvec, h)
+    r1[..., 0] += rho / np.sqrt(medium.eps)
+    r2 = _dirac_plus_M(_components(vector=calH), medium.muvec, h)
+    r2[..., 1:] -= np.sqrt(medium.mu)[..., None] * j
+    return r1, r2
 
 
 def maxwell_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> tuple[float, float, float, float]:
     """Max interior residuals of the four Maxwell equations, in order:
     rot H - eps dt E - j,  rot E + mu dt H,  div(eps E) - rho,  div(mu H)."""
     st = state.st
+    _check_same_lattice(st, medium)
     h = st.space.spacing
     ht = st.dt
     ev = medium.eps[..., None]
@@ -267,6 +270,7 @@ def maxwell_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> 
 
 def quaternionic_residual(state: EMState, medium: MediumFields, margin: int = 0) -> float:
     """Max interior residual of the single quaternionic Maxwell equation."""
+    _check_same_lattice(state.st, medium)
     if not all(np.allclose(np.imag(f), 0.0, atol=1e-14) for f in (state.E, state.H)):
         warnings.warn(
             "state has complex E or H; the equivalence only covers real fields",
@@ -292,34 +296,23 @@ def split_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> tu
     """Residuals of the two intermediate equations on calE and calH:
     (D + M^epsvec) calE + (1/c) dt calH + rho/sqrt(eps) and
     (D + M^muvec) calH - (1/c) dt calE - sqrt(mu) j."""
-    st = state.st
-    h = st.space.spacing
-    ht = st.dt
-
+    _check_same_lattice(state.st, medium)
+    ht = state.st.dt
     calE, calH = _scaled(state, medium)
-    r1 = _dirac_plus_M(calE, medium.epsvec, h)
+    r1, r2 = _static_split(calE, calH, state.rho, state.j, medium)
     r1[..., 1:] += diff(calH, 0, ht) / medium.c[..., None]
-    r1[..., 0] += state.rho / np.sqrt(medium.eps)
-    r2 = _dirac_plus_M(calH, medium.muvec, h)
     r2[..., 1:] -= diff(calE, 0, ht) / medium.c[..., None]
-    r2[..., 1:] -= np.sqrt(medium.mu)[..., None] * state.j
-
     return max_abs_interior(r1, margin, time_axis=True), max_abs_interior(r2, margin, time_axis=True)
 
 
 def static_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> tuple[float, float]:
     """Residuals of the two decoupled static equations (time slice 0):
     (D + M^epsvec) calE + rho/sqrt(eps) and (D + M^muvec) calH - sqrt(mu) j."""
+    _check_same_lattice(state.st, medium)
     if state.st.nt > 1:
         spread = float(np.max(np.abs(state.E - state.E[0]))) + float(np.max(np.abs(state.H - state.H[0])))
         if spread > 1e-12:
             warnings.warn("state is not time-independent; using slice 0", stacklevel=2)
-    h = state.st.space.spacing
-
     calE, calH = _scaled(state, medium)
-    r1 = _dirac_plus_M(calE[0], medium.epsvec, h)
-    r1[..., 0] += state.rho[0] / np.sqrt(medium.eps)
-    r2 = _dirac_plus_M(calH[0], medium.muvec, h)
-    r2[..., 1:] -= np.sqrt(medium.mu)[..., None] * state.j[0]
-
+    r1, r2 = _static_split(calE[0], calH[0], state.rho[0], state.j[0], medium)
     return max_abs_interior(r1, margin), max_abs_interior(r2, margin)

@@ -28,6 +28,9 @@ from .kernels import (
 
 RATIO_LO, RATIO_HI = 3.2, 4.8
 
+# unit wave vector of the particular solution f = exp(k.x)
+_K = np.array([0.36, 0.48, 0.8])
+
 
 @dataclass(frozen=True)
 class CheckRow:
@@ -216,12 +219,10 @@ def suite_factorizations(seed: int = 0) -> list[CheckRow]:
 
     rows.append(_ratio_row("factorizations", "helmholtz_identity_order", helm(11, 2), helm(21, 4)))
 
-    k = np.array([0.36, 0.48, 0.8])
-
     def schro(n, margin):
         lat = Lattice.cube((0.4, 0.5, 0.6), 0.5, n)
         pts = lat.points()
-        slot = diffops.PotentialSlot.from_particular_solution(lat, np.exp(pts @ k))
+        slot = diffops.PotentialSlot.from_particular_solution(lat, np.exp(pts @ _K))
         g = pts[..., 0] ** 2 * pts[..., 1]
         return diffops.schrodinger_factorization_residual(slot, g, margin=margin)
 
@@ -249,10 +250,10 @@ def suite_factorizations(seed: int = 0) -> list[CheckRow]:
 
     lat = Lattice.cube((0.4, 0.5, 0.6), 0.5, 17)
     pts = lat.points()
-    slot = diffops.PotentialSlot.from_particular_solution(lat, np.exp(pts @ k))
-    g = np.exp(-(pts @ k))
+    slot = diffops.PotentialSlot.from_particular_solution(lat, np.exp(pts @ _K))
+    g = np.exp(-(pts @ _K))
     F = diffops.darboux_transform(slot, g)
-    closed = _components(vector=-2.0 * np.exp(-(pts @ k))[..., None] * k)
+    closed = _components(vector=-2.0 * np.exp(-(pts @ _K))[..., None] * _K)
     ferr = max_abs_interior(F - closed)
     rows.append(_row("factorizations", "darboux_closed_form", ferr, 5e-3))
     rows.append(_row("factorizations", "darboux_dirac_residual", diffops.dirac_residual(slot, F), 5e-2))
@@ -423,6 +424,21 @@ def suite_inhomog(seed: int = 0) -> list[CheckRow]:
     for i in (0, 1, 2):
         rows.append(_ratio_row("inhomog", f"maxwell_eq{i + 1}_order", m9[i], m17[i]))
     rows.append(_row("inhomog", "maxwell_eq4_residual", m17[3], 1e-12))
+
+    # eps = f^2, f = exp(k.x): calE = F = f D(f^-1 exp(-k.x)) is a sourceless
+    # static field, so the static split is the Schroedinger factor at f = sqrt(eps)
+    def static_split(n, margin):
+        lat = Lattice.cube((0.2, 0.3, 0.1), 0.5, n)
+        kx = lat.points() @ _K
+        med = inhomog.build_medium(lat, np.exp(2.0 * kx), np.ones(lat.dims))
+        slot = diffops.PotentialSlot.from_particular_solution(lat, np.sqrt(med.eps))
+        F = diffops.darboux_transform(slot, np.exp(-kx))
+        E = (F[..., 1:] / np.sqrt(med.eps)[..., None])[None]
+        zero = np.zeros_like(E)
+        state = inhomog.EMState(SpaceTimeLattice(lat, 0.0, 1.0, 1), E, zero, np.zeros(E.shape[:-1]), zero)
+        return inhomog.static_residuals(state, med, margin=margin)[0]
+
+    rows.append(_ratio_row("inhomog", "static_split_order", static_split(9, 2), static_split(17, 4)))
 
     # single-equation violations must blow the quaternionic residual up
     base = r9

@@ -1,3 +1,4 @@
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import sympy as sp
 
 from bqem import diffops
-from bqem.errors import NonPositiveMedium
+from bqem.errors import LatticeMismatch, NonPositiveMedium
 from bqem.grids import Lattice, SpaceTimeLattice, max_abs_interior
 from bqem.inhomog import (
     EMState,
@@ -62,6 +63,16 @@ def test_exponential_eps_log_derivative():
     e9, e17 = err(9), err(17)
     assert e17 < 5e-3
     assert 3.2 <= e9 / e17 <= 4.8
+
+
+def test_log_derivatives_are_df_over_f_of_the_square_root():
+    # epsvec and muvec are Df/f of the slot f = sqrt(eps), sqrt(mu): one
+    # routine, one difference, so the arrays agree bit for bit
+    lat = Lattice.cube((0, 0, 0), 1.0, 13)
+    med = medium_from_expressions(lat, EPS_EXPR, MU_EXPR)
+    for field, s in ((med.epsvec, med.eps), (med.muvec, med.mu)):
+        slot = diffops.PotentialSlot.from_particular_solution(lat, np.sqrt(s))
+        assert np.array_equal(field, slot.df_over_f(), equal_nan=True)
 
 
 def test_gradient_identities_order():
@@ -251,6 +262,20 @@ def test_static_darboux_cross_link():
 
     r1, r2 = res(11, 2), res(21, 4)
     assert 3.2 <= r1 / r2 <= 4.8
+
+
+@pytest.mark.parametrize(
+    "routine", [maxwell_residuals, quaternionic_residual, split_residuals, static_residuals]
+)
+def test_medium_on_another_lattice_rejected(routine):
+    # same dims, side 2 instead of 1: the nodes differ, so the medium's
+    # fields do not belong to the state's nodes
+    med, state = standard_setup(9, 9)
+    other = medium_from_expressions(Lattice.cube((0, 0, 0), 2.0, 9), EPS_EXPR, MU_EXPR)
+    with pytest.warns(UserWarning, match="time-independent") if routine is static_residuals else nullcontext():
+        assert np.all(np.isfinite(routine(state, med, margin=1)))
+    with pytest.raises(LatticeMismatch):
+        routine(state, other, margin=1)
 
 
 def test_manufactured_solution_needs_closed_forms():
