@@ -25,7 +25,10 @@ E = -dt(A) + grad(phi) satisfy the two curl-free/divergence-free halves
 identically, and rho := div(eps E), j := rot(H) - eps dt(E) make the other
 two hold by definition.  The potentials and the medium are sympy
 expressions and all sources are differentiated symbolically, so the state
-is exact and every finite-difference residual is pure stencil error.  Each
+is exact and every finite-difference residual is pure stencil error.  sympy
+is imported only on this route (``medium_from_expressions``,
+``manufactured_solution``); the ``check`` suite writes its one state in
+closed form with numpy and builds its medium with ``build_medium``.  Each
 residual is the max over the interior inside the NaN faces its time and
 space stencils write; ``margin=`` widens that band alike in time and space.
 """

@@ -1,5 +1,7 @@
-"""Import budget: sympy, scipy.linalg and scipy.special load on first use only;
-and the exact set of names ``bqem`` exports.
+"""Import budget: sympy, scipy.linalg and scipy.special load on first use only,
+sympy only on the symbolic route (``medium_from_expressions``,
+``manufactured_solution``) that no CLI command takes; and the exact set of
+names ``bqem`` exports.
 
 Each case runs in a fresh interpreter so that sys.modules starts clean.
 """
@@ -55,8 +57,17 @@ def test_scatter_loads_no_sympy(tmp_path):
     assert "scipy.linalg" in loaded  # the dense solve did load it
 
 
-def test_check_inhomog_passes_loading_sympy_on_first_use():
-    loaded = heavy_modules_after("from bqem import cli\nassert cli.main(['check', 'inhomog']) == 0")
+def test_check_all_loads_neither_sympy_nor_scipy_linalg():
+    loaded = heavy_modules_after("from bqem import cli\nassert cli.main(['check', 'all']) == 0")
+    assert "sympy" not in loaded and "scipy.linalg" not in loaded
+
+
+def test_medium_from_expressions_loads_sympy_on_first_use():
+    loaded = heavy_modules_after(
+        "import sys, bqem\n"
+        "assert 'sympy' not in sys.modules\n"
+        "bqem.medium_from_expressions(bqem.Lattice.cube((0, 0, 0), 1.0, 5), '1 + x1**2', 2)"
+    )
     assert "sympy" in loaded
 
 

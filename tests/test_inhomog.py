@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from bqem import diffops
+from bqem import diffops, suites
 from bqem.errors import LatticeMismatch, NonPositiveMedium
 from bqem.grids import Lattice, SpaceTimeLattice, max_abs_interior
 from bqem.inhomog import (
@@ -156,6 +156,35 @@ def test_split_residuals_refine():
     s17 = split_residuals(st17, med17, margin=2)
     for a, b in zip(s9, s17):
         assert 3.2 <= a / b <= 4.8
+
+
+def _same_state(med, state, ref_med, ref):
+    """The medium fields, E and H equal on finite nodes; rho and j within
+    1e-14 of the reference's max."""
+    fields = ("eps", "mu", "epsvec", "muvec", "cvec", "Wvec")
+    return (
+        state.st == ref.st
+        and all(np.array_equal(getattr(med, f), getattr(ref_med, f), equal_nan=True) for f in fields)
+        and np.array_equal(state.E, ref.E)
+        and np.array_equal(state.H, ref.H)
+        and all(
+            np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)) for a, b in ((state.rho, ref.rho), (state.j, ref.j))
+        )
+    )
+
+
+@pytest.mark.parametrize("n", [9, 17])
+def test_check_suite_state_is_the_sympy_manufactured_solution(n):
+    # the inhomog check suite builds its state in closed form, without sympy
+    med, state = suites._manufactured(n)
+    ref_med, ref = standard_setup(n, n)
+    assert _same_state(med, state, ref_med, ref)
+    # negative control: drop the d(1/mu)/dx1 term 0.2 x1 cos x1 cos t / mu^2 from j
+    x1 = state.st.space.points()[..., 0]
+    t = state.st.times()[:, None, None, None]
+    term = 0.2 * x1 * np.cos(x1) * np.cos(t) / med.mu**2
+    broken = replace(state, j=state.j - term[..., None] * (0.0, 0.0, 1.0))
+    assert not _same_state(med, broken, ref_med, ref)
 
 
 def test_constant_medium_plane_wave():
