@@ -26,11 +26,12 @@ argument 2 sqrt(c t) >= 0, so the closed form holds at any t and |x|.
 The factors of f that depend on x alone are computed once per lattice
 (``_green_factors``), and f is filled from them at any time
 (``_green_at``).  One slab kernel, ``_M_slab``, evaluates M on a time slab
-from the three field slabs around it: ``apply_M`` runs it over a whole
-(nt,) + dims + (4,) field, and ``green_residual`` streams it, so that
-neither f nor M f is ever built whole.  ``green_residual`` evaluates f only
-on the box its margin keeps, plus the one node on each face that the
-central differences read, in space as well as in time.
+from the three slabs around it (``grids._time_windows``): ``apply_M`` fills
+its whole (nt,) + dims + (4,) result so, and ``green_residual`` and
+``maxwell_equivalence_residual`` stream it, building neither f, V nor M f
+whole.  ``green_residual`` evaluates f only on the box its margin keeps,
+plus the one node on each face that the central differences read, in space
+as well as in time.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ import warnings
 import numpy as np
 
 from .algebra import Biquaternion, _components
-from .errors import AchiralUnsupported, GridTooSmall
-from .grids import Lattice, SpaceTimeLattice, _stencil_output, diff, dirac, div, max_abs_interior, rot
+from .errors import AchiralUnsupported
+from .grids import Lattice, SpaceTimeLattice, _keep, _stencil_output, _time_diff, _time_windows
+from .grids import dirac, div, max_abs_interior, rot
 from .inhomog import EMState
 from .kernels import ChiralMedium, fundamental_solution
 
@@ -144,9 +146,7 @@ def _M_slab(prev, cur, nxt, h: float, dt: float, medium: ChiralMedium, sign: com
     faces of ``grids.dirac``.
     """
     rt_em = np.sqrt(medium.eps * medium.mu)
-    # the one central difference not taken by grids: it is streamed over
-    # three slabs, where grids.diff would need the whole time axis
-    g = (nxt - prev) / (2.0 * dt)
+    g = _time_diff(prev, nxt, dt)
     out = dirac(medium.beta * rt_em * g + sign * cur, h)
     out += rt_em * g
     return out
@@ -166,8 +166,8 @@ def apply_M(values: np.ndarray, st: SpaceTimeLattice, medium: ChiralMedium, star
     out, _ = _stencil_output(expect, (0,))
     h = st.space.spacing
     sign = 1j if star else -1j
-    for s in range(1, st.nt - 1):
-        out[s] = _M_slab(values[s - 1], values[s], values[s + 1], h, st.dt, medium, sign)
+    for s, window in _time_windows(values.__getitem__, st):
+        out[s] = _M_slab(*window, h, st.dt, medium, sign)
     return out
 
 
@@ -186,27 +186,19 @@ def green_residual(st: SpaceTimeLattice, medium: ChiralMedium, margin: int = 0) 
     the same) and in time, at most three time slabs at a time, and M f one
     slab at a time.
     """
-    if margin < 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
-    keep = max(margin, 1)  # the first kept node of M f on each axis, in time and space
-    if 2 * keep >= st.nt:
-        raise GridTooSmall(f"margin {margin} leaves no time interior on {st.nt} time nodes")
-    if 2 * keep >= min(st.space.dims):
-        raise GridTooSmall(f"margin {margin} leaves no space interior on {st.space.dims} nodes")
+    keep = _keep(st, margin)  # the first kept node of M f on each axis, in time and space
     # nodes keep - 1 .. n - keep: M f's NaN faces land on keep - 1 and n - keep
     box = tuple(slice(keep - 1, n - keep + 1) for n in st.space.dims)
     factors = _green_factors(st.space.points()[box], medium)
     times = st.times()
     h = st.space.spacing
-    window = [_green_at(times[s], factors) for s in (keep - 1, keep)]
+    # margin 1 drops those NaN faces by index: finding them by scanning takes
+    # a third of the norm's time
     worst = 0.0
-    for s in range(keep, st.nt - keep):
-        window.append(_green_at(times[s + 1], factors))
+    for _, window in _time_windows(lambda s: _green_at(times[s], factors), st, margin):
+        # Mf lives until replaced: freed at once, malloc trims it and faults it back in (6x the page faults)
         Mf = _M_slab(*window, h, st.dt, medium, -1j)
-        # margin 1 drops those NaN faces by index: finding them by scanning
-        # takes a third of the norm's time
         worst = max(worst, max_abs_interior(Mf, 1))
-        del window[0]
     return worst
 
 
@@ -243,31 +235,34 @@ def maxwell_equivalence_residual(state: EMState, medium: ChiralMedium) -> tuple[
     component residual is the max over all four equations on one interior.
     Warns when the input charge/current pair violates continuity.
     """
-    E, H, rho, j = state.E, state.H, state.rho, state.j
-    h = state.st.space.spacing
-    ht = state.st.dt
+    st, E, H, rho, j = state.st, state.E, state.H, state.rho, state.j
+    h, ht = st.space.spacing, st.dt
     eps, mu, beta = medium.eps, medium.mu, medium.beta
     imp = np.sqrt(mu / eps)
 
-    cont = diff(rho, 0, ht) + div(j, h)
-    cont_norm = max_abs_interior(cont, time_axis=True)
-    scale = max(float(np.max(np.abs(rho))), float(np.max(np.abs(j))), 1e-30)
+    cont = (_time_diff(prev, nxt, ht) + div(j[s], h) for s, (prev, _, nxt) in _time_windows(rho.__getitem__, st))
+    cont_norm = max(map(max_abs_interior, cont))
+    scale = max(1e-30, *(float(np.max(np.abs(slab))) for f in (rho, j) for slab in f))
     if cont_norm > CONTINUITY_TOL * scale:
         warnings.warn(
             f"charge/current pair violates continuity: |dt rho + div j| = {cont_norm:.3e}",
             stacklevel=2,
         )
 
-    MV = apply_M(_components(vector=E - 1j * imp * H), state.st, medium)
-    rhs = _components(-beta * imp * diff(rho, 0, ht) + 1j * rho / eps, -imp * j)
-    r_quat = max_abs_interior(MV - rhs, time_axis=True)
+    def fields(s):  # every field whose time difference a residual takes, and V
+        return E[s], H[s], rot(E[s], h), rot(H[s], h), rho[s], _components(vector=E[s] - 1j * imp * H[s])
 
-    rotE = rot(E, h)
-    rotH = rot(H, h)
-    res1 = rotH - eps * (diff(E, 0, ht) + beta * diff(rotE, 0, ht)) - j
-    res2 = rotE + mu * (diff(H, 0, ht) + beta * diff(rotH, 0, ht))
-    res3 = div(E, h) - rho / eps
-    res4 = div(H, h)
-    comp = np.concatenate([res1, res2, res3[..., None], res4[..., None]], axis=-1)
-    r_comp = max_abs_interior(comp, time_axis=True)
+    r_quat = r_comp = 0.0
+    for s, (prev, cur, nxt) in _time_windows(fields, st):
+        dE, dH, d_rotE, d_rotH, d_rho = (_time_diff(a, b, ht) for a, b in zip(prev[:5], nxt[:5]))
+        Es, Hs, rotE, rotH, rho_s, _ = cur
+        MV = _M_slab(prev[5], cur[5], nxt[5], h, ht, medium, -1j)
+        rhs = _components(-beta * imp * d_rho + 1j * rho_s / eps, -imp * j[s])
+        r_quat = max(r_quat, max_abs_interior(MV - rhs))
+        res1 = rotH - eps * (dE + beta * d_rotE) - j[s]
+        res2 = rotE + mu * (dH + beta * d_rotH)
+        res3 = div(Es, h) - rho_s / eps
+        res4 = div(Hs, h)
+        comp = np.concatenate([res1, res2, res3[..., None], res4[..., None]], axis=-1)
+        r_comp = max(r_comp, max_abs_interior(comp))
     return r_quat, r_comp

@@ -4,8 +4,7 @@ A Lattice fixes the geometry (origin, spacing, node counts); a field on it
 is a plain complex array of shape ``dims`` for a scalar field, ``dims +
 (3,)`` for a vector field and ``dims + (4,)`` for a biquaternion field.
 Space-time fields put a time axis in front, ``(nt,) + dims + ...`` on a
-SpaceTimeLattice, and are measured with ``max_abs_interior(values, margin,
-time_axis=True)``.  Routines take the geometry once, from the lattice they
+SpaceTimeLattice.  Routines take the geometry once, from the lattice they
 are handed.
 
 The stencils read the lattice axes from that layout: a scalar field's are
@@ -17,6 +16,10 @@ propagate, so the NaN faces are the one record of which nodes are valid.
 Norms are taken over the interior that excludes every face layer whose nodes
 all have a non-finite component; the ``margin=`` of ``max_abs_interior`` or
 of a residual only widens that, never narrows it.
+
+A space-time residual streams time slabs (``_time_windows``, ``_time_diff``)
+and is the max over slabs of ``max_abs_interior(slab, margin)``: bit for bit
+that of the whole (nt,) + dims array, which is never built.
 """
 
 from __future__ import annotations
@@ -213,6 +216,37 @@ def _valid_box(values: np.ndarray, margin: int = 0, time_axis: bool = False) -> 
             raise GridTooSmall(f"margin {margin} and NaN faces leave no interior on axis {ax} of {values.shape}")
         box.append(slice(lo, hi))
     return tuple(box)
+
+
+def _keep(st: SpaceTimeLattice, margin: int) -> int:
+    """max(margin, 1), the first node a residual with a central time difference keeps on
+    each axis; raises as its whole-array form does: GridTooSmall, then ValueError."""
+    keep = max(margin, 1)
+    if 2 * keep >= st.nt:
+        raise GridTooSmall(f"margin {margin} leaves no time interior on {st.nt} time nodes")
+    if 2 * keep >= min(st.space.dims):
+        raise GridTooSmall(f"margin {margin} leaves no space interior on {st.space.dims} nodes")
+    if margin < 0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
+    return keep
+
+
+def _time_windows(slab, st: SpaceTimeLattice, margin: int = 0):
+    """Yield (s, (prev, cur, nxt)) for each time node s = keep .. nt - keep - 1
+    that ``margin`` keeps (``_keep``, checked first).  ``slab(s)`` builds one
+    slab; it is called once per s = keep - 1 .. nt - keep, in that order."""
+    keep = _keep(st, margin)
+    prev, cur = slab(keep - 1), slab(keep)
+    for s in range(keep, st.nt - keep):
+        nxt = slab(s + 1)
+        yield s, (prev, cur, nxt)
+        prev, cur = cur, nxt
+
+
+def _time_diff(prev: np.ndarray, nxt: np.ndarray, dt: float) -> np.ndarray:
+    """The slab of ``diff(values, 0, dt)`` between ``prev`` and ``nxt``, taken
+    as diff takes it: complex, so real data is then divided as complex data."""
+    return ((nxt - prev) / (2.0 * dt)).astype(complex, copy=False)
 
 
 def max_abs_interior(values: np.ndarray, margin: int = 0, time_axis: bool = False) -> float:

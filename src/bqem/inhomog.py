@@ -31,6 +31,7 @@ is imported only on this route (``medium_from_expressions``,
 closed form with numpy and builds its medium with ``build_medium``.  Each
 residual is the max over the interior inside the NaN faces its time and
 space stencils write; ``margin=`` widens that band alike in time and space.
+The residuals stream over time slabs (``grids._time_windows``), V included.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from .grids import (
     Lattice,
     SpaceTimeLattice,
     _on_lattice,
-    diff,
+    _time_diff,
+    _time_windows,
     dirac,
     div,
     max_abs_interior,
@@ -237,14 +239,14 @@ def _check_same_lattice(st: SpaceTimeLattice, medium: MediumFields) -> None:
         raise LatticeMismatch("state lattice differs from the medium's")
 
 
-def _scaled(state: EMState, medium: MediumFields) -> tuple[np.ndarray, np.ndarray]:
+def _scaled(E, H, medium: MediumFields) -> tuple[np.ndarray, np.ndarray]:
     """(sqrt(eps) E, sqrt(mu) H), the fields of the quaternionic form."""
-    return np.sqrt(medium.eps)[..., None] * state.E, np.sqrt(medium.mu)[..., None] * state.H
+    return np.sqrt(medium.eps)[..., None] * E, np.sqrt(medium.mu)[..., None] * H
 
 
 def _static_split(calE, calH, rho, j, medium: MediumFields) -> tuple[np.ndarray, np.ndarray]:
     """(D + M^epsvec) calE + rho/sqrt(eps) and (D + M^muvec) calH - sqrt(mu) j
-    on [(nt,) +] dims, with their NaN faces."""
+    on one time slab, with their NaN faces."""
     h = medium.lattice.spacing
     r1 = _dirac_plus_M(_components(vector=calE), medium.epsvec, h)
     r1[..., 0] += rho / np.sqrt(medium.eps)
@@ -255,44 +257,47 @@ def _static_split(calE, calH, rho, j, medium: MediumFields) -> tuple[np.ndarray,
 
 def maxwell_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> tuple[float, float, float, float]:
     """Max interior residuals of the four Maxwell equations, in order:
-    rot H - eps dt E - j,  rot E + mu dt H,  div(eps E) - rho,  div(mu H)."""
+    rot H - eps dt E - j,  rot E + mu dt H,  div(eps E) - rho,  div(mu H);
+    the last two take no time difference, so margin 0 keeps every time node."""
     st = state.st
     _check_same_lattice(st, medium)
     h = st.space.spacing
-    ht = st.dt
     ev = medium.eps[..., None]
     mv = medium.mu[..., None]
-    res = (
-        rot(state.H, h) - ev * diff(state.E, 0, ht) - state.j,
-        rot(state.E, h) + mv * diff(state.H, 0, ht),
-        div(ev * state.E, h) - state.rho,
-        div(mv * state.H, h),
-    )
-    return tuple(max_abs_interior(r, margin, time_axis=True) for r in res)
+    curls, divs = [], []
+    for s, ((E0, H0), (E, H), (E2, H2)) in _time_windows(lambda s: (state.E[s], state.H[s]), st, margin):
+        r1 = rot(H, h) - ev * _time_diff(E0, E2, st.dt) - state.j[s]
+        r2 = rot(E, h) + mv * _time_diff(H0, H2, st.dt)
+        curls.append((max_abs_interior(r1, margin), max_abs_interior(r2, margin)))
+    for s in range(margin, st.nt - margin):
+        r3 = div(ev * state.E[s], h) - state.rho[s]
+        divs.append((max_abs_interior(r3, margin), max_abs_interior(div(mv * state.H[s], h), margin)))
+    return (*map(max, zip(*curls)), *map(max, zip(*divs)))
 
 
 def quaternionic_residual(state: EMState, medium: MediumFields, margin: int = 0) -> float:
     """Max interior residual of the single quaternionic Maxwell equation."""
     _check_same_lattice(state.st, medium)
-    if not all(np.allclose(np.imag(f), 0.0, atol=1e-14) for f in (state.E, state.H)):
+    if any(np.iscomplexobj(f) and not np.allclose(f.imag, 0.0, atol=1e-14) for f in (state.E, state.H)):
         warnings.warn(
             "state has complex E or H; the equivalence only covers real fields",
             stacklevel=2,
         )
     st = state.st
     h = st.space.spacing
-    ht = st.dt
+    i_cvec, i_Wvec = 1j * medium.cvec, 1j * medium.Wvec
 
-    calE, calH = _scaled(state, medium)
-    V = _components(vector=calE + 1j * calH)
-    lhs = (
-        diff(V, 0, ht) / medium.c[..., None]
-        + 1j * dirac(V, h)
-        - _mul_components(V, 1j * medium.cvec)
-        - _mul_components(np.conj(V), 1j * medium.Wvec)
-    )
-    rhs = _components(-1j * state.rho / np.sqrt(medium.eps), -np.sqrt(medium.mu)[..., None] * state.j)
-    return max_abs_interior(lhs - rhs, margin, time_axis=True)
+    def V_slab(s):
+        calE, calH = _scaled(state.E[s], state.H[s], medium)
+        return _components(vector=calE + 1j * calH)
+
+    def residual(s, prev, V, nxt):
+        lhs = _time_diff(prev, nxt, st.dt) / medium.c[..., None] + 1j * dirac(V, h) - _mul_components(V, i_cvec)
+        lhs -= _mul_components(np.conj(V), i_Wvec)
+        rhs = _components(-1j * state.rho[s] / np.sqrt(medium.eps), -np.sqrt(medium.mu)[..., None] * state.j[s])
+        return max_abs_interior(lhs - rhs, margin)
+
+    return max(residual(s, *window) for s, window in _time_windows(V_slab, st, margin))
 
 
 def split_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> tuple[float, float]:
@@ -300,12 +305,14 @@ def split_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> tu
     (D + M^epsvec) calE + (1/c) dt calH + rho/sqrt(eps) and
     (D + M^muvec) calH - (1/c) dt calE - sqrt(mu) j."""
     _check_same_lattice(state.st, medium)
-    ht = state.st.dt
-    calE, calH = _scaled(state, medium)
-    r1, r2 = _static_split(calE, calH, state.rho, state.j, medium)
-    r1[..., 1:] += diff(calH, 0, ht) / medium.c[..., None]
-    r2[..., 1:] -= diff(calE, 0, ht) / medium.c[..., None]
-    return max_abs_interior(r1, margin, time_axis=True), max_abs_interior(r2, margin, time_axis=True)
+    rows = []
+    windows = _time_windows(lambda s: _scaled(state.E[s], state.H[s], medium), state.st, margin)
+    for s, ((calE0, calH0), (calE, calH), (calE2, calH2)) in windows:
+        r1, r2 = _static_split(calE, calH, state.rho[s], state.j[s], medium)
+        r1[..., 1:] += _time_diff(calH0, calH2, state.st.dt) / medium.c[..., None]
+        r2[..., 1:] -= _time_diff(calE0, calE2, state.st.dt) / medium.c[..., None]
+        rows.append((max_abs_interior(r1, margin), max_abs_interior(r2, margin)))
+    return tuple(map(max, zip(*rows)))
 
 
 def static_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> tuple[float, float]:
@@ -313,9 +320,9 @@ def static_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> t
     (D + M^epsvec) calE + rho/sqrt(eps) and (D + M^muvec) calH - sqrt(mu) j."""
     _check_same_lattice(state.st, medium)
     if state.st.nt > 1:
-        spread = float(np.max(np.abs(state.E - state.E[0]))) + float(np.max(np.abs(state.H - state.H[0])))
+        spread = sum(max(float(np.max(np.abs(slab - f[0]))) for slab in f) for f in (state.E, state.H))
         if spread > 1e-12:
             warnings.warn("state is not time-independent; using slice 0", stacklevel=2)
-    calE, calH = _scaled(state, medium)
-    r1, r2 = _static_split(calE[0], calH[0], state.rho[0], state.j[0], medium)
+    calE, calH = _scaled(state.E[0], state.H[0], medium)
+    r1, r2 = _static_split(calE, calH, state.rho[0], state.j[0], medium)
     return max_abs_interior(r1, margin), max_abs_interior(r2, margin)

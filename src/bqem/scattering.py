@@ -279,10 +279,11 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> SolveResult:
     rhs = np.asarray(rhs, dtype=complex)
     m, n = matrix.shape
     if m == n:
+        anorm = np.linalg.norm(matrix, 1)  # first: its |A| is freed before lu_factor copies the matrix
         lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
         _check_triangular(lu)
         x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-        rcond, _ = scipy.linalg.lapack.zgecon(lu, np.linalg.norm(matrix, 1), norm="1")
+        rcond, _ = scipy.linalg.lapack.zgecon(lu, anorm, norm="1")
     elif m > n:
         lapack = scipy.linalg.lapack
         lwork, _ = lapack.zgeqrf_lwork(m, n)

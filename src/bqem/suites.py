@@ -15,8 +15,8 @@ import numpy as np
 
 from . import diffops, inhomog
 from .algebra import Biquaternion, I1, I2, I3, ONE, _components, cross, dot
-from .chiral_time import apply_M, green_function, green_refinement
-from .grids import Lattice, SpaceTimeLattice, _central, diff, grad, laplacian, max_abs_interior, rot
+from .chiral_time import _M_slab, green_function, green_refinement
+from .grids import Lattice, SpaceTimeLattice, _central, _time_windows, diff, grad, laplacian, max_abs_interior, rot
 from .kernels import (
     ChiralMedium,
     chiral_wavenumbers,
@@ -378,9 +378,12 @@ def suite_green(seed: int = 0) -> list[CheckRow]:
         return _components(vector=np.cos(t - kz * pts[..., 2])[..., None] * (1.0, 0.0, 0.0))
 
     def mmstar(n, m):
+        # the M* windows at margin m - 1 give, in order, the slabs that M reads at margin m >= 2
         st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, n), 0.0, 0.8 / (n - 1), n)
-        v = wave(st.times()[:, None, None, None], st.space.points())
-        return max_abs_interior(apply_M(apply_M(v, st, med0, star=True), st, med0), m, time_axis=True)
+        times, pts, h = st.times(), st.space.points(), st.space.spacing
+        mstar = (_M_slab(*w, h, st.dt, med0, 1j) for _, w in _time_windows(lambda s: wave(times[s], pts), st, m - 1))
+        mm = (_M_slab(*w, h, st.dt, med0, -1j) for _, w in _time_windows(lambda s: next(mstar), st, m))
+        return max(max_abs_interior(slab, m) for slab in mm)
 
     rows.append(_ratio_row("green", "wave_operator_factorization_order", mmstar(9, 2), mmstar(17, 4)))
     return rows

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -113,7 +111,7 @@ def test_immutability():
         a.components[0] = 2.0
 
 
-def test_operators_own_their_result():
+def test_operators_own_their_result(traced_peak):
     # every operator builds one fresh array and wraps it: the result is
     # read-only, shares no memory with the operands, and is not copied again
     rng = np.random.default_rng(5)
@@ -124,14 +122,7 @@ def test_operators_own_their_result():
         "quat_conj": p.quat_conj, "sum": lambda: p.sum(axis=()),
     }
     for name, op in ops.items():
-        op()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = op()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(op)
         assert not out.components.flags.writeable, name
         assert not any(np.shares_memory(out.components, o.components) for o in (p, q)), name
         # the product stacks its four components: they are one more result's worth

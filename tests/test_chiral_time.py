@@ -1,13 +1,12 @@
 from dataclasses import replace
-import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special
 
-from bqem import chiral_time
-from bqem.algebra import Biquaternion
+from bqem import chiral_time, suites
+from bqem.algebra import Biquaternion, _components
 from bqem.chiral_time import (
     MAX_REFINE_LEVELS,
     apply_M,
@@ -17,7 +16,7 @@ from bqem.chiral_time import (
     maxwell_equivalence_residual,
 )
 from bqem.errors import AchiralUnsupported, GridTooSmall, OriginSingularity
-from bqem.grids import Lattice, SpaceTimeLattice, diff, dirac, max_abs_interior
+from bqem.grids import Lattice, SpaceTimeLattice, diff, dirac, div, max_abs_interior, rot
 from bqem.inhomog import EMState
 from bqem.kernels import ChiralMedium, fundamental_solution, helmholtz_kernel
 
@@ -323,7 +322,7 @@ def test_green_residual_evaluates_the_kept_box_only(monkeypatch, margin, side):
     assert shapes == [(side, side, side, 3)]
 
 
-def test_green_residual_holds_a_few_slabs():
+def test_green_residual_holds_a_few_slabs(traced_peak):
     # f and M f are never built whole: the peak is a few time slabs of
     # n^3 x 4 complex values, whatever the number of time nodes
     n = 17
@@ -331,13 +330,7 @@ def test_green_residual_holds_a_few_slabs():
 
     def peak(nt):
         st = SpaceTimeLattice(Lattice.cube((0.8, 0.8, 0.8), 0.4, n), 0.5, 1.5 / (nt - 1), nt)
-        green_residual(st, MED, margin=2)  # the first call imports scipy.special
-        tracemalloc.start()
-        try:
-            green_residual(st, MED, margin=2)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: green_residual(st, MED, margin=2))[1]
 
     assert peak(17) <= 12 * slab_bytes
     short, long = peak(9), peak(33)
@@ -409,6 +402,23 @@ def test_wave_operator_factorization():
 
     r1, r2 = res(9, 2), res(17, 4)
     assert 3.2 <= r1 / r2 <= 4.8
+
+
+def test_check_suite_MMstar_row_is_the_whole_array_expression():
+    # the green suite applies M to a window of M* slabs; built whole, the
+    # same ratio comes out bit for bit
+    med = ChiralMedium(eps=2.0, mu=1.0, beta=0.0)
+
+    def wave(t, pts):
+        return _components(vector=np.cos(t - np.sqrt(2.0) * pts[..., 2])[..., None] * (1.0, 0.0, 0.0))
+
+    def res(n, m):
+        st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, n), 0.0, 0.8 / (n - 1), n)
+        out = apply_M(apply_M(sampled(st, wave), st, med, star=True), st, med)
+        return max_abs_interior(out, m, time_axis=True)
+
+    (row,) = [r for r in suites.suite_green() if r.name == "wave_operator_factorization_order"]
+    assert row.value == res(9, 2) / res(17, 4)
 
 
 def test_chiral_wave_annihilated_by_MMstar():
@@ -497,6 +507,55 @@ def test_equivalence_negative_control():
 
     q1, c1 = maxwell_equivalence_residual(make_state(med, 9, 9, perturb_H=grad_field), med)
     assert q1 > 10 * q0 and c1 > 10 * c0
+
+
+def whole_array_equivalence(state, med):
+    """maxwell_equivalence_residual with every term built as a whole
+    (nt,) + dims array, in the streamed routine's order of operations."""
+    E, H, rho, j = state.E, state.H, state.rho, state.j
+    h, ht = state.st.space.spacing, state.st.dt
+    eps, mu, beta = med.eps, med.mu, med.beta
+    imp = np.sqrt(mu / eps)
+    MV = apply_M(_components(vector=E - 1j * imp * H), state.st, med)
+    rhs = _components(-beta * imp * diff(rho, 0, ht) + 1j * rho / eps, -imp * j)
+    rotE, rotH = rot(E, h), rot(H, h)
+    res1 = rotH - eps * (diff(E, 0, ht) + beta * diff(rotE, 0, ht)) - j
+    res2 = rotE + mu * (diff(H, 0, ht) + beta * diff(rotH, 0, ht))
+    res3 = div(E, h) - rho / eps
+    res4 = div(H, h)
+    comp = np.concatenate([res1, res2, res3[..., None], res4[..., None]], axis=-1)
+    return max_abs_interior(MV - rhs, time_axis=True), max_abs_interior(comp, time_axis=True)
+
+
+def random_state(nt, dims=(9, 11, 8)):
+    rng = np.random.default_rng(3)
+    st = SpaceTimeLattice(Lattice((0.1, -0.2, 0.05), 0.07, dims), 0.0, 0.05, nt)
+    shape = (nt,) + dims
+    E, H, j = (rng.normal(size=shape + (3,)) for _ in range(3))
+    return EMState(st, E, H, rng.normal(size=shape), j)
+
+
+def test_equivalence_matches_whole_array_expression():
+    # bit for bit, on a non-cubic lattice with nt != n
+    med = ChiralMedium(eps=1.3, mu=0.7, beta=0.2)
+    state = random_state(13)
+    with pytest.warns(UserWarning, match="continuity"):
+        got = maxwell_equivalence_residual(state, med)
+    assert got == whole_array_equivalence(state, med)
+    with pytest.raises(GridTooSmall):
+        maxwell_equivalence_residual(random_state(2), med)
+
+
+def test_equivalence_holds_a_few_slabs(traced_peak):
+    med = ChiralMedium(eps=1.0, mu=1.0, beta=0.2)
+
+    def peak(nt):
+        state = make_state(med, 17, nt)
+        return traced_peak(lambda: maxwell_equivalence_residual(state, med))[1]
+
+    short, long = peak(9), peak(33)
+    assert long <= 24 * 17**3 * 4 * np.dtype(complex).itemsize  # one whole field at nt = 33 is 33 slabs
+    assert abs(long - short) <= 0.1 * short
 
 
 def test_continuity_warning():

@@ -1,3 +1,4 @@
+import warnings
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -6,8 +7,9 @@ import pytest
 import sympy as sp
 
 from bqem import diffops, suites
-from bqem.errors import LatticeMismatch, NonPositiveMedium
-from bqem.grids import Lattice, SpaceTimeLattice, max_abs_interior
+from bqem.algebra import _components, _mul_components
+from bqem.errors import GridTooSmall, LatticeMismatch, NonPositiveMedium
+from bqem.grids import Lattice, SpaceTimeLattice, diff, dirac, div, max_abs_interior, rot
 from bqem.inhomog import (
     EMState,
     T,
@@ -240,6 +242,128 @@ def test_complex_state_warns():
     state = manufactured_solution((0, 0, sp.exp(sp.I * (X1 - T))), 0, med, st)
     with pytest.warns(UserWarning, match="complex"):
         quaternionic_residual(state, med)
+
+
+def test_real_state_does_not_warn():
+    med, state = suites._manufactured(9)
+    cplx = replace(state, E=state.E + 0j, H=state.H + 0j)  # complex dtype, zero imaginary part
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (state, cplx):
+            quaternionic_residual(s, med, margin=1)
+    H = cplx.H.copy()
+    H[4, 4, 4, 4, 1] += complex(0.0, np.nan)  # a NaN imaginary part still warns, then fails the norm
+    with pytest.warns(UserWarning, match="complex"), pytest.raises(ValueError, match="non-finite"):
+        quaternionic_residual(replace(cplx, H=H), med, margin=1)
+
+
+# ---------------------------------------------------------------------------
+# streamed residuals against the whole-array expressions
+# ---------------------------------------------------------------------------
+
+
+def random_setup(nt, dims=(9, 11, 8), seed=0):
+    """A smooth medium and a random real state on a non-cubic lattice."""
+    lat = Lattice((0.1, -0.2, 0.05), 0.07, dims)
+    x = lat.points()
+    med = build_medium(lat, 1 + 0.3 * np.exp(-np.sum(x * x, axis=-1)), 1 + 0.1 * x[..., 0] ** 2)
+    rng = np.random.default_rng(seed)
+    shape = (nt,) + lat.dims
+    E, H, j = (rng.normal(size=shape + (3,)) for _ in range(3))
+    return med, EMState(SpaceTimeLattice(lat, 0.0, 0.05, nt), E, H, rng.normal(size=shape), j)
+
+
+def whole_array_residuals(state, med, margin):
+    """(maxwell, quaternionic, split) residuals with every term built as a
+    whole (nt,) + dims array, in the streamed routines' order of operations."""
+    h, ht = state.st.space.spacing, state.st.dt
+    ev, mv, c = med.eps[..., None], med.mu[..., None], med.c[..., None]
+
+    def norm(r):
+        return max_abs_interior(r, margin, time_axis=True)
+
+    maxwell = tuple(
+        norm(r)
+        for r in (
+            rot(state.H, h) - ev * diff(state.E, 0, ht) - state.j,
+            rot(state.E, h) + mv * diff(state.H, 0, ht),
+            div(ev * state.E, h) - state.rho,
+            div(mv * state.H, h),
+        )
+    )
+    calE, calH = np.sqrt(med.eps)[..., None] * state.E, np.sqrt(med.mu)[..., None] * state.H
+    V = _components(vector=calE + 1j * calH)
+    lhs = (
+        diff(V, 0, ht) / c
+        + 1j * dirac(V, h)
+        - _mul_components(V, 1j * med.cvec)
+        - _mul_components(np.conj(V), 1j * med.Wvec)
+    )
+    rhs = _components(-1j * state.rho / np.sqrt(med.eps), -np.sqrt(med.mu)[..., None] * state.j)
+    r1 = diffops._dirac_plus_M(_components(vector=calE), med.epsvec, h)
+    r1[..., 0] += state.rho / np.sqrt(med.eps)
+    r1[..., 1:] += diff(calH, 0, ht) / c
+    r2 = diffops._dirac_plus_M(_components(vector=calH), med.muvec, h)
+    r2[..., 1:] -= np.sqrt(med.mu)[..., None] * state.j
+    r2[..., 1:] -= diff(calE, 0, ht) / c
+    return maxwell, norm(lhs - rhs), (norm(r1), norm(r2))
+
+
+def streamed_residuals(state, med, margin):
+    return (
+        maxwell_residuals(state, med, margin),
+        quaternionic_residual(state, med, margin),
+        split_residuals(state, med, margin),
+    )
+
+
+@pytest.mark.parametrize("margin", [0, 1, 2, 3])
+def test_streamed_residuals_equal_whole_array_expressions(margin):
+    # bit for bit, on a non-cubic lattice with nt != n; margin 3 leaves 2
+    # nodes on the short axis, and at margin 0 the divergence equations keep
+    # the first and last time nodes
+    med, state = random_setup(13)
+    want = whole_array_residuals(state, med, margin)
+    assert streamed_residuals(state, med, margin) == want
+    assert all(np.all(np.array(r) > 0.0) for r in (want[0][:3], want[1], want[2]))
+
+
+@pytest.mark.parametrize("nt", [1, 2, 3, 4, 5, 7])
+def test_streamed_residuals_raise_where_whole_array_path_does(nt):
+    med, state = random_setup(nt)
+    for margin in range(-1, 6):
+        try:
+            want = whole_array_residuals(state, med, margin)
+        except (GridTooSmall, ValueError) as exc:
+            for routine in (maxwell_residuals, quaternionic_residual, split_residuals):
+                with pytest.raises(type(exc)):
+                    routine(state, med, margin)
+        else:
+            assert streamed_residuals(state, med, margin) == want
+
+
+def test_non_finite_value_in_kept_box_raises():
+    med, state = random_setup(13)
+    E = state.E.copy()
+    E[6, 4, 5, 4, 1] = np.nan  # inside the box margin 3 keeps
+    for margin in range(4):
+        for routine in (maxwell_residuals, quaternionic_residual, split_residuals):
+            with pytest.raises(ValueError, match="non-finite"):
+                routine(replace(state, E=E), med, margin)
+
+
+@pytest.mark.parametrize("routine", [maxwell_residuals, quaternionic_residual, split_residuals])
+def test_streamed_residuals_hold_a_few_slabs(traced_peak, routine):
+    # no term is built as a whole (nt,) + dims array: the peak does not grow
+    # with the number of time nodes
+    def peak(nt):
+        med, state = random_setup(nt, dims=(17, 17, 17))
+        return traced_peak(lambda: routine(state, med, margin=2))[1]
+
+    short, long = peak(9), peak(33)
+    slab_bytes = 17**3 * 4 * np.dtype(complex).itemsize
+    assert long <= 12 * slab_bytes
+    assert abs(long - short) <= 0.1 * short
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -225,19 +223,12 @@ def test_batched_positions():
     assert K.scalar[0] == pytest.approx(ALPHA * th[0])
 
 
-def test_kernels_build_their_array_once():
+def test_kernels_build_their_array_once(traced_peak):
     # the kernel array is filled in place: a second full-size copy of it
     # would push the peak above 3x the result
     x = np.random.default_rng(2).uniform(-2.0, 2.0, (300, 100, 3))
     for kernel in (lambda: fundamental_solution(ALPHA, x), lambda: helmholtz_kernel_grad(ALPHA, x)):
-        kernel()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = kernel()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(kernel)
         assert not out.components.flags.writeable
         assert peak <= 2.5 * out.components.nbytes
 

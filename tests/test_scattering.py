@@ -251,6 +251,15 @@ def test_solve_leaves_inputs_untouched(shape):
     assert np.array_equal(A, A0) and np.array_equal(b, b0)
 
 
+def test_solve_square_peak_is_one_lu_copy(traced_peak):
+    # the 1-norm's |A| is freed before lu_factor copies the matrix, so the
+    # two never coexist: 1.5 matrices otherwise
+    rng = np.random.default_rng(6)
+    A, b = random_complex(rng, (400, 400)), random_complex(rng, 400)
+    _, peak = traced_peak(lambda: solve_dense(A, b))
+    assert peak <= 1.2 * A.nbytes
+
+
 def test_solve_tall_matches_lstsq_and_qr_condition():
     # complex data: applying Q^T instead of Q^H would not go unnoticed
     import scipy.linalg
