@@ -42,7 +42,7 @@ import warnings
 import numpy as np
 
 from .algebra import Biquaternion, _components
-from .errors import AchiralUnsupported
+from .errors import AchiralUnsupported, LatticeMismatch
 from .grids import Lattice, SpaceTimeLattice, _keep, _stencil_output, _time_diff, _time_windows
 from .grids import dirac, div, max_abs_interior, rot
 from .inhomog import EMState
@@ -155,14 +155,15 @@ def _M_slab(prev, cur, nxt, h: float, dt: float, medium: ChiralMedium, sign: com
 def apply_M(values: np.ndarray, st: SpaceTimeLattice, medium: ChiralMedium, star: bool = False) -> np.ndarray:
     """Central-difference action of M (or M* when ``star``) on a space-time field.
 
-    ``values`` and the result have shape (nt,) + dims + (4,); the result
-    carries one more NaN face layer in time (from ``grids._stencil_output``,
-    which also needs nt >= 3) and in space.  Each inner time slab of the
+    ``values`` and the result have shape (nt,) + dims + (4,), and values
+    of another shape raise ``LatticeMismatch``; the result carries one more
+    NaN face layer in time (from ``grids._stencil_output``, which also needs
+    nt >= 3) and in space.  Each inner time slab of the
     result is ``_M_slab`` of the three slabs around it.
     """
     expect = (st.nt,) + st.space.dims + (4,)
     if values.shape != expect:
-        raise ValueError(f"values shape {values.shape} != {expect}")
+        raise LatticeMismatch(f"values shape {values.shape} != {expect}")
     out, _ = _stencil_output(expect, (0,))
     h = st.space.spacing
     sign = 1j if star else -1j

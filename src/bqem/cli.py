@@ -169,6 +169,8 @@ def cmd_scatter(cfg: dict, seed: int, fmt: str, out: str | None) -> int:
     if not isinstance(moment, list) or len(moment) != 3:
         raise ConfigError("config field moment must be a list of three numbers")
     moment = np.array([_as_float(m, "moment") for m in moment])
+    if not np.any(moment):
+        raise ConfigError("config field moment must not be zero: the reference field would vanish")
     impedance = _get(cfg, "impedance", None)
     if impedance is not None:
         impedance = _as_complex(impedance, "impedance")

@@ -174,8 +174,9 @@ def medium_from_expressions(lattice: Lattice, eps_expr, mu_expr) -> MediumFields
 class EMState:
     """Electromagnetic state sampled on a space-time lattice.
 
-    E, H, j have shape (nt,) + dims + (3,); rho has shape (nt,) + dims.
-    Nothing derived is stored: a perturbed state is
+    E, H, j have shape (nt,) + dims + (3,); rho has shape (nt,) + dims,
+    else ``LatticeMismatch``.  The arrays are kept as given (a real state
+    stays real).  Nothing derived is stored: a perturbed state is
     ``dataclasses.replace(state, E=...)``.
     """
 
@@ -184,6 +185,13 @@ class EMState:
     H: np.ndarray
     rho: np.ndarray
     j: np.ndarray
+
+    def __post_init__(self):
+        grid = (self.st.nt,) + self.st.space.dims
+        for name, tail in (("E", (3,)), ("H", (3,)), ("rho", ()), ("j", (3,))):
+            shape = np.shape(getattr(self, name))
+            if shape != grid + tail:
+                raise LatticeMismatch(f"{name} has shape {shape}, expected {grid + tail}")
 
 
 def manufactured_solution(A, phi, medium: MediumFields, st: SpaceTimeLattice) -> EMState:

@@ -5,6 +5,14 @@ acceptance window [lo, hi]; a run passes when every row does.  The rows
 double as the library's self-documenting invariants: algebra laws hold to
 near machine precision, residual checks refine at second order (ratio near
 4 when h halves), and negative controls must stay loudly broken.
+
+No row restates the formula a routine is built from.  The normalizations
+are checked against the equations they solve: ``kernels,delta_strength``
+integrates (D + alpha) K_alpha = delta over a ball by Gauss's theorem,
+``green,unit_jump`` does the same for the jump f(0) of the Green function,
+and ``green,laplace_transform_is_chiral_kernel`` transforms f in time to
+the frequency-domain kernel of the split wavenumber alpha1, which covers the
+whole t-dependence of f.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 from . import diffops, inhomog
 from .algebra import Biquaternion, I1, I2, I3, ONE, _components, cross, dot
 from .chiral_time import _M_slab, green_function, green_refinement
-from .grids import Lattice, SpaceTimeLattice, _central, _time_windows, diff, grad, laplacian, max_abs_interior, rot
+from .grids import Lattice, SpaceTimeLattice, _time_windows, grad, laplacian, max_abs_interior, rot
 from .kernels import (
     ChiralMedium,
     chiral_wavenumbers,
@@ -122,18 +130,38 @@ def _stencil_at(op, fn, x, h):
     return op(fn(lat.points()), lat.spacing)[2, 2, 2]
 
 
+def _sphere_and_ball(fn, r):
+    """(surface integral of n fn over |x| = r, volume integral of fn over
+    |x| < r) as biquaternions, n the outward unit normal and n fn the
+    quaternion product; ``fn`` maps positions (..., 3) to a Biquaternion.
+
+    Gauss-Legendre in cos(nu) (6 nodes) and in |x| (12 nodes), 12 uniform
+    angles in phi.  Enough for a kernel with a 1/|x|^2 singularity at the
+    origin: the ball's weight |x|^2 cancels it."""
+    from numpy.polynomial.legendre import leggauss
+
+    cos_nu, w_nu = leggauss(6)
+    sin_nu, phi = np.sqrt(1 - cos_nu**2), np.arange(12) * (np.pi / 6)
+    n = np.stack([np.outer(sin_nu, np.cos(phi)), np.outer(sin_nu, np.sin(phi)), np.outer(cos_nu, np.ones(12))], -1)
+    n = n.reshape(-1, 3)
+    w_n = np.repeat(w_nu * (np.pi / 6), 12)  # the solid angle of each normal; they sum to 4 pi
+    rho, w_rho = leggauss(12)
+    rho, w_rho = 0.5 * r * (rho + 1), 0.5 * r * w_rho
+    surface = r * r * w_n @ (Biquaternion.from_vector(n) * fn(r * n)).components
+    volume = np.einsum("i,j,ijk->k", w_rho * rho**2, w_n, fn(rho[:, None, None] * n).components)
+    return Biquaternion(surface), Biquaternion(volume)
+
+
 def suite_kernels(seed: int = 0) -> list[CheckRow]:
     rows = []
     alpha = 1 + 0.3j
 
-    rows.append(
-        _row(
-            "kernels",
-            "laplace_point_value",
-            abs(helmholtz_kernel(0.0, [1.0, 0, 0]) + 1.0 / (4 * np.pi)),
-            1e-15,
-        )
-    )
+    # (D + a) K_a = delta, by Gauss's theorem on the ball |x| < r
+    strength = []
+    for a, r in ((0.0, 1.0), (alpha, 0.5), (2.5, 2.0)):
+        surface, volume = _sphere_and_ball(lambda p: fundamental_solution(a, p), r)
+        strength.append((surface + a * volume - ONE).max_abs())
+    rows.append(_row("kernels", "delta_strength", max(strength), 1e-12))
 
     x0 = np.array([1.0, 1.0, 1.0])
     fth = lambda p: helmholtz_kernel(alpha, p)
@@ -143,34 +171,6 @@ def suite_kernels(seed: int = 0) -> list[CheckRow]:
     grads = helmholtz_kernel_grad(alpha, x0).vector
     fd = _stencil_at(grad, fth, x0, 1e-5)
     rows.append(_row("kernels", "gradient_matches_fd", float(np.max(np.abs(grads - fd))), 1e-9))
-
-    K = fundamental_solution(alpha, x0, sign=1)
-    rows.append(
-        _row(
-            "kernels",
-            "kernel_scalar_part",
-            abs(K.scalar - alpha * fth(x0)),
-            1e-15,
-        )
-    )
-    rows.append(
-        _row(
-            "kernels",
-            "kernel_vector_is_minus_grad",
-            float(np.max(np.abs(K.vector + grads))),
-            1e-15,
-        )
-    )
-
-    r1, r2 = chiral_wavenumbers(1.0, 0.1)
-    rows.append(
-        _row(
-            "kernels",
-            "split_wavenumbers",
-            abs(r1 - 1 / 1.1) + abs(r2 - 1 / 0.9),
-            1e-15,
-        )
-    )
 
     moment = np.array([0.3, -1.0, 0.7])
     x1 = np.array([0.9, -0.4, 1.2])
@@ -194,11 +194,6 @@ def suite_kernels(seed: int = 0) -> list[CheckRow]:
         E, H = dipole_field(moment, ChiralMedium(alpha=1.0), p)
         sm.append(r * float(np.max(np.abs(E - np.cross(xh, H)))))
     rows.append(_row("kernels", "silver_mueller_decay", max(sm[1] / sm[0], sm[2] / sm[1]), 1.0))
-
-    perms = [helmholtz_kernel(alpha, p) for p in ([1.0, 2.0, -3.0], [2.0, -3.0, 1.0], [-3.0, 1.0, 2.0])]
-    rows.append(
-        _row("kernels", "radial_symmetry", max(abs(perms[0] - perms[1]), abs(perms[0] - perms[2])), 0.0)
-    )
     return rows
 
 
@@ -325,48 +320,36 @@ def suite_factorizations(seed: int = 0) -> list[CheckRow]:
 
 
 def suite_green(seed: int = 0) -> list[CheckRow]:
-    import scipy.special
-
     rows = []
     med = ChiralMedium(eps=1.0, mu=1.0, beta=1.0)
     x = np.array([1.0, 0.5, -0.3])
 
     rows.append(_row("green", "causality_t_negative", green_function(-1.0, x, med).max_abs(), 0.0))
 
-    g0 = green_function(0.0, x, med)
-    K = fundamental_solution(1.0 / med.beta, x)
-    lim = K.components / (med.beta * np.sqrt(med.eps * med.mu))
-    rows.append(_row("green", "t_zero_limit", float(np.max(np.abs(g0.components - lim))), 1e-14))
+    # M f = delta(t) delta(x): f jumps at t = 0 to an f(0) that solves
+    # (beta sqrt(eps mu) D + sqrt(eps mu)) f(0) = delta
+    med2 = ChiralMedium(eps=2.0, mu=0.5, beta=0.7)
+    rt_em = np.sqrt(med2.eps * med2.mu)
+    surface, volume = _sphere_and_ball(lambda p: green_function(0.0, p, med2), 1.0)
+    rows.append(_row("green", "unit_jump", (med2.beta * rt_em * surface + rt_em * volume - ONE).max_abs(), 1e-12))
 
-    # first positive root of J0 against an independent implementation
-    lo, hi = 2.0, 3.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if scipy.special.j0(lo) * scipy.special.j0(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    root_ref = float(scipy.special.jn_zeros(0, 1)[0])
-    rows.append(_row("green", "bessel_j0_first_root", abs(0.5 * (lo + hi) - root_ref), 1e-9))
+    # Laplace-transformed in t, M f = delta reads
+    # ((s beta sqrt(eps mu) - 1j) D + s sqrt(eps mu)) F = delta, so F = K_kappa / (s beta sqrt(eps mu) - 1j)
+    # with kappa the split wavenumber alpha1 of alpha = 1j s sqrt(eps mu), the frequency-domain chiral
+    # kernel; beta = -0.7 reaches alpha2 of beta = 0.7
+    from numpy.polynomial.legendre import leggauss
 
-    # Bessel ODE J_n'' + J_n'/z + (1 - n^2/z^2) J_n = 0 and J1 = -J0', by
-    # the grids central differences of J_n at z - h, z, z + h: an oracle
-    # independent of the implementation
-    z = np.linspace(0.5, 60.0, 2381)
-    h = 2.5e-4
-
-    def with_derivatives(jn):
-        v = np.stack([jn(z + s) for s in (-h, 0.0, h)])
-        return v[1], diff(v, 0, h)[1], _central(v, 0, 2, (0,))[0] / (h * h)
-
-    j0, d_j0, dd_j0 = with_derivatives(scipy.special.j0)
-    j1, d_j1, dd_j1 = with_derivatives(scipy.special.j1)
-    bessel_dev = max(
-        np.max(np.abs(dd_j0 + d_j0 / z + j0)),
-        np.max(np.abs(dd_j1 + d_j1 / z + (1 - 1 / (z * z)) * j1)),
-        np.max(np.abs(j1 + d_j0)),
-    )
-    rows.append(_row("green", "bessel_ode_and_j1_identity", bessel_dev, 1e-7))
+    nodes, weights = leggauss(16)
+    t = ((np.arange(150)[:, None] + 0.5 * (nodes + 1)) / 3).ravel()  # 150 panels of width 1/3 on [0, 50]
+    w = np.tile(weights / 6, 150)
+    laplace = []
+    for beta, s in ((0.7, 1 - 0.7j), (-0.7, 0.8 + 2j)):
+        medb = replace(med2, beta=beta)
+        F = (w * np.exp(-s * t)) @ green_function(t, x, medb).components
+        kappa = chiral_wavenumbers(1j * s * rt_em, beta)[0]
+        ref = fundamental_solution(kappa, x).components / (s * beta * rt_em - 1j)
+        laplace.append(np.max(np.abs(F - ref)) / np.max(np.abs(ref)))
+    rows.append(_row("green", "laplace_transform_is_chiral_kernel", max(laplace), 1e-12))
 
     (_, _, r9), (_, _, r17) = green_refinement(med, 2)
     rows.append(_ratio_row("green", "green_annihilated_by_M_order", r9, r17))

@@ -161,17 +161,23 @@ def test_criterion_6_green_function():
     assert causal == 0.0
     wall = time.perf_counter() - t0
 
-    # (ii) M annihilates the Green function at second order; (iii) first
-    # root of J0 against an independent implementation
+    # (ii) M annihilates the Green function at second order; (iii) M f =
+    # delta(t) delta(x): the unit jump of f at t = 0 by Gauss's theorem, and
+    # its Laplace transform in t against the frequency-domain chiral kernel
     rows, suite_wall = check_suite("green")
     ratio = rows["green_annihilated_by_M_order"]
-    root_err = rows["bessel_j0_first_root"]
+    jump_err = rows["unit_jump"]
+    laplace_err = rows["laplace_transform_is_chiral_kernel"]
     assert in_ratio_window(ratio)
-    assert root_err <= 1e-9
+    assert jump_err <= 1e-12 and laplace_err <= 1e-12
 
     wall += suite_wall
     assert wall < 30.0
-    report(6, f"causality=0 exact, residual_ratio={ratio:.3f}, j0_root_err={root_err:.1e} wall={wall:.1f}s")
+    report(
+        6,
+        f"causality=0 exact, residual_ratio={ratio:.3f}, unit_jump_err={jump_err:.1e}, "
+        f"laplace_transform_err={laplace_err:.1e} wall={wall:.1f}s",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from bqem.chiral_time import (
     green_residual,
     maxwell_equivalence_residual,
 )
-from bqem.errors import AchiralUnsupported, GridTooSmall, OriginSingularity
+from bqem.errors import AchiralUnsupported, GridTooSmall, LatticeMismatch, OriginSingularity
 from bqem.grids import Lattice, SpaceTimeLattice, diff, dirac, div, max_abs_interior, rot
 from bqem.inhomog import EMState
 from bqem.kernels import ChiralMedium, fundamental_solution, helmholtz_kernel
@@ -342,7 +342,7 @@ def test_apply_M_shape_guard():
     good = np.zeros((6,) + st.space.dims + (4,), complex)
     assert apply_M(good, st, MED).shape == good.shape
     for shape in (st.space.dims + (4,), (7,) + st.space.dims + (4,), (6,) + st.space.dims + (3,)):
-        with pytest.raises(ValueError, match="values shape"):
+        with pytest.raises(LatticeMismatch, match="values shape"):
             apply_M(np.zeros(shape, complex), st, MED)
     # the time difference needs three slabs
     short = replace(st, nt=2)

@@ -134,13 +134,14 @@ def test_scatter_ill_conditioned_plateau(tmp_path, capsys, oversample):
         {"n_values": [5, 10**12]},
         {"oversample": 1e8, "n_values": [35]},
         {"beta": 1.0, "alpha": [1.0, 0.0]},
+        {"moment": [0, 0, 0]},
     ],
     ids=["n_values_empty", "n_values_bool", "axis_zero", "axis_negative",
          "source_scale_zero", "source_scale_above_one", "oversample_below_one",
          "eval_scale_zero", "eval_scale_inside_scatterer", "alpha_negative_imag",
          "eval_scale_infinite", "alpha_nan_part", "alpha_nan", "axis_nan", "eval_scale_beyond_float",
          "oversample_beyond_array_limit", "largest_n_beyond_array_limit", "oversample_beyond_ceiling",
-         "chiral_resonance"],
+         "chiral_resonance", "moment_zero"],
 )
 def test_scatter_bad_config_values(tmp_path, capsys, monkeypatch, override):
     # rejected while the config is read: no solve starts, so no array is built

@@ -431,6 +431,27 @@ def test_medium_on_another_lattice_rejected(routine):
         routine(state, other, margin=1)
 
 
+@pytest.mark.parametrize("nt_arrays", [12, 5])
+def test_state_arrays_off_the_lattice_rejected(nt_arrays):
+    # 12 time nodes on an nt = 9 lattice used to give residuals of the first
+    # slabs only, and 5 an IndexError
+    st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, 9), 0.0, 0.1, 9)
+    vec = np.zeros((9,) + st.space.dims + (3,))
+    state = EMState(st, vec, vec, vec[..., 0], vec)
+    assert state.E is vec and state.rho.dtype == float  # kept as given
+    off = np.zeros((nt_arrays,) + st.space.dims + (3,))
+    for fields in (
+        (off, vec, vec[..., 0], vec),
+        (vec, off, vec[..., 0], vec),
+        (vec, vec, off[..., 0], vec),
+        (vec, vec, vec[..., 0], off),
+        (vec, vec, vec, vec),
+        (vec[..., :2], vec, vec[..., 0], vec),
+    ):
+        with pytest.raises(LatticeMismatch):
+            EMState(st, *fields)
+
+
 def test_manufactured_solution_needs_closed_forms():
     # a medium sampled without closed forms cannot carry symbolic sources
     lat = Lattice.cube((0, 0, 0), 1.0, 7)
