@@ -44,10 +44,16 @@ GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 COINCIDENCE_TOL = 1e-10
 
 # Largest 4C x 8N complex system matrix (16 bytes an entry) a problem may
-# ask for: 2 GiB, a square system up to N = 1448.  The dense solve holds a
-# few arrays of that size, so a larger one is refused as a config error
-# before anything is allocated.
+# ask for: 2 GiB, a square system up to N = 1448.  The dense solve holds the
+# matrix and one factor of the same size, so a larger one is refused as a
+# config error before anything is allocated.
 MAX_MATRIX_BYTES = 2**31
+
+# Kernel entries (point, source pairs) per block: assembly and field
+# evaluation run one block of points at a time, and the 1-norm one block of
+# matrix rows, so no temporary grows with the number of points or with the
+# matrix.
+_BLOCK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -185,25 +191,36 @@ def collocation_points(problem: MfsProblem) -> SurfaceSamples:
     return sample_surface(problem.surface, problem.n_collocation(), 1.0)
 
 
-def _kernels(medium: ChiralMedium, dx) -> tuple[np.ndarray, np.ndarray]:
-    """Components of K(alpha1) and K(alpha2) at the offsets dx.
+def _kernels(medium: ChiralMedium, pts, sources, coincident: type[Exception]) -> tuple[np.ndarray, np.ndarray]:
+    """Components of K(alpha1) and K(alpha2) at the offsets pts - sources,
+    of shape (points, sources, 4).
 
-    Branch b uses K(-alpha2), which is K(alpha2) with its scalar part
-    negated; the callers apply that sign.  With alpha1 == alpha2 (beta = 0)
-    the kernel is evaluated once and shared by both branches.
+    Raises ``coincident`` when a point lies within COINCIDENCE_TOL of a
+    source.  Branch b uses K(-alpha2), which is K(alpha2) with its scalar
+    part negated; the callers apply that sign.  With alpha1 == alpha2
+    (beta = 0) the kernel is evaluated once and shared by both branches.
     """
+    dx = pts[:, None, :] - sources[None, :, :]
+    if np.min(np.linalg.norm(dx, axis=-1)) < COINCIDENCE_TOL:
+        raise coincident("a point coincides with a source point")
     alpha1, alpha2 = medium.alpha1, medium.alpha2
     k1 = fundamental_solution(alpha1, dx).components
     return k1, (k1 if alpha2 == alpha1 else fundamental_solution(alpha2, dx).components)
 
 
+def _blocks(count: int, width: int):
+    """Slices covering range(count), each of about _BLOCK_ENTRIES / width items (at least one)."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    return (slice(i, min(i + step, count)) for i in range(0, count, step))
+
+
 def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: SurfaceSamples):
-    """Matrix and right-hand side rows for the given collocation batch."""
-    dx = col.pos[:, None, :] - src.pos[None, :, :]
-    if np.min(np.linalg.norm(dx, axis=-1)) < COINCIDENCE_TOL:
-        raise SourceOnBoundary("a source point coincides with a collocation point")
+    """Matrix and right-hand side rows for the given collocation batch.
+
+    The matrix is filled one block of collocation points at a time; the
+    kernels of a block are the only temporaries that grow with the sources.
+    """
     n_col, n_src = len(col), len(src)
-    t = np.stack([col.t1, col.t2], axis=1)
     # Every row is Sc(X K(sign*alpha) a) with one quaternion X per point and
     # row kind: X = -d for the two tangential rows (the projection <d, Vec q>
     # of E_N x n on t is -Sc(d q) for the pure vector d = (n x t)/2), and
@@ -212,22 +229,26 @@ def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: SurfaceSamples
     # kind is L K, with L the 4 x 4 map K(alpha) -> conj(X K(sign*alpha)) and
     # K(sign*alpha) = K(alpha) with its scalar part times sign.  Lt is L
     # transposed, so the block is the (n_src, 4) product K(alpha) Lt.
-    X = np.zeros((n_col, 4, 1, 4), dtype=complex)
-    X[:, 2, 0, 0] = 1.0
 
     # axes: collocation point, row kind, branch (a or b), source, component
     A = np.empty((n_col, 4, 2, n_src, 4), dtype=complex)
-    for branch, (K, sign) in enumerate(zip(_kernels(problem.medium, dx), (1, -1))):
-        # branch b enters H_N and the second scalar constraint with the
-        # same sign it carries in K(sign * alpha); an impedance xi adds
-        # +xi <H_N, t> since (H x n) x n = n<H,n> - H
-        d = 0.5 * np.cross(col.normal[:, None, :], t)
-        if problem.impedance is not None:
-            d = d + sign * (complex(problem.impedance) / 2j) * t
-        X[:, :2, 0, 1:] = -d
-        X[:, 3, 0, 0] = sign
-        Lt = _mul_components(X, np.eye(4)) * np.outer([sign, 1.0, 1.0, 1.0], _CONJ)
-        np.matmul(K[:, None], Lt, out=A[:, :, branch])
+    for blk in _blocks(n_col, n_src):
+        kernels = _kernels(problem.medium, col.pos[blk], src.pos, SourceOnBoundary)
+        t = np.stack([col.t1[blk], col.t2[blk]], axis=1)
+        X = np.zeros((len(t), 4, 1, 4), dtype=complex)
+        X[:, 2, 0, 0] = 1.0
+        for branch, (K, sign) in enumerate(zip(kernels, (1, -1))):
+            # branch b enters H_N and the second scalar constraint with the
+            # same sign it carries in K(sign * alpha); an impedance xi adds
+            # +xi <H_N, t> since (H x n) x n = n<H,n> - H
+            d = 0.5 * np.cross(col.normal[blk, None, :], t)
+            if problem.impedance is not None:
+                d = d + sign * (complex(problem.impedance) / 2j) * t
+            X[:, :2, 0, 1:] = -d
+            X[:, 3, 0, 0] = sign
+            Lt = _mul_components(X, np.eye(4)) * np.outer([sign, 1.0, 1.0, 1.0], _CONJ)
+            np.matmul(K[:, None], Lt, out=A[blk, :, branch])
+        del kernels, K  # before the next block's are built
 
     rhs = np.zeros(4 * n_col, dtype=complex)
     if problem.boundary_data is not None:
@@ -261,12 +282,44 @@ def _check_triangular(tri: np.ndarray) -> None:
         raise SingularMatrix(f"triangular factor has diagonal entry {d[bad[0]]} at index {bad[0]}")
 
 
+def _norm1(matrix: np.ndarray) -> float:
+    """max_j sum_i |a_ij|, from one block of rows at a time: no |A| the size of the matrix.
+
+    Row 0 of the buffer carries the column sums into the next block, so the
+    rows are added in the order ``np.linalg.norm(matrix, 1)`` adds them, to
+    the same bits.
+    """
+    m, n = matrix.shape
+    buf = np.zeros((max(1, _BLOCK_ENTRIES // n) + 1, n))
+    for blk in _blocks(m, n):
+        rows = blk.stop - blk.start
+        np.abs(matrix[blk], out=buf[1 : rows + 1])
+        buf[0] = buf[: rows + 1].sum(axis=0)
+    return float(buf[0].max())
+
+
+def _upper_in_place(qr: np.ndarray) -> np.ndarray:
+    """The leading n x n block of a Fortran-ordered m x n factor, moved to the
+    front of its own buffer as a contiguous n x n array; overwrites ``qr``.
+
+    ``ztrcon`` takes its order from the row count and needs a contiguous
+    array, so ``qr[:n]`` would be copied.
+    """
+    m, n = qr.shape
+    flat = qr.reshape(-1, order="F")
+    for j in range(1, n):
+        flat[j * n : (j + 1) * n] = flat[j * m : j * m + n]
+    return flat[: n * n].reshape((n, n), order="F")
+
+
 def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> SolveResult:
     """LU with partial pivoting (square) or Householder QR least squares (tall).
 
     The tall solve keeps Q in its Householder reflectors (``zgeqrf``) and
-    applies Q^H to the right-hand side with ``zunmqr``; Q is never formed.
-    Neither ``matrix`` nor ``rhs`` is overwritten.
+    applies Q^H to the right-hand side with ``zunmqr``; Q is never formed,
+    and R is read in place from the factor.  Neither ``matrix`` nor ``rhs``
+    is overwritten, and besides the matrix the solve holds one factor of its
+    size (the LU or QR copy) and arrays that grow with one side only.
 
     ``cond`` is LAPACK's 1-norm condition estimate on the triangular factor
     (``zgecon`` on the LU factors, ``ztrcon`` on R).  Conditioning rejects
@@ -279,7 +332,7 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> SolveResult:
     rhs = np.asarray(rhs, dtype=complex)
     m, n = matrix.shape
     if m == n:
-        anorm = np.linalg.norm(matrix, 1)  # first: its |A| is freed before lu_factor copies the matrix
+        anorm = _norm1(matrix)
         lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
         _check_triangular(lu)
         x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
@@ -288,13 +341,13 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> SolveResult:
         lapack = scipy.linalg.lapack
         lwork, _ = lapack.zgeqrf_lwork(m, n)
         qr, tau, _, _ = lapack.zgeqrf(matrix, lwork=int(lwork.real))
-        r = np.triu(qr[:n])
-        _check_triangular(r)
+        _check_triangular(qr)
         c = rhs[:, None]
         _, work, _ = lapack.zunmqr("L", "C", qr, tau, c, -1)
         qhb, _, _ = lapack.zunmqr("L", "C", qr, tau, c, int(work[0].real))
-        x = scipy.linalg.solve_triangular(r, qhb[:n, 0], check_finite=False)
-        rcond, _ = lapack.ztrcon(r, norm="1")
+        # ztrtrs reads the upper triangle of the leading n x n block of qr
+        x = lapack.ztrtrs(qr, qhb, overwrite_b=1)[0][:n, 0]
+        rcond, _ = lapack.ztrcon(_upper_in_place(qr), norm="1")
     else:
         raise ValueError("system has fewer rows than unknowns")
     if not np.all(np.isfinite(x)):
@@ -350,17 +403,25 @@ def evaluate_fields(sol: MfsSolution, x) -> tuple[np.ndarray, np.ndarray, np.nda
 
     sc_leak is the larger modulus of the scalar parts of the two kernel
     combinations; it measures how well the purely-vectorial constraints
-    carry over from the collocation points.
+    carry over from the collocation points.  The points are taken one block
+    at a time into two (points, 4) sums, so the working set beyond the
+    result does not grow with the number of points.
     """
     x = np.asarray(x, dtype=float)
-    dx = x[..., None, :] - sol.sources
-    if np.min(np.linalg.norm(dx, axis=-1)) < COINCIDENCE_TOL:
-        raise SourceSingularity("evaluation point coincides with a source")
-    K1, K2 = _kernels(sol.medium, dx)
-    sum_a = _kernel_sum(K1, sol.coeffs_a, 1)
-    sum_b = _kernel_sum(K2, sol.coeffs_b, -1)
-    plus = sum_a + sum_b
-    minus = sum_a - sum_b
+    if x.shape[-1:] != (3,):
+        raise ValueError("positions must have trailing length 3")
+    pts = x.reshape(-1, 3)
+    plus = np.empty((len(pts), 4), dtype=complex)
+    minus = np.empty_like(plus)
+    for blk in _blocks(len(pts), len(sol.sources)):
+        K1, K2 = _kernels(sol.medium, pts[blk], sol.sources, SourceSingularity)
+        sum_a = _kernel_sum(K1, sol.coeffs_a, 1)
+        sum_b = _kernel_sum(K2, sol.coeffs_b, -1)
+        del K1, K2  # before the next block's are built
+        np.add(sum_a, sum_b, out=plus[blk])
+        np.subtract(sum_a, sum_b, out=minus[blk])
+    plus = plus.reshape(x.shape[:-1] + (4,))
+    minus = minus.reshape(x.shape[:-1] + (4,))
     E = 0.5 * plus[..., 1:]
     H = minus[..., 1:] / 2j
     sc_leak = np.maximum(np.abs(plus[..., 0]), np.abs(minus[..., 0]))
@@ -380,10 +441,11 @@ def tangential_datum(reference: Fields) -> Callable[[SurfaceSamples], np.ndarray
     return f
 
 
-def field_errors(sol: MfsSolution, reference: Fields, pts) -> tuple[float, float, float]:
-    """Max |E_N - E| and max |H_N - H| over the points, and the largest scalar leak there."""
+def field_errors(sol: MfsSolution, pts, exact: tuple[np.ndarray, np.ndarray]) -> tuple[float, float, float]:
+    """Max |E_N - E| and max |H_N - H| over the points, given the exact (E, H)
+    there, and the largest scalar leak there."""
     E, H, leak = evaluate_fields(sol, pts)
-    E_ref, H_ref = reference(pts)
+    E_ref, H_ref = exact
     return float(np.max(np.abs(E - E_ref))), float(np.max(np.abs(H - H_ref))), float(np.max(leak))
 
 
@@ -419,6 +481,7 @@ def run_benchmark(
         reference = partial(dipole_field, DIPOLE_MOMENT, problem.medium)
     boundary_data = tangential_datum(reference)
     eval_pts = parametric_grid(problem.surface, *EVAL_GRID, scale=eval_scale).pos
+    eval_exact = reference(eval_pts)  # the grid does not depend on N
 
     rows = []
     for n in n_values:
@@ -427,9 +490,9 @@ def run_benchmark(
         sol = solve_problem(prob_n)
         wall_ms = 1e3 * (time.perf_counter() - t0)
 
-        err_e, err_h, leak = field_errors(sol, reference, eval_pts)
-        check = sample_surface(problem.surface, BOUNDARY_CHECK_FACTOR * prob_n.n_collocation() + 7, 1.0)
-        err_b = max(field_errors(sol, reference, check.pos)[:2])
+        err_e, err_h, leak = field_errors(sol, eval_pts, eval_exact)
+        check = sample_surface(problem.surface, BOUNDARY_CHECK_FACTOR * prob_n.n_collocation() + 7, 1.0).pos
+        err_b = max(field_errors(sol, check, reference(check))[:2])
 
         rows.append(
             {

@@ -327,8 +327,9 @@ def suite_green(seed: int = 0) -> list[CheckRow]:
     rows.append(_row("green", "causality_t_negative", green_function(-1.0, x, med).max_abs(), 0.0))
 
     # M f = delta(t) delta(x): f jumps at t = 0 to an f(0) that solves
-    # (beta sqrt(eps mu) D + sqrt(eps mu)) f(0) = delta
-    med2 = ChiralMedium(eps=2.0, mu=0.5, beta=0.7)
+    # (beta sqrt(eps mu) D + sqrt(eps mu)) f(0) = delta; at eps mu = 4, so that a
+    # sqrt(eps mu) read as eps mu shows
+    med2 = ChiralMedium(eps=2.0, mu=2.0, beta=0.7)
     rt_em = np.sqrt(med2.eps * med2.mu)
     surface, volume = _sphere_and_ball(lambda p: green_function(0.0, p, med2), 1.0)
     rows.append(_row("green", "unit_jump", (med2.beta * rt_em * surface + rt_em * volume - ONE).max_abs(), 1e-12))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from bqem.scattering import (
 
 SURFACE = Ellipsoid(5.0, 3.0, 2.0)
 MEDIUM = ChiralMedium(beta=0.0, alpha=1 + 0.3j)
+DIPOLE = np.array([1.0, 0.0, 0.0])
 
 
 def dipole_problem(n, moment=(1.0, 0.0, 0.0), **kw):
@@ -172,6 +174,42 @@ def test_source_on_boundary_guard():
         _assemble_rows(prob, col, src)
 
 
+def small_blocks(monkeypatch, points_per_block, n_src):
+    """Blocks of ``points_per_block`` points against ``n_src`` sources."""
+    import bqem.scattering as scattering
+
+    monkeypatch.setattr(scattering, "_BLOCK_ENTRIES", points_per_block * n_src)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.1], ids=["shared_kernel", "chiral"])
+def test_blocked_assembly_matches_one_block(monkeypatch, beta):
+    # 20 collocation points in blocks of 3: the last block is short
+    prob = replace(dipole_problem(10), medium=ChiralMedium(beta=beta, alpha=1 + 0.3j), impedance=0.5 + 0.1j)
+    A1, b1 = assemble_system(prob)
+    small_blocks(monkeypatch, 3, 10)
+    A, b = assemble_system(prob)
+    np.testing.assert_allclose(A, A1, rtol=0, atol=1e-14 * np.max(np.abs(A1)))
+    assert np.array_equal(b, b1)
+
+
+def test_source_on_boundary_guard_in_last_block(monkeypatch):
+    prob = dipole_problem(3)
+    src = sample_surface(SURFACE, 3, 0.15)
+    col = sample_surface(SURFACE, 7, 1.0)
+    col.pos[-1] = src.pos[1]
+    small_blocks(monkeypatch, 2, 3)
+    with pytest.raises(SourceOnBoundary):
+        _assemble_rows(prob, col, src)
+
+
+def test_assembly_working_set_is_the_matrix(traced_peak):
+    # the kernels of one block of points, not of every (point, source) pair:
+    # about 0.4 MB per 100 points at N = 200 otherwise
+    prob = MfsProblem(surface=SURFACE, medium=ChiralMedium(beta=0.1, alpha=1 + 0.3j), n_sources=200, source_scale=0.5)
+    (A, _), peak = traced_peak(lambda: assemble_system(prob))
+    assert peak <= A.nbytes + 5e6
+
+
 def test_chiral_resonance_propagates():
     med = ChiralMedium(beta=0.5, alpha=2.0)  # 1 - alpha*beta = 0
     prob = MfsProblem(
@@ -251,13 +289,46 @@ def test_solve_leaves_inputs_untouched(shape):
     assert np.array_equal(A, A0) and np.array_equal(b, b0)
 
 
-def test_solve_square_peak_is_one_lu_copy(traced_peak):
-    # the 1-norm's |A| is freed before lu_factor copies the matrix, so the
-    # two never coexist: 1.5 matrices otherwise
+def test_solve_square_peak_is_one_lu_copy(monkeypatch, traced_peak):
+    # the 1-norm is taken a block of rows at a time, so no |A| (half a
+    # matrix) is held before lu_factor copies the matrix
+    import tracemalloc
+
+    import scipy.linalg
+
+    lu_factor, before_factor = scipy.linalg.lu_factor, []
+
+    def recorded(*args, **kwargs):
+        if tracemalloc.is_tracing():
+            current, peak = tracemalloc.get_traced_memory()
+            before_factor.append(peak - current)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", recorded)
     rng = np.random.default_rng(6)
     A, b = random_complex(rng, (400, 400)), random_complex(rng, 400)
     _, peak = traced_peak(lambda: solve_dense(A, b))
-    assert peak <= 1.2 * A.nbytes
+    assert peak <= 1.05 * A.nbytes
+    assert before_factor and before_factor[0] <= 0.2 * A.nbytes  # |A| is 0.5
+
+
+def test_solve_tall_peak_is_one_qr_copy(traced_peak):
+    # R is read from the QR factor in place: np.triu(qr[:n]) and the
+    # Fortran copies of it were two more n x n arrays
+    rng = np.random.default_rng(6)
+    A, b = random_complex(rng, (600, 400)), random_complex(rng, 600)
+    _, peak = traced_peak(lambda: solve_dense(A, b))
+    assert peak <= 1.1 * A.nbytes
+
+
+def test_one_norm_is_numpys():
+    # to the bit, over several row blocks, a single one and blocks of one row
+    from bqem.scattering import _norm1
+
+    rng = np.random.default_rng(7)
+    for shape in ((300, 300), (5000, 7), (5, 400), (3, 20000)):
+        A = random_complex(rng, shape)
+        assert _norm1(A) == np.linalg.norm(A, 1)
 
 
 def test_solve_tall_matches_lstsq_and_qr_condition():
@@ -338,6 +409,32 @@ def test_evaluate_fields_against_naive_sum(shape, beta):
         np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("shape", [(7, 3), (2, 3, 3)], ids=["points", "batch"])
+def test_blocked_evaluation_matches_one_block(monkeypatch, shape):
+    # blocks of 4 points: the last block is short
+    med = ChiralMedium(beta=0.1, alpha=1 + 0.3j)
+    rng = np.random.default_rng(8)
+    coeffs = [Biquaternion(rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))) for _ in range(2)]
+    sol = MfsSolution(sample_surface(SURFACE, 5, 0.15).pos, *coeffs, medium=med)
+    x = rng.uniform(2.0, 6.0, size=shape)
+    one_block = evaluate_fields(sol, x)
+    small_blocks(monkeypatch, 4, 5)
+    for ours, ref in zip(evaluate_fields(sol, x), one_block):
+        assert ours.shape == ref.shape and ours.shape[: len(shape) - 1] == shape[:-1]
+        np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+
+
+def test_evaluate_fields_working_set(traced_peak):
+    # the kernels of one block of points: all 4000 x 200 pairs at once took 167 MB
+    med = ChiralMedium(beta=0.1, alpha=1 + 0.3j)
+    rng = np.random.default_rng(9)
+    coeffs = [Biquaternion(rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))) for _ in range(2)]
+    sol = MfsSolution(sample_surface(SURFACE, 200, 0.15).pos, *coeffs, medium=med)
+    x = sample_surface(SURFACE, 4000, 2.0).pos
+    out, peak = traced_peak(lambda: evaluate_fields(sol, x))
+    assert peak <= sum(a.nbytes for a in out) + 5e6
+
+
 @pytest.mark.parametrize("beta, calls", [(0.0, 1), (0.1, 2)], ids=["shared_kernel", "chiral"])
 def test_one_kernel_evaluation_per_wavenumber(monkeypatch, beta, calls):
     # alpha1 == alpha2 at beta = 0: both branches share one K(alpha)
@@ -358,12 +455,28 @@ def test_one_kernel_evaluation_per_wavenumber(monkeypatch, beta, calls):
     sol = MfsSolution(sources=sample_surface(SURFACE, 4, 0.15).pos, coeffs_a=coeffs, coeffs_b=coeffs, medium=med)
     evaluate_fields(sol, np.array([[6.0, 0.0, 0.0]]))
     assert len(alphas) == calls
+    # per block: 8 collocation points, and 5 evaluation points, in blocks of 3
+    small_blocks(monkeypatch, 3, 4)
+    alphas.clear()
+    assemble_system(MfsProblem(surface=SURFACE, medium=med, n_sources=4, source_scale=0.15))
+    assert len(alphas) == 3 * calls
+    alphas.clear()
+    evaluate_fields(sol, np.linspace(6.0, 7.0, 15).reshape(5, 3))
+    assert len(alphas) == 2 * calls
 
 
 def test_evaluate_at_source_rejected():
     sol = solve_problem(dipole_problem(4))
     with pytest.raises(SourceSingularity):
         evaluate_fields(sol, sol.sources[0])
+
+
+def test_evaluate_at_source_in_last_block_rejected(monkeypatch):
+    sol = solve_problem(dipole_problem(4))
+    x = np.vstack([parametric_grid(SURFACE, 3, 3, scale=2.0).pos, sol.sources[2]])
+    small_blocks(monkeypatch, 4, 4)
+    with pytest.raises(SourceSingularity):
+        evaluate_fields(sol, x)
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +673,20 @@ def test_benchmark_trend_and_stability():
     ratios = np.maximum(err_e, err_h) / err_b
     k_fit = float(np.exp(np.mean(np.log(ratios))))
     assert np.all(np.maximum(err_e, err_h) <= 10.0 * k_fit * err_b)
+
+
+def test_benchmark_evaluates_the_fixed_grid_reference_once():
+    from bqem.scattering import EVAL_GRID
+
+    grid_calls = []
+
+    def reference(x):
+        grid_calls.append(len(x) == EVAL_GRID[0] * EVAL_GRID[1])
+        return dipole_field(DIPOLE, MEDIUM, x)
+
+    prob = MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=6, source_scale=0.15)
+    run_benchmark(prob, [6, 8, 10], reference=reference)
+    assert sum(grid_calls) == 1
 
 
 def test_readme_benchmark_table():

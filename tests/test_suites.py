@@ -5,6 +5,8 @@ function against the equations they solve.  Each test below puts one wrong
 constant into the code and asserts that an oracle row leaves its window.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from bqem import chiral_time, kernels, suites
@@ -76,6 +78,16 @@ def _green_factor_times_2(factor):
     return patched
 
 
+def _sqrt_em_read_as_em():
+    green_factors = chiral_time._green_factors
+
+    def patched(x, medium):
+        # the factors of a medium whose sqrt(eps mu) is this one's eps mu
+        return green_factors(x, replace(medium, eps=(medium.eps * medium.mu) ** 2, mu=1.0))
+
+    return patched
+
+
 def _theta_times_2(at_zero):
     theta_and_radial = kernels._theta_and_radial
 
@@ -92,10 +104,11 @@ def _theta_times_2(at_zero):
     [
         (chiral_time, "_green_factors", _green_factor_times_2("P")),
         (chiral_time, "_green_factors", _green_factor_times_2("Q")),
+        (chiral_time, "_green_factors", _sqrt_em_read_as_em()),
         (kernels, "_theta_and_radial", _theta_times_2(at_zero=False)),
         (kernels, "_theta_and_radial", _theta_times_2(at_zero=True)),
     ],
-    ids=["P_times_2", "Q_times_2", "theta_times_2", "theta0_times_2"],
+    ids=["P_times_2", "Q_times_2", "sqrt_em_read_as_em", "theta_times_2", "theta0_times_2"],
 )
 def test_a_wrong_constant_leaves_an_oracle_window(monkeypatch, module, name, wrong):
     monkeypatch.setattr(module, name, wrong)
