@@ -20,7 +20,6 @@ from .algebra import (
     dot,
 )
 from .chiral_time import (
-    apply_M,
     green_function,
     green_refinement,
     green_residual,
@@ -48,11 +47,9 @@ from .inhomog import (
     EMState,
     MediumFields,
     build_medium,
-    manufactured_solution,
+    manufactured_state,
     maxwell_residuals,
-    medium_from_expressions,
     quaternionic_residual,
-    split_residuals,
     static_residuals,
 )
 from .kernels import (

@@ -26,10 +26,9 @@ argument 2 sqrt(c t) >= 0, so the closed form holds at any t and |x|.
 The factors of f that depend on x alone are computed once per lattice
 (``_green_factors``), and f is filled from them at any time
 (``_green_at``).  One slab kernel, ``_M_slab``, evaluates M on a time slab
-from the three slabs around it (``grids._time_windows``): ``apply_M`` fills
-its whole (nt,) + dims + (4,) result so, and ``green_residual`` and
-``maxwell_equivalence_residual`` stream it, building neither f, V nor M f
-whole.  ``green_residual`` evaluates f only on the box its margin keeps,
+from the three slabs around it (``grids._time_windows``); ``green_residual``
+and ``maxwell_equivalence_residual`` stream it, building neither f, V nor
+M f whole.  ``green_residual`` evaluates f only on the box its margin keeps,
 plus the one node on each face that the central differences read, in space
 as well as in time.
 """
@@ -42,8 +41,8 @@ import warnings
 import numpy as np
 
 from .algebra import Biquaternion, _components
-from .errors import AchiralUnsupported, LatticeMismatch
-from .grids import Lattice, SpaceTimeLattice, _keep, _stencil_output, _time_diff, _time_windows
+from .errors import AchiralUnsupported
+from .grids import Lattice, SpaceTimeLattice, _keep, _time_diff, _time_windows
 from .grids import dirac, div, max_abs_interior, rot
 from .inhomog import EMState
 from .kernels import ChiralMedium, fundamental_solution
@@ -152,26 +151,6 @@ def _M_slab(prev, cur, nxt, h: float, dt: float, medium: ChiralMedium, sign: com
     return out
 
 
-def apply_M(values: np.ndarray, st: SpaceTimeLattice, medium: ChiralMedium, star: bool = False) -> np.ndarray:
-    """Central-difference action of M (or M* when ``star``) on a space-time field.
-
-    ``values`` and the result have shape (nt,) + dims + (4,), and values
-    of another shape raise ``LatticeMismatch``; the result carries one more
-    NaN face layer in time (from ``grids._stencil_output``, which also needs
-    nt >= 3) and in space.  Each inner time slab of the
-    result is ``_M_slab`` of the three slabs around it.
-    """
-    expect = (st.nt,) + st.space.dims + (4,)
-    if values.shape != expect:
-        raise LatticeMismatch(f"values shape {values.shape} != {expect}")
-    out, _ = _stencil_output(expect, (0,))
-    h = st.space.spacing
-    sign = 1j if star else -1j
-    for s, window in _time_windows(values.__getitem__, st):
-        out[s] = _M_slab(*window, h, st.dt, medium, sign)
-    return out
-
-
 def green_residual(st: SpaceTimeLattice, medium: ChiralMedium, margin: int = 0) -> float:
     """Max interior |M f| for the Green function sampled on the lattice.
 
@@ -180,12 +159,12 @@ def green_residual(st: SpaceTimeLattice, medium: ChiralMedium, margin: int = 0) 
     may widen the interior's boundary band, in space and time alike, to
     compare refinement levels over one physical region.
 
-    The value is that of ``max_abs_interior(apply_M(f), margin,
-    time_axis=True)``, but neither f nor M f is built whole: f is evaluated
-    only on the box the margin keeps plus one stencil node on each face, in
-    space (a slice of the lattice's points, so every coordinate and value is
-    the same) and in time, at most three time slabs at a time, and M f one
-    slab at a time.
+    The value is the max over the interior of M f on the whole (nt,) + dims
+    lattice, but neither f nor M f is built whole: f is evaluated only on
+    the box the margin keeps plus one stencil node on each face, in space (a
+    slice of the lattice's points, so every coordinate and value is the
+    same) and in time, at most three time slabs at a time, and M f one slab
+    at a time.
     """
     keep = _keep(st, margin)  # the first kept node of M f on each axis, in time and space
     # nodes keep - 1 .. n - keep: M f's NaN faces land on keep - 1 and n - keep

@@ -9,17 +9,19 @@ are handed.
 
 The stencils read the lattice axes from that layout: a scalar field's are
 its last three, a vector or quaternion field's the three in front of its
-component axis, and any leading axis (time) is carried along.  Only central
-stencils are used, all one shifted-slice difference (``_central``).  Every
+component axis, and any leading axis (time) is carried along.  The space
+stencils are all central, one shifted-slice difference (``_central``).  Every
 stencil axis gets a NaN face layer, and composing operators lets NaN
 propagate, so the NaN faces are the one record of which nodes are valid.
 Norms are taken over the interior that excludes every face layer whose nodes
 all have a non-finite component; the ``margin=`` of ``max_abs_interior`` or
 of a residual only widens that, never narrows it.
 
-A space-time residual streams time slabs (``_time_windows``, ``_time_diff``)
-and is the max over slabs of ``max_abs_interior(slab, margin)``: bit for bit
-that of the whole (nt,) + dims array, which is never built.
+A space-time residual streams time slabs (``_time_windows``) and takes its
+one time difference, central, between the slabs on either side of a node
+(``_time_diff``).  It is the max over slabs of ``max_abs_interior(slab,
+margin)``, which equals the max over the interior of the whole (nt,) + dims
+array; that array is never built.
 """
 
 from __future__ import annotations
@@ -125,13 +127,6 @@ def _central(values: np.ndarray, axis: int, order: int, axes=_SCALAR_AXES) -> np
     return values[hi] - 2.0 * values[mid] + values[lo]
 
 
-def diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Central first derivative along axis; NaN on the one-node boundary."""
-    out, box = _stencil_output(values.shape, (axis,))
-    out[box] = _central(values, axis, 1, (axis,)) / (2.0 * h)
-    return out
-
-
 def grad(values: np.ndarray, h: float) -> np.ndarray:
     """Gradient of a scalar array, components stacked on a new trailing axis."""
     out, box = _stencil_output(values.shape + (3,), _FIELD_AXES)
@@ -192,25 +187,23 @@ def _nan_layer(layer: np.ndarray, k: int) -> bool:
     return not np.isfinite(layer).all(axis=tuple(range(k, layer.ndim))).any()
 
 
-def _valid_box(values: np.ndarray, margin: int = 0, time_axis: bool = False) -> tuple[slice, ...]:
-    """Index of the valid interior of a lattice array.
+def _valid_box(values: np.ndarray, margin: int = 0) -> tuple[slice, ...]:
+    """Index of the valid interior of a spatial lattice array.
 
-    The lattice axes are the space axes 0-2, or axes 0-3 when ``time_axis``
-    and axis 0 is time; trailing axes hold the components of one node.
-    Each face first loses ``margin`` layers, then every further layer whose
-    nodes all have a non-finite component: the NaN faces the stencils
+    The lattice axes are axes 0-2; trailing axes hold the components of one
+    node.  Each face first loses ``margin`` layers, then every further layer
+    whose nodes all have a non-finite component: the NaN faces the stencils
     write.  Only those face layers are scanned, never the whole array.
     """
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
-    k = 4 if time_axis else 3
     box = []
-    for ax in range(k):
+    for ax in range(3):
         face = (slice(None),) * ax
         lo, hi = margin, values.shape[ax] - margin
-        while lo < hi and _nan_layer(values[face + (lo,)], k - 1):
+        while lo < hi and _nan_layer(values[face + (lo,)], 2):
             lo += 1
-        while lo < hi and _nan_layer(values[face + (hi - 1,)], k - 1):
+        while lo < hi and _nan_layer(values[face + (hi - 1,)], 2):
             hi -= 1
         if lo >= hi:
             raise GridTooSmall(f"margin {margin} and NaN faces leave no interior on axis {ax} of {values.shape}")
@@ -244,19 +237,23 @@ def _time_windows(slab, st: SpaceTimeLattice, margin: int = 0):
 
 
 def _time_diff(prev: np.ndarray, nxt: np.ndarray, dt: float) -> np.ndarray:
-    """The slab of ``diff(values, 0, dt)`` between ``prev`` and ``nxt``, taken
-    as diff takes it: complex, so real data is then divided as complex data."""
+    """Central time difference (nxt - prev) / (2 dt) at the node between the
+    slabs ``prev`` and ``nxt``.  Real slabs are differenced and divided as
+    real numbers; the result is always complex, so the arithmetic a residual
+    does with it afterwards is complex."""
     return ((nxt - prev) / (2.0 * dt)).astype(complex, copy=False)
 
 
-def max_abs_interior(values: np.ndarray, margin: int = 0, time_axis: bool = False) -> float:
-    """Max componentwise modulus over the valid interior (``_valid_box``).
+def max_abs_interior(values: np.ndarray, margin: int = 0) -> float:
+    """Max componentwise modulus of a spatial field (lattice axes 0-2, then
+    the components of one node) over its valid interior (``_valid_box``).
+    A space-time residual is the max of this over its time slabs.
 
     Raises if the interior is empty or still contains a non-finite value,
     which would mean a NaN face layer was only partly written or a value
     inside the grid went bad.
     """
-    inner = values[_valid_box(values, margin, time_axis)]
+    inner = values[_valid_box(values, margin)]
     if not np.all(np.isfinite(inner)):
         raise ValueError("non-finite values inside the valid interior")
     return float(np.max(np.abs(inner)))

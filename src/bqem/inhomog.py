@@ -20,25 +20,21 @@ and (D + M^muvec) calH = sqrt(mu) j with calE = sqrt(eps) E, calH = sqrt(mu) H,
 both through ``diffops._dirac_plus_M``: the electric half is the first-order
 factor D + M^{Df/f} of the Schroedinger operator -Lap + Lap f/f at f = sqrt(eps).
 
-Verification uses manufactured solutions: H = rot(A)/mu and
+Verification uses a manufactured solution: H = rot(A)/mu and
 E = -dt(A) + grad(phi) satisfy the two curl-free/divergence-free halves
 identically, and rho := div(eps E), j := rot(H) - eps dt(E) make the other
-two hold by definition.  The potentials and the medium are sympy
-expressions and all sources are differentiated symbolically, so the state
-is exact and every finite-difference residual is pure stencil error.  sympy
-is imported only on this route (``medium_from_expressions``,
-``manufactured_solution``); the ``check`` suite writes its one state in
-closed form with numpy and builds its medium with ``build_medium``.  Each
-residual is the max over the interior inside the NaN faces its time and
-space stencils write; ``margin=`` widens that band alike in time and space.
-The residuals stream over time slabs (``grids._time_windows``), V included.
+two hold by definition.  ``manufactured_state`` writes one such state and
+its medium in closed form, so the state is exact and every finite-difference
+residual is pure stencil error.  Each residual is the max over the interior
+inside the NaN faces its time and space stencils write; ``margin=`` widens
+that band alike in time and space.  The residuals stream over time slabs
+(``grids._time_windows``), V included.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -57,44 +53,6 @@ from .grids import (
     rot,
 )
 
-_SYMBOL_NAMES = ("T", "X1", "X2", "X3")
-
-
-@cache
-def _symbols():
-    """The real sympy symbols (t, x1, x2, x3).
-
-    sympy is imported here, on first use, so that importing bqem does not
-    load it; only the manufactured-solution route needs it.
-    """
-    import sympy as sp
-
-    return sp.symbols("t x1 x2 x3", real=True)
-
-
-def __getattr__(name):
-    """Serve T, X1, X2, X3 and SPACE_SYMBOLS = (X1, X2, X3) from _symbols()."""
-    if name in _SYMBOL_NAMES:
-        return _symbols()[_SYMBOL_NAMES.index(name)]
-    if name == "SPACE_SYMBOLS":
-        return _symbols()[1:]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _sample(exprs, times, pts) -> np.ndarray:
-    """Sample sympy expressions in (t, x1, x2, x3) at every time and point.
-
-    One ``lambdify`` call on the list and one evaluation with the times
-    broadcast as (nt, 1, 1, 1); returns (len(exprs), nt) + pts.shape[:-1].
-    """
-    import sympy as sp
-
-    fn = sp.lambdify(_symbols(), list(exprs), modules="numpy")
-    t = np.reshape(np.asarray(times, dtype=float), (-1,) + (1,) * (pts.ndim - 1))
-    shape = t.shape[:1] + pts.shape[:-1]
-    out = fn(t, pts[..., 0], pts[..., 1], pts[..., 2])
-    return np.stack([np.broadcast_to(np.asarray(v), shape) for v in out])
-
 
 @dataclass(frozen=True)
 class MediumFields:
@@ -102,8 +60,7 @@ class MediumFields:
 
     eps, mu, c and W are real (float) arrays of shape ``lattice.dims``; the
     log-derivative fields are purely vectorial ``dims + (4,)`` arrays with
-    one NaN face layer.  Closed forms of eps and mu are kept when known so
-    manufactured sources can be differentiated analytically.
+    one NaN face layer.
     """
 
     lattice: Lattice
@@ -115,18 +72,10 @@ class MediumFields:
     muvec: np.ndarray
     cvec: np.ndarray
     Wvec: np.ndarray
-    eps_form: sp.Expr | None = None
-    mu_form: sp.Expr | None = None
     identity_residuals: tuple[float, float] = (np.nan, np.nan)
 
 
-def build_medium(
-    lattice: Lattice,
-    eps,
-    mu,
-    eps_form: sp.Expr | None = None,
-    mu_form: sp.Expr | None = None,
-) -> MediumFields:
+def build_medium(lattice: Lattice, eps, mu) -> MediumFields:
     """Derive c, W and the four log-derivative fields from eps(x), mu(x)."""
     eps = _on_lattice(eps, lattice, "eps")
     mu = _on_lattice(mu, lattice, "mu")
@@ -154,20 +103,8 @@ def build_medium(
         muvec=muvec,
         cvec=cvec,
         Wvec=Wvec,
-        eps_form=eps_form,
-        mu_form=mu_form,
         identity_residuals=residuals,
     )
-
-
-def medium_from_expressions(lattice: Lattice, eps_expr, mu_expr) -> MediumFields:
-    """Sample closed-form eps(x), mu(x) and remember the expressions."""
-    import sympy as sp
-
-    eps_expr = sp.sympify(eps_expr)
-    mu_expr = sp.sympify(mu_expr)
-    eps, mu = _sample((eps_expr, mu_expr), 0.0, lattice.points())[:, 0]
-    return build_medium(lattice, eps, mu, eps_form=eps_expr, mu_form=mu_expr)
 
 
 @dataclass(frozen=True)
@@ -194,51 +131,31 @@ class EMState:
                 raise LatticeMismatch(f"{name} has shape {shape}, expected {grid + tail}")
 
 
-def manufactured_solution(A, phi, medium: MediumFields, st: SpaceTimeLattice) -> EMState:
-    """Exact Maxwell state from a vector potential A(t,x) and scalar phi(t,x).
-
-    H = rot(A)/mu and E = -dt(A) + grad(phi) satisfy the curl equation and
-    div(mu H) = 0 identically; the sources are then defined as
-    rho = div(eps E) and j = rot(H) - eps dt(E), so all four equations hold.
-    A and phi are sympy expressions in (t, x1, x2, x3), and the medium must
-    carry closed forms of eps and mu (``medium_from_expressions``).
-    """
-    import sympy as sp
-
-    _check_same_lattice(st, medium)
-    if medium.eps_form is None or medium.mu_form is None:
-        raise ValueError(
-            "manufactured solutions need eps and mu in closed form (medium_from_expressions)"
-        )
-    A = tuple(sp.sympify(a) for a in A)
-    phi = sp.sympify(phi)
-
-    T, X1, X2, X3 = _symbols()
-    space = (X1, X2, X3)
-    eps_e, mu_e = medium.eps_form, medium.mu_form
-    rotA = (
-        sp.diff(A[2], X2) - sp.diff(A[1], X3),
-        sp.diff(A[0], X3) - sp.diff(A[2], X1),
-        sp.diff(A[1], X1) - sp.diff(A[0], X2),
+def manufactured_state(n: int) -> tuple[MediumFields, EMState]:
+    """Medium and exact state on the unit cube, n nodes a side and n times on
+    [0, 0.8]: eps = 1 + 0.3 exp(-|x|^2), mu = 1 + 0.1 x1^2 and the potentials
+    A = (0, 0, sin x1 cos t), phi = 0, differentiated by hand:
+    E = -dt A, H = rot(A)/mu, rho = div(eps E), j = rot H - eps dt E."""
+    lat = Lattice.cube((0, 0, 0), 1.0, n)
+    st = SpaceTimeLattice(lat, 0.0, 0.8 / (n - 1), n)
+    x1, x2, x3 = np.moveaxis(lat.points(), -1, 0)
+    gauss = np.exp(-(x1**2 + x2**2 + x3**2))
+    eps = 0.3 * gauss + 1
+    mu = 0.1 * x1**2 + 1
+    t = st.times()[:, None, None, None]
+    sin_x1, cos_x1 = np.sin(x1), np.cos(x1)
+    Ez = np.sin(t) * sin_x1
+    Hy = -np.cos(t) * cos_x1 / mu
+    jz = np.cos(t) * ((mu * sin_x1 + 0.2 * x1 * cos_x1) / mu**2 - eps * sin_x1)
+    zero = np.zeros_like(Ez)
+    state = EMState(
+        st,
+        E=np.stack([zero, zero, Ez], axis=-1),
+        H=np.stack([zero, Hy, zero], axis=-1),
+        rho=-0.6 * x3 * gauss * Ez,
+        j=np.stack([zero, zero, jz], axis=-1),
     )
-    H_e = tuple(r / mu_e for r in rotA)
-    E_e = tuple(-sp.diff(A[k], T) + sp.diff(phi, space[k]) for k in range(3))
-    rho_e = sum(sp.diff(eps_e * E_e[k], space[k]) for k in range(3))
-    rotH = (
-        sp.diff(H_e[2], X2) - sp.diff(H_e[1], X3),
-        sp.diff(H_e[0], X3) - sp.diff(H_e[2], X1),
-        sp.diff(H_e[1], X1) - sp.diff(H_e[0], X2),
-    )
-    j_e = tuple(rotH[k] - eps_e * sp.diff(E_e[k], T) for k in range(3))
-
-    s = _sample(E_e + H_e + (rho_e,) + j_e, st.times(), st.space.points())
-    return EMState(
-        st=st,
-        E=np.stack(s[0:3], axis=-1),
-        H=np.stack(s[3:6], axis=-1),
-        rho=s[6],
-        j=np.stack(s[7:10], axis=-1),
-    )
+    return build_medium(lat, eps, mu), state
 
 
 def _check_same_lattice(st: SpaceTimeLattice, medium: MediumFields) -> None:
@@ -250,17 +167,6 @@ def _check_same_lattice(st: SpaceTimeLattice, medium: MediumFields) -> None:
 def _scaled(E, H, medium: MediumFields) -> tuple[np.ndarray, np.ndarray]:
     """(sqrt(eps) E, sqrt(mu) H), the fields of the quaternionic form."""
     return np.sqrt(medium.eps)[..., None] * E, np.sqrt(medium.mu)[..., None] * H
-
-
-def _static_split(calE, calH, rho, j, medium: MediumFields) -> tuple[np.ndarray, np.ndarray]:
-    """(D + M^epsvec) calE + rho/sqrt(eps) and (D + M^muvec) calH - sqrt(mu) j
-    on one time slab, with their NaN faces."""
-    h = medium.lattice.spacing
-    r1 = _dirac_plus_M(_components(vector=calE), medium.epsvec, h)
-    r1[..., 0] += rho / np.sqrt(medium.eps)
-    r2 = _dirac_plus_M(_components(vector=calH), medium.muvec, h)
-    r2[..., 1:] -= np.sqrt(medium.mu)[..., None] * j
-    return r1, r2
 
 
 def maxwell_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> tuple[float, float, float, float]:
@@ -308,21 +214,6 @@ def quaternionic_residual(state: EMState, medium: MediumFields, margin: int = 0)
     return max(residual(s, *window) for s, window in _time_windows(V_slab, st, margin))
 
 
-def split_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> tuple[float, float]:
-    """Residuals of the two intermediate equations on calE and calH:
-    (D + M^epsvec) calE + (1/c) dt calH + rho/sqrt(eps) and
-    (D + M^muvec) calH - (1/c) dt calE - sqrt(mu) j."""
-    _check_same_lattice(state.st, medium)
-    rows = []
-    windows = _time_windows(lambda s: _scaled(state.E[s], state.H[s], medium), state.st, margin)
-    for s, ((calE0, calH0), (calE, calH), (calE2, calH2)) in windows:
-        r1, r2 = _static_split(calE, calH, state.rho[s], state.j[s], medium)
-        r1[..., 1:] += _time_diff(calH0, calH2, state.st.dt) / medium.c[..., None]
-        r2[..., 1:] -= _time_diff(calE0, calE2, state.st.dt) / medium.c[..., None]
-        rows.append((max_abs_interior(r1, margin), max_abs_interior(r2, margin)))
-    return tuple(map(max, zip(*rows)))
-
-
 def static_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> tuple[float, float]:
     """Residuals of the two decoupled static equations (time slice 0):
     (D + M^epsvec) calE + rho/sqrt(eps) and (D + M^muvec) calH - sqrt(mu) j."""
@@ -332,5 +223,9 @@ def static_residuals(state: EMState, medium: MediumFields, margin: int = 0) -> t
         if spread > 1e-12:
             warnings.warn("state is not time-independent; using slice 0", stacklevel=2)
     calE, calH = _scaled(state.E[0], state.H[0], medium)
-    r1, r2 = _static_split(calE, calH, state.rho[0], state.j[0], medium)
+    h = medium.lattice.spacing
+    r1 = _dirac_plus_M(_components(vector=calE), medium.epsvec, h)
+    r1[..., 0] += state.rho[0] / np.sqrt(medium.eps)
+    r2 = _dirac_plus_M(_components(vector=calH), medium.muvec, h)
+    r2[..., 1:] -= np.sqrt(medium.mu)[..., None] * state.j[0]
     return max_abs_interior(r1, margin), max_abs_interior(r2, margin)

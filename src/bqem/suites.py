@@ -12,7 +12,8 @@ integrates (D + alpha) K_alpha = delta over a ball by Gauss's theorem,
 ``green,unit_jump`` does the same for the jump f(0) of the Green function,
 and ``green,laplace_transform_is_chiral_kernel`` transforms f in time to
 the frequency-domain kernel of the split wavenumber alpha1, which covers the
-whole t-dependence of f.
+whole t-dependence of f.  The inhomog rows run on
+``inhomog.manufactured_state``, an exact Maxwell state in closed form.
 """
 
 from __future__ import annotations
@@ -378,41 +379,10 @@ def suite_green(seed: int = 0) -> list[CheckRow]:
 # ---------------------------------------------------------------------------
 
 
-def _manufactured(n):
-    """Medium and exact state on the unit cube, n nodes a side and n times on
-    [0, 0.8]: eps = 1 + 0.3 exp(-|x|^2), mu = 1 + 0.1 x1^2 and the potentials
-    A = (0, 0, sin x1 cos t), phi = 0, in the closed form that
-    ``inhomog.manufactured_solution`` derives from them symbolically:
-    E = -dt A, H = rot(A)/mu, rho = div(eps E), j = rot H - eps dt E.
-
-    Written out with numpy, so ``check`` loads no sympy; the tests pin it to
-    the symbolic route."""
-    lat = Lattice.cube((0, 0, 0), 1.0, n)
-    st = SpaceTimeLattice(lat, 0.0, 0.8 / (n - 1), n)
-    x1, x2, x3 = np.moveaxis(lat.points(), -1, 0)
-    gauss = np.exp(-(x1**2 + x2**2 + x3**2))
-    eps = 0.3 * gauss + 1
-    mu = 0.1 * x1**2 + 1
-    t = st.times()[:, None, None, None]
-    sin_x1, cos_x1 = np.sin(x1), np.cos(x1)
-    Ez = np.sin(t) * sin_x1
-    Hy = -np.cos(t) * cos_x1 / mu
-    jz = np.cos(t) * ((mu * sin_x1 + 0.2 * x1 * cos_x1) / mu**2 - eps * sin_x1)
-    zero = np.zeros_like(Ez)
-    state = inhomog.EMState(
-        st,
-        E=np.stack([zero, zero, Ez], axis=-1),
-        H=np.stack([zero, Hy, zero], axis=-1),
-        rho=-0.6 * x3 * gauss * Ez,
-        j=np.stack([zero, zero, jz], axis=-1),
-    )
-    return inhomog.build_medium(lat, eps, mu), state
-
-
 def suite_inhomog(seed: int = 0) -> list[CheckRow]:
     rows = []
-    med9, st9 = _manufactured(9)
-    med17, st17 = _manufactured(17)
+    med9, st9 = inhomog.manufactured_state(9)
+    med17, st17 = inhomog.manufactured_state(17)
 
     rows.append(
         _row("inhomog", "medium_gradient_identities", max(med17.identity_residuals), 1e-3)

@@ -1,7 +1,6 @@
-"""Import budget: sympy, scipy.linalg and scipy.special load on first use only,
-sympy only on the symbolic route (``medium_from_expressions``,
-``manufactured_solution``) that no CLI command takes; and the exact set of
-names ``bqem`` exports.
+"""Import budget: scipy.linalg and scipy.special load on first use only, and
+no command loads sympy, which only the tests use; and the exact set of names
+``bqem`` exports.
 
 Each case runs in a fresh interpreter so that sys.modules starts clean.
 """
@@ -14,7 +13,6 @@ import types
 from pathlib import Path
 
 import pytest
-import sympy
 
 import bqem
 import bqem.inhomog
@@ -62,23 +60,6 @@ def test_check_all_loads_neither_sympy_nor_scipy_linalg():
     assert "sympy" not in loaded and "scipy.linalg" not in loaded
 
 
-def test_medium_from_expressions_loads_sympy_on_first_use():
-    loaded = heavy_modules_after(
-        "import sys, bqem\n"
-        "assert 'sympy' not in sys.modules\n"
-        "bqem.medium_from_expressions(bqem.Lattice.cube((0, 0, 0), 1.0, 5), '1 + x1**2', 2)"
-    )
-    assert "sympy" in loaded
-
-
-def test_inhomog_symbols_import_by_name():
-    from bqem.inhomog import SPACE_SYMBOLS, X1, X2, X3, T
-
-    assert (T, X1, X2, X3) == sympy.symbols("t x1 x2 x3", real=True)
-    assert SPACE_SYMBOLS == (X1, X2, X3)
-    assert bqem.inhomog.T is T
-
-
 def test_inhomog_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         bqem.inhomog.no_such_name
@@ -88,16 +69,16 @@ def test_inhomog_unknown_attribute_raises():
 PUBLIC_NAMES = [
     "Biquaternion", "ChiralMedium", "EMState", "Ellipsoid", "I1", "I2", "I3", "Lattice",
     "MediumFields", "MfsProblem", "MfsSolution", "ONE", "PotentialSlot", "SpaceTimeLattice",
-    "SurfaceSamples", "antiderivative", "apply_M", "assemble_system",
+    "SurfaceSamples", "antiderivative", "assemble_system",
     "build_medium", "chiral_wavenumbers",
     "coefficients_to_vekua", "conductivity_factorization_residual", "cross",
     "darboux_transform", "dipole_field", "dirac_residual", "dot", "evaluate_fields",
     "fundamental_solution", "generating_quartet", "green_function", "green_refinement",
     "green_residual", "helmholtz_factorization_residual", "helmholtz_kernel",
-    "helmholtz_kernel_grad", "manufactured_solution", "maxwell_equivalence_residual",
-    "maxwell_residuals", "medium_from_expressions", "quaternionic_residual", "run_benchmark",
+    "helmholtz_kernel_grad", "manufactured_state", "maxwell_equivalence_residual",
+    "maxwell_residuals", "quaternionic_residual", "run_benchmark",
     "sample_surface", "schrodinger_factorization_residual", "solve_dense", "solve_problem",
-    "split_residuals", "static_residuals", "tangential_datum",
+    "static_residuals", "tangential_datum",
     "vekua_coefficient_identity_residual", "vekua_consequences", "vekua_residual",
 ]
 
@@ -107,5 +88,5 @@ def test_public_surface_is_pinned():
         name for name, value in vars(bqem).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 49
     assert exported == PUBLIC_NAMES
