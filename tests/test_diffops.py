@@ -100,6 +100,10 @@ def _stencil_case(name, axes):
     t = 0.75 if axes == SPACE else x[0]
     c = 1.0 - 0.5j
     h = STENCIL_H
+    if name == "diff":
+        # the whole-array time difference the tests compare streamed residuals with
+        f = c * (s0**2 + t * s0 + s1 * s2)
+        return f, lambda v: oracles.diff(v, v.ndim - 3, h), c * (2 * s0 + t), shape, axes[:1]
     if name == "grad":
         f = c * (s0**2 + s0 * s1 + t * s2**2)
         exact = c * np.stack([2 * s0 + s1, s0, 2 * t * s2], axis=-1)
@@ -127,7 +131,7 @@ def test_negative_margin_is_an_input_error():
         max_abs_interior(Dv, -1)
 
 
-STENCIL_NAMES = ["grad", "div", "rot", "laplacian", "dirac"]
+STENCIL_NAMES = ["diff", "grad", "div", "rot", "laplacian", "dirac"]
 
 
 @pytest.mark.parametrize("axes", [SPACE, SPACE_TIME])
