@@ -1,4 +1,8 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +180,20 @@ def test_threads_is_not_an_option(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--threads", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mmap threshold")
+def test_main_maps_large_arrays_off_the_heap():
+    # at glibc's defaults the freed 20 MiB block would raise the mmap threshold past 5 MiB
+    probe = (
+        "import numpy as np; from bqem.cli import main; main(['check', 'algebra']); np.empty(20 << 20, np.uint8)\n"
+        "addr = np.ones(5 << 20, np.uint8).ctypes.data\n"
+        "heap = [ln.split()[0].split('-') for ln in open('/proc/self/maps') if ln.rstrip().endswith('[heap]')]\n"
+        "print(any(int(lo, 16) <= addr < int(hi, 16) for lo, hi in heap))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split()[-1] == "False"
 
 
 def test_check_all_suites_pass(capsys):
