@@ -193,7 +193,8 @@ def green_refinement(medium: ChiralMedium, levels: int) -> list[tuple[float, flo
     ``MAX_REFINE_LEVELS``.
     """
     if not 1 <= levels <= MAX_REFINE_LEVELS:
-        raise ValueError(f"levels must be in [1, {MAX_REFINE_LEVELS}], got {levels}")
+        raise ValueError(f"levels must be in [1, {MAX_REFINE_LEVELS}], got {levels}: the finest level's "
+                         f"time slabs may take at most {MAX_SLAB_BYTES / 2**20:g} MiB each")
     rows = []
     for k in range(levels):
         n = 2 ** (k + 3) + 1

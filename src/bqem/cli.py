@@ -1,24 +1,25 @@
 """Batch experiment runner.
 
-Three subcommands, each driven by an optional JSON config (flags override
-config fields):
+Three subcommands; each value has one way in:
 
-* ``scatter``    -- the dipole scattering benchmark sweep; emits one row
-                    per N with columns N, errE, errH, errB, residual, cond,
-                    sc_leak, wall_ms.
+* ``scatter``    -- the dipole scattering benchmark sweep, read from a JSON
+                    config (``--config``; an unknown field is an error);
+                    emits one row per N with columns N, errE, errH, errB,
+                    residual, cond, sc_leak, wall_ms.
 * ``check``      -- runs a verification suite (algebra, kernels,
-                    factorizations, green, inhomog, all); exit code 0 only
-                    when every check passes.
-* ``green-eval`` -- prints the chiral Green function at one (t, x), eight
-                    reals with 15 significant digits (one ``sc re=.. im=..``
-                    line per component; JSON rows component, re, im with
-                    ``--format json``); ``--refine`` emits a residual
-                    refinement table instead.
+                    factorizations, green, inhomog, all) with ``--seed``;
+                    exit code 0 only when every check passes.
+* ``green-eval`` -- prints the chiral Green function at one (``--t``,
+                    ``--x``), eight reals with 15 significant digits (one
+                    ``sc re=.. im=..`` line per component; JSON rows
+                    component, re, im with ``--format json``);
+                    ``--refine`` emits a residual refinement table on
+                    ``--levels`` lattices instead.
 
-Output is CSV (default) or JSON.  CSV starts with ``# key=value`` metadata
-lines; everything except the timestamp line is byte-deterministic for a
-fixed config and seed.  Exit codes: 0 success, 1 check/solver failure,
-2 configuration error.
+Output is CSV (default) or JSON, to stdout or ``--out``.  CSV starts with
+``# key=value`` metadata lines; everything except the timestamp line is
+byte-deterministic for fixed inputs.  Exit codes: 0 success, 1 check/solver
+failure, 2 configuration or usage error.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import argparse
 import ctypes
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -35,7 +37,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .chiral_time import MAX_REFINE_LEVELS, MAX_SLAB_BYTES, green_function, green_refinement
+from .chiral_time import green_function, green_refinement
 from .errors import AchiralUnsupported, BqemError, ChiralResonance, ConfigError, OriginSingularity
 from .kernels import ChiralMedium, chiral_wavenumbers, dipole_field
 from .scattering import DIPOLE_MOMENT, Ellipsoid, MfsProblem, run_benchmark
@@ -55,20 +57,31 @@ def _get(cfg: dict, path: str, default=_REQUIRED):
     return node
 
 
-def _as_float(value, path: str) -> float:
+def _as_float(value, name: str) -> float:
     # json.load reads NaN, Infinity and integers beyond float range, and
     # float() reads nan and inf; each fails the comparison
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"config field {path} must be a finite number")
+        raise ConfigError(f"{name} must be a finite number")
     return float(value)
 
 
-def _as_complex(value, path: str) -> complex:
+def _as_complex(value, name: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(_as_float(value, path))
+        return complex(_as_float(value, name))
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_as_float(value[0], path), _as_float(value[1], path))
-    raise ConfigError(f"config field {path} must be a number or [re, im]")
+        return complex(_as_float(value[0], name), _as_float(value[1], name))
+    raise ConfigError(f"{name} must be a number or [re, im]")
+
+
+def _load_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("top level must be a JSON object")
+    return cfg
 
 
 def _construct(cls, **fields):
@@ -128,20 +141,28 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _meta(command: str, cfg: dict, seed: int) -> dict:
-    digest = hashlib.sha256(
-        json.dumps({"config": cfg, "seed": seed}, sort_keys=True).encode()
-    ).hexdigest()[:16]
+def _meta(command: str, inputs: dict, **seed) -> dict:
+    """Metadata lines; only ``check`` passes a ``seed``, which is hashed and written."""
+    digest = hashlib.sha256(json.dumps({"config": inputs, **seed}, sort_keys=True).encode()).hexdigest()[:16]
     return {
         "command": command,
         "version": __version__,
         "config_hash": digest,
-        "seed": seed,
+        **seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
 
-def cmd_scatter(cfg: dict, seed: int, fmt: str, out: str | None) -> int:
+_SCATTER_FIELDS = ("ellipsoid", "alpha", "beta", "source_scale", "eval_scale", "n_values", "moment", "impedance",
+                   "oversample")
+
+
+def cmd_scatter(cfg: dict, fmt: str, out: str | None) -> int:
+    axes = cfg.get("ellipsoid")
+    unknown = [k for k in cfg if k not in _SCATTER_FIELDS]
+    unknown += [f"ellipsoid.{k}" for k in (axes if isinstance(axes, dict) else ()) if k not in ("a", "b", "c")]
+    if unknown:
+        raise ConfigError(f"unknown config field(s) {', '.join(unknown)}; the fields are {', '.join(_SCATTER_FIELDS)}")
     surface = _construct(
         Ellipsoid,
         a=_as_float(_get(cfg, "ellipsoid.a"), "ellipsoid.a"),
@@ -190,13 +211,13 @@ def cmd_scatter(cfg: dict, seed: int, fmt: str, out: str | None) -> int:
     report = Report(
         columns=["N", "errE", "errH", "errB", "residual", "cond", "sc_leak", "wall_ms"],
         rows=rows,
-        meta=_meta("scatter", cfg, seed),
+        meta=_meta("scatter", cfg),
     )
     _emit(report, fmt, out)
     return 0
 
 
-def cmd_check(suite: str, cfg: dict, seed: int, fmt: str, out: str | None) -> int:
+def cmd_check(suite: str, seed: int, fmt: str, out: str | None) -> int:
     names = list(SUITES) if suite == "all" else [suite]
     rows = run_suites(names, seed=seed)
     report = Report(
@@ -212,42 +233,31 @@ def cmd_check(suite: str, cfg: dict, seed: int, fmt: str, out: str | None) -> in
             }
             for r in rows
         ],
-        meta=_meta("check", {"suite": suite, **cfg}, seed),
+        meta=_meta("check", {"suite": suite}, seed=seed),
     )
     _emit(report, fmt, out)
     return 0 if all(r.passed for r in rows) else 1
 
 
-def cmd_green_eval(args, cfg: dict, seed: int, fmt: str, out: str | None) -> int:
-    t = _as_float(args.t if args.t is not None else _get(cfg, "t", 1.0), "t")
-    if args.x is not None:
-        try:
-            x = [float(v) for v in args.x.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"--x must be 'x1,x2,x3': {exc}") from exc
-    else:
-        x = _get(cfg, "x", [1.0, 0.0, 0.0])
-    if not isinstance(x, list) or len(x) != 3:
-        raise ConfigError("config field x must be a list of three numbers")
-    x = [_as_float(v, "x") for v in x]
-    medium = _construct(
-        ChiralMedium,
-        eps=_as_float(args.eps if args.eps is not None else _get(cfg, "eps", 1.0), "eps"),
-        mu=_as_float(args.mu if args.mu is not None else _get(cfg, "mu", 1.0), "mu"),
-        beta=_as_float(args.beta if args.beta is not None else _get(cfg, "beta", 1.0), "beta"),
-    )
-
-    if args.refine:
-        levels = _get(cfg, "levels", 3)
-        if isinstance(levels, bool) or not isinstance(levels, int) or not 1 <= levels <= MAX_REFINE_LEVELS:
-            raise ConfigError(
-                f"config field levels must be an integer in [1, {MAX_REFINE_LEVELS}]: the finest "
-                f"level's time slabs may take at most {MAX_SLAB_BYTES / 2**20:g} MiB each"
-            )
+def cmd_green_eval(args) -> int:
+    if args.refine and (args.t is not None or args.x is not None):
+        raise ConfigError("--refine evaluates on its own lattices: drop --t and --x")
+    if args.levels is not None and not args.refine:
+        raise ConfigError("--levels sets the number of --refine lattices: add --refine or drop --levels")
+    t = _as_float(1.0 if args.t is None else args.t, "--t")
     try:
+        x = [float(v) for v in ("1,0,0" if args.x is None else args.x).split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--x must be 'x1,x2,x3': {exc}") from exc
+    if len(x) != 3:
+        raise ConfigError("--x must be 'x1,x2,x3'")
+    medium = _construct(ChiralMedium, eps=args.eps, mu=args.mu, beta=args.beta)
+    levels = 3 if args.levels is None else args.levels
+    try:
+        # eps, mu or beta not finite, beta 0 to double precision, x at the origin
+        # or with |x| not finite, or levels out of range
         result = green_refinement(medium, levels) if args.refine else green_function(t, x, medium)
     except (AchiralUnsupported, OriginSingularity, ValueError) as exc:
-        # beta 0 to double precision, or x at the origin or with |x| not finite
         raise ConfigError(str(exc)) from exc
 
     if args.refine:
@@ -257,24 +267,20 @@ def cmd_green_eval(args, cfg: dict, seed: int, fmt: str, out: str | None) -> int
             ratio = (prev / res) if prev is not None else float("nan")
             rows.append({"level": k, "h": h, "ht": ht, "residual": res, "ratio": ratio})
             prev = res
-        # hashed from the inputs in effect, so a flag and its config field agree
+        # hashed from the values in effect, not from how the flags spell them
         inputs = {"eps": medium.eps, "mu": medium.mu, "beta": medium.beta, "levels": levels}
-        report = Report(
-            columns=["level", "h", "ht", "residual", "ratio"],
-            rows=rows,
-            meta=_meta("green-eval", inputs, seed),
-        )
-        _emit(report, fmt, out)
+        report = Report(columns=["level", "h", "ht", "residual", "ratio"], rows=rows, meta=_meta("green-eval", inputs))
+        _emit(report, args.format, args.out)
         return 0
 
     rows = [
         {"component": name, "re": comp.real, "im": comp.imag}
         for name, comp in zip(("sc", "v1", "v2", "v3"), result.components.reshape(4))
     ]
-    if fmt == "json":
-        _write(render_json(Report(columns=["component", "re", "im"], rows=rows)), out)
+    if args.format == "json":
+        _write(render_json(Report(columns=["component", "re", "im"], rows=rows)), args.out)
     else:
-        _write("".join(f"{r['component']} re={r['re']:.15g} im={r['im']:.15g}\n" for r in rows), out)
+        _write("".join(f"{r['component']} re={r['re']:.15g} im={r['im']:.15g}\n" for r in rows), args.out)
     return 0
 
 
@@ -282,27 +288,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bqem", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", metavar="PATH", help="JSON config file")
+    def output(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", metavar="PATH", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
 
     p_scatter = sub.add_parser("scatter", help="dipole scattering benchmark sweep")
-    common(p_scatter)
+    p_scatter.add_argument("--config", metavar="PATH", required=True, help="JSON config file")
+    output(p_scatter)
 
     p_check = sub.add_parser("check", help="run a verification suite")
     p_check.add_argument("suite", choices=tuple(SUITES) + ("all",))
-    common(p_check)
+    p_check.add_argument("--seed", type=int, default=0)
+    output(p_check)
 
     p_green = sub.add_parser("green-eval", help="evaluate the chiral Green function")
-    common(p_green)
-    p_green.add_argument("--t", type=float, default=None)
-    p_green.add_argument("--x", type=str, default=None, help="'x1,x2,x3'")
-    p_green.add_argument("--eps", type=float, default=None)
-    p_green.add_argument("--mu", type=float, default=None)
-    p_green.add_argument("--beta", type=float, default=None)
+    p_green.add_argument("--t", type=float, help="time (default 1)")
+    p_green.add_argument("--x", help="'x1,x2,x3' (default 1,0,0)")
+    p_green.add_argument("--eps", type=float, default=1.0)
+    p_green.add_argument("--mu", type=float, default=1.0)
+    p_green.add_argument("--beta", type=float, default=1.0)
     p_green.add_argument("--refine", action="store_true", help="emit a residual refinement table")
+    p_green.add_argument("--levels", type=int, help="nested lattices of --refine (default 3)")
+    output(p_green)
     return parser
 
 
@@ -312,7 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
 # by heap layout.  Fixed mmap and trim thresholds of 4 MiB map each such array
 # apart and keep the free heap top below it (a 128 KiB trim cost 10% a pass).
 def _fix_mmap_threshold() -> None:
-    if sys.platform.startswith("linux"):
+    try:  # only glibc has these parameters; unlike platform.libc_ver(), this reads no file
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or a libc (musl) that lacks the name
+        return
+    if libc.startswith("glibc"):
         for param in (-3, -1):  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
             ctypes.CDLL(None).mallopt(param, 4 << 20)
 
@@ -320,27 +331,12 @@ def _fix_mmap_threshold() -> None:
 def main(argv=None) -> int:
     _fix_mmap_threshold()
     args = build_parser().parse_args(argv)
-    cfg = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except OSError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"config error: invalid JSON: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(cfg, dict):
-            print("config error: top level must be a JSON object", file=sys.stderr)
-            return 2
-
     try:
         if args.command == "scatter":
-            return cmd_scatter(cfg, args.seed, args.format, args.out)
+            return cmd_scatter(_load_config(args.config), args.format, args.out)
         if args.command == "check":
-            return cmd_check(args.suite, cfg, args.seed, args.format, args.out)
-        return cmd_green_eval(args, cfg, args.seed, args.format, args.out)
+            return cmd_check(args.suite, args.seed, args.format, args.out)
+        return cmd_green_eval(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -16,8 +16,7 @@ signs share the same theta_alpha, so one routine takes (alpha, sign).
 theta_alpha and its radial gradient factor G (grad theta = G(r) x) are
 computed in one routine, ``_theta_and_radial``, which is also the only place
 that rejects Im(alpha) < 0, |x| = 0 and |x| not finite.  Every public kernel
-is a view of it; only ``vector_potential_curl_curl`` adds the Hessian factor
-dG/dr.
+is a view of it; only the dipole's ``_curls`` adds the Hessian factor dG/dr.
 
 All evaluators are pure and broadcast over a trailing-(3,) position array,
 which is what the scattering matrix assembly relies on.
@@ -120,10 +119,13 @@ class ChiralMedium:
     alpha: complex | None = None
 
     def __post_init__(self):
-        if self.eps <= 0.0 or self.mu <= 0.0:
-            raise ValueError("eps and mu must be positive")
-        alpha = np.sqrt(self.eps * self.mu) if self.alpha is None else self.alpha
-        object.__setattr__(self, "alpha", complex(alpha))
+        # NaN fails each comparison
+        if not (0.0 < self.eps < np.inf and 0.0 < self.mu < np.inf):
+            raise ValueError(f"eps and mu must be positive and finite, got eps={self.eps}, mu={self.mu}")
+        alpha = complex(np.sqrt(self.eps * self.mu) if self.alpha is None else self.alpha)
+        if not (np.isfinite(self.beta) and np.isfinite(alpha)):
+            raise ValueError(f"beta and alpha must be finite, got beta={self.beta}, alpha={alpha}")
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def alpha1(self) -> complex:
@@ -134,27 +136,22 @@ class ChiralMedium:
         return chiral_wavenumbers(self.alpha, self.beta)[1]
 
 
-def vector_potential_curl(alpha: complex, x, moment) -> np.ndarray:
-    """curl(c * theta_alpha) = grad theta_alpha x c, for constant c."""
-    x, _, _, G = _theta_and_radial(alpha, x)
-    c = np.asarray(moment, dtype=complex)
-    return np.cross(G[..., None] * x, np.broadcast_to(c, x.shape))
+def _curls(alpha: complex, x, moment) -> tuple[np.ndarray, np.ndarray]:
+    """curl(c theta_alpha) = grad theta_alpha x c and curl curl(c theta_alpha)
+    = grad <c, grad theta> + alpha^2 c theta, for constant c, from one theta.
 
-
-def vector_potential_curl_curl(alpha: complex, x, moment) -> np.ndarray:
-    """curl curl (c * theta_alpha) = grad <c, grad theta> + alpha^2 c theta.
-
-    Valid away from the origin where (Lap + alpha^2) theta = 0; the Hessian
-    of theta acts on c in closed form, no nested differencing.
+    The second holds away from the origin, where (Lap + alpha^2) theta = 0;
+    the Hessian of theta acts on c in closed form, no nested differencing.
     """
     alpha = complex(alpha)
     x, r, theta, G = _theta_and_radial(alpha, x)
+    c = np.asarray(moment, dtype=complex)
+    cb = np.broadcast_to(c, x.shape)
+    curl = np.cross(G[..., None] * x, cb)
     # d/dr G = Gp(r), in closed form; only the Hessian needs it
     Gp = theta * (-(alpha * alpha) / r - 3j * alpha / (r * r) + 3.0 / (r * r * r))
-    c = np.asarray(moment, dtype=complex)
-    xc = np.sum(x * c, axis=-1)
-    hess_c = (Gp / r * xc)[..., None] * x + G[..., None] * np.broadcast_to(c, x.shape)
-    return hess_c + (alpha * alpha * theta)[..., None] * np.broadcast_to(c, x.shape)
+    hess_c = (Gp / r * np.sum(x * c, axis=-1))[..., None] * x + G[..., None] * cb
+    return curl, hess_c + (alpha * alpha * theta)[..., None] * cb
 
 
 def dipole_field(moment, medium: ChiralMedium, x) -> tuple[np.ndarray, np.ndarray]:
@@ -172,13 +169,12 @@ def dipole_field(moment, medium: ChiralMedium, x) -> tuple[np.ndarray, np.ndarra
     if medium.alpha == 0.0:
         raise ValueError("dipole field needs alpha != 0")
     alpha1, alpha2 = chiral_wavenumbers(medium.alpha, medium.beta)
-    curl1 = vector_potential_curl(alpha1, x, moment)
-    curl_curl1 = vector_potential_curl_curl(alpha1, x, moment)
+    curl1, curl_curl1 = _curls(alpha1, x, moment)
     if alpha2 == alpha1:
         return curl1, -curl_curl1 / (1j * alpha1)
-    curl2 = vector_potential_curl(alpha2, x, moment)
+    curl2, curl_curl2 = _curls(alpha2, x, moment)
     X1 = curl_curl1 / alpha1
-    X2 = vector_potential_curl_curl(alpha2, x, moment) / alpha2
+    X2 = curl_curl2 / alpha2
     E = 0.5 * (curl1 + curl2) - 0.5 * (X1 - X2)
     H = ((curl1 - curl2) - (X1 + X2)) / 2j
     return E, H

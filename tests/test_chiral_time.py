@@ -220,7 +220,7 @@ def test_green_refinement_levels_bounded():
     # 6 levels would hold ten 475 MB time slabs: refused before any is built
     assert MAX_REFINE_LEVELS == 5
     for levels in (0, 6, 10**9):
-        with pytest.raises(ValueError, match="levels"):
+        with pytest.raises(ValueError, match=r"levels must be in \[1, 5\].* 256 MiB each"):
             green_refinement(MED, levels)
 
 

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import platform
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -52,11 +54,13 @@ def test_scatter_csv_shape(tmp_path, capsys):
 
 def test_scatter_deterministic(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY_SCATTER)
-    main(["scatter", "--config", cfg, "--seed", "7"])
+    main(["scatter", "--config", cfg])
     first = capsys.readouterr().out
-    main(["scatter", "--config", cfg, "--seed", "7"])
+    main(["scatter", "--config", cfg])
     second = capsys.readouterr().out
     assert drop_wall_ms(first) == drop_wall_ms(second)
+    # scatter draws nothing at random: its metadata has no seed
+    assert not any(ln.startswith("# seed=") for ln in first.splitlines())
 
 
 def test_scatter_json(tmp_path, capsys):
@@ -139,13 +143,15 @@ def test_scatter_ill_conditioned_plateau(tmp_path, capsys, oversample):
         {"oversample": 1e8, "n_values": [35]},
         {"beta": 1.0, "alpha": [1.0, 0.0]},
         {"moment": [0, 0, 0]},
+        {"sourc_scale": 0.5},
+        {"ellipsoid": {"a": 5, "b": 3, "c": 2, "d": 1}},
     ],
     ids=["n_values_empty", "n_values_bool", "axis_zero", "axis_negative",
          "source_scale_zero", "source_scale_above_one", "oversample_below_one",
          "eval_scale_zero", "eval_scale_inside_scatterer", "alpha_negative_imag",
          "eval_scale_infinite", "alpha_nan_part", "alpha_nan", "axis_nan", "eval_scale_beyond_float",
          "oversample_beyond_array_limit", "largest_n_beyond_array_limit", "oversample_beyond_ceiling",
-         "chiral_resonance", "moment_zero"],
+         "chiral_resonance", "moment_zero", "misspelled_field", "misspelled_axis"],
 )
 def test_scatter_bad_config_values(tmp_path, capsys, monkeypatch, override):
     # rejected while the config is read: no solve starts, so no array is built
@@ -153,6 +159,15 @@ def test_scatter_bad_config_values(tmp_path, capsys, monkeypatch, override):
     cfg = write_config(tmp_path, dict(TINY_SCATTER, **override))
     assert main(["scatter", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_scatter_unknown_fields_are_named(tmp_path, capsys, monkeypatch):
+    # a misspelled field used to be ignored, and the default it shadows used silently
+    monkeypatch.setattr("bqem.cli.run_benchmark", lambda *args, **kw: pytest.fail("sweep started"))
+    cfg = {"ellipsoid": {"a": 5, "b": 3, "c": 2, "C": 2}, "n_value": [10], "sourc_scale": 0.5}
+    assert main(["scatter", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "n_value, sourc_scale, ellipsoid.C" in err
 
 
 def test_invalid_json(tmp_path, capsys):
@@ -169,6 +184,15 @@ def test_check_algebra_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_check_metadata_hashes_suite_and_seed(capsys):
+    assert main(["check", "algebra", "--seed", "3"]) == 0
+    meta = dict(ln[2:].split("=", 1) for ln in capsys.readouterr().out.splitlines() if ln.startswith("# "))
+    assert list(meta) == ["command", "version", "config_hash", "seed", "timestamp"]
+    assert meta["seed"] == "3"
+    digest = hashlib.sha256(json.dumps({"config": {"suite": "algebra"}, "seed": 3}, sort_keys=True).encode())
+    assert meta["config_hash"] == digest.hexdigest()[:16]
+
+
 def test_check_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "nosuch"])
@@ -180,6 +204,29 @@ def test_threads_is_not_an_option(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--threads", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scatter", "--config", "x.json", "--seed", "1"], ["check", "all", "--config", "x.json"],
+     ["green-eval", "--config", "x.json"], ["green-eval", "--seed", "1"], ["scatter"]],
+    ids=["scatter_seed", "check_config", "green_eval_config", "green_eval_seed", "scatter_no_config"],
+)
+def test_options_each_command_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: bqem" in capsys.readouterr().err
+
+
+def test_main_runs_on_a_libc_without_mallopt(monkeypatch, capsys):
+    # musl has neither mallopt nor the confstr name glibc answers with its version
+    def no_such_name(name):
+        raise ValueError("unrecognized configuration name")
+
+    monkeypatch.setattr("bqem.cli.os.confstr", no_such_name)
+    monkeypatch.setattr("bqem.cli.ctypes.CDLL", lambda name: types.SimpleNamespace())
+    assert main(["check", "algebra"]) == 0
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mmap threshold")
@@ -246,8 +293,6 @@ def test_green_eval_causality(capsys):
 
 
 def test_green_eval_refine_table(capsys):
-    assert main(["green-eval", "--refine", "--beta", "1", "--config", "/dev/null"]) == 2
-    capsys.readouterr()
     assert main(["green-eval", "--refine", "--beta", "1"]) == 0
     out = capsys.readouterr().out
     lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
@@ -261,45 +306,56 @@ def test_green_eval_refine_table(capsys):
 
 
 @pytest.mark.parametrize(
-    "cfg, flags",
+    "flags, message",
     [
-        ({"levels": "x"}, ["--refine"]),
-        ({"levels": 0}, ["--refine"]),
-        ({"levels": 6}, ["--refine"]),
-        ({"levels": 10**9}, ["--refine"]),
-        ({"x": ["a", 1, 2]}, []),
-        ({}, ["--eps", "-1"]),
-        ({}, ["--beta", "0"]),
-        ({}, ["--beta", "0", "--refine"]),
-        ({}, ["--x", "0,0,0"]),
-        ({}, ["--x", "nan,0,0"]),
-        ({}, ["--x", "1e200,0,0"]),
-        ({}, ["--beta", "1e-300"]),
-        ({}, ["--beta", "1e-120"]),
-        ({}, ["--beta", "inf"]),
-        ({}, ["--t", "nan"]),
-        ({}, ["--t", "1e308", "--x", "1,0,0", "--beta", "1e-3"]),
-        ({"mu": float("inf")}, []),
+        (["--refine", "--levels", "x"], "argument --levels: invalid int value"),
+        (["--refine", "--levels", "0"], "256 MiB"),
+        (["--refine", "--levels", "6"], "256 MiB"),
+        (["--refine", "--levels", str(10**9)], "256 MiB"),
+        (["--x", "a,1,2"], "--x must be"),
+        (["--eps", "-1"], "eps and mu"),
+        (["--beta", "0"], "config error"),
+        (["--beta", "0", "--refine"], "config error"),
+        (["--x", "0,0,0"], "config error"),
+        (["--x", "nan,0,0"], "config error"),
+        (["--x", "1e200,0,0"], "config error"),
+        (["--beta", "1e-300"], "config error"),
+        (["--beta", "1e-120"], "config error"),
+        (["--beta", "inf"], "beta and alpha must be finite"),
+        (["--t", "nan"], "--t must be a finite number"),
+        (["--t", "1e308", "--x", "1,0,0", "--beta", "1e-3"], "overflows"),
+        (["--mu", "inf"], "eps and mu"),
+        (["--levels", "4"], "--levels"),
+        (["--refine", "--t", "2"], "--refine"),
+        (["--refine", "--x", "1,0,0"], "--refine"),
+        (["--x", "1,0"], "--x must be"),
     ],
     ids=["levels_not_int", "levels_zero", "levels_beyond_memory", "levels_huge", "x_not_number", "eps_negative",
          "beta_zero", "beta_zero_refine", "x_origin", "x_nan", "x_norm_overflows", "beta_underflows",
-         "beta_factors_overflow", "beta_infinite", "t_nan", "t_overflows", "mu_infinite"],
+         "beta_factors_overflow", "beta_infinite", "t_nan", "t_overflows", "mu_infinite",
+         "levels_without_refine", "t_with_refine", "x_with_refine", "x_two_coordinates"],
 )
-def test_green_eval_bad_config_values(tmp_path, capsys, cfg, flags):
-    path = write_config(tmp_path, cfg)
-    assert main(["green-eval", "--config", path] + flags) == 2
+def test_green_eval_bad_config_values(capsys, flags, message):
+    # a non-integer --levels is argparse's usage error; every other value is the CLI's config error
+    try:
+        code = main(["green-eval"] + flags)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     captured = capsys.readouterr()
-    assert "config error" in captured.err
+    assert "error" in captured.err and message in captured.err
     assert captured.out == ""  # no value printed, NaN or otherwise
 
 
-def test_green_eval_config_hash_names_the_inputs(tmp_path, capsys):
-    def config_hash(cfg, flags):
-        assert main(["green-eval", "--refine", "--config", write_config(tmp_path, cfg)] + flags) == 0
+def test_green_eval_config_hash_names_the_inputs(capsys):
+    def config_hash(flags):
+        assert main(["green-eval", "--refine"] + flags) == 0
         (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("# config_hash=")]
         return line
 
-    beta_1 = config_hash({"levels": 1}, ["--beta", "1"])
-    beta_2 = config_hash({"levels": 1}, ["--beta", "2"])
+    beta_1 = config_hash(["--levels", "1", "--beta", "1"])
+    beta_2 = config_hash(["--levels", "1", "--beta", "2"])
     assert beta_1 != beta_2
-    assert config_hash({"levels": 1, "beta": 2}, []) == beta_2
+    # the values in effect are hashed, not how the flags spell them
+    assert config_hash(["--beta", "2.0", "--levels", "1"]) == beta_2
+    assert config_hash(["--levels", "2", "--beta", "2"]) != beta_2

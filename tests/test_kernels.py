@@ -159,12 +159,31 @@ def test_chiral_medium():
         ChiralMedium(eps=-1.0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"eps": np.nan}, {"eps": np.inf}, {"mu": np.nan}, {"mu": np.inf}, {"mu": 0.0}, {"eps": 1e300, "mu": 1e300},
+     {"beta": np.nan}, {"beta": -np.inf}, {"alpha": np.nan}, {"alpha": complex(1.0, np.inf)}],
+    ids=["eps_nan", "eps_inf", "mu_nan", "mu_inf", "mu_zero", "alpha_from_eps_mu_overflows", "beta_nan",
+         "beta_inf", "alpha_nan", "alpha_inf_imag"],
+)
+def test_chiral_medium_rejects_non_finite_values(fields):
+    # NaN passes a `<= 0` test, and reached the kernels as a ZeroDivisionError or a NaN pivot
+    with pytest.raises(ValueError, match="must be"):
+        ChiralMedium(**fields)
+
+
+def test_chiral_medium_accepts_finite_values():
+    med = ChiralMedium(eps=1e-3, mu=1e3, beta=-2.5, alpha=1 + 0.3j)
+    assert (med.eps, med.mu, med.beta, med.alpha) == (1e-3, 1e3, -2.5, 1 + 0.3j)
+    assert ChiralMedium(eps=4.0, mu=9.0).alpha == 6.0
+
+
 def test_dipole_zero_moment():
     E, H = dipole_field((0, 0, 0), ChiralMedium(alpha=ALPHA), [1.0, 2.0, 0.5])
     assert np.all(E == 0) and np.all(H == 0)
 
 
-def test_dipole_at_beta_zero_is_curl_of_moment_times_theta(monkeypatch):
+def test_dipole_at_beta_zero_is_curl_of_moment_times_theta():
     # against the textbook closed form of the dipole, with theta = -e/(4 pi r)
     rng = np.random.default_rng(1)
     x = rng.normal(size=(50, 3)) * [3.0, 1.0, 0.5]
@@ -180,14 +199,16 @@ def test_dipole_at_beta_zero_is_curl_of_moment_times_theta(monkeypatch):
     for got, want in ((E, curl), (H, -curl_curl / (1j * ALPHA))):
         assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=-1, keepdims=True)) < 1e-15
 
-    # one theta for curl, one for curl curl: both polarizations share them at beta = 0
-    calls = []
+
+@pytest.mark.parametrize("beta, calls", [(0.0, 1), (0.1, 2)], ids=["shared_wavenumber", "chiral"])
+def test_one_theta_evaluation_per_wavenumber(monkeypatch, beta, calls):
+    # curl and curl curl share one theta; at beta = 0 both polarizations share alpha
+    alphas = []
     theta_and_radial = kernels._theta_and_radial
-    monkeypatch.setattr(kernels, "_theta_and_radial", lambda *a: calls.append(a) or theta_and_radial(*a))
-    dipole_field(c, ChiralMedium(alpha=ALPHA), x)
-    assert len(calls) == 2
-    dipole_field(c, ChiralMedium(beta=0.1, alpha=ALPHA), x)
-    assert len(calls) == 6
+    monkeypatch.setattr(kernels, "_theta_and_radial", lambda a, x: alphas.append(a) or theta_and_radial(a, x))
+    med = ChiralMedium(beta=beta, alpha=ALPHA)
+    dipole_field([0.3, -1.0, 0.7], med, np.random.default_rng(1).normal(size=(50, 3)))
+    assert alphas == [med.alpha1, med.alpha2][:calls]
 
 
 def test_dipole_solves_maxwell():

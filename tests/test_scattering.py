@@ -53,6 +53,17 @@ def dipole_problem(n, moment=(1.0, 0.0, 0.0), **kw):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("axes", [(np.nan, 3.0, 2.0), (5.0, np.inf, 2.0), (5.0, 3.0, 0.0), (5.0, 3.0, -2.0)],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_ellipsoid_rejects_semi_axes_outside_zero_to_inf(axes):
+    with pytest.raises(ValueError, match="semi-axes must be positive and finite"):
+        Ellipsoid(*axes)
+
+
+def test_ellipsoid_accepts_finite_positive_semi_axes():
+    assert Ellipsoid(1e-3, 3, 1e6) == Ellipsoid(a=1e-3, b=3.0, c=1e6)
+
+
 def test_frame_on_symmetry_axis():
     s = surface_frame(SURFACE, 0.0, np.pi / 2)
     assert np.allclose(s.pos[0], [5.0, 0.0, 0.0])
