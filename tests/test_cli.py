@@ -143,15 +143,13 @@ def test_scatter_ill_conditioned_plateau(tmp_path, capsys, oversample):
         {"oversample": 1e8, "n_values": [35]},
         {"beta": 1.0, "alpha": [1.0, 0.0]},
         {"moment": [0, 0, 0]},
-        {"sourc_scale": 0.5},
-        {"ellipsoid": {"a": 5, "b": 3, "c": 2, "d": 1}},
     ],
     ids=["n_values_empty", "n_values_bool", "axis_zero", "axis_negative",
          "source_scale_zero", "source_scale_above_one", "oversample_below_one",
          "eval_scale_zero", "eval_scale_inside_scatterer", "alpha_negative_imag",
          "eval_scale_infinite", "alpha_nan_part", "alpha_nan", "axis_nan", "eval_scale_beyond_float",
          "oversample_beyond_array_limit", "largest_n_beyond_array_limit", "oversample_beyond_ceiling",
-         "chiral_resonance", "moment_zero", "misspelled_field", "misspelled_axis"],
+         "chiral_resonance", "moment_zero"],
 )
 def test_scatter_bad_config_values(tmp_path, capsys, monkeypatch, override):
     # rejected while the config is read: no solve starts, so no array is built
@@ -167,7 +165,7 @@ def test_scatter_unknown_fields_are_named(tmp_path, capsys, monkeypatch):
     cfg = {"ellipsoid": {"a": 5, "b": 3, "c": 2, "C": 2}, "n_value": [10], "sourc_scale": 0.5}
     assert main(["scatter", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
-    assert "n_value, sourc_scale, ellipsoid.C" in err
+    assert "config error: unknown config field(s) n_value, sourc_scale, ellipsoid.C" in err
 
 
 def test_invalid_json(tmp_path, capsys):
@@ -199,11 +197,14 @@ def test_check_unknown_suite_usage_error(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [["scatter"], ["check", "algebra"], ["green-eval"]], ids=lambda a: a[0])
+@pytest.mark.parametrize(
+    "argv", [["scatter", "--config", "x.json"], ["check", "algebra"], ["green-eval"]], ids=lambda a: a[0]
+)
 def test_threads_is_not_an_option(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--threads", "2"])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -309,11 +310,11 @@ def test_green_eval_refine_table(capsys):
     "flags, message",
     [
         (["--refine", "--levels", "x"], "argument --levels: invalid int value"),
-        (["--refine", "--levels", "0"], "256 MiB"),
-        (["--refine", "--levels", "6"], "256 MiB"),
-        (["--refine", "--levels", str(10**9)], "256 MiB"),
-        (["--x", "a,1,2"], "--x must be"),
-        (["--eps", "-1"], "eps and mu"),
+        (["--refine", "--levels", "0"], "config error: levels must be in [1, 5]"),
+        (["--refine", "--levels", "6"], "config error: levels must be in [1, 5]"),
+        (["--refine", "--levels", str(10**9)], "config error: levels must be in [1, 5]"),
+        (["--x", "a,1,2"], "config error: --x must be 'x1,x2,x3'"),
+        (["--eps", "-1"], "config error: eps and mu must be positive and finite"),
         (["--beta", "0"], "config error"),
         (["--beta", "0", "--refine"], "config error"),
         (["--x", "0,0,0"], "config error"),
@@ -321,14 +322,14 @@ def test_green_eval_refine_table(capsys):
         (["--x", "1e200,0,0"], "config error"),
         (["--beta", "1e-300"], "config error"),
         (["--beta", "1e-120"], "config error"),
-        (["--beta", "inf"], "beta and alpha must be finite"),
-        (["--t", "nan"], "--t must be a finite number"),
-        (["--t", "1e308", "--x", "1,0,0", "--beta", "1e-3"], "overflows"),
-        (["--mu", "inf"], "eps and mu"),
-        (["--levels", "4"], "--levels"),
-        (["--refine", "--t", "2"], "--refine"),
-        (["--refine", "--x", "1,0,0"], "--refine"),
-        (["--x", "1,0"], "--x must be"),
+        (["--beta", "inf"], "config error: beta and alpha must be finite"),
+        (["--t", "nan"], "config error: --t must be a finite number"),
+        (["--t", "1e308", "--x", "1,0,0", "--beta", "1e-3"], "config error: t = 1e+308 overflows"),
+        (["--mu", "inf"], "config error: eps and mu must be positive and finite"),
+        (["--levels", "4"], "config error: --levels sets the number of --refine lattices"),
+        (["--refine", "--t", "2"], "config error: --refine evaluates on its own lattices"),
+        (["--refine", "--x", "1,0,0"], "config error: --refine evaluates on its own lattices"),
+        (["--x", "1,0"], "config error: --x must be 'x1,x2,x3'"),
     ],
     ids=["levels_not_int", "levels_zero", "levels_beyond_memory", "levels_huge", "x_not_number", "eps_negative",
          "beta_zero", "beta_zero_refine", "x_origin", "x_nan", "x_norm_overflows", "beta_underflows",
@@ -336,14 +337,14 @@ def test_green_eval_refine_table(capsys):
          "levels_without_refine", "t_with_refine", "x_with_refine", "x_two_coordinates"],
 )
 def test_green_eval_bad_config_values(capsys, flags, message):
-    # a non-integer --levels is argparse's usage error; every other value is the CLI's config error
-    try:
-        code = main(["green-eval"] + flags)
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 2
+    if message.startswith("config error"):
+        assert main(["green-eval"] + flags) == 2
+    else:  # a non-integer --levels is argparse's usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["green-eval"] + flags)
+        assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert "error" in captured.err and message in captured.err
+    assert message in captured.err
     assert captured.out == ""  # no value printed, NaN or otherwise
 
 
@@ -356,6 +357,6 @@ def test_green_eval_config_hash_names_the_inputs(capsys):
     beta_1 = config_hash(["--levels", "1", "--beta", "1"])
     beta_2 = config_hash(["--levels", "1", "--beta", "2"])
     assert beta_1 != beta_2
-    # the values in effect are hashed, not how the flags spell them
-    assert config_hash(["--beta", "2.0", "--levels", "1"]) == beta_2
     assert config_hash(["--levels", "2", "--beta", "2"]) != beta_2
+    # the values in effect are hashed: --levels left out is the default 3
+    assert config_hash(["--beta", "2"]) == config_hash(["--beta", "2", "--levels", "3"])
