@@ -93,10 +93,6 @@ class Biquaternion:
     def from_vector(cls, vector) -> "Biquaternion":
         return cls.from_parts(vector=vector)
 
-    @classmethod
-    def zeros(cls, shape=()) -> "Biquaternion":
-        return cls._own(np.zeros(tuple(shape) + (4,), dtype=complex))
-
     # -- views -------------------------------------------------------------
 
     @property
@@ -115,9 +111,6 @@ class Biquaternion:
     @property
     def vector(self) -> np.ndarray:
         return self._c[..., 1:]
-
-    def is_pure_vector(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self._c[..., 0]) <= tol))
 
     # -- algebra -----------------------------------------------------------
 
@@ -159,11 +152,6 @@ class Biquaternion:
 
     def __getitem__(self, idx) -> "Biquaternion":
         return Biquaternion(self._c[idx])
-
-    def sum(self, axis=None) -> "Biquaternion":
-        if axis is None:
-            axis = tuple(range(self._c.ndim - 1))
-        return Biquaternion._own(self._c.sum(axis=axis))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self._c)))

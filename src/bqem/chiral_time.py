@@ -94,19 +94,21 @@ def _green_at(t, factors) -> np.ndarray:
     """Components of f at times t (broadcast against the factors' positions):
     H(t) e^{iat} (P J0 - Q sqrt(t/c) J1), with J0, J1 at 2 sqrt(c t).
 
-    A t so large that a t, c t or t / c overflows is rejected; the check
-    takes scalars only (the latest time and the range of c), so a time slab
-    costs no extra pass over its nodes.  scipy.special is imported on first
-    use: at module level it would add tens of milliseconds to ``import bqem``
-    for every command.
+    A NaN t, and a t so large that a t, c t or t / c overflows, are
+    rejected; the check takes scalars only (the latest time, NaN if any time
+    is, and the range of c), so a time slab costs no extra pass over its
+    nodes.  scipy.special is imported on first use: at module level it would
+    add tens of milliseconds to ``import bqem`` for every command.
     """
     import scipy.special
 
     a, c, P, Q, (c_lo, c_hi) = factors
     t = np.asarray(t, dtype=float)
-    heavi = t >= 0.0
-    tpos = np.where(heavi, t, 0.0)
+    before = t < 0.0  # H(t) = 0; NaN fails this test, stays in tpos and is what np.max returns
+    tpos = np.where(before, 0.0, t)
     t_max = float(np.max(tpos, initial=0.0))
+    if math.isnan(t_max):
+        raise ValueError("t is NaN: the Green function needs real times")
     # Python floats: an overflow gives inf here, not a RuntimeWarning
     if not all(math.isfinite(v) for v in (float(a) * t_max, c_hi * t_max, t_max / c_lo)):
         raise ValueError(f"t = {t_max} overflows the Green function's phase or Bessel argument")
@@ -114,7 +116,7 @@ def _green_at(t, factors) -> np.ndarray:
     j0 = scipy.special.j0(z)
     j1_scaled = np.sqrt(tpos / c) * scipy.special.j1(z)
     # e^{iat} on the times alone, zero where t < 0
-    phase = np.where(heavi, np.exp(1j * a * tpos), 0.0)
+    phase = np.where(before, 0.0, np.exp(1j * a * tpos))
     out = np.empty(j0.shape + (4,), dtype=complex)
     for k in range(4):
         out[..., k] = phase * (P[..., k] * j0 - Q[..., k] * j1_scaled)
@@ -189,11 +191,11 @@ def green_refinement(medium: ChiralMedium, levels: int) -> list[tuple[float, flo
     0.4 centred at (0.8, 0.8, 0.8) and on t in [0.5, 2], with margin 2^k in
     space and time, so every level measures M f over one physical region;
     ``green_residual`` evaluates f on that region's n - 2^(k+1) + 2 nodes a
-    side only (9, 15, 27, ...).  ``levels`` runs from 1 to
+    side only (9, 15, 27, ...).  ``levels`` is an int from 1 to
     ``MAX_REFINE_LEVELS``.
     """
-    if not 1 <= levels <= MAX_REFINE_LEVELS:
-        raise ValueError(f"levels must be in [1, {MAX_REFINE_LEVELS}], got {levels}: the finest level's "
+    if type(levels) is not int or not 1 <= levels <= MAX_REFINE_LEVELS:  # a bool is not a count
+        raise ValueError(f"levels must be an int in [1, {MAX_REFINE_LEVELS}], got {levels!r}: the finest level's "
                          f"time slabs may take at most {MAX_SLAB_BYTES / 2**20:g} MiB each")
     rows = []
     for k in range(levels):

@@ -14,7 +14,7 @@ Three subcommands; each value has one way in:
                     ``sc re=.. im=..`` line per component; JSON rows
                     component, re, im with ``--format json``);
                     ``--refine`` emits a residual refinement table on
-                    ``--levels`` lattices instead.
+                    three nested lattices (``REFINE_LEVELS``) instead.
 
 Output is CSV (default) or JSON, to stdout or ``--out``.  CSV starts with
 ``# key=value`` metadata lines; everything except the timestamp line is
@@ -38,8 +38,8 @@ import numpy as np
 
 from . import __version__
 from .chiral_time import green_function, green_refinement
-from .errors import AchiralUnsupported, BqemError, ChiralResonance, ConfigError, OriginSingularity
-from .kernels import ChiralMedium, chiral_wavenumbers, dipole_field
+from .errors import AchiralUnsupported, BqemError, ConfigError, OriginSingularity
+from .kernels import ChiralMedium, dipole_field
 from .scattering import DIPOLE_MOMENT, Ellipsoid, MfsProblem, run_benchmark
 from .suites import SUITES, run_suites
 
@@ -153,8 +153,10 @@ def _meta(command: str, inputs: dict, **seed) -> dict:
     }
 
 
-_SCATTER_FIELDS = ("ellipsoid", "alpha", "beta", "source_scale", "eval_scale", "n_values", "moment", "impedance",
-                   "oversample")
+_SCATTER_FIELDS = ("ellipsoid", "alpha", "beta", "source_scale", "n_values", "moment", "impedance", "oversample")
+
+# Nested lattices of `green-eval --refine`: 9^3, 17^3 and 33^3 nodes a time slab.
+REFINE_LEVELS = 3
 
 
 def cmd_scatter(cfg: dict, fmt: str, out: str | None) -> int:
@@ -170,20 +172,11 @@ def cmd_scatter(cfg: dict, fmt: str, out: str | None) -> int:
         c=_as_float(_get(cfg, "ellipsoid.c"), "ellipsoid.c"),
     )
     alpha = _as_complex(_get(cfg, "alpha", [1.0, 0.3]), "alpha")
-    if alpha.imag < 0.0:
-        raise ConfigError(f"config field alpha must have Im(alpha) >= 0, got {alpha.imag}")
     beta = _as_float(_get(cfg, "beta", 0.0), "beta")
-    try:
-        chiral_wavenumbers(alpha, beta)
-    except ChiralResonance as exc:
-        raise ConfigError(str(exc)) from exc
-    medium = ChiralMedium(beta=beta, alpha=alpha)
+    medium = _construct(ChiralMedium, beta=beta, alpha=alpha)
     source_scale = _as_float(_get(cfg, "source_scale", 0.15), "source_scale")
     if not 0.0 < source_scale < 1.0:
         raise ConfigError("config field source_scale must lie in (0, 1): scatter solves exterior problems")
-    eval_scale = _as_float(_get(cfg, "eval_scale", 5.0), "eval_scale")
-    if eval_scale <= 1.0:
-        raise ConfigError("config field eval_scale must be > 1: errors are measured outside the scatterer")
     n_values = _get(cfg, "n_values", [10, 15, 20, 25, 30, 35])
     if not (isinstance(n_values, list) and n_values and all(type(n) is int and n > 0 for n in n_values)):
         raise ConfigError("config field n_values must be a non-empty list of positive integers")
@@ -207,7 +200,7 @@ def cmd_scatter(cfg: dict, fmt: str, out: str | None) -> int:
         impedance=impedance,
         oversample=oversample,
     )
-    rows = run_benchmark(problem, n_values, reference=partial(dipole_field, moment, medium), eval_scale=eval_scale)
+    rows = run_benchmark(problem, n_values, reference=partial(dipole_field, moment, medium))
     report = Report(
         columns=["N", "errE", "errH", "errB", "residual", "cond", "sc_leak", "wall_ms"],
         rows=rows,
@@ -242,8 +235,6 @@ def cmd_check(suite: str, seed: int, fmt: str, out: str | None) -> int:
 def cmd_green_eval(args) -> int:
     if args.refine and (args.t is not None or args.x is not None):
         raise ConfigError("--refine evaluates on its own lattices: drop --t and --x")
-    if args.levels is not None and not args.refine:
-        raise ConfigError("--levels sets the number of --refine lattices: add --refine or drop --levels")
     t = _as_float(1.0 if args.t is None else args.t, "--t")
     try:
         x = [float(v) for v in ("1,0,0" if args.x is None else args.x).split(",")]
@@ -252,11 +243,10 @@ def cmd_green_eval(args) -> int:
     if len(x) != 3:
         raise ConfigError("--x must be 'x1,x2,x3'")
     medium = _construct(ChiralMedium, eps=args.eps, mu=args.mu, beta=args.beta)
-    levels = 3 if args.levels is None else args.levels
     try:
-        # eps, mu or beta not finite, beta 0 to double precision, x at the origin
-        # or with |x| not finite, or levels out of range
-        result = green_refinement(medium, levels) if args.refine else green_function(t, x, medium)
+        # beta 0 to double precision or so small that a factor overflows, x at
+        # the origin or with |x| not finite, or a t that overflows
+        result = green_refinement(medium, REFINE_LEVELS) if args.refine else green_function(t, x, medium)
     except (AchiralUnsupported, OriginSingularity, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -268,7 +258,7 @@ def cmd_green_eval(args) -> int:
             rows.append({"level": k, "h": h, "ht": ht, "residual": res, "ratio": ratio})
             prev = res
         # hashed from the values in effect, not from how the flags spell them
-        inputs = {"eps": medium.eps, "mu": medium.mu, "beta": medium.beta, "levels": levels}
+        inputs = {"eps": medium.eps, "mu": medium.mu, "beta": medium.beta, "levels": REFINE_LEVELS}
         report = Report(columns=["level", "h", "ht", "residual", "ratio"], rows=rows, meta=_meta("green-eval", inputs))
         _emit(report, args.format, args.out)
         return 0
@@ -308,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_green.add_argument("--mu", type=float, default=1.0)
     p_green.add_argument("--beta", type=float, default=1.0)
     p_green.add_argument("--refine", action="store_true", help="emit a residual refinement table")
-    p_green.add_argument("--levels", type=int, help="nested lattices of --refine (default 3)")
     output(p_green)
     return parser
 

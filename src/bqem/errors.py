@@ -9,11 +9,13 @@ class OriginSingularity(BqemError):
     """A kernel was evaluated at (or too close to) its singular point."""
 
 
-class InadmissibleAlpha(BqemError):
+# The two rules on a medium's wavenumbers are also ValueErrors: ChiralMedium
+# and MfsProblem apply them when built, like every other check on a value.
+class InadmissibleAlpha(BqemError, ValueError):
     """The wavenumber has negative imaginary part; the kernel would grow at infinity."""
 
 
-class ChiralResonance(BqemError):
+class ChiralResonance(BqemError, ValueError):
     """1 + alpha*beta or 1 - alpha*beta vanishes; the split wavenumbers blow up."""
 
 

@@ -110,7 +110,10 @@ class ChiralMedium:
 
     The wavenumber ``alpha`` defaults to sqrt(eps*mu), that of unit
     frequency (the benchmark configurations prescribe a complex alpha
-    directly).  ``alpha1``/``alpha2`` are the split chiral wavenumbers.
+    directly); Im(alpha) < 0 is rejected with ``InadmissibleAlpha``.
+    ``alpha1``/``alpha2`` are the split chiral wavenumbers.  A resonant
+    alpha*beta = +/-1 is accepted here, because the Green function of
+    ``chiral_time`` reads eps, mu and beta only; ``MfsProblem`` rejects it.
     """
 
     eps: float = 1.0
@@ -125,6 +128,8 @@ class ChiralMedium:
         alpha = complex(np.sqrt(self.eps * self.mu) if self.alpha is None else self.alpha)
         if not (np.isfinite(self.beta) and np.isfinite(alpha)):
             raise ValueError(f"beta and alpha must be finite, got beta={self.beta}, alpha={alpha}")
+        if alpha.imag < 0.0:
+            raise InadmissibleAlpha(f"alpha must have Im(alpha) >= 0, got alpha={alpha}")
         object.__setattr__(self, "alpha", alpha)
 
     @property

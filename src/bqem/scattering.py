@@ -36,7 +36,7 @@ import scipy  # scipy.linalg loads on first attribute access, at the first solve
 
 from .algebra import _CONJ, Biquaternion, _mul_components
 from .errors import DegenerateSample, SingularMatrix, SourceOnBoundary, SourceSingularity
-from .kernels import ChiralMedium, dipole_field, fundamental_solution
+from .kernels import ChiralMedium, chiral_wavenumbers, dipole_field, fundamental_solution
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
@@ -151,7 +151,8 @@ class MfsProblem:
     problem, on an inflated one (scale > 1) an interior problem.
     ``oversample`` > 1 collocates more than 2N points and solves in the
     least-squares sense.  The 4C x 8N system matrix (C = ceil(2N oversample)
-    collocation points) may take at most ``MAX_MATRIX_BYTES``.
+    collocation points) may take at most ``MAX_MATRIX_BYTES``.  A resonant
+    medium, with no split wavenumbers, raises ``ChiralResonance``.
     """
 
     surface: Ellipsoid
@@ -163,6 +164,7 @@ class MfsProblem:
     oversample: float = 1.0
 
     def __post_init__(self):
+        chiral_wavenumbers(self.medium.alpha, self.medium.beta)
         if self.n_sources < 1:
             raise ValueError("n_sources must be >= 1")
         if not (self.source_scale > 0.0 and self.source_scale != 1.0):
@@ -455,18 +457,14 @@ def field_errors(sol: MfsSolution, pts, exact: tuple[np.ndarray, np.ndarray]) ->
 DIPOLE_MOMENT = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
 
 # Where run_benchmark measures errors: an (n_eta, n_nu) parametric grid on
-# the surface scaled by eval_scale, and a spiral of
+# the surface scaled by EVAL_SCALE, and a spiral of
 # BOUNDARY_CHECK_FACTOR * (collocation points) + 7 samples on the surface.
 EVAL_GRID = (24, 12)
+EVAL_SCALE = 5.0
 BOUNDARY_CHECK_FACTOR = 3
 
 
-def run_benchmark(
-    problem: MfsProblem,
-    n_values,
-    reference: Fields | None = None,
-    eval_scale: float = 5.0,
-) -> list[dict]:
+def run_benchmark(problem: MfsProblem, n_values, reference: Fields | None = None) -> list[dict]:
     """Solve the problem for each N and compare against the exact fields.
 
     Returns one row per N.  ``reference`` maps points to the exact (E, H);
@@ -474,7 +472,7 @@ def run_benchmark(
     circular polarizations when beta != 0) with DIPOLE_MOMENT at the origin.
     The boundary data is derived from the reference.  Errors are the
     maximum componentwise complex modulus of the field difference over the
-    EVAL_GRID parametric grid on the surface scaled by ``eval_scale``; the
+    EVAL_GRID parametric grid on the surface scaled by EVAL_SCALE (5); the
     boundary error errB is measured the same way on an offset spiral denser
     than the collocation set, and ``residual`` is the relative residual of
     the dense solve.
@@ -482,7 +480,7 @@ def run_benchmark(
     if reference is None:
         reference = partial(dipole_field, DIPOLE_MOMENT, problem.medium)
     boundary_data = tangential_datum(reference)
-    eval_pts = parametric_grid(problem.surface, *EVAL_GRID, scale=eval_scale).pos
+    eval_pts = parametric_grid(problem.surface, *EVAL_GRID, scale=EVAL_SCALE).pos
     eval_exact = reference(eval_pts)  # the grid does not depend on N
 
     rows = []

@@ -51,7 +51,7 @@ def test_criterion_1_benchmark_table():
         n_sources=10,
         source_scale=0.15,
     )
-    rows = run_benchmark(problem, [10, 15, 20, 25, 30, 35], eval_scale=5.0)
+    rows = run_benchmark(problem, [10, 15, 20, 25, 30, 35])
     wall = time.perf_counter() - t0
 
     err_e = [row["errE"] for row in rows]

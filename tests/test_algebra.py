@@ -102,7 +102,6 @@ def test_broadcasting_and_batch_ops():
     assert prod.shape == (6,)
     for i in range(6):
         assert np.allclose(prod[i].components, (batch[i] * single).components)
-    assert np.allclose(batch.sum().components, batch.components.sum(axis=0))
 
 
 def test_immutability():
@@ -119,7 +118,7 @@ def test_operators_own_their_result(traced_peak):
     ops = {
         "mul": lambda: p * q, "scale": lambda: p * 2.0, "rscale": lambda: 2.0 * p, "div": lambda: p / 2.0,
         "add": lambda: p + q, "sub": lambda: p - q, "neg": lambda: -p, "conj": p.complex_conj,
-        "quat_conj": p.quat_conj, "sum": lambda: p.sum(axis=()),
+        "quat_conj": p.quat_conj,
     }
     for name, op in ops.items():
         out, peak = traced_peak(op)
@@ -128,7 +127,7 @@ def test_operators_own_their_result(traced_peak):
         # the product stacks its four components: they are one more result's worth
         bound = 2.5 if name == "mul" else 1.5
         assert peak <= bound * out.components.nbytes, (name, peak / out.components.nbytes)
-    assert not Biquaternion.zeros((3,)).components.flags.writeable
+    assert not Biquaternion(np.zeros((3, 4))).components.flags.writeable
 
 
 def test_bad_shape_rejected():

@@ -207,6 +207,10 @@ def test_green_guards():
         green_function(1e308, [0.1, 0, 0], MED)
     with pytest.raises(ValueError, match="overflows"):
         green_function(np.array([0.5, np.inf]), [1.0, 0, 0], MED)
+    # NaN fails t >= 0: unchecked, it would give H(t) = 0 and an all-zero f
+    for t in (np.nan, np.array([0.5, np.nan, 1.0])):
+        with pytest.raises(ValueError, match="t is NaN"):
+            green_function(t, [1.0, 0, 0], MED)
     # only the latest non-negative time counts: earlier ones are zeros of H(t)
     assert np.all(green_function(np.array([-1e308, 1.0]), [1.0, 0, 0], MED).components[0] == 0.0)
 
@@ -219,8 +223,9 @@ def test_green_annihilated_by_M():
 def test_green_refinement_levels_bounded():
     # 6 levels would hold ten 475 MB time slabs: refused before any is built
     assert MAX_REFINE_LEVELS == 5
-    for levels in (0, 6, 10**9):
-        with pytest.raises(ValueError, match=r"levels must be in \[1, 5\].* 256 MiB each"):
+    # and a count that is not an int: True would run one level, and 2.5 fail inside range()
+    for levels in (0, 6, 10**9, True, 2.5):
+        with pytest.raises(ValueError, match=r"levels must be an int in \[1, 5\].* 256 MiB each"):
             green_refinement(MED, levels)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import types
 import numpy as np
 import pytest
 
+from bqem import cli
 from bqem.chiral_time import green_function
 from bqem.cli import main
 from bqem.kernels import ChiralMedium
@@ -130,14 +132,10 @@ def test_scatter_ill_conditioned_plateau(tmp_path, capsys, oversample):
         {"source_scale": 0.0},
         {"source_scale": 1.2},
         {"oversample": 0.5},
-        {"eval_scale": 0},
-        {"eval_scale": 0.5},
         {"alpha": [1.0, -0.3]},
-        {"eval_scale": float("inf")},
         {"alpha": [float("nan"), 0.3]},
         {"alpha": float("nan")},
         {"ellipsoid": {"a": float("nan"), "b": 3, "c": 2}},
-        {"eval_scale": 10**400},
         {"oversample": 1e300},
         {"n_values": [5, 10**12]},
         {"oversample": 1e8, "n_values": [35]},
@@ -145,11 +143,9 @@ def test_scatter_ill_conditioned_plateau(tmp_path, capsys, oversample):
         {"moment": [0, 0, 0]},
     ],
     ids=["n_values_empty", "n_values_bool", "axis_zero", "axis_negative",
-         "source_scale_zero", "source_scale_above_one", "oversample_below_one",
-         "eval_scale_zero", "eval_scale_inside_scatterer", "alpha_negative_imag",
-         "eval_scale_infinite", "alpha_nan_part", "alpha_nan", "axis_nan", "eval_scale_beyond_float",
-         "oversample_beyond_array_limit", "largest_n_beyond_array_limit", "oversample_beyond_ceiling",
-         "chiral_resonance", "moment_zero"],
+         "source_scale_zero", "source_scale_above_one", "oversample_below_one", "alpha_negative_imag",
+         "alpha_nan_part", "alpha_nan", "axis_nan", "oversample_beyond_array_limit", "largest_n_beyond_array_limit",
+         "oversample_beyond_ceiling", "chiral_resonance", "moment_zero"],
 )
 def test_scatter_bad_config_values(tmp_path, capsys, monkeypatch, override):
     # rejected while the config is read: no solve starts, so no array is built
@@ -166,6 +162,36 @@ def test_scatter_unknown_fields_are_named(tmp_path, capsys, monkeypatch):
     assert main(["scatter", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert "config error: unknown config field(s) n_value, sourc_scale, ellipsoid.C" in err
+
+
+def test_scatter_eval_scale_is_not_a_field(tmp_path, capsys, monkeypatch):
+    # errors are measured on the 5x ellipsoid, scattering.EVAL_SCALE, which no config sets
+    monkeypatch.setattr("bqem.cli.run_benchmark", lambda *args, **kw: pytest.fail("sweep started"))
+    cfg = write_config(tmp_path, dict(TINY_SCATTER, eval_scale=5.0))
+    assert main(["scatter", "--config", cfg]) == 2
+    assert "config error: unknown config field(s) eval_scale;" in capsys.readouterr().err
+
+
+# Every value a caller can set, per command; a new option or config field is a visible edit here.
+SETTABLE = {
+    "scatter": ["--config", "--format", "--out", "ellipsoid.a", "ellipsoid.b", "ellipsoid.c", "alpha", "beta",
+                "source_scale", "n_values", "moment", "impedance", "oversample"],
+    "check": ["suite", "--seed", "--format", "--out"],
+    "green-eval": ["--t", "--x", "--eps", "--mu", "--beta", "--refine", "--format", "--out"],
+}
+
+
+def test_cli_surface_is_pinned():
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    settable = {
+        name: [a.option_strings[0] if a.option_strings else a.dest for a in sub._actions if a.dest != "help"]
+        for name, sub in commands.choices.items()
+    }
+    for name in cli._SCATTER_FIELDS:
+        settable["scatter"] += [f"ellipsoid.{k}" for k in "abc"] if name == "ellipsoid" else [name]
+    assert settable == SETTABLE
+    assert {name: len(values) for name, values in settable.items()} == {"scatter": 13, "check": 4, "green-eval": 8}
+    assert sum(map(len, settable.values())) == 25
 
 
 def test_invalid_json(tmp_path, capsys):
@@ -309,10 +335,7 @@ def test_green_eval_refine_table(capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--refine", "--levels", "x"], "argument --levels: invalid int value"),
-        (["--refine", "--levels", "0"], "config error: levels must be in [1, 5]"),
-        (["--refine", "--levels", "6"], "config error: levels must be in [1, 5]"),
-        (["--refine", "--levels", str(10**9)], "config error: levels must be in [1, 5]"),
+        (["--refine", "--levels", "3"], "unrecognized arguments: --levels 3"),
         (["--x", "a,1,2"], "config error: --x must be 'x1,x2,x3'"),
         (["--eps", "-1"], "config error: eps and mu must be positive and finite"),
         (["--beta", "0"], "config error"),
@@ -326,20 +349,18 @@ def test_green_eval_refine_table(capsys):
         (["--t", "nan"], "config error: --t must be a finite number"),
         (["--t", "1e308", "--x", "1,0,0", "--beta", "1e-3"], "config error: t = 1e+308 overflows"),
         (["--mu", "inf"], "config error: eps and mu must be positive and finite"),
-        (["--levels", "4"], "config error: --levels sets the number of --refine lattices"),
         (["--refine", "--t", "2"], "config error: --refine evaluates on its own lattices"),
         (["--refine", "--x", "1,0,0"], "config error: --refine evaluates on its own lattices"),
         (["--x", "1,0"], "config error: --x must be 'x1,x2,x3'"),
     ],
-    ids=["levels_not_int", "levels_zero", "levels_beyond_memory", "levels_huge", "x_not_number", "eps_negative",
-         "beta_zero", "beta_zero_refine", "x_origin", "x_nan", "x_norm_overflows", "beta_underflows",
-         "beta_factors_overflow", "beta_infinite", "t_nan", "t_overflows", "mu_infinite",
-         "levels_without_refine", "t_with_refine", "x_with_refine", "x_two_coordinates"],
+    ids=["levels_is_not_an_option", "x_not_number", "eps_negative", "beta_zero", "beta_zero_refine", "x_origin",
+         "x_nan", "x_norm_overflows", "beta_underflows", "beta_factors_overflow", "beta_infinite", "t_nan",
+         "t_overflows", "mu_infinite", "t_with_refine", "x_with_refine", "x_two_coordinates"],
 )
 def test_green_eval_bad_config_values(capsys, flags, message):
     if message.startswith("config error"):
         assert main(["green-eval"] + flags) == 2
-    else:  # a non-integer --levels is argparse's usage error
+    else:  # --refine always runs three levels: --levels is argparse's usage error
         with pytest.raises(SystemExit) as exc:
             main(["green-eval"] + flags)
         assert exc.value.code == 2
@@ -354,9 +375,9 @@ def test_green_eval_config_hash_names_the_inputs(capsys):
         (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("# config_hash=")]
         return line
 
-    beta_1 = config_hash(["--levels", "1", "--beta", "1"])
-    beta_2 = config_hash(["--levels", "1", "--beta", "2"])
-    assert beta_1 != beta_2
-    assert config_hash(["--levels", "2", "--beta", "2"]) != beta_2
-    # the values in effect are hashed: --levels left out is the default 3
-    assert config_hash(["--beta", "2"]) == config_hash(["--beta", "2", "--levels", "3"])
+    beta_2 = config_hash(["--beta", "2"])
+    assert config_hash(["--beta", "1"]) != beta_2
+    # the values in effect are hashed, with the three levels --refine always runs
+    inputs = {"eps": 1.0, "mu": 1.0, "beta": 2.0, "levels": 3}
+    digest = hashlib.sha256(json.dumps({"config": inputs}, sort_keys=True).encode())
+    assert beta_2 == f"# config_hash={digest.hexdigest()[:16]}"

@@ -82,7 +82,7 @@ def test_helmholtz_solves_pde():
 def test_gradient_closed_form():
     g = helmholtz_kernel_grad(0.0, [1.0, 0, 0])
     assert np.allclose(g.vector, [1 / (4 * np.pi), 0, 0])
-    assert g.is_pure_vector()
+    assert np.all(g.scalar == 0)
 
     x0 = np.array([0.7, -0.4, 1.1])
     fd = fd_grad(lambda p: helmholtz_kernel(ALPHA, p), x0, 1e-5)
@@ -176,6 +176,15 @@ def test_chiral_medium_accepts_finite_values():
     med = ChiralMedium(eps=1e-3, mu=1e3, beta=-2.5, alpha=1 + 0.3j)
     assert (med.eps, med.mu, med.beta, med.alpha) == (1e-3, 1e3, -2.5, 1 + 0.3j)
     assert ChiralMedium(eps=4.0, mu=9.0).alpha == 6.0
+    assert ChiralMedium(alpha=2.0).alpha.imag == 0.0  # Im(alpha) = 0 is admissible
+
+
+def test_chiral_medium_rejects_inadmissible_alpha():
+    # the kernels' own rule, applied when the medium is built: the field would grow at infinity
+    with pytest.raises(InadmissibleAlpha, match=r"Im\(alpha\) >= 0"):
+        ChiralMedium(alpha=1 - 0.3j)
+    # a resonant alpha*beta = 1 is accepted: the Green function reads eps, mu and beta only
+    assert ChiralMedium(beta=1.0, alpha=1.0).beta == 1.0
 
 
 def test_dipole_zero_moment():
