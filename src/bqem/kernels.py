@@ -17,6 +17,8 @@ theta_alpha and its radial gradient factor G (grad theta = G(r) x) are
 computed in one routine, ``_theta_and_radial``, which is also the only place
 that rejects Im(alpha) < 0, |x| = 0 and |x| not finite.  Every public kernel
 is a view of it; only the dipole's ``_curls`` adds the Hessian factor dG/dr.
+|x| itself comes from ``_radius``, which the scattering coincidence guard
+shares.
 
 All evaluators are pure and broadcast over a trailing-(3,) position array,
 which is what the scattering matrix assembly relies on.
@@ -39,6 +41,26 @@ ORIGIN_TOL = 1e-13
 RESONANCE_TOL = 1e-12
 
 
+def _radius(x: np.ndarray) -> np.ndarray:
+    """|x| over the trailing length-3 axis of a float array.
+
+    The squares are added as ``np.sum(x * x, axis=-1)`` adds them,
+    (x0^2 + x1^2) + x2^2, so r has its bits, without the (..., 3) temporary
+    and numpy's slow reduction over a length-3 axis.  An overflowing |x|^2
+    gives r = inf, which the callers reject.  A single (3,) position gives
+    a 0-d array, which ``out=`` accepts where a scalar would not.
+    """
+    r = np.empty(x.shape[:-1])
+    sq = np.empty_like(r)
+    with np.errstate(over="ignore"):
+        np.multiply(x[..., 0], x[..., 0], out=r)
+        np.multiply(x[..., 1], x[..., 1], out=sq)
+        r += sq
+        np.multiply(x[..., 2], x[..., 2], out=sq)
+        r += sq
+    return np.sqrt(r, out=r)
+
+
 def _theta_and_radial(alpha: complex, x):
     """The one evaluation of theta_alpha and its radial gradient factor.
 
@@ -52,14 +74,14 @@ def _theta_and_radial(alpha: complex, x):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 3:
         raise ValueError("positions must have trailing length 3")
-    with np.errstate(over="ignore"):  # an overflowing |x|^2 is rejected below
-        r = np.sqrt(np.sum(x * x, axis=-1))
+    r = _radius(x)
     if np.any(r <= ORIGIN_TOL):
         raise OriginSingularity("kernel evaluated at |x| = 0")
     if not np.all(r < np.inf):  # NaN fails too
         raise ValueError("kernel evaluated at a position whose |x| is not finite")
-    theta = -np.exp(1j * alpha * r) / (FOUR_PI * r)
-    G = theta * (1j * alpha * r - 1.0) / (r * r)
+    iar = 1j * alpha * r
+    theta = -np.exp(iar) / (FOUR_PI * r)
+    G = theta * (iar - 1.0) / (r * r)
     return x, r, theta, G
 
 
@@ -84,9 +106,14 @@ def fundamental_solution(alpha: complex, x, sign: int = 1) -> Biquaternion:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     x, _, theta, G = _theta_and_radial(alpha, x)
-    # filled in place: -G * x as one expression would be a second (..., 3) array
-    out = _components(sign * complex(alpha) * theta, x)
-    out[..., 1:] *= -G[..., None]
+    # filled in place, one component at a time: a complex copy of x times
+    # -G[..., None] would make two more (..., 3) arrays; the products are
+    # the same, (x_i + 0j) * -G
+    out = np.empty(x.shape[:-1] + (4,), dtype=complex)
+    out[..., 0] = sign * complex(alpha) * theta
+    minus_G = -G
+    for i in range(3):
+        np.multiply(x[..., i], minus_G, out=out[..., i + 1])
     return Biquaternion._own(out)
 
 

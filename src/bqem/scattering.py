@@ -18,6 +18,13 @@ system.  Collocation and source points are laid out on a generalized
 (golden-angle) spiral, which is quasi-uniform and never touches the
 parametrization poles.
 
+The sums are matrix products.  As K_s a_s = sum_i K_si (e_i a_s) over the
+units e_i, the coefficients are laid out once per evaluation as a (4N, 8)
+matrix per branch, row (s, i) holding the components of e_i a_s (of e_i b_s,
+scalar rows negated for K(-alpha2)) under the two combinations; the
+kernels of a block of points, read as a (points, 4N) matrix, times it give
+both combinations at those points.
+
 The magnetic-dipole exterior problem is the reference benchmark: solve
 with boundary data from the known dipole field of the medium, chiral or
 not, and report the maximum componentwise error on an inflated
@@ -36,7 +43,7 @@ import scipy  # scipy.linalg loads on first attribute access, at the first solve
 
 from .algebra import _CONJ, Biquaternion, _mul_components
 from .errors import DegenerateSample, SingularMatrix, SourceOnBoundary, SourceSingularity
-from .kernels import ChiralMedium, chiral_wavenumbers, dipole_field, fundamental_solution
+from .kernels import ChiralMedium, _radius, chiral_wavenumbers, dipole_field, fundamental_solution
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
@@ -205,7 +212,7 @@ def _kernels(medium: ChiralMedium, pts, sources, coincident: type[Exception]) ->
     (beta = 0) the kernel is evaluated once and shared by both branches.
     """
     dx = pts[:, None, :] - sources[None, :, :]
-    if np.min(np.linalg.norm(dx, axis=-1)) < COINCIDENCE_TOL:
+    if np.min(_radius(dx)) < COINCIDENCE_TOL:
         raise coincident("a point coincides with a source point")
     alpha1, alpha2 = medium.alpha1, medium.alpha2
     k1 = fundamental_solution(alpha1, dx).components
@@ -241,11 +248,12 @@ def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: SurfaceSamples
         t = np.stack([col.t1[blk], col.t2[blk]], axis=1)
         X = np.zeros((len(t), 4, 1, 4), dtype=complex)
         X[:, 2, 0, 0] = 1.0
+        n_cross_t = 0.5 * np.cross(col.normal[blk, None, :], t)
         for branch, (K, sign) in enumerate(zip(kernels, (1, -1))):
             # branch b enters H_N and the second scalar constraint with the
             # same sign it carries in K(sign * alpha); an impedance xi adds
             # +xi <H_N, t> since (H x n) x n = n<H,n> - H
-            d = 0.5 * np.cross(col.normal[blk, None, :], t)
+            d = n_cross_t
             if problem.impedance is not None:
                 d = d + sign * (complex(problem.impedance) / 2j) * t
             X[:, :2, 0, 1:] = -d
@@ -262,13 +270,15 @@ def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: SurfaceSamples
     return A.reshape(4 * n_col, 8 * n_src), rhs
 
 
-def assemble_system(problem: MfsProblem) -> tuple[np.ndarray, np.ndarray]:
+def assemble_system(problem: MfsProblem, *, sources: SurfaceSamples | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Collocation matrix (4C x 8N) and right-hand side for the problem.
 
     Four rows per collocation point: two tangential boundary-condition
-    components and the two scalar-part constraints.
+    components and the two scalar-part constraints.  ``sources`` are the
+    problem's ``source_points``, for a caller that has sampled them already.
     """
-    return _assemble_rows(problem, collocation_points(problem), source_points(problem))
+    src = source_points(problem) if sources is None else sources
+    return _assemble_rows(problem, collocation_points(problem), src)
 
 
 @dataclass(frozen=True)
@@ -373,12 +383,13 @@ class MfsSolution:
 
 
 def solve_problem(problem: MfsProblem) -> MfsSolution:
-    A, rhs = assemble_system(problem)
+    src = source_points(problem)
+    A, rhs = assemble_system(problem, sources=src)
     out = solve_dense(A, rhs)
     n = problem.n_sources
     coeffs = out.coeffs.reshape(2 * n, 4)
     return MfsSolution(
-        sources=source_points(problem).pos,
+        sources=src.pos,
         coeffs_a=Biquaternion(coeffs[:n]),
         coeffs_b=Biquaternion(coeffs[n:]),
         medium=problem.medium,
@@ -387,19 +398,23 @@ def solve_problem(problem: MfsProblem) -> MfsSolution:
     )
 
 
-def _kernel_sum(K: np.ndarray, coeffs: Biquaternion, sign: int) -> np.ndarray:
-    """sum_s K_s a_s over the source axis of K(sign * alpha), given K = K(alpha)
-    components of batch shape (..., S).
+def _coefficient_matrices(sol: MfsSolution) -> tuple[np.ndarray, np.ndarray]:
+    """The (4S, 8) matrices W_a, W_b that contract a block of K(alpha1),
+    K(alpha2) components, reshaped to (points, 4S), into [plus | minus].
 
-    sum_s K_s a_s = sum_j e_j (sum_s K_sj a_s) over the units e_j: the
-    sources are contracted first, so no per-source product is formed.
-    K(-alpha) is K(alpha) with its scalar part negated, so sign = -1 negates
-    row j = 0 of the contraction.
+    sum_s K_s a_s = sum_(s,i) K_si (e_i a_s) over the units e_i, so row
+    (s, i) of W_a holds the components of e_i a_s, once under plus and once
+    under minus.  Branch b uses K(-alpha2), which is K(alpha2) with its
+    scalar part negated, so the rows i = 0 of W_b are negated, and it
+    enters minus with the opposite sign.
     """
-    Ka = np.swapaxes(K, -1, -2) @ coeffs.components
-    if sign < 0:
-        Ka[..., 0, :] *= -1.0
-    return _mul_components(np.eye(4), Ka).sum(axis=-2)
+    units = np.eye(4)
+    ea = _mul_components(units, sol.coeffs_a.components[:, None, :])  # [s, i] = e_i a_s
+    eb = _mul_components(units, sol.coeffs_b.components[:, None, :])
+    eb[:, 0] *= -1.0
+    W_a = np.concatenate([ea, ea], axis=-1).reshape(-1, 8)
+    W_b = np.concatenate([eb, -eb], axis=-1).reshape(-1, 8)
+    return W_a, W_b
 
 
 def evaluate_fields(sol: MfsSolution, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -407,25 +422,33 @@ def evaluate_fields(sol: MfsSolution, x) -> tuple[np.ndarray, np.ndarray, np.nda
 
     sc_leak is the larger modulus of the scalar parts of the two kernel
     combinations; it measures how well the purely-vectorial constraints
-    carry over from the collocation points.  The points are taken one block
-    at a time into two (points, 4) sums, so the working set beyond the
-    result does not grow with the number of points.
+    carry over from the collocation points.  Each block of points is one
+    product of its (points, 4S) kernels with the coefficient matrix
+    (``_coefficient_matrices``) into the (points, 8) sums plus | minus, and
+    at beta != 0 a second one, for branch b's own kernels, added to it; at
+    beta = 0 both branches share one K(alpha), so their matrices are added
+    instead.  The points are taken one block at a time, so the working set
+    beyond the result does not grow with the number of points.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (3,):
         raise ValueError("positions must have trailing length 3")
     pts = x.reshape(-1, 3)
-    plus = np.empty((len(pts), 4), dtype=complex)
-    minus = np.empty_like(plus)
-    for blk in _blocks(len(pts), len(sol.sources)):
+    n_src = len(sol.sources)
+    W_a, W_b = _coefficient_matrices(sol)
+    shared = sol.medium.alpha1 == sol.medium.alpha2
+    if shared:
+        W_a = W_a + W_b
+    sums = np.empty((len(pts), 8), dtype=complex)
+    for blk in _blocks(len(pts), n_src):
         K1, K2 = _kernels(sol.medium, pts[blk], sol.sources, SourceSingularity)
-        sum_a = _kernel_sum(K1, sol.coeffs_a, 1)
-        sum_b = _kernel_sum(K2, sol.coeffs_b, -1)
+        rows = (blk.stop - blk.start, 4 * n_src)
+        np.matmul(K1.reshape(rows), W_a, out=sums[blk])
+        if not shared:
+            sums[blk] += K2.reshape(rows) @ W_b
         del K1, K2  # before the next block's are built
-        np.add(sum_a, sum_b, out=plus[blk])
-        np.subtract(sum_a, sum_b, out=minus[blk])
-    plus = plus.reshape(x.shape[:-1] + (4,))
-    minus = minus.reshape(x.shape[:-1] + (4,))
+    sums = sums.reshape(x.shape[:-1] + (8,))
+    plus, minus = sums[..., :4], sums[..., 4:]
     E = 0.5 * plus[..., 1:]
     H = minus[..., 1:] / 2j
     sc_leak = np.maximum(np.abs(plus[..., 0]), np.abs(minus[..., 0]))

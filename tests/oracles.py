@@ -10,12 +10,17 @@ compare a streamed residual with the plain expression:
 - ``max_abs_interior``: ``grids.max_abs_interior`` of a space-time field,
   whose axis 0 (time) is a lattice axis too;
 - ``sympy_state``: a medium and an exact Maxwell state from sympy
-  expressions, every source differentiated symbolically.
+  expressions, every source differentiated symbolically;
+- ``fundamental_solution``: the components of K(sign*alpha) as the
+  formula reads, with |x| from ``np.sum`` and the vector part a complex
+  copy of x times -G, against which ``kernels.fundamental_solution``, which
+  fills its array in place, must agree bit for bit.
 """
 
 import numpy as np
 import sympy as sp
 
+from bqem.algebra import _components
 from bqem.chiral_time import _M_slab
 from bqem.errors import GridTooSmall
 from bqem.grids import _central, _nan_layer, _stencil_output, _time_windows
@@ -95,3 +100,17 @@ def sympy_state(A, phi, eps, mu, st):
     s = np.stack([np.broadcast_to(np.asarray(v), shape) for v in fn(t, pts[..., 0], pts[..., 1], pts[..., 2])])
     medium = build_medium(st.space, s[0][0], s[1][0])
     return medium, EMState(st, np.stack(s[2:5], axis=-1), np.stack(s[5:8], axis=-1), s[8], np.stack(s[9:], axis=-1))
+
+
+def fundamental_solution(alpha, x, sign=1):
+    """Components of K(sign*alpha) at x: scalar part sign*alpha*theta,
+    vector part -G x, with r = sqrt(sum x*x), theta = -exp(i alpha r)/(4 pi r)
+    and G = theta (i alpha r - 1)/r^2."""
+    alpha = complex(alpha)
+    x = np.asarray(x, dtype=float)
+    r = np.sqrt(np.sum(x * x, axis=-1))
+    theta = -np.exp(1j * alpha * r) / (4.0 * np.pi * r)
+    G = theta * (1j * alpha * r - 1.0) / (r * r)
+    out = _components(sign * alpha * theta, x)
+    out[..., 1:] *= -G[..., None]
+    return out

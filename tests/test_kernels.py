@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from bqem import kernels
 from bqem.algebra import Biquaternion
 from bqem.errors import ChiralResonance, InadmissibleAlpha, OriginSingularity
@@ -97,6 +98,29 @@ def test_fundamental_solution_parts():
         K = fundamental_solution(ALPHA, x0, sign=sign)
         assert K.scalar == pytest.approx(sign * ALPHA * theta)
         assert np.allclose(K.vector, -grad.vector)
+
+
+def _offset_block():
+    rng = np.random.default_rng(5)
+    return rng.uniform(-3.0, 3.0, (7, 1, 3)) - rng.uniform(-0.5, 0.5, (1, 5, 3))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("alpha", [ALPHA, 2.5 + 0.01j, 0.0], ids=["alpha", "alpha_far", "alpha_zero"])
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.array([0.5, 0.2, -0.9]),
+        np.random.default_rng(4).uniform(-2.0, 2.0, (11, 3)),
+        _offset_block(),
+    ],
+    ids=["position", "batch", "offset_block"],
+)
+def test_fundamental_solution_bit_for_bit(x, alpha, sign):
+    K = fundamental_solution(alpha, x, sign=sign).components
+    ref = oracles.fundamental_solution(alpha, x, sign)
+    assert K.shape == ref.shape == x.shape[:-1] + (4,)
+    assert np.array_equal(K, ref)
 
 
 def test_fundamental_solution_alpha_zero():

@@ -15,6 +15,7 @@ from bqem.errors import (
 )
 from bqem.kernels import ChiralMedium, dipole_field, fundamental_solution
 from bqem.scattering import (
+    COINCIDENCE_TOL,
     Ellipsoid,
     MAX_MATRIX_BYTES,
     MfsProblem,
@@ -211,6 +212,29 @@ def test_source_on_boundary_guard_in_last_block(monkeypatch):
     small_blocks(monkeypatch, 2, 3)
     with pytest.raises(SourceOnBoundary):
         _assemble_rows(prob, col, src)
+
+
+@pytest.mark.parametrize("short_last_block", [False, True], ids=["one_block", "short_last_block"])
+@pytest.mark.parametrize("tols, rejected", [(0.5, True), (2.0, False)], ids=["inside", "outside"])
+def test_coincidence_guard_at_the_tolerance(monkeypatch, short_last_block, tols, rejected):
+    # a point tols * COINCIDENCE_TOL from a source, collocated and evaluated
+    prob = dipole_problem(3)
+    src = sample_surface(SURFACE, 3, 0.15)
+    col = sample_surface(SURFACE, 7, 1.0)
+    col.pos[-1] = src.pos[1] + tols * COINCIDENCE_TOL * np.array([0.6, 0.0, -0.8])
+    coeffs = Biquaternion(np.ones((3, 4)))
+    sol = MfsSolution(sources=src.pos, coeffs_a=coeffs, coeffs_b=coeffs, medium=MEDIUM)
+    if short_last_block:
+        small_blocks(monkeypatch, 2, 3)  # 7 points in blocks of 2: the last holds the near one alone
+    if rejected:
+        with pytest.raises(SourceOnBoundary):
+            _assemble_rows(prob, col, src)
+        with pytest.raises(SourceSingularity):
+            evaluate_fields(sol, col.pos)
+    else:
+        A, _ = _assemble_rows(prob, col, src)
+        assert np.all(np.isfinite(A))
+        assert all(np.all(np.isfinite(a)) for a in evaluate_fields(sol, col.pos))
 
 
 def test_assembly_working_set_is_the_matrix(traced_peak):
