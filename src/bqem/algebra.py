@@ -14,8 +14,9 @@ synchronization.
 
 Inside the package most fields are plain (..., 4) component arrays, not
 Biquaternion values.  ``_components`` is the one place such an array is
-built from a scalar and a vector part, and ``_CONJ`` is the one spelling
-of the quaternion conjugate on components (multiply by it).
+built from a scalar and a vector part, ``_CONJ`` is the one spelling of
+the quaternion conjugate on components (multiply by it), and ``_cross``
+the one cross product of (..., 3) arrays.
 """
 
 from __future__ import annotations
@@ -56,6 +57,17 @@ def _mul_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ],
         axis=-1,
     )
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product over the trailing length-3 axis, broadcast like ``np.cross``.
+
+    The components are ``np.cross``'s products and differences written
+    out, so the result has its bits without its per-call axis handling.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 class Biquaternion:
@@ -173,4 +185,4 @@ def dot(a: Biquaternion, b: Biquaternion) -> np.ndarray:
 
 def cross(a: Biquaternion, b: Biquaternion) -> Biquaternion:
     """Cross product of the vector parts, as a purely vectorial biquaternion."""
-    return Biquaternion.from_vector(np.cross(a.vector, b.vector))
+    return Biquaternion.from_vector(_cross(a.vector, b.vector))

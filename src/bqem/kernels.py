@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Biquaternion, _components
+from .algebra import Biquaternion, _components, _cross
 from .errors import ChiralResonance, InadmissibleAlpha, OriginSingularity
 
 FOUR_PI = 4.0 * np.pi
@@ -179,7 +179,7 @@ def _curls(alpha: complex, x, moment) -> tuple[np.ndarray, np.ndarray]:
     x, r, theta, G = _theta_and_radial(alpha, x)
     c = np.asarray(moment, dtype=complex)
     cb = np.broadcast_to(c, x.shape)
-    curl = np.cross(G[..., None] * x, cb)
+    curl = _cross(G[..., None] * x, cb)
     # d/dr G = Gp(r), in closed form; only the Hessian needs it
     Gp = theta * (-(alpha * alpha) / r - 3j * alpha / (r * r) + 3.0 / (r * r * r))
     hess_c = (Gp / r * np.sum(x * c, axis=-1))[..., None] * x + G[..., None] * cb

@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 import scipy  # scipy.linalg loads on first attribute access, at the first solve
 
-from .algebra import _CONJ, Biquaternion, _mul_components
+from .algebra import _CONJ, Biquaternion, _cross, _mul_components
 from .errors import DegenerateSample, SingularMatrix, SourceOnBoundary, SourceSingularity
 from .kernels import ChiralMedium, _radius, chiral_wavenumbers, dipole_field, fundamental_solution
 
@@ -94,12 +94,12 @@ class SurfaceSamples:
         return self.pos.shape[0]
 
 
-def surface_frame(surface: Ellipsoid, eta, nu, scale: float = 1.0) -> SurfaceSamples:
-    """Positions plus orthonormal frames at parameter values (eta, nu).
+def _parametrize(surface: Ellipsoid, eta, nu, scale: float):
+    """Positions at parameter values (eta, nu) on the scaled surface, with
+    the scaled semi-axes and the sines and cosines they were built from.
 
-    Normals come from the cross product of the parameter derivatives,
-    orientation-checked against the outward implicit-surface gradient;
-    the tangent frame is Gram-Schmidt from the eta-derivative.
+    The one position formula: ``surface_frame`` and ``spiral_points`` both
+    take their positions from here.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
@@ -108,12 +108,22 @@ def surface_frame(surface: Ellipsoid, eta, nu, scale: float = 1.0) -> SurfaceSam
     se, ce = np.sin(eta), np.cos(eta)
     if np.any(np.abs(sn) < 1e-12):
         raise DegenerateSample("sample at a parametrization pole (nu = 0 or pi)")
-
     pos = np.stack([a * ce * sn, b * se * sn, c * cn], axis=-1)
+    return pos, (a, b, c), (se, ce, sn, cn)
+
+
+def surface_frame(surface: Ellipsoid, eta, nu, scale: float = 1.0) -> SurfaceSamples:
+    """Positions plus orthonormal frames at parameter values (eta, nu).
+
+    Normals come from the cross product of the parameter derivatives,
+    orientation-checked against the outward implicit-surface gradient;
+    the tangent frame is Gram-Schmidt from the eta-derivative.
+    """
+    pos, (a, b, c), (se, ce, sn, cn) = _parametrize(surface, eta, nu, scale)
     r_eta = np.stack([-a * se * sn, b * ce * sn, np.zeros_like(sn)], axis=-1)
     r_nu = np.stack([a * ce * cn, b * se * cn, -c * sn], axis=-1)
 
-    n = np.cross(r_nu, r_eta)
+    n = _cross(r_nu, r_eta)
     norm = np.linalg.norm(n, axis=-1, keepdims=True)
     if np.any(norm < 1e-14):
         raise DegenerateSample("vanishing normal (degenerate parameter point)")
@@ -123,19 +133,27 @@ def surface_frame(surface: Ellipsoid, eta, nu, scale: float = 1.0) -> SurfaceSam
     n[flip] = -n[flip]
 
     t1 = r_eta / np.linalg.norm(r_eta, axis=-1, keepdims=True)
-    t2 = np.cross(n, t1)
+    t2 = _cross(n, t1)
     return SurfaceSamples(pos=pos, normal=n, t1=t1, t2=t2)
 
 
-def sample_surface(surface: Ellipsoid, count: int, scale: float = 1.0) -> SurfaceSamples:
-    """Quasi-uniform golden-angle spiral of ``count`` samples on the scaled surface."""
+def _spiral(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parameters (eta, nu) of the golden-angle spiral of ``count`` samples."""
     if count < 1:
         raise ValueError("count must be >= 1")
     k = np.arange(count)
     z = 1.0 - (2.0 * k + 1.0) / count
-    nu = np.arccos(z)
-    eta = np.mod(GOLDEN_ANGLE * k, 2.0 * np.pi)
-    return surface_frame(surface, eta, nu, scale)
+    return np.mod(GOLDEN_ANGLE * k, 2.0 * np.pi), np.arccos(z)
+
+
+def sample_surface(surface: Ellipsoid, count: int, scale: float = 1.0) -> SurfaceSamples:
+    """Quasi-uniform golden-angle spiral of ``count`` samples on the scaled surface."""
+    return surface_frame(surface, *_spiral(count), scale)
+
+
+def spiral_points(surface: Ellipsoid, count: int, scale: float = 1.0) -> np.ndarray:
+    """The (count, 3) positions of ``sample_surface``, without its frames."""
+    return _parametrize(surface, *_spiral(count), scale)[0]
 
 
 def parametric_grid(surface: Ellipsoid, n_eta: int, n_nu: int, scale: float = 1.0) -> SurfaceSamples:
@@ -159,7 +177,9 @@ class MfsProblem:
     ``oversample`` > 1 collocates more than 2N points and solves in the
     least-squares sense.  The 4C x 8N system matrix (C = ceil(2N oversample)
     collocation points) may take at most ``MAX_MATRIX_BYTES``.  A resonant
-    medium, with no split wavenumbers, raises ``ChiralResonance``.
+    medium, with no split wavenumbers, raises ``ChiralResonance``, and
+    alpha = 0 a ``ValueError``: a time-harmonic problem needs a non-zero
+    wavenumber, and H = -curl E/(i alpha) divides by it.
     """
 
     surface: Ellipsoid
@@ -172,6 +192,8 @@ class MfsProblem:
 
     def __post_init__(self):
         chiral_wavenumbers(self.medium.alpha, self.medium.beta)
+        if self.medium.alpha == 0.0:
+            raise ValueError("alpha must be non-zero: a time-harmonic problem needs a wavenumber")
         if self.n_sources < 1:
             raise ValueError("n_sources must be >= 1")
         if not (self.source_scale > 0.0 and self.source_scale != 1.0):
@@ -194,8 +216,9 @@ class MfsProblem:
         return int(np.ceil(2 * self.n_sources * self.oversample))
 
 
-def source_points(problem: MfsProblem) -> SurfaceSamples:
-    return sample_surface(problem.surface, problem.n_sources, problem.source_scale)
+def source_points(problem: MfsProblem) -> np.ndarray:
+    """The (N, 3) source positions: only the collocation points need frames."""
+    return spiral_points(problem.surface, problem.n_sources, problem.source_scale)
 
 
 def collocation_points(problem: MfsProblem) -> SurfaceSamples:
@@ -225,8 +248,23 @@ def _blocks(count: int, width: int):
     return (slice(i, min(i + step, count)) for i in range(0, count, step))
 
 
-def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: SurfaceSamples):
-    """Matrix and right-hand side rows for the given collocation batch.
+def _row_operators(sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constant parts of the row operators of one branch (see
+    ``_assemble_rows``): -T[1:] as a (3, 16) matrix and the (2, 4, 4) pair
+    T[0], sign T[0], where T[k, i, j] is component j of e_k e_i, times sign
+    for i = 0 and conjugated in j."""
+    units = np.eye(4)
+    T = _mul_components(units[:, None, :], units) * np.outer([sign, 1.0, 1.0, 1.0], _CONJ)
+    return -T[1:].reshape(3, 16), np.stack([T[0], sign * T[0]])
+
+
+# Branch a carries sign 1, branch b sign -1.
+_ROW_OPERATORS = (_row_operators(1), _row_operators(-1))
+
+
+def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: np.ndarray):
+    """Matrix and right-hand side rows for the collocation batch ``col``
+    against the (N, 3) source positions ``src``.
 
     The matrix is filled one block of collocation points at a time; the
     kernels of a block are the only temporaries that grow with the sources.
@@ -239,26 +277,28 @@ def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: SurfaceSamples
     # As Sc(Y a) = <conj Y, a> componentwise, the block of one point and row
     # kind is L K, with L the 4 x 4 map K(alpha) -> conj(X K(sign*alpha)) and
     # K(sign*alpha) = K(alpha) with its scalar part times sign.  Lt is L
-    # transposed, so the block is the (n_src, 4) product K(alpha) Lt.
+    # transposed, so the block is the (n_src, 4) product K(alpha) Lt.  Lt is
+    # linear in X, sum_k X_k T[k] for the constant T of ``_row_operators``:
+    # d contracted with -T[1:] for the tangential rows, T[0] and sign T[0]
+    # for the scalar ones.  Each entry is a single +-d_k, 0 or +-1, so
+    # nothing rounds.
 
     # axes: collocation point, row kind, branch (a or b), source, component
     A = np.empty((n_col, 4, 2, n_src, 4), dtype=complex)
     for blk in _blocks(n_col, n_src):
-        kernels = _kernels(problem.medium, col.pos[blk], src.pos, SourceOnBoundary)
+        kernels = _kernels(problem.medium, col.pos[blk], src, SourceOnBoundary)
         t = np.stack([col.t1[blk], col.t2[blk]], axis=1)
-        X = np.zeros((len(t), 4, 1, 4), dtype=complex)
-        X[:, 2, 0, 0] = 1.0
-        n_cross_t = 0.5 * np.cross(col.normal[blk, None, :], t)
-        for branch, (K, sign) in enumerate(zip(kernels, (1, -1))):
+        n_cross_t = 0.5 * _cross(col.normal[blk, None, :], t)
+        Lt = np.empty((len(t), 4, 4, 4), dtype=complex)
+        for branch, (K, sign, (tangential, scalar)) in enumerate(zip(kernels, (1, -1), _ROW_OPERATORS)):
             # branch b enters H_N and the second scalar constraint with the
             # same sign it carries in K(sign * alpha); an impedance xi adds
             # +xi <H_N, t> since (H x n) x n = n<H,n> - H
             d = n_cross_t
             if problem.impedance is not None:
                 d = d + sign * (complex(problem.impedance) / 2j) * t
-            X[:, :2, 0, 1:] = -d
-            X[:, 3, 0, 0] = sign
-            Lt = _mul_components(X, np.eye(4)) * np.outer([sign, 1.0, 1.0, 1.0], _CONJ)
+            Lt[:, :2] = (d.reshape(-1, 3) @ tangential).reshape(-1, 2, 4, 4)
+            Lt[:, 2:] = scalar
             np.matmul(K[:, None], Lt, out=A[blk, :, branch])
         del kernels, K  # before the next block's are built
 
@@ -270,12 +310,13 @@ def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: SurfaceSamples
     return A.reshape(4 * n_col, 8 * n_src), rhs
 
 
-def assemble_system(problem: MfsProblem, *, sources: SurfaceSamples | None = None) -> tuple[np.ndarray, np.ndarray]:
+def assemble_system(problem: MfsProblem, *, sources: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Collocation matrix (4C x 8N) and right-hand side for the problem.
 
     Four rows per collocation point: two tangential boundary-condition
     components and the two scalar-part constraints.  ``sources`` are the
-    problem's ``source_points``, for a caller that has sampled them already.
+    problem's (N, 3) ``source_points``, for a caller that has sampled them
+    already.
     """
     src = source_points(problem) if sources is None else sources
     return _assemble_rows(problem, collocation_points(problem), src)
@@ -338,9 +379,10 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> SolveResult:
     ``cond`` is LAPACK's 1-norm condition estimate on the triangular factor
     (``zgecon`` on the LU factors, ``ztrcon`` on R).  Conditioning rejects
     nothing, as an ill-conditioned MFS system can still fit accurately; the
-    residual is reported instead.  SingularMatrix: U or R is not invertible,
-    or the solve overflows (a subnormal pivot) and leaves non-finite
-    coefficients.
+    residual ||Ax - b||/||b|| is reported instead, taken after an exact
+    power-of-two rescaling so that ||b||^2 cannot overflow.  SingularMatrix:
+    U or R is not invertible, or the solve overflows (a subnormal pivot) and
+    leaves non-finite coefficients.
     """
     matrix = np.asarray(matrix, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
@@ -366,7 +408,12 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> SolveResult:
         raise ValueError("system has fewer rows than unknowns")
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("solve gave non-finite coefficients: the triangular factor is numerically singular")
-    res = float(np.linalg.norm(matrix @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
+    # Ax - b and b scaled by 2^-k with max|b| < 2^k (k = 0 for b = 0): exact,
+    # so the ratio keeps its bits, and |b|^2 cannot overflow in the norms;
+    # k >= -1021 keeps 2^-k finite for a subnormal b
+    k = np.frexp(np.max(np.abs(rhs), initial=0.0))[1]
+    scale = np.ldexp(1.0, -max(k, -1021))
+    res = float(np.linalg.norm(scale * (matrix @ x - rhs)) / max(np.linalg.norm(scale * rhs), 1e-300))
     return SolveResult(coeffs=x, cond=1.0 / rcond if rcond > 0.0 else np.inf, residual=res)
 
 
@@ -389,7 +436,7 @@ def solve_problem(problem: MfsProblem) -> MfsSolution:
     n = problem.n_sources
     coeffs = out.coeffs.reshape(2 * n, 4)
     return MfsSolution(
-        sources=src.pos,
+        sources=src,
         coeffs_a=Biquaternion(coeffs[:n]),
         coeffs_b=Biquaternion(coeffs[n:]),
         medium=problem.medium,
@@ -463,17 +510,9 @@ def tangential_datum(reference: Fields) -> Callable[[SurfaceSamples], np.ndarray
 
     def f(samples: SurfaceSamples) -> np.ndarray:
         E, _ = reference(samples.pos)
-        return np.cross(E, samples.normal)
+        return _cross(E, samples.normal)
 
     return f
-
-
-def field_errors(sol: MfsSolution, pts, exact: tuple[np.ndarray, np.ndarray]) -> tuple[float, float, float]:
-    """Max |E_N - E| and max |H_N - H| over the points, given the exact (E, H)
-    there, and the largest scalar leak there."""
-    E, H, leak = evaluate_fields(sol, pts)
-    E_ref, H_ref = exact
-    return float(np.max(np.abs(E - E_ref))), float(np.max(np.abs(H - H_ref))), float(np.max(leak))
 
 
 # The dipole moment of the benchmark reference.
@@ -498,13 +537,19 @@ def run_benchmark(problem: MfsProblem, n_values, reference: Fields | None = None
     EVAL_GRID parametric grid on the surface scaled by EVAL_SCALE (5); the
     boundary error errB is measured the same way on an offset spiral denser
     than the collocation set, and ``residual`` is the relative residual of
-    the dense solve.
+    the dense solve.  The fields are evaluated once per N, on the grid and
+    the spiral stacked: errE, errH and sc_leak read the grid's rows, errB
+    the spiral's.
     """
     if reference is None:
         reference = partial(dipole_field, DIPOLE_MOMENT, problem.medium)
     boundary_data = tangential_datum(reference)
     eval_pts = parametric_grid(problem.surface, *EVAL_GRID, scale=EVAL_SCALE).pos
-    eval_exact = reference(eval_pts)  # the grid does not depend on N
+    E_grid, H_grid = reference(eval_pts)  # the grid does not depend on N
+    g = len(eval_pts)
+
+    def max_error(approx, exact):
+        return float(np.max(np.abs(approx - exact)))
 
     rows = []
     for n in n_values:
@@ -513,9 +558,11 @@ def run_benchmark(problem: MfsProblem, n_values, reference: Fields | None = None
         sol = solve_problem(prob_n)
         wall_ms = 1e3 * (time.perf_counter() - t0)
 
-        err_e, err_h, leak = field_errors(sol, eval_pts, eval_exact)
-        check = sample_surface(problem.surface, BOUNDARY_CHECK_FACTOR * prob_n.n_collocation() + 7, 1.0).pos
-        err_b = max(field_errors(sol, check, reference(check))[:2])
+        check = spiral_points(problem.surface, BOUNDARY_CHECK_FACTOR * prob_n.n_collocation() + 7)
+        E_check, H_check = reference(check)
+        E, H, leak = evaluate_fields(sol, np.concatenate([eval_pts, check]))
+        err_e, err_h = max_error(E[:g], E_grid), max_error(H[:g], H_grid)
+        err_b = max(max_error(E[g:], E_check), max_error(H[g:], H_check))
 
         rows.append(
             {
@@ -525,7 +572,7 @@ def run_benchmark(problem: MfsProblem, n_values, reference: Fields | None = None
                 "errB": err_b,
                 "residual": sol.residual,
                 "cond": sol.cond,
-                "sc_leak": leak,
+                "sc_leak": float(np.max(leak[:g])),
                 "wall_ms": wall_ms,
             }
         )

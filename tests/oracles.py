@@ -14,17 +14,22 @@ compare a streamed residual with the plain expression:
 - ``fundamental_solution``: the components of K(sign*alpha) as the
   formula reads, with |x| from ``np.sum`` and the vector part a complex
   copy of x times -G, against which ``kernels.fundamental_solution``, which
-  fills its array in place, must agree bit for bit.
+  fills its array in place, must agree bit for bit;
+- ``assemble_rows``: the MFS collocation matrix with each row operator built
+  from the quaternion products X e_i of its point, against which
+  ``scattering._assemble_rows`` and its constant row tensor must agree bit
+  for bit.
 """
 
 import numpy as np
 import sympy as sp
 
-from bqem.algebra import _components
+from bqem.algebra import _CONJ, _components, _mul_components
 from bqem.chiral_time import _M_slab
 from bqem.errors import GridTooSmall
 from bqem.grids import _central, _nan_layer, _stencil_output, _time_windows
 from bqem.inhomog import EMState, build_medium
+from bqem.scattering import _kernels
 
 T, X1, X2, X3 = sp.symbols("t x1 x2 x3", real=True)
 
@@ -114,3 +119,28 @@ def fundamental_solution(alpha, x, sign=1):
     out = _components(sign * alpha * theta, x)
     out[..., 1:] *= -G[..., None]
     return out
+
+
+def assemble_rows(problem, col, src):
+    """The 4C x 8N collocation matrix of ``problem`` at the collocation
+    samples ``col`` and source positions ``src``, all points in one block.
+
+    Each point's row operator Lt is ``_mul_components(X, eye(4))`` times
+    the branch sign of row 0 and the conjugate, with X = -d for the two
+    tangential rows, d = (n x t)/2 (+ sign xi/(2j) t with an impedance xi),
+    and X = 1, sign for the two scalar constraints.
+    """
+    K_a, K_b = _kernels(problem.medium, col.pos, src, ValueError)
+    t = np.stack([col.t1, col.t2], axis=1)
+    X = np.zeros((len(col), 4, 1, 4), dtype=complex)
+    X[:, 2, 0, 0] = 1.0
+    A = np.empty((len(col), 4, 2, len(src), 4), dtype=complex)
+    for branch, (K, sign) in enumerate(((K_a, 1), (K_b, -1))):
+        d = 0.5 * np.cross(col.normal[:, None, :], t)
+        if problem.impedance is not None:
+            d = d + sign * (complex(problem.impedance) / 2j) * t
+        X[:, :2, 0, 1:] = -d
+        X[:, 3, 0, 0] = sign
+        Lt = _mul_components(X, np.eye(4)) * np.outer([sign, 1.0, 1.0, 1.0], _CONJ)
+        np.matmul(K[:, None], Lt, out=A[:, :, branch])
+    return A.reshape(4 * len(col), 8 * len(src))

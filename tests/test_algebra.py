@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bqem.algebra import Biquaternion, I1, I2, I3, ONE, cross, dot
+from bqem.algebra import Biquaternion, I1, I2, I3, ONE, _cross, cross, dot
 
 
 def rand_bq(rng, n):
@@ -137,3 +137,28 @@ def test_bad_shape_rejected():
     for vector in (5.0, (1.0, 2.0)):
         with pytest.raises(ValueError, match="trailing length 3"):
             Biquaternion.from_parts(vector=vector)
+
+
+def test_written_out_cross_is_numpys():
+    # the same products and differences as np.cross, so the same bits,
+    # dtype and broadcast shape for real, complex and mixed operands
+    rng = np.random.default_rng(11)
+
+    def real(*shape):
+        return rng.normal(size=shape)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    cases = [
+        (real(50, 3), real(50, 3)),
+        (cplx(50, 3), cplx(50, 3)),
+        (real(50, 3), cplx(50, 3)),
+        (cplx(50, 3), real(50, 3)),
+        (real(7, 1, 3), cplx(7, 2, 3)),
+        (cplx(3), real(4, 3)),
+    ]
+    for a, b in cases:
+        ours, ref = _cross(a, b), np.cross(a, b)
+        assert ours.dtype == ref.dtype and ours.shape == ref.shape
+        assert np.array_equal(ours, ref)

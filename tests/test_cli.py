@@ -141,11 +141,12 @@ def test_scatter_ill_conditioned_plateau(tmp_path, capsys, oversample):
         {"oversample": 1e8, "n_values": [35]},
         {"beta": 1.0, "alpha": [1.0, 0.0]},
         {"moment": [0, 0, 0]},
+        {"alpha": 0},
     ],
     ids=["n_values_empty", "n_values_bool", "axis_zero", "axis_negative",
          "source_scale_zero", "source_scale_above_one", "oversample_below_one", "alpha_negative_imag",
          "alpha_nan_part", "alpha_nan", "axis_nan", "oversample_beyond_array_limit", "largest_n_beyond_array_limit",
-         "oversample_beyond_ceiling", "chiral_resonance", "moment_zero"],
+         "oversample_beyond_ceiling", "chiral_resonance", "moment_zero", "alpha_zero"],
 )
 def test_scatter_bad_config_values(tmp_path, capsys, monkeypatch, override):
     # rejected while the config is read: no solve starts, so no array is built
@@ -153,6 +154,18 @@ def test_scatter_bad_config_values(tmp_path, capsys, monkeypatch, override):
     cfg = write_config(tmp_path, dict(TINY_SCATTER, **override))
     assert main(["scatter", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_scatter_residual_finite_at_huge_moment(tmp_path, capsys):
+    # |b|^2 overflowed in the residual's norm at moment 1e200 and printed nan
+    rows = {}
+    for m in (1.0, 1e200):
+        cfg = write_config(tmp_path, dict(TINY_SCATTER, moment=[m, 0, 0]))
+        assert main(["scatter", "--config", cfg, "--format", "json"]) == 0
+        rows[m] = json.loads(capsys.readouterr().out)
+    for big, one in zip(rows[1e200], rows[1.0], strict=True):
+        assert np.isfinite(big["residual"])
+        assert one["residual"] / 10 <= big["residual"] <= 10 * one["residual"]
 
 
 def test_scatter_unknown_fields_are_named(tmp_path, capsys, monkeypatch):

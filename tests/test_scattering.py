@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
+
 from bqem.algebra import Biquaternion, ONE
 from bqem.errors import (
     ChiralResonance,
@@ -23,12 +25,15 @@ from bqem.scattering import (
     SurfaceSamples,
     _assemble_rows,
     assemble_system,
+    collocation_points,
     evaluate_fields,
     parametric_grid,
     run_benchmark,
     sample_surface,
     solve_dense,
     solve_problem,
+    source_points,
+    spiral_points,
     surface_frame,
     tangential_datum,
 )
@@ -105,6 +110,13 @@ def test_spiral_no_duplicates():
     assert d.min() > 1e-3
 
 
+@pytest.mark.parametrize("scale", [0.15, 1.0, 5.0])
+@pytest.mark.parametrize("count", [1, 10, 217])
+def test_spiral_points_are_the_sample_positions(count, scale):
+    # one position formula: the positions-only spiral is sample_surface's, to the bit
+    assert np.array_equal(spiral_points(SURFACE, count, scale), sample_surface(SURFACE, count, scale).pos)
+
+
 def test_parametric_grid_excludes_poles():
     g = parametric_grid(SURFACE, 24, 12, scale=5.0)
     assert len(g) == 24 * 12
@@ -143,8 +155,6 @@ def test_matrix_entries_against_naive_oracle(medium, impedance):
         impedance=impedance,
     )
     A, b = assemble_system(prob)
-    from bqem.scattering import collocation_points, source_points
-
     col = collocation_points(prob)
     src = source_points(prob)
     rng = np.random.default_rng(1)
@@ -155,7 +165,7 @@ def test_matrix_entries_against_naive_oracle(medium, impedance):
         branch, rest = divmod(jj, 4 * len(src))
         j, comp = divmod(rest, 4)
         coeff = Biquaternion(units[comp])
-        d = col.pos[i] - src.pos[j]
+        d = col.pos[i] - src[j]
         if branch == 0:
             K = fundamental_solution(medium.alpha1, d, sign=1)
             plus_term = (K * coeff).components
@@ -176,11 +186,32 @@ def test_matrix_entries_against_naive_oracle(medium, impedance):
             assert A[4 * i + r, jj] == pytest.approx(expected, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "medium, impedance",
+    [
+        (MEDIUM, None),
+        (MEDIUM, 0.5 + 0.1j),
+        (ChiralMedium(beta=0.1, alpha=1 + 0.3j), 0.5 + 0.1j),
+    ],
+    ids=["conductor", "impedance", "chiral"],
+)
+def test_row_operator_matches_quaternion_products(monkeypatch, medium, impedance):
+    # the constant row tensor against each point's products X e_i, to the
+    # bit, in one block and in blocks of 3 points with a short last one
+    prob = MfsProblem(surface=SURFACE, medium=medium, n_sources=10, source_scale=0.15, impedance=impedance)
+    col, src = collocation_points(prob), source_points(prob)
+    expected = oracles.assemble_rows(prob, col, src)
+    assert np.array_equal(_assemble_rows(prob, col, src)[0], expected)
+    small_blocks(monkeypatch, 3, 10)
+    assert np.array_equal(_assemble_rows(prob, col, src)[0], expected)
+
+
 def test_source_on_boundary_guard():
     prob = dipole_problem(3)
-    src = sample_surface(SURFACE, 3, 0.15)
+    frames = sample_surface(SURFACE, 3, 0.15)
+    src = frames.pos
     col = SurfaceSamples(
-        pos=src.pos.copy(), normal=src.normal, t1=src.t1, t2=src.t2
+        pos=src.copy(), normal=frames.normal, t1=frames.t1, t2=frames.t2
     )
     with pytest.raises(SourceOnBoundary):
         _assemble_rows(prob, col, src)
@@ -206,9 +237,9 @@ def test_blocked_assembly_matches_one_block(monkeypatch, beta):
 
 def test_source_on_boundary_guard_in_last_block(monkeypatch):
     prob = dipole_problem(3)
-    src = sample_surface(SURFACE, 3, 0.15)
+    src = spiral_points(SURFACE, 3, 0.15)
     col = sample_surface(SURFACE, 7, 1.0)
-    col.pos[-1] = src.pos[1]
+    col.pos[-1] = src[1]
     small_blocks(monkeypatch, 2, 3)
     with pytest.raises(SourceOnBoundary):
         _assemble_rows(prob, col, src)
@@ -219,11 +250,11 @@ def test_source_on_boundary_guard_in_last_block(monkeypatch):
 def test_coincidence_guard_at_the_tolerance(monkeypatch, short_last_block, tols, rejected):
     # a point tols * COINCIDENCE_TOL from a source, collocated and evaluated
     prob = dipole_problem(3)
-    src = sample_surface(SURFACE, 3, 0.15)
+    src = spiral_points(SURFACE, 3, 0.15)
     col = sample_surface(SURFACE, 7, 1.0)
-    col.pos[-1] = src.pos[1] + tols * COINCIDENCE_TOL * np.array([0.6, 0.0, -0.8])
+    col.pos[-1] = src[1] + tols * COINCIDENCE_TOL * np.array([0.6, 0.0, -0.8])
     coeffs = Biquaternion(np.ones((3, 4)))
-    sol = MfsSolution(sources=src.pos, coeffs_a=coeffs, coeffs_b=coeffs, medium=MEDIUM)
+    sol = MfsSolution(sources=src, coeffs_a=coeffs, coeffs_b=coeffs, medium=MEDIUM)
     if short_last_block:
         small_blocks(monkeypatch, 2, 3)  # 7 points in blocks of 2: the last holds the near one alone
     if rejected:
@@ -243,6 +274,13 @@ def test_assembly_working_set_is_the_matrix(traced_peak):
     prob = MfsProblem(surface=SURFACE, medium=ChiralMedium(beta=0.1, alpha=1 + 0.3j), n_sources=200, source_scale=0.5)
     (A, _), peak = traced_peak(lambda: assemble_system(prob))
     assert peak <= A.nbytes + 5e6
+
+
+def test_problem_rejects_zero_wavenumber():
+    # H = -curl E/(i alpha) divides by alpha; a tiny alpha is still a wavenumber
+    with pytest.raises(ValueError, match="alpha must be non-zero"):
+        MfsProblem(surface=SURFACE, medium=ChiralMedium(alpha=0.0), n_sources=4, source_scale=0.15)
+    MfsProblem(surface=SURFACE, medium=ChiralMedium(alpha=1e-9), n_sources=4, source_scale=0.15)
 
 
 def test_chiral_resonance_propagates():
@@ -362,6 +400,20 @@ def test_one_norm_is_numpys():
     for shape in ((300, 300), (5000, 7), (5, 400), (3, 20000)):
         A = random_complex(rng, shape)
         assert _norm1(A) == np.linalg.norm(A, 1)
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (20, 12)], ids=["square", "tall"])
+def test_residual_keeps_its_bits_under_power_of_two_scaling(shape):
+    # Ax - b and b are scaled by a power of two before the norms, so |b|^2
+    # neither overflows (nan at 2^900) nor underflows (2^-900) on the way
+    rng = np.random.default_rng(10)
+    A, b = random_complex(rng, shape), random_complex(rng, shape[0])
+    ref = solve_dense(A, b).residual
+    assert 0.0 < ref < np.inf  # the tall system's least-squares residual is O(1)
+    for p in (-900, -40, 40, 900):
+        assert solve_dense(A, b * 2.0**p).residual == ref
+    # a subnormal right-hand side: the scale stays finite
+    assert solve_dense(np.eye(4), np.full(4, 1e-310 + 0j)).residual == 0.0
 
 
 def test_solve_tall_matches_lstsq_and_qr_condition():
@@ -706,6 +758,29 @@ def test_benchmark_trend_and_stability():
     ratios = np.maximum(err_e, err_h) / err_b
     k_fit = float(np.exp(np.mean(np.log(ratios))))
     assert np.all(np.maximum(err_e, err_h) <= 10.0 * k_fit * err_b)
+
+
+def test_sweep_does_only_the_work_its_rows_read(monkeypatch):
+    # per N, frames for the collocation set only and one field evaluation
+    # over the grid and the check spiral stacked; the grid's frames are
+    # built once per sweep, and no cross product goes through np.cross
+    import bqem.scattering as scattering
+
+    calls = []
+
+    def logged(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("surface_frame", "evaluate_fields"):
+        monkeypatch.setattr(scattering, name, logged(name, getattr(scattering, name)))
+    monkeypatch.setattr(np, "cross", logged("np.cross", np.cross))
+    prob = MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=15, source_scale=0.15)
+    run_benchmark(prob, [10, 15])
+    assert calls == ["surface_frame"] + ["surface_frame", "evaluate_fields"] * 2
 
 
 def test_benchmark_evaluates_the_fixed_grid_reference_once():
