@@ -71,5 +71,4 @@ from .scattering import (
     sample_surface,
     solve_dense,
     solve_problem,
-    tangential_datum,
 )

@@ -45,7 +45,7 @@ from .errors import AchiralUnsupported
 from .grids import Lattice, SpaceTimeLattice, _keep, _time_diff, _time_windows
 from .grids import dirac, div, max_abs_interior, rot
 from .inhomog import EMState
-from .kernels import ChiralMedium, fundamental_solution
+from .kernels import ChiralMedium, _radius, fundamental_solution
 
 # Relative size of |dt rho + div j| above which the sources are reported
 # as violating charge continuity.
@@ -78,7 +78,7 @@ def _green_factors(x, medium: ChiralMedium):
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite factor is rejected below
         K = fundamental_solution(1.0 / beta, x).components
         x = np.asarray(x, dtype=float)
-        r = np.sqrt(np.sum(x * x, axis=-1))
+        r = _radius(x)
         rt_em = np.sqrt(medium.eps * medium.mu)
         # -1j theta / (beta^3 eps mu), with theta = beta Sc K
         q = (-1j / (beta * beta * medium.eps * medium.mu)) * K[..., 0]

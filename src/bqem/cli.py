@@ -197,10 +197,11 @@ def cmd_scatter(cfg: dict, fmt: str, out: str | None) -> int:
         medium=medium,
         n_sources=max(n_values),
         source_scale=source_scale,
+        reference=partial(dipole_field, moment, medium),
         impedance=impedance,
         oversample=oversample,
     )
-    rows = run_benchmark(problem, n_values, reference=partial(dipole_field, moment, medium))
+    rows = run_benchmark(problem, n_values)
     report = Report(
         columns=["N", "errE", "errH", "errB", "residual", "cond", "sc_leak", "wall_ms"],
         rows=rows,

@@ -39,12 +39,8 @@ class DegenerateSample(BqemError):
     """A surface sample landed on a parametrization pole with no tangent frame."""
 
 
-class SourceOnBoundary(BqemError):
-    """A fundamental-solution source point coincides with an evaluation point."""
-
-
 class SourceSingularity(BqemError):
-    """A field evaluation point coincides with one of the solution's source points."""
+    """A collocation or field evaluation point lies within COINCIDENCE_TOL of a source point."""
 
 
 class SingularMatrix(BqemError):

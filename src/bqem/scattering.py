@@ -11,10 +11,11 @@ ones):
 
 with constant biquaternion coefficients a_j, b_j (8N complex unknowns).
 Collocation at 2N surface points imposes, per point, the two tangential
-components of E_N x n = f (or the impedance condition) plus the two scalar
-constraints Sc(sum K a + sum K b) = 0 and Sc(sum K a - sum K b) = 0 that
-keep the combinations purely vectorial, giving a square 8N x 8N complex
-system.  Collocation and source points are laid out on a generalized
+components of E_N x n = E x n for the problem's reference field (E, H), or
+of E_N x n - xi (H_N x n) x n = E x n - xi (H x n) x n with an impedance
+xi, plus the two scalar constraints Sc(sum K a + sum K b) = 0 and
+Sc(sum K a - sum K b) = 0 that keep the combinations purely vectorial,
+giving a square 8N x 8N complex system.  Collocation and source points are laid out on a generalized
 (golden-angle) spiral, which is quasi-uniform and never touches the
 parametrization poles.
 
@@ -26,8 +27,8 @@ kernels of a block of points, read as a (points, 4N) matrix, times it give
 both combinations at those points.
 
 The magnetic-dipole exterior problem is the reference benchmark: solve
-with boundary data from the known dipole field of the medium, chiral or
-not, and report the maximum componentwise error on an inflated
+with the known dipole field of the medium, chiral or not, as the reference
+field, and report the maximum componentwise error on an inflated
 evaluation ellipsoid for a sweep of N.
 """
 
@@ -42,7 +43,7 @@ import numpy as np
 import scipy  # scipy.linalg loads on first attribute access, at the first solve
 
 from .algebra import _CONJ, Biquaternion, _cross, _mul_components
-from .errors import DegenerateSample, SingularMatrix, SourceOnBoundary, SourceSingularity
+from .errors import DegenerateSample, SingularMatrix, SourceSingularity
 from .kernels import ChiralMedium, _radius, chiral_wavenumbers, dipole_field, fundamental_solution
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -55,6 +56,9 @@ COINCIDENCE_TOL = 1e-10
 # matrix and one factor of the same size, so a larger one is refused as a
 # config error before anything is allocated.
 MAX_MATRIX_BYTES = 2**31
+
+# The dipole moment of the default reference field: a dipole at the origin.
+DIPOLE_MOMENT = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
 
 # Kernel entries (point, source pairs) per block: assembly and field
 # evaluation run one block of points at a time, and the 1-norm one block of
@@ -156,22 +160,29 @@ def spiral_points(surface: Ellipsoid, count: int, scale: float = 1.0) -> np.ndar
     return _parametrize(surface, *_spiral(count), scale)[0]
 
 
-def parametric_grid(surface: Ellipsoid, n_eta: int, n_nu: int, scale: float = 1.0) -> SurfaceSamples:
-    """Regular (eta, nu) evaluation grid, poles excluded."""
+def parametric_grid(surface: Ellipsoid, n_eta: int, n_nu: int, scale: float = 1.0) -> np.ndarray:
+    """The (n_eta n_nu, 3) positions of a regular (eta, nu) evaluation grid, poles excluded."""
     eta = 2.0 * np.pi * np.arange(n_eta) / n_eta
     nu = np.pi * (np.arange(n_nu) + 0.5) / n_nu
     ee, nn = np.meshgrid(eta, nu, indexing="ij")
-    return surface_frame(surface, ee.ravel(), nn.ravel(), scale)
+    return _parametrize(surface, ee.ravel(), nn.ravel(), scale)[0]
+
+
+# Maps (n, 3) points to the fields (E, H) there.
+Fields = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
 class MfsProblem:
     """One boundary value problem for the solver.
 
-    ``boundary_data`` receives the collocation SurfaceSamples and returns
-    the (n, 3) tangential datum f.  ``impedance`` None means a perfect
-    conductor (E x n = f); a complex value xi switches the two tangential
-    rows to E x n - xi [(H x n) x n] = f.  ``source_scale`` picks the side:
+    ``reference`` maps points to the fields (E, H) whose boundary values
+    the solution must match; None means the medium's ``dipole_field`` with
+    DIPOLE_MOMENT at the origin.  ``impedance`` None means a perfect
+    conductor, E_N x n = E x n; a complex value xi imposes
+    E_N x n - xi (H_N x n) x n = E x n - xi (H x n) x n.  Both sides come
+    from the same tangential rows, so a solution that reproduces the
+    reference satisfies them exactly.  ``source_scale`` picks the side:
     sources on a shrunk copy of the surface (scale < 1) give an exterior
     problem, on an inflated one (scale > 1) an interior problem.
     ``oversample`` > 1 collocates more than 2N points and solves in the
@@ -186,7 +197,7 @@ class MfsProblem:
     medium: ChiralMedium
     n_sources: int
     source_scale: float
-    boundary_data: Callable[[SurfaceSamples], np.ndarray] | None = None
+    reference: Fields | None = None
     impedance: complex | None = None
     oversample: float = 1.0
 
@@ -215,6 +226,12 @@ class MfsProblem:
     def n_collocation(self) -> int:
         return int(np.ceil(2 * self.n_sources * self.oversample))
 
+    def reference_fields(self) -> Fields:
+        """``reference``, or the default dipole of the medium the problem has now."""
+        if self.reference is not None:
+            return self.reference
+        return partial(dipole_field, DIPOLE_MOMENT, self.medium)
+
 
 def source_points(problem: MfsProblem) -> np.ndarray:
     """The (N, 3) source positions: only the collocation points need frames."""
@@ -225,18 +242,18 @@ def collocation_points(problem: MfsProblem) -> SurfaceSamples:
     return sample_surface(problem.surface, problem.n_collocation(), 1.0)
 
 
-def _kernels(medium: ChiralMedium, pts, sources, coincident: type[Exception]) -> tuple[np.ndarray, np.ndarray]:
+def _kernels(medium: ChiralMedium, pts, sources) -> tuple[np.ndarray, np.ndarray]:
     """Components of K(alpha1) and K(alpha2) at the offsets pts - sources,
     of shape (points, sources, 4).
 
-    Raises ``coincident`` when a point lies within COINCIDENCE_TOL of a
-    source.  Branch b uses K(-alpha2), which is K(alpha2) with its scalar
+    Raises ``SourceSingularity`` when a point lies within COINCIDENCE_TOL of
+    a source.  Branch b uses K(-alpha2), which is K(alpha2) with its scalar
     part negated; the callers apply that sign.  With alpha1 == alpha2
     (beta = 0) the kernel is evaluated once and shared by both branches.
     """
     dx = pts[:, None, :] - sources[None, :, :]
     if np.min(_radius(dx)) < COINCIDENCE_TOL:
-        raise coincident("a point coincides with a source point")
+        raise SourceSingularity("a point coincides with a source point")
     alpha1, alpha2 = medium.alpha1, medium.alpha2
     k1 = fundamental_solution(alpha1, dx).components
     return k1, (k1 if alpha2 == alpha1 else fundamental_solution(alpha2, dx).components)
@@ -268,6 +285,9 @@ def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: np.ndarray):
 
     The matrix is filled one block of collocation points at a time; the
     kernels of a block are the only temporaries that grow with the sources.
+    Tangential row k of a point imposes (E_N x n) . t_k + xi H_N . t_k, as
+    ((H x n) x n) . t = -H . t, and its right-hand side is the same
+    functional of the reference field, (E x n) . t_k + xi H . t_k.
     """
     n_col, n_src = len(col), len(src)
     # Every row is Sc(X K(sign*alpha) a) with one quaternion X per point and
@@ -286,14 +306,13 @@ def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: np.ndarray):
     # axes: collocation point, row kind, branch (a or b), source, component
     A = np.empty((n_col, 4, 2, n_src, 4), dtype=complex)
     for blk in _blocks(n_col, n_src):
-        kernels = _kernels(problem.medium, col.pos[blk], src, SourceOnBoundary)
+        kernels = _kernels(problem.medium, col.pos[blk], src)
         t = np.stack([col.t1[blk], col.t2[blk]], axis=1)
         n_cross_t = 0.5 * _cross(col.normal[blk, None, :], t)
         Lt = np.empty((len(t), 4, 4, 4), dtype=complex)
         for branch, (K, sign, (tangential, scalar)) in enumerate(zip(kernels, (1, -1), _ROW_OPERATORS)):
-            # branch b enters H_N and the second scalar constraint with the
-            # same sign it carries in K(sign * alpha); an impedance xi adds
-            # +xi <H_N, t> since (H x n) x n = n<H,n> - H
+            # branch b enters H_N (and with it the impedance term) and the
+            # second scalar constraint with the sign it carries in K(sign * alpha)
             d = n_cross_t
             if problem.impedance is not None:
                 d = d + sign * (complex(problem.impedance) / 2j) * t
@@ -302,11 +321,13 @@ def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: np.ndarray):
             np.matmul(K[:, None], Lt, out=A[blk, :, branch])
         del kernels, K  # before the next block's are built
 
+    E, H = problem.reference_fields()(col.pos)
+    e_cross_n = _cross(E, col.normal)
     rhs = np.zeros(4 * n_col, dtype=complex)
-    if problem.boundary_data is not None:
-        f = np.asarray(problem.boundary_data(col), dtype=complex)
-        rhs[0::4] = np.einsum("ci,ci->c", f, col.t1.astype(complex))
-        rhs[1::4] = np.einsum("ci,ci->c", f, col.t2.astype(complex))
+    for k, t in enumerate((col.t1.astype(complex), col.t2.astype(complex))):
+        rhs[k::4] = np.einsum("ci,ci->c", e_cross_n, t)
+        if problem.impedance is not None:
+            rhs[k::4] += complex(problem.impedance) * np.einsum("ci,ci->c", H, t)
     return A.reshape(4 * n_col, 8 * n_src), rhs
 
 
@@ -488,7 +509,7 @@ def evaluate_fields(sol: MfsSolution, x) -> tuple[np.ndarray, np.ndarray, np.nda
         W_a = W_a + W_b
     sums = np.empty((len(pts), 8), dtype=complex)
     for blk in _blocks(len(pts), n_src):
-        K1, K2 = _kernels(sol.medium, pts[blk], sol.sources, SourceSingularity)
+        K1, K2 = _kernels(sol.medium, pts[blk], sol.sources)
         rows = (blk.stop - blk.start, 4 * n_src)
         np.matmul(K1.reshape(rows), W_a, out=sums[blk])
         if not shared:
@@ -502,22 +523,6 @@ def evaluate_fields(sol: MfsSolution, x) -> tuple[np.ndarray, np.ndarray, np.nda
     return E, H, sc_leak
 
 
-Fields = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
-def tangential_datum(reference: Fields) -> Callable[[SurfaceSamples], np.ndarray]:
-    """Boundary datum f = E x n from a reference field, points -> (E, H)."""
-
-    def f(samples: SurfaceSamples) -> np.ndarray:
-        E, _ = reference(samples.pos)
-        return _cross(E, samples.normal)
-
-    return f
-
-
-# The dipole moment of the benchmark reference.
-DIPOLE_MOMENT = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-
 # Where run_benchmark measures errors: an (n_eta, n_nu) parametric grid on
 # the surface scaled by EVAL_SCALE, and a spiral of
 # BOUNDARY_CHECK_FACTOR * (collocation points) + 7 samples on the surface.
@@ -526,25 +531,22 @@ EVAL_SCALE = 5.0
 BOUNDARY_CHECK_FACTOR = 3
 
 
-def run_benchmark(problem: MfsProblem, n_values, reference: Fields | None = None) -> list[dict]:
-    """Solve the problem for each N and compare against the exact fields.
+def run_benchmark(problem: MfsProblem, n_values) -> list[dict]:
+    """Solve the problem for each N and compare against its reference field.
 
-    Returns one row per N.  ``reference`` maps points to the exact (E, H);
-    when omitted, it is the ``dipole_field`` of the problem's medium (both
-    circular polarizations when beta != 0) with DIPOLE_MOMENT at the origin.
-    The boundary data is derived from the reference.  Errors are the
-    maximum componentwise complex modulus of the field difference over the
-    EVAL_GRID parametric grid on the surface scaled by EVAL_SCALE (5); the
-    boundary error errB is measured the same way on an offset spiral denser
-    than the collocation set, and ``residual`` is the relative residual of
-    the dense solve.  The fields are evaluated once per N, on the grid and
-    the spiral stacked: errE, errH and sc_leak read the grid's rows, errB
-    the spiral's.
+    Returns one row per N.  The exact (E, H) is the problem's reference
+    field, by default the ``dipole_field`` of its medium (both circular
+    polarizations when beta != 0), whose boundary values the solve matches.
+    Errors are the maximum componentwise complex modulus of the field
+    difference over the EVAL_GRID parametric grid on the surface scaled by
+    EVAL_SCALE (5); the boundary error errB is measured the same way on an
+    offset spiral denser than the collocation set, and ``residual`` is the
+    relative residual of the dense solve.  The fields are evaluated once per
+    N, on the grid and the spiral stacked: errE, errH and sc_leak read the
+    grid's rows, errB the spiral's.
     """
-    if reference is None:
-        reference = partial(dipole_field, DIPOLE_MOMENT, problem.medium)
-    boundary_data = tangential_datum(reference)
-    eval_pts = parametric_grid(problem.surface, *EVAL_GRID, scale=EVAL_SCALE).pos
+    reference = problem.reference_fields()
+    eval_pts = parametric_grid(problem.surface, *EVAL_GRID, scale=EVAL_SCALE)
     E_grid, H_grid = reference(eval_pts)  # the grid does not depend on N
     g = len(eval_pts)
 
@@ -553,7 +555,7 @@ def run_benchmark(problem: MfsProblem, n_values, reference: Fields | None = None
 
     rows = []
     for n in n_values:
-        prob_n = replace(problem, n_sources=int(n), boundary_data=boundary_data)
+        prob_n = replace(problem, n_sources=int(n))
         t0 = time.perf_counter()
         sol = solve_problem(prob_n)
         wall_ms = 1e3 * (time.perf_counter() - t0)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diffops, inhomog
-from .algebra import Biquaternion, I1, I2, I3, ONE, _components, cross, dot
+from .algebra import Biquaternion, I1, I2, I3, ONE, _components, _cross, cross, dot
 from .chiral_time import _M_slab, green_function, green_refinement
 from .grids import Lattice, SpaceTimeLattice, _time_windows, grad, laplacian, max_abs_interior, rot
 from .kernels import (
@@ -193,7 +193,7 @@ def suite_kernels(seed: int = 0) -> list[CheckRow]:
         xh = np.array([0.6, 0.64, 0.48])
         p = r * xh
         E, H = dipole_field(moment, ChiralMedium(alpha=1.0), p)
-        sm.append(r * float(np.max(np.abs(E - np.cross(xh, H)))))
+        sm.append(r * float(np.max(np.abs(E - _cross(xh, H)))))
     rows.append(_row("kernels", "silver_mueller_decay", max(sm[1] / sm[0], sm[2] / sm[1]), 1.0))
     return rows
 
@@ -418,7 +418,7 @@ def suite_inhomog(seed: int = 0) -> list[CheckRow]:
     pts = st9.st.space.points()
     bump = np.exp(-np.sum(pts * pts, axis=-1))
     gradbump = -2.0 * pts * bump[..., None]
-    curl_bump = np.cross(np.array([1.0, 0.5, -0.3]), gradbump)  # divergence-free
+    curl_bump = _cross(np.array([1.0, 0.5, -0.3]), gradbump)  # divergence-free
     violations = {
         "violation_div_eps_E": replace(st9, E=st9.E + 0.3 * gradbump[None]),
         "violation_div_mu_H": replace(st9, H=st9.H + 0.3 * gradbump[None]),

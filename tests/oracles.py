@@ -130,7 +130,7 @@ def assemble_rows(problem, col, src):
     tangential rows, d = (n x t)/2 (+ sign xi/(2j) t with an impedance xi),
     and X = 1, sign for the two scalar constraints.
     """
-    K_a, K_b = _kernels(problem.medium, col.pos, src, ValueError)
+    K_a, K_b = _kernels(problem.medium, col.pos, src)
     t = np.stack([col.t1, col.t2], axis=1)
     X = np.zeros((len(col), 4, 1, 4), dtype=complex)
     X[:, 2, 0, 0] = 1.0

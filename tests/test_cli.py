@@ -91,6 +91,27 @@ def test_scatter_chiral_sweep_converges(tmp_path, capsys):
     assert err[35] < err[10]
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.1], ids=["achiral", "chiral"])
+def test_scatter_impedance_sweep_converges(tmp_path, capsys, beta):
+    # the datum is the impedance functional of the reference field, the one
+    # the rows impose, so the boundary error falls at every N
+    cfg = {"ellipsoid": {"a": 5, "b": 3, "c": 2}, "beta": beta, "impedance": [0.5, 0.1], "n_values": [10, 20, 30, 40]}
+    assert main(["scatter", "--config", write_config(tmp_path, cfg), "--format", "json"]) == 0
+    err_b = [row["errB"] for row in json.loads(capsys.readouterr().out)]
+    assert all(later < earlier for earlier, later in zip(err_b, err_b[1:]))
+    assert err_b[-1] < 1e-5
+
+
+def test_scatter_zero_impedance_is_the_conductor(tmp_path, capsys):
+    # xi = 0 adds exact zeros to rows and datum: the same rows to the byte
+    def data_rows(cfg):
+        assert main(["scatter", "--config", write_config(tmp_path, cfg)]) == 0
+        return [ln for ln in drop_wall_ms(capsys.readouterr().out).splitlines() if not ln.startswith("#")]
+
+    cfg = {"ellipsoid": {"a": 5, "b": 3, "c": 2}, "n_values": [10, 20]}
+    assert data_rows(dict(cfg, impedance=0)) == data_rows(cfg)
+
+
 def test_scatter_out_file(tmp_path):
     cfg = write_config(tmp_path, TINY_SCATTER)
     out = tmp_path / "report.csv"

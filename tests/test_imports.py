@@ -78,7 +78,7 @@ PUBLIC_NAMES = [
     "helmholtz_kernel_grad", "manufactured_state", "maxwell_equivalence_residual",
     "maxwell_residuals", "quaternionic_residual", "run_benchmark",
     "sample_surface", "schrodinger_factorization_residual", "solve_dense", "solve_problem",
-    "static_residuals", "tangential_datum",
+    "static_residuals",
     "vekua_coefficient_identity_residual", "vekua_consequences", "vekua_residual",
 ]
 
@@ -88,5 +88,5 @@ def test_public_surface_is_pinned():
         name for name, value in vars(bqem).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
-    assert len(PUBLIC_NAMES) == 49
+    assert len(PUBLIC_NAMES) == 48
     assert exported == PUBLIC_NAMES

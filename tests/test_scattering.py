@@ -12,12 +12,12 @@ from bqem.errors import (
     ChiralResonance,
     DegenerateSample,
     SingularMatrix,
-    SourceOnBoundary,
     SourceSingularity,
 )
 from bqem.kernels import ChiralMedium, dipole_field, fundamental_solution
 from bqem.scattering import (
     COINCIDENCE_TOL,
+    DIPOLE_MOMENT,
     Ellipsoid,
     MAX_MATRIX_BYTES,
     MfsProblem,
@@ -35,7 +35,6 @@ from bqem.scattering import (
     source_points,
     spiral_points,
     surface_frame,
-    tangential_datum,
 )
 
 SURFACE = Ellipsoid(5.0, 3.0, 2.0)
@@ -49,7 +48,7 @@ def dipole_problem(n, moment=(1.0, 0.0, 0.0), **kw):
         medium=MEDIUM,
         n_sources=n,
         source_scale=0.15,
-        boundary_data=tangential_datum(partial(dipole_field, np.asarray(moment, dtype=float), MEDIUM)),
+        reference=partial(dipole_field, np.asarray(moment, dtype=float), MEDIUM),
         **kw,
     )
 
@@ -119,8 +118,8 @@ def test_spiral_points_are_the_sample_positions(count, scale):
 
 def test_parametric_grid_excludes_poles():
     g = parametric_grid(SURFACE, 24, 12, scale=5.0)
-    assert len(g) == 24 * 12
-    assert np.min(np.abs(np.abs(g.pos[:, 2]) - 10.0)) > 1e-3  # never exactly at a pole
+    assert g.shape == (24 * 12, 3)
+    assert np.min(np.abs(np.abs(g[:, 2]) - 10.0)) > 1e-3  # never exactly at a pole
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +127,22 @@ def test_parametric_grid_excludes_poles():
 # ---------------------------------------------------------------------------
 
 
-def test_system_shape_and_zero_rhs():
+def test_system_shape():
     prob = MfsProblem(
         surface=SURFACE, medium=MEDIUM, n_sources=10, source_scale=0.15
     )
     A, b = assemble_system(prob)
     assert A.shape == (80, 80)
-    assert np.all(b == 0.0)  # no boundary data given
+    assert b.shape == (80,)
+
+
+def test_default_reference_follows_the_medium():
+    # the default dipole is resolved when the rows are built, so a problem
+    # copied into another medium matches that medium's dipole
+    chiral = ChiralMedium(beta=0.1, alpha=1 + 0.3j)
+    prob = replace(MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=4, source_scale=0.15), medium=chiral)
+    explicit = replace(prob, reference=partial(dipole_field, DIPOLE_MOMENT, chiral))
+    assert np.array_equal(assemble_system(prob)[1], assemble_system(explicit)[1])
 
 
 @pytest.mark.parametrize(
@@ -157,6 +165,15 @@ def test_matrix_entries_against_naive_oracle(medium, impedance):
     A, b = assemble_system(prob)
     col = collocation_points(prob)
     src = source_points(prob)
+    xi = 0.0 if impedance is None else impedance
+    # the right-hand side: the boundary functional of the default reference
+    # dipole, written out with np.cross, and zero on the scalar rows
+    E, H = dipole_field(DIPOLE_MOMENT, medium, col.pos)
+    datum = np.cross(E, col.normal) - xi * np.cross(np.cross(H, col.normal), col.normal)
+    expected_b = np.zeros((len(col), 4), dtype=complex)
+    expected_b[:, 0] = np.einsum("ci,ci->c", datum, col.t1)
+    expected_b[:, 1] = np.einsum("ci,ci->c", datum, col.t2)
+    np.testing.assert_allclose(b, expected_b.ravel(), rtol=0, atol=1e-14 * np.max(np.abs(b)))
     rng = np.random.default_rng(1)
     units = np.eye(4)
     for _ in range(24):
@@ -176,7 +193,6 @@ def test_matrix_entries_against_naive_oracle(medium, impedance):
             minus_term = -plus_term
         E_contrib = 0.5 * plus_term[1:]
         H_contrib = minus_term[1:] / 2j
-        xi = 0.0 if impedance is None else impedance
         for r, expected in (
             (0, np.dot(np.cross(E_contrib, col.normal[i]), col.t1[i]) + xi * np.dot(H_contrib, col.t1[i])),
             (1, np.dot(np.cross(E_contrib, col.normal[i]), col.t2[i]) + xi * np.dot(H_contrib, col.t2[i])),
@@ -213,7 +229,7 @@ def test_source_on_boundary_guard():
     col = SurfaceSamples(
         pos=src.copy(), normal=frames.normal, t1=frames.t1, t2=frames.t2
     )
-    with pytest.raises(SourceOnBoundary):
+    with pytest.raises(SourceSingularity):
         _assemble_rows(prob, col, src)
 
 
@@ -241,7 +257,7 @@ def test_source_on_boundary_guard_in_last_block(monkeypatch):
     col = sample_surface(SURFACE, 7, 1.0)
     col.pos[-1] = src[1]
     small_blocks(monkeypatch, 2, 3)
-    with pytest.raises(SourceOnBoundary):
+    with pytest.raises(SourceSingularity):
         _assemble_rows(prob, col, src)
 
 
@@ -258,7 +274,7 @@ def test_coincidence_guard_at_the_tolerance(monkeypatch, short_last_block, tols,
     if short_last_block:
         small_blocks(monkeypatch, 2, 3)  # 7 points in blocks of 2: the last holds the near one alone
     if rejected:
-        with pytest.raises(SourceOnBoundary):
+        with pytest.raises(SourceSingularity):
             _assemble_rows(prob, col, src)
         with pytest.raises(SourceSingularity):
             evaluate_fields(sol, col.pos)
@@ -558,7 +574,7 @@ def test_evaluate_at_source_rejected():
 
 def test_evaluate_at_source_in_last_block_rejected(monkeypatch):
     sol = solve_problem(dipole_problem(4))
-    x = np.vstack([parametric_grid(SURFACE, 3, 3, scale=2.0).pos, sol.sources[2]])
+    x = np.vstack([parametric_grid(SURFACE, 3, 3, scale=2.0), sol.sources[2]])
     small_blocks(monkeypatch, 4, 4)
     with pytest.raises(SourceSingularity):
         evaluate_fields(sol, x)
@@ -584,7 +600,7 @@ def test_solution_matches_dipole_on_eval_surface():
     moment = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
     prob = dipole_problem(16, moment=moment)
     sol = solve_problem(prob)
-    pts = parametric_grid(SURFACE, 12, 6, scale=5.0).pos
+    pts = parametric_grid(SURFACE, 12, 6, scale=5.0)
     E, H, _ = evaluate_fields(sol, pts)
     E_ref, H_ref = dipole_field(moment, MEDIUM, pts)
     assert np.max(np.abs(E - E_ref)) < 1e-5
@@ -641,19 +657,15 @@ def test_interior_problem():
     def reference(pts):
         return dipole_field(moment, MEDIUM, np.asarray(pts) - center)
 
-    def boundary_data(samples):
-        E, _ = reference(samples.pos)
-        return np.cross(E, samples.normal)
-
     prob = MfsProblem(
         surface=SURFACE,
         medium=MEDIUM,
         n_sources=48,
         source_scale=2.5,
-        boundary_data=boundary_data,
+        reference=reference,
     )
     sol = solve_problem(prob)
-    pts = parametric_grid(SURFACE, 10, 5, scale=0.5).pos
+    pts = parametric_grid(SURFACE, 10, 5, scale=0.5)
     E, H, _ = evaluate_fields(sol, pts)
     E_ref, H_ref = reference(pts)
     scale = np.max(np.abs(E_ref))
@@ -663,22 +675,16 @@ def test_interior_problem():
 def test_impedance_condition():
     moment = np.array([1.0, 0.5, -0.2])
     xi = 0.4 + 0.1j
-
-    def boundary_data(samples):
-        E, H = dipole_field(moment, MEDIUM, samples.pos)
-        hxn = np.cross(H, samples.normal)
-        return np.cross(E, samples.normal) - xi * np.cross(hxn, samples.normal)
-
     prob = MfsProblem(
         surface=SURFACE,
         medium=MEDIUM,
         n_sources=16,
         source_scale=0.15,
-        boundary_data=boundary_data,
+        reference=partial(dipole_field, moment, MEDIUM),
         impedance=xi,
     )
     sol = solve_problem(prob)
-    pts = parametric_grid(SURFACE, 12, 6, scale=5.0).pos
+    pts = parametric_grid(SURFACE, 12, 6, scale=5.0)
     E, H, _ = evaluate_fields(sol, pts)
     E_ref, H_ref = dipole_field(moment, MEDIUM, pts)
     assert np.max(np.abs(E - E_ref)) < 1e-5
@@ -710,7 +716,7 @@ def test_problem_validation():
 def test_oversampled_least_squares_solve():
     prob = dipole_problem(8, oversample=1.5)
     sol = solve_problem(prob)
-    pts = parametric_grid(SURFACE, 8, 4, scale=5.0).pos
+    pts = parametric_grid(SURFACE, 8, 4, scale=5.0)
     E, H, _ = evaluate_fields(sol, pts)
     E_ref, H_ref = dipole_field(np.array([1.0, 0, 0]), MEDIUM, pts)
     assert np.max(np.abs(E - E_ref)) < 1e-4
@@ -722,7 +728,7 @@ def test_ill_conditioned_system_gives_accurate_field(oversample):
     # N = 100 with sources at 0.15: the condition estimate is near 1e19 on
     # the square system, yet the fitted field is accurate to 1e-12
     sol = solve_problem(dipole_problem(100, oversample=oversample))
-    pts = parametric_grid(SURFACE, 24, 12, scale=5.0).pos
+    pts = parametric_grid(SURFACE, 24, 12, scale=5.0)
     E, _, _ = evaluate_fields(sol, pts)
     E_ref, _ = dipole_field(np.array([1.0, 0, 0]), MEDIUM, pts)
     assert sol.residual < 1e-10
@@ -762,8 +768,8 @@ def test_benchmark_trend_and_stability():
 
 def test_sweep_does_only_the_work_its_rows_read(monkeypatch):
     # per N, frames for the collocation set only and one field evaluation
-    # over the grid and the check spiral stacked; the grid's frames are
-    # built once per sweep, and no cross product goes through np.cross
+    # over the grid and the check spiral stacked; the grid is positions
+    # only, and no cross product goes through np.cross
     import bqem.scattering as scattering
 
     calls = []
@@ -780,7 +786,7 @@ def test_sweep_does_only_the_work_its_rows_read(monkeypatch):
     monkeypatch.setattr(np, "cross", logged("np.cross", np.cross))
     prob = MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=15, source_scale=0.15)
     run_benchmark(prob, [10, 15])
-    assert calls == ["surface_frame"] + ["surface_frame", "evaluate_fields"] * 2
+    assert calls == ["surface_frame", "evaluate_fields"] * 2
 
 
 def test_benchmark_evaluates_the_fixed_grid_reference_once():
@@ -792,8 +798,8 @@ def test_benchmark_evaluates_the_fixed_grid_reference_once():
         grid_calls.append(len(x) == EVAL_GRID[0] * EVAL_GRID[1])
         return dipole_field(DIPOLE, MEDIUM, x)
 
-    prob = MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=6, source_scale=0.15)
-    run_benchmark(prob, [6, 8, 10], reference=reference)
+    prob = MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=6, source_scale=0.15, reference=reference)
+    run_benchmark(prob, [6, 8, 10])
     assert sum(grid_calls) == 1
 
 
@@ -817,7 +823,7 @@ def test_error_metric_stable_under_grid_doubling():
     sol = solve_problem(dipole_problem(20, moment=moment))
 
     def max_err(grid):
-        pts = parametric_grid(SURFACE, *grid, scale=5.0).pos
+        pts = parametric_grid(SURFACE, *grid, scale=5.0)
         E, H, _ = evaluate_fields(sol, pts)
         E_ref, H_ref = dipole_field(moment, MEDIUM, pts)
         return max(np.max(np.abs(E - E_ref)), np.max(np.abs(H - H_ref)))
