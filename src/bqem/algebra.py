@@ -44,19 +44,18 @@ def _mul_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Quaternion product on (..., 4) component arrays.
 
     Scalar part a0*b0 - <av, bv>, vector part a0*bv + b0*av + av x bv,
-    which is the multiplication table of the units written out.
+    which is the multiplication table of the units written out.  Each
+    component's last subtraction writes straight into one preallocated
+    result, so no per-component temporary is copied again.
     """
     a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + b0 * a1 + a2 * b3 - a3 * b2,
-            a0 * b2 + b0 * a2 + a3 * b1 - a1 * b3,
-            a0 * b3 + b0 * a3 + a1 * b2 - a2 * b1,
-        ],
-        axis=-1,
-    )
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    np.subtract(a0 * b0 - a1 * b1 - a2 * b2, a3 * b3, out=out[..., 0])
+    np.subtract(a0 * b1 + b0 * a1 + a2 * b3, a3 * b2, out=out[..., 1])
+    np.subtract(a0 * b2 + b0 * a2 + a3 * b1, a1 * b3, out=out[..., 2])
+    np.subtract(a0 * b3 + b0 * a3 + a1 * b2, a2 * b1, out=out[..., 3])
+    return out
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:

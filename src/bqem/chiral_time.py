@@ -97,8 +97,10 @@ def _green_at(t, factors) -> np.ndarray:
     A NaN t, and a t so large that a t, c t or t / c overflows, are
     rejected; the check takes scalars only (the latest time, NaN if any time
     is, and the range of c), so a time slab costs no extra pass over its
-    nodes.  scipy.special is imported on first use: at module level it would
-    add tens of milliseconds to ``import bqem`` for every command.
+    nodes.  The result is built from whole (..., 4) arrays: P J0, less
+    Q sqrt(t/c) J1 in place, times the phase in place.  scipy.special is
+    imported on first use: at module level it would add tens of milliseconds
+    to ``import bqem`` for every command.
     """
     import scipy.special
 
@@ -117,9 +119,9 @@ def _green_at(t, factors) -> np.ndarray:
     j1_scaled = np.sqrt(tpos / c) * scipy.special.j1(z)
     # e^{iat} on the times alone, zero where t < 0
     phase = np.where(before, 0.0, np.exp(1j * a * tpos))
-    out = np.empty(j0.shape + (4,), dtype=complex)
-    for k in range(4):
-        out[..., k] = phase * (P[..., k] * j0 - Q[..., k] * j1_scaled)
+    out = P * j0[..., None]
+    out -= Q * j1_scaled[..., None]
+    np.multiply(phase[..., None], out, out=out)  # phase first: its operand order sets the bits
     return out
 
 

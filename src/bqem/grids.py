@@ -26,6 +26,7 @@ array; that array is never built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +108,9 @@ def _stencil_output(shape: tuple, axes) -> tuple[np.ndarray, tuple]:
     for ax in axes:
         if shape[ax] < 3:
             raise GridTooSmall(f"axis {ax} has {shape[ax]} nodes, need 3")
-        np.moveaxis(out, ax, 0)[[0, -1]] = np.nan
+        face = [slice(None)] * len(shape)
+        face[ax] = slice(None, None, shape[ax] - 1)  # nodes 0 and n - 1
+        out[tuple(face)] = np.nan
         box[ax] = slice(1, -1)
     return out, tuple(box)
 
@@ -163,19 +166,32 @@ def dirac(values: np.ndarray, h: float) -> np.ndarray:
     """Dirac operator on (..., 4) quaternion components.
 
     Scalar part -div of the vector part, vector part grad of the scalar
-    part plus rot of the vector part.
+    part plus rot of the vector part.  Each output component is summed and
+    divided by 2h in its own contiguous array, then written once into the
+    interior; its sign is applied by that write.
     """
+    values = np.asarray(values, dtype=complex)  # a real field is divided by 2h as complex numbers too
     out, box = _stencil_output(values.shape, _FIELD_AXES)
 
     def d(c, j):  # undivided derivative of component c along lattice axis j
         return _central(values[..., c], _SCALAR_AXES[j], 1)
 
+    def part(first, plus, minus):  # d(first) + (d(plus) - d(minus)), divided by 2h
+        acc = d(*plus)
+        acc -= d(*minus)
+        acc += d(*first)
+        acc /= 2.0 * h
+        return acc
+
     inner = out[box]
-    inner[..., 0] = -(d(1, 0) + d(2, 1) + d(3, 2))
-    inner[..., 1] = d(0, 0) + (d(3, 1) - d(2, 2))
-    inner[..., 2] = d(0, 1) + (d(1, 2) - d(3, 0))
-    inner[..., 3] = d(0, 2) + (d(2, 0) - d(1, 1))
-    inner /= 2.0 * h
+    acc = d(1, 0)
+    acc += d(2, 1)
+    acc += d(3, 2)
+    acc /= 2.0 * h
+    np.negative(acc, out=inner[..., 0])  # -(d10 + d21 + d32)
+    inner[..., 1] = part((0, 0), (3, 1), (2, 2))
+    inner[..., 2] = part((0, 1), (1, 2), (3, 0))
+    inner[..., 3] = part((0, 2), (2, 0), (1, 1))
     return out
 
 
@@ -251,9 +267,10 @@ def max_abs_interior(values: np.ndarray, margin: int = 0) -> float:
 
     Raises if the interior is empty or still contains a non-finite value,
     which would mean a NaN face layer was only partly written or a value
-    inside the grid went bad.
+    inside the grid went bad.  One pass finds it: NaN propagates through the
+    max, and a component that is infinite has an infinite modulus.
     """
-    inner = values[_valid_box(values, margin)]
-    if not np.all(np.isfinite(inner)):
+    worst = float(np.max(np.abs(values[_valid_box(values, margin)])))
+    if not math.isfinite(worst):
         raise ValueError("non-finite values inside the valid interior")
-    return float(np.max(np.abs(inner)))
+    return worst

@@ -18,16 +18,22 @@ compare a streamed residual with the plain expression:
 - ``assemble_rows``: the MFS collocation matrix with each row operator built
   from the quaternion products X e_i of its point, against which
   ``scattering._assemble_rows`` and its constant row tensor must agree bit
-  for bit.
+  for bit;
+- ``mul_components``, ``dirac`` and ``green_at``: the quaternion product,
+  the Dirac stencil and the Green function's time fill written component by
+  component into strided views, against which ``algebra._mul_components``,
+  ``grids.dirac`` and ``chiral_time._green_at``, which build whole arrays,
+  must agree bit for bit.
 """
 
 import numpy as np
+import scipy.special
 import sympy as sp
 
 from bqem.algebra import _CONJ, _components, _mul_components
 from bqem.chiral_time import _M_slab
 from bqem.errors import GridTooSmall
-from bqem.grids import _central, _nan_layer, _stencil_output, _time_windows
+from bqem.grids import _FIELD_AXES, _SCALAR_AXES, _central, _nan_layer, _stencil_output, _time_windows
 from bqem.inhomog import EMState, build_medium
 from bqem.scattering import _kernels
 
@@ -144,3 +150,52 @@ def assemble_rows(problem, col, src):
         Lt = _mul_components(X, np.eye(4)) * np.outer([sign, 1.0, 1.0, 1.0], _CONJ)
         np.matmul(K[:, None], Lt, out=A[:, :, branch])
     return A.reshape(4 * len(col), 8 * len(src))
+
+
+def mul_components(a, b):
+    """Quaternion product on (..., 4) components, the four parts stacked."""
+    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
+        [
+            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + b0 * a1 + a2 * b3 - a3 * b2,
+            a0 * b2 + b0 * a2 + a3 * b1 - a1 * b3,
+            a0 * b3 + b0 * a3 + a1 * b2 - a2 * b1,
+        ],
+        axis=-1,
+    )
+
+
+def dirac(values, h):
+    """Dirac operator from its 12 undivided differences, each component
+    written into the interior, which is then divided by 2h in place."""
+    out, box = _stencil_output(values.shape, _FIELD_AXES)
+
+    def d(c, j):
+        return _central(values[..., c], _SCALAR_AXES[j], 1)
+
+    inner = out[box]
+    inner[..., 0] = -(d(1, 0) + d(2, 1) + d(3, 2))
+    inner[..., 1] = d(0, 0) + (d(3, 1) - d(2, 2))
+    inner[..., 2] = d(0, 1) + (d(1, 2) - d(3, 0))
+    inner[..., 3] = d(0, 2) + (d(2, 0) - d(1, 1))
+    inner /= 2.0 * h
+    return out
+
+
+def green_at(t, factors):
+    """Components of the Green function at times t from its x-only factors,
+    one component at a time: H(t) e^{iat} (P J0 - Q sqrt(t/c) J1)."""
+    a, c, P, Q, _ = factors
+    t = np.asarray(t, dtype=float)
+    before = t < 0.0
+    tpos = np.where(before, 0.0, t)
+    z = 2.0 * np.sqrt(c * tpos)
+    j0 = scipy.special.j0(z)
+    j1_scaled = np.sqrt(tpos / c) * scipy.special.j1(z)
+    phase = np.where(before, 0.0, np.exp(1j * a * tpos))
+    out = np.empty(j0.shape + (4,), dtype=complex)
+    for k in range(4):
+        out[..., k] = phase * (P[..., k] * j0 - Q[..., k] * j1_scaled)
+    return out

@@ -1,7 +1,8 @@
 import numpy as np
+import oracles
 import pytest
 
-from bqem.algebra import Biquaternion, I1, I2, I3, ONE, _cross, cross, dot
+from bqem.algebra import Biquaternion, I1, I2, I3, ONE, _cross, _mul_components, cross, dot
 
 
 def rand_bq(rng, n):
@@ -160,5 +161,26 @@ def test_written_out_cross_is_numpys():
     ]
     for a, b in cases:
         ours, ref = _cross(a, b), np.cross(a, b)
+        assert ours.dtype == ref.dtype and ours.shape == ref.shape
+        assert np.array_equal(ours, ref)
+
+
+def test_mul_components_matches_stacked_oracle():
+    # written into one preallocated array, the product keeps the bits, dtype
+    # and broadcast shape of its four components stacked
+    rng = np.random.default_rng(12)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    field = cplx(3, 5, 6, 7, 4)  # a leading time axis in front of the lattice axes
+    cases = [
+        (field, field[::-1]),
+        (field, cplx(6, 1, 4)),
+        (rng.normal(size=(7, 1, 4)), cplx(2, 4)),
+        (rng.normal(size=(3, 4)), rng.normal(size=(2, 1, 4))),
+    ]
+    for a, b in cases:
+        ours, ref = _mul_components(a, b), oracles.mul_components(a, b)
         assert ours.dtype == ref.dtype and ours.shape == ref.shape
         assert np.array_equal(ours, ref)

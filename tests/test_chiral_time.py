@@ -4,12 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from oracles import apply_M, diff, max_abs_interior
+from oracles import apply_M, diff, green_at, max_abs_interior
 
 from bqem import chiral_time, suites
 from bqem.algebra import Biquaternion, _components
 from bqem.chiral_time import (
     MAX_REFINE_LEVELS,
+    _green_at,
+    _green_factors,
     green_function,
     green_refinement,
     green_residual,
@@ -184,6 +186,25 @@ def test_green_function_owns_a_read_only_result():
     assert arr.flags.writeable and not np.shares_memory(arr, q.components)
     arr[0, 0] = 5.0
     assert q.components[0, 0] == 1.0
+
+
+def test_green_at_matches_per_component_oracle():
+    # built from whole (..., 4) arrays, f keeps the bits of its per-component
+    # fill: at one time, on a time axis that crosses t = 0, before t = 0, and
+    # broadcast as in test_green_function_owns_a_read_only_result
+    med = ChiralMedium(eps=2.0, mu=1.5, beta=0.7)
+    lattice = _green_factors(Lattice.cube((0.8, 0.8, 0.8), 0.4, 9).points(), med)
+    pair = _green_factors(np.array([[1.0, 0.5, -0.3], [0.2, 0.0, 0.4]]), med)
+    cases = [
+        (1.3, lattice),
+        (np.linspace(-0.5, 2.0, 7)[:, None, None, None], lattice),
+        (-1.0, lattice),
+        (np.array([0.5, 1.0])[:, None], pair),
+    ]
+    for t, factors in cases:
+        ours = _green_at(t, factors)
+        assert np.array_equal(ours, green_at(t, factors))
+    assert ours.shape == (2, 2, 4)
 
 
 def test_green_guards():

@@ -161,12 +161,14 @@ def test_stencil_faces_margin_and_exactness(name, axes):
     k = len(shape)
     assert norm(out) == np.max(np.abs(out[~face]))
 
-    # a non-finite node inside the interior raises, and so does a face layer
-    # that is only partly non-finite, whether its centre node or another is valid
-    inside = out.copy()
-    inside[(2,) * k] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        norm(inside)
+    # a non-finite node inside the interior raises, NaN, +inf or an infinite
+    # imaginary part alike, and so does a face layer that is only partly
+    # non-finite, whether its centre node or another is valid
+    for bad in (np.nan, np.inf, complex(0.0, np.inf)):  # 1j * np.inf would be nan + infj
+        inside = out.copy()
+        inside[(2,) * k] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            norm(inside)
     layer_dims = np.delete(shape, stencil_axes[0])  # lattice axes of a face layer
     for node in ((1,) * (k - 1), tuple(layer_dims // 2)):
         partial = out.copy()
@@ -202,6 +204,19 @@ def test_stencil_on_space_time_field_is_slab_by_slab(name):
     values = values + np.random.default_rng(5).normal(size=values.shape)
     slabs = np.stack([op(slab) for slab in values])
     assert np.array_equal(op(values), slabs, equal_nan=True)
+
+
+def test_dirac_matches_strided_oracle():
+    # each component summed in its own array keeps the bits of the 12
+    # differences written into the interior and divided there, on a
+    # space-time field, a real field, and a dirac output with its NaN faces
+    rng = np.random.default_rng(13)
+    shape = (5,) + STENCIL_SPACE + (4,)
+    spacetime = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for v in (spacetime, spacetime[2], rng.normal(size=STENCIL_SPACE + (4,))):
+        once = dirac(v, STENCIL_H)
+        assert np.array_equal(once, oracles.dirac(v, STENCIL_H), equal_nan=True)
+        assert np.array_equal(dirac(once, STENCIL_H), oracles.dirac(once, STENCIL_H), equal_nan=True)
 
 
 def test_time_diff_exact_on_quadratic_in_t():
