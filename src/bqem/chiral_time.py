@@ -87,6 +87,8 @@ def _green_factors(x, medium: ChiralMedium):
     if not all(np.all(np.isfinite(f)) for f in factors):
         raise AchiralUnsupported(f"Green function factors overflow double precision at beta = {beta}")
     a, c, P, Q = factors
+    # stored component-major, so that _green_at fills each component of f as one contiguous array
+    P, Q = (np.moveaxis(np.moveaxis(F, -1, 0).copy(), 0, -1) for F in (P, Q))
     return a, c, P, Q, (float(np.min(c, initial=np.inf)), float(np.max(c, initial=0.0)))
 
 
@@ -97,8 +99,9 @@ def _green_at(t, factors) -> np.ndarray:
     A NaN t, and a t so large that a t, c t or t / c overflows, are
     rejected; the check takes scalars only (the latest time, NaN if any time
     is, and the range of c), so a time slab costs no extra pass over its
-    nodes.  The result is built from whole (..., 4) arrays: P J0, less
-    Q sqrt(t/c) J1 in place, times the phase in place.  scipy.special is
+    nodes.  The result is built component-major, each component a whole
+    contiguous array: P J0, less Q sqrt(t/c) J1 in place, times the phase in
+    place; the (..., 4) array returned is a view of it.  scipy.special is
     imported on first use: at module level it would add tens of milliseconds
     to ``import bqem`` for every command.
     """
@@ -119,10 +122,11 @@ def _green_at(t, factors) -> np.ndarray:
     j1_scaled = np.sqrt(tpos / c) * scipy.special.j1(z)
     # e^{iat} on the times alone, zero where t < 0
     phase = np.where(before, 0.0, np.exp(1j * a * tpos))
-    out = P * j0[..., None]
-    out -= Q * j1_scaled[..., None]
-    np.multiply(phase[..., None], out, out=out)  # phase first: its operand order sets the bits
-    return out
+    per_component = (4,) + (1,) * (j0.ndim - c.ndim) + c.shape  # t's own axes go in front of x's
+    out = np.moveaxis(P, -1, 0).reshape(per_component) * j0
+    out -= np.moveaxis(Q, -1, 0).reshape(per_component) * j1_scaled
+    np.multiply(phase, out, out=out)  # phase first: its operand order sets the bits
+    return np.moveaxis(out, 0, -1)
 
 
 def green_function(t, x, medium: ChiralMedium) -> Biquaternion:
