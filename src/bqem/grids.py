@@ -168,7 +168,7 @@ def dirac(values: np.ndarray, h: float) -> np.ndarray:
     Scalar part -div of the vector part, vector part grad of the scalar
     part plus rot of the vector part.  Each output component is summed and
     divided by 2h in its own contiguous array, then written once into the
-    interior; its sign is applied by that write.
+    interior; the scalar part takes its minus sign in that write.
     """
     values = np.asarray(values, dtype=complex)  # a real field is divided by 2h as complex numbers too
     out, box = _stencil_output(values.shape, _FIELD_AXES)
