@@ -189,7 +189,7 @@ def test_green_function_owns_a_read_only_result():
 
 
 def test_green_at_matches_per_component_oracle():
-    # built from whole (..., 4) arrays, f keeps the bits of its per-component
+    # built component-major from whole arrays, f keeps the bits of its per-component
     # fill: at one time, on a time axis that crosses t = 0, before t = 0, and
     # broadcast as in test_green_function_owns_a_read_only_result
     med = ChiralMedium(eps=2.0, mu=1.5, beta=0.7)
