@@ -102,10 +102,10 @@ class Report:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.8e}"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.8e}"
     return str(value)
 
 
@@ -118,14 +118,8 @@ def render_csv(report: Report) -> str:
 
 
 def render_json(report: Report) -> str:
-    def clean(v):
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        if isinstance(v, (np.floating,)):
-            return float(v)
-        return v
-
-    rows = [{c: clean(row[c]) for c in report.columns} for row in report.rows]
+    # np.float64 is a float subclass, which json writes through float.__repr__
+    rows = [{c: row[c] for c in report.columns} for row in report.rows]
     return json.dumps(rows, indent=2) + "\n"
 
 
@@ -186,9 +180,8 @@ def cmd_scatter(cfg: dict, fmt: str, out: str | None) -> int:
     moment = np.array([_as_float(m, "moment") for m in moment])
     if not np.any(moment):
         raise ConfigError("config field moment must not be zero: the reference field would vanish")
-    impedance = _get(cfg, "impedance", None)
-    if impedance is not None:
-        impedance = _as_complex(impedance, "impedance")
+    xi = _get(cfg, "impedance", None)  # absent or null: a perfect conductor, xi = 0
+    impedance = _as_complex(0 if xi is None else xi, "impedance")
     oversample = _as_float(_get(cfg, "oversample", 1.0), "oversample")
 
     problem = _construct(

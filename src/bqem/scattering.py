@@ -11,13 +11,13 @@ ones):
 
 with constant biquaternion coefficients a_j, b_j (8N complex unknowns).
 Collocation at 2N surface points imposes, per point, the two tangential
-components of E_N x n = E x n for the problem's reference field (E, H), or
-of E_N x n - xi (H_N x n) x n = E x n - xi (H x n) x n with an impedance
-xi, plus the two scalar constraints Sc(sum K a + sum K b) = 0 and
-Sc(sum K a - sum K b) = 0 that keep the combinations purely vectorial,
-giving a square 8N x 8N complex system.  Collocation and source points are laid out on a generalized
-(golden-angle) spiral, which is quasi-uniform and never touches the
-parametrization poles.
+components of E_N x n - xi (H_N x n) x n = E x n - xi (H x n) x n for the
+problem's reference field (E, H) and impedance xi (0 is a perfect
+conductor, E_N x n = E x n), plus the two scalar constraints
+Sc(sum K a + sum K b) = 0 and Sc(sum K a - sum K b) = 0 that keep the
+combinations purely vectorial, giving a square 8N x 8N complex system.
+Collocation and source points are laid out on a generalized (golden-angle)
+spiral, which is quasi-uniform and never touches the parametrization poles.
 
 The sums are matrix products.  As K_s a_s = sum_i K_si (e_i a_s) over the
 units e_i, the coefficients are laid out once per evaluation as a (4N, 8)
@@ -63,9 +63,11 @@ DIPOLE_MOMENT = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
 # Kernel entries (point, source pairs) per block: assembly and field
 # evaluation run one block of points at a time, and the 1-norm one block of
 # matrix rows, so no temporary grows with the number of points or with the
-# matrix.  Under `bqem`, whose mmap threshold is fixed, the peak is the same
-# without blocks; a library process keeps glibc's dynamic threshold, which
-# holds freed 4-32 MiB temporaries on the heap (175 MB RSS without, 144 MB with).
+# matrix.  Both pay: under `bqem` (fixed mmap threshold), one block and
+# np.linalg.norm(A, 1) made the warm `mfs_large` pass 6.7 % slower at the
+# same peak; a library process keeps glibc's dynamic threshold, which holds
+# freed 4-32 MiB temporaries on the heap (175 MB RSS without blocks, 144 MB
+# with; 171 MB with np.linalg.norm(A, 1) alone).
 _BLOCK_ENTRIES = 2**14
 
 
@@ -178,10 +180,10 @@ class MfsProblem:
 
     ``reference`` maps points to the fields (E, H) whose boundary values
     the solution must match; None means the medium's ``dipole_field`` with
-    DIPOLE_MOMENT at the origin.  ``impedance`` None means a perfect
-    conductor, E_N x n = E x n; a complex value xi imposes
-    E_N x n - xi (H_N x n) x n = E x n - xi (H x n) x n.  Both sides come
-    from the same tangential rows, so a solution that reproduces the
+    DIPOLE_MOMENT at the origin.  ``impedance`` xi, a finite complex
+    number, imposes E_N x n - xi (H_N x n) x n = E x n - xi (H x n) x n;
+    0 is a perfect conductor, E_N x n = E x n.  Both sides come from the
+    same tangential rows, so a solution that reproduces the
     reference satisfies them exactly.  ``source_scale`` picks the side:
     sources on a shrunk copy of the surface (scale < 1) give an exterior
     problem, on an inflated one (scale > 1) an interior problem.
@@ -198,10 +200,16 @@ class MfsProblem:
     n_sources: int
     source_scale: float
     reference: Fields | None = None
-    impedance: complex | None = None
+    impedance: complex = 0.0
     oversample: float = 1.0
 
     def __post_init__(self):
+        try:
+            finite = np.isfinite(complex(self.impedance))
+        except (TypeError, ValueError):  # None, or a string complex() cannot read
+            finite = False
+        if not finite:
+            raise ValueError(f"impedance must be a finite number, 0 for a perfect conductor, got {self.impedance!r}")
         chiral_wavenumbers(self.medium.alpha, self.medium.beta)
         if self.medium.alpha == 0.0:
             raise ValueError("alpha must be non-zero: a time-harmonic problem needs a wavenumber")
@@ -290,6 +298,7 @@ def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: np.ndarray):
     functional of the reference field, (E x n) . t_k + xi H . t_k.
     """
     n_col, n_src = len(col), len(src)
+    xi = complex(problem.impedance)
     # Every row is Sc(X K(sign*alpha) a) with one quaternion X per point and
     # row kind: X = -d for the two tangential rows (the projection <d, Vec q>
     # of E_N x n on t is -Sc(d q) for the pure vector d = (n x t)/2), and
@@ -313,9 +322,7 @@ def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: np.ndarray):
         for branch, (K, sign, (tangential, scalar)) in enumerate(zip(kernels, (1, -1), _ROW_OPERATORS)):
             # branch b enters H_N (and with it the impedance term) and the
             # second scalar constraint with the sign it carries in K(sign * alpha)
-            d = n_cross_t
-            if problem.impedance is not None:
-                d = d + sign * (complex(problem.impedance) / 2j) * t
+            d = n_cross_t + sign * (xi / 2j) * t
             Lt[:, :2] = (d.reshape(-1, 3) @ tangential).reshape(-1, 2, 4, 4)
             Lt[:, 2:] = scalar
             np.matmul(K[:, None], Lt, out=A[blk, :, branch])
@@ -325,9 +332,7 @@ def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: np.ndarray):
     e_cross_n = _cross(E, col.normal)
     rhs = np.zeros(4 * n_col, dtype=complex)
     for k, t in enumerate((col.t1.astype(complex), col.t2.astype(complex))):
-        rhs[k::4] = np.einsum("ci,ci->c", e_cross_n, t)
-        if problem.impedance is not None:
-            rhs[k::4] += complex(problem.impedance) * np.einsum("ci,ci->c", H, t)
+        rhs[k::4] = np.einsum("ci,ci->c", e_cross_n, t) + xi * np.einsum("ci,ci->c", H, t)
     return A.reshape(4 * n_col, 8 * n_src), rhs
 
 

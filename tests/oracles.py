@@ -133,8 +133,9 @@ def assemble_rows(problem, col, src):
 
     Each point's row operator Lt is ``_mul_components(X, eye(4))`` times
     the branch sign of row 0 and the conjugate, with X = -d for the two
-    tangential rows, d = (n x t)/2 (+ sign xi/(2j) t with an impedance xi),
-    and X = 1, sign for the two scalar constraints.
+    tangential rows, d = (n x t)/2 + sign xi/(2j) t with the impedance xi
+    (0 for a perfect conductor), and X = 1, sign for the two scalar
+    constraints.
     """
     K_a, K_b = _kernels(problem.medium, col.pos, src)
     t = np.stack([col.t1, col.t2], axis=1)
@@ -142,9 +143,7 @@ def assemble_rows(problem, col, src):
     X[:, 2, 0, 0] = 1.0
     A = np.empty((len(col), 4, 2, len(src), 4), dtype=complex)
     for branch, (K, sign) in enumerate(((K_a, 1), (K_b, -1))):
-        d = 0.5 * np.cross(col.normal[:, None, :], t)
-        if problem.impedance is not None:
-            d = d + sign * (complex(problem.impedance) / 2j) * t
+        d = 0.5 * np.cross(col.normal[:, None, :], t) + sign * (complex(problem.impedance) / 2j) * t
         X[:, :2, 0, 1:] = -d
         X[:, 3, 0, 0] = sign
         Lt = _mul_components(X, np.eye(4)) * np.outer([sign, 1.0, 1.0, 1.0], _CONJ)

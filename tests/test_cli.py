@@ -103,13 +103,13 @@ def test_scatter_impedance_sweep_converges(tmp_path, capsys, beta):
 
 
 def test_scatter_zero_impedance_is_the_conductor(tmp_path, capsys):
-    # xi = 0 adds exact zeros to rows and datum: the same rows to the byte
+    # a perfect conductor is xi = 0, spelled as an absent field, null or 0
     def data_rows(cfg):
         assert main(["scatter", "--config", write_config(tmp_path, cfg)]) == 0
         return [ln for ln in drop_wall_ms(capsys.readouterr().out).splitlines() if not ln.startswith("#")]
 
     cfg = {"ellipsoid": {"a": 5, "b": 3, "c": 2}, "n_values": [10, 20]}
-    assert data_rows(dict(cfg, impedance=0)) == data_rows(cfg)
+    assert data_rows(dict(cfg, impedance=0)) == data_rows(dict(cfg, impedance=None)) == data_rows(cfg)
 
 
 def test_scatter_out_file(tmp_path):

@@ -148,9 +148,9 @@ def test_default_reference_follows_the_medium():
 @pytest.mark.parametrize(
     "medium, impedance",
     [
-        (MEDIUM, None),
+        (MEDIUM, 0.0),
         (MEDIUM, 0.5 + 0.1j),
-        (ChiralMedium(beta=0.1, alpha=1 + 0.3j), None),
+        (ChiralMedium(beta=0.1, alpha=1 + 0.3j), 0.0),
     ],
     ids=["conductor", "impedance", "chiral"],
 )
@@ -165,11 +165,10 @@ def test_matrix_entries_against_naive_oracle(medium, impedance):
     A, b = assemble_system(prob)
     col = collocation_points(prob)
     src = source_points(prob)
-    xi = 0.0 if impedance is None else impedance
     # the right-hand side: the boundary functional of the default reference
     # dipole, written out with np.cross, and zero on the scalar rows
     E, H = dipole_field(DIPOLE_MOMENT, medium, col.pos)
-    datum = np.cross(E, col.normal) - xi * np.cross(np.cross(H, col.normal), col.normal)
+    datum = np.cross(E, col.normal) - impedance * np.cross(np.cross(H, col.normal), col.normal)
     expected_b = np.zeros((len(col), 4), dtype=complex)
     expected_b[:, 0] = np.einsum("ci,ci->c", datum, col.t1)
     expected_b[:, 1] = np.einsum("ci,ci->c", datum, col.t2)
@@ -194,8 +193,8 @@ def test_matrix_entries_against_naive_oracle(medium, impedance):
         E_contrib = 0.5 * plus_term[1:]
         H_contrib = minus_term[1:] / 2j
         for r, expected in (
-            (0, np.dot(np.cross(E_contrib, col.normal[i]), col.t1[i]) + xi * np.dot(H_contrib, col.t1[i])),
-            (1, np.dot(np.cross(E_contrib, col.normal[i]), col.t2[i]) + xi * np.dot(H_contrib, col.t2[i])),
+            (0, np.dot(np.cross(E_contrib, col.normal[i]), col.t1[i]) + impedance * np.dot(H_contrib, col.t1[i])),
+            (1, np.dot(np.cross(E_contrib, col.normal[i]), col.t2[i]) + impedance * np.dot(H_contrib, col.t2[i])),
             (2, plus_term[0]),
             (3, minus_term[0]),
         ):
@@ -205,7 +204,7 @@ def test_matrix_entries_against_naive_oracle(medium, impedance):
 @pytest.mark.parametrize(
     "medium, impedance",
     [
-        (MEDIUM, None),
+        (MEDIUM, 0.0),
         (MEDIUM, 0.5 + 0.1j),
         (ChiralMedium(beta=0.1, alpha=1 + 0.3j), 0.5 + 0.1j),
     ],
@@ -327,12 +326,23 @@ def test_solve_random_residual():
     assert out.residual <= 1e-12
 
 
+def _singular(shape):
+    if shape[0] == shape[1]:
+        A = np.eye(shape[1], dtype=complex)
+        A[3] = A[2]  # duplicated row
+    else:
+        rng = np.random.default_rng(2)
+        A = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        A[:, 2] = 0.0  # zero column
+    return A
+
+
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_solve_singular():
-    A = np.eye(6, dtype=complex)
-    A[3] = A[2]  # duplicated row
-    with pytest.raises(SingularMatrix):
-        solve_dense(A, np.ones(6, dtype=complex))
+@pytest.mark.parametrize("A", [_singular((6, 6)), _singular((9, 6))], ids=["square", "tall"])
+def test_solve_singular(A):
+    # U or R has an exact zero on its diagonal
+    with pytest.raises(SingularMatrix, match="diagonal entry 0j"):
+        solve_dense(A, np.ones(A.shape[0], dtype=complex))
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (9, 6)], ids=["square", "tall"])
@@ -711,6 +721,16 @@ def test_problem_validation():
     assert 64 * 1448**2 * 16 <= MAX_MATRIX_BYTES < 64 * 1449**2 * 16
     MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=1448, source_scale=0.15)
     MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=1182, source_scale=0.15, oversample=1.5)
+
+
+def test_impedance_must_be_a_finite_number():
+    # a perfect conductor is xi = 0; anything but a finite number is a
+    # config error at construction, not a singular or failed solve later
+    for impedance in (complex("nan"), complex("inf"), float("nan"), None, "abc"):
+        with pytest.raises(ValueError, match="0 for a perfect conductor"):
+            MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=4, source_scale=0.15, impedance=impedance)
+    for impedance in (0, 0.5 + 0.1j):
+        MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=4, source_scale=0.15, impedance=impedance)
 
 
 def test_oversampled_least_squares_solve():
