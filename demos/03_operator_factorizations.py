@@ -32,7 +32,7 @@ print("\n-Lap + nu = (D + M^w)(D - M^w), w = Df/f   with f = exp(k.x):")
 for n, m in ((11, 2), (21, 4)):
     lat = Lattice.cube((0.4, 0.5, 0.6), 0.5, n)
     pts = lat.points()
-    slot = PotentialSlot.from_particular_solution(lat, np.exp(pts @ k))
+    slot = PotentialSlot(lat, np.exp(pts @ k))
     g = pts[..., 0] ** 2 * pts[..., 1]
     print(f"  h={lat.spacing:.3f}: {schrodinger_factorization_residual(slot, g, margin=m):.3e}")
 
@@ -43,9 +43,8 @@ for n, m in ((11, 2), (21, 4)):
     p = 1.0 + x[..., 0] ** 2
     q = -((1.0 - x[..., 0]) ** 2)
     u0 = np.exp(-x[..., 0])
-    slot = PotentialSlot.from_conductivity(lat, p, q, u0)
     phi = np.sin(x[..., 0]) * x[..., 2]
-    print(f"  h={lat.spacing:.3f}: {conductivity_factorization_residual(slot, phi, margin=m):.3e}")
+    print(f"  h={lat.spacing:.3f}: {conductivity_factorization_residual(lat, p, q, u0, phi, margin=m):.3e}")
 
 # Round trip: a Schrodinger solution g maps to a Dirac solution F = f D(f^-1 g)
 # and the path antiderivative brings it back up to a multiple of f.
@@ -53,7 +52,7 @@ print("\nround trip g -> F -> g' (difference from g is a multiple of f):")
 n = 21
 lat = Lattice.cube((0.4, 0.5, 0.6), 0.5, n)
 pts = lat.points()
-slot = PotentialSlot.from_particular_solution(lat, np.exp(pts @ k))
+slot = PotentialSlot(lat, np.exp(pts @ k))
 g = np.exp(-(pts @ k))
 F = darboux_transform(slot, g)
 g_prime = antiderivative(F / slot.f[..., None], lat, (n // 2, n // 2, n // 2)) * slot.f
@@ -68,8 +67,6 @@ print(f"  max |g' - g - lambda f| = {np.max(np.abs(diffs - lam * fs)):.3e}")
 print("\nVekua equation residuals for the generating quartet:")
 lat = Lattice.cube((0.4, 0.5, 0.6), 0.5, 21)
 pts = lat.points()
-slot = PotentialSlot.from_particular_solution(
-    lat, 2.0 + np.sin(pts[..., 0]) * np.cos(pts[..., 1]) + 0.2 * pts[..., 2] ** 2
-)
+slot = PotentialSlot(lat, 2.0 + np.sin(pts[..., 0]) * np.cos(pts[..., 1]) + 0.2 * pts[..., 2] ** 2)
 for name, W in zip(("f", "i1/f", "i2/f", "i3/f"), generating_quartet(slot)):
     print(f"  {name:5s}: {vekua_residual(slot, W):.3e}")

@@ -100,8 +100,6 @@ class Report:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -205,6 +203,8 @@ def cmd_scatter(cfg: dict, fmt: str, out: str | None) -> int:
 
 
 def cmd_check(suite: str, seed: int, fmt: str, out: str | None) -> int:
+    if seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
     names = list(SUITES) if suite == "all" else [suite]
     rows = run_suites(names, seed=seed)
     report = Report(

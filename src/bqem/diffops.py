@@ -19,14 +19,17 @@ refinement-ratio checks watch; the interior is read from the NaN faces
 
 Fields are plain complex arrays on a Lattice: shape ``dims`` for a scalar
 field, ``dims + (4,)`` for a quaternion field, which ``algebra._components``
-builds from its scalar and vector parts.  A PotentialSlot holds its
-lattice, and every routine takes the geometry from the slot or from the
-lattice it is handed.  M^p denotes right multiplication by p, f -> f p
-(pointwise, p is never differentiated), and ^pM left multiplication
-f -> p f; both are ``algebra._mul_components`` with the operands in that
-order.  D + M^p has one routine, ``_dirac_plus_M``, and grad(f)/f one,
-``_log_derivative``; ``inhomog`` builds its static split from both.  For
-purely vectorial p, q the exact identity <p, q> = -(p q + q p) / 2 holds.
+builds from its scalar and vector parts.  A PotentialSlot is a lattice and
+an f, checked once to lie on it and not to vanish; nu = Lap f/f and
+w = Df/f are derived from f when a routine reads them.  Every routine takes
+the geometry from the slot or from the lattice it is handed, and the
+conductivity residual builds its slot from its own p and u0.  M^p denotes
+right multiplication by p, f -> f p (pointwise, p is never differentiated),
+and ^pM left multiplication f -> p f; both are ``algebra._mul_components``
+with the operands in that order.  D + M^p has one routine,
+``_dirac_plus_M``, and grad(f)/f one, ``_log_derivative``; ``inhomog``
+builds its static split from both.  For purely vectorial p, q the exact
+identity <p, q> = -(p q + q p) / 2 holds.
 """
 
 from __future__ import annotations
@@ -55,36 +58,23 @@ VANISHING_F_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PotentialSlot:
-    """A nonvanishing particular solution f with its derived potential nu = Lap f / f.
+    """A nonvanishing particular solution f, a complex array of shape
+    ``lattice.dims``, and the potentials derived from it on the grid.
 
-    nu is computed on the grid, not analytically, so both sides of the
-    factorization identities share the same discretization error.  For the
-    conductivity form, f = sqrt(p) * u0 and p, q are kept.  Every
-    field is a complex array of shape ``lattice.dims``.
+    nu = Lap f / f is computed on the grid, not analytically, so both sides
+    of the factorization identities share the same discretization error.
     """
 
     lattice: Lattice
     f: np.ndarray
-    nu: np.ndarray
-    p: np.ndarray | None = None
-    q: np.ndarray | None = None
 
-    @classmethod
-    def from_particular_solution(cls, lattice: Lattice, f) -> "PotentialSlot":
-        f = _on_lattice(f, lattice, "f")
-        _check_nonvanishing(f, "f")
-        return cls(lattice, f, laplacian(f, lattice.spacing) / f)
+    def __post_init__(self):
+        object.__setattr__(self, "f", _on_lattice(self.f, self.lattice, "f"))
+        _check_nonvanishing(self.f, "f")
 
-    @classmethod
-    def from_conductivity(cls, lattice: Lattice, p, q, u0) -> "PotentialSlot":
-        p = _on_lattice(p, lattice, "p")
-        q = _on_lattice(q, lattice, "q")
-        u0 = _on_lattice(u0, lattice, "u0")
-        _check_nonvanishing(p, "p")
-        _check_nonvanishing(u0, "u0")
-        f = np.sqrt(p) * u0
-        _check_nonvanishing(f, "f = sqrt(p)*u0")
-        return cls(lattice, f, laplacian(f, lattice.spacing) / f, p=p, q=q)
+    def nu(self) -> np.ndarray:
+        """Lap f / f, with one NaN face layer."""
+        return laplacian(self.f, self.lattice.spacing) / self.f
 
     def df_over_f(self) -> np.ndarray:
         """Df/f as a purely vectorial dims + (4,) array, with one NaN face layer."""
@@ -135,18 +125,20 @@ def schrodinger_factorization_residual(slot: PotentialSlot, g, margin: int = 0) 
     """Max interior norm of (D + M^w)(D - M^w) g - (-Lap + nu) g, w = Df/f."""
     g = _on_lattice(g, slot.lattice, "g")
     res = _dirac_minus_plus_M(slot, g)
-    res[..., 0] -= -laplacian(g, slot.lattice.spacing) + slot.nu * g
+    res[..., 0] -= -laplacian(g, slot.lattice.spacing) + slot.nu() * g
     return max_abs_interior(res, margin)
 
 
-def conductivity_factorization_residual(slot: PotentialSlot, phi, margin: int = 0) -> float:
-    """Max interior norm of (div p grad + q) phi + sqrt(p) (D + M^w)(D - M^w) sqrt(p) phi."""
-    if slot.p is None or slot.q is None:
-        raise ValueError("slot was not built from conductivity data (p, q)")
-    phi = _on_lattice(phi, slot.lattice, "phi")
-    h = slot.lattice.spacing
-    sp = np.sqrt(slot.p)
-    lhs = div(slot.p[..., None] * grad(phi, h), h) + slot.q * phi
+def conductivity_factorization_residual(lattice: Lattice, p, q, u0, phi, margin: int = 0) -> float:
+    """Max interior norm of (div p grad + q) phi + sqrt(p) (D + M^w)(D - M^w) sqrt(p) phi,
+    w = Df/f with f = sqrt(p) u0."""
+    p, q, u0, phi = (_on_lattice(v, lattice, name) for v, name in zip((p, q, u0, phi), ("p", "q", "u0", "phi")))
+    _check_nonvanishing(p, "p")
+    _check_nonvanishing(u0, "u0")
+    sp = np.sqrt(p)
+    slot = PotentialSlot(lattice, sp * u0)
+    h = lattice.spacing
+    lhs = div(p[..., None] * grad(phi, h), h) + q * phi
     res = sp[..., None] * _dirac_minus_plus_M(slot, sp * phi)
     res[..., 0] += lhs
     return max_abs_interior(res, margin)
@@ -249,7 +241,7 @@ def vekua_consequences(slot: PotentialSlot, W, margin: int = 0) -> tuple[float, 
     f = slot.f
     w0 = W[..., 0]
     wv = W[..., 1:]
-    r_schr = max_abs_interior(-laplacian(w0, h) + slot.nu * w0, margin)
+    r_schr = max_abs_interior(-laplacian(w0, h) + slot.nu() * w0, margin)
     r_sc = max_abs_interior(div((f * f)[..., None] * grad(w0 / f, h), h), margin)
     r_vec = max_abs_interior(rot((f ** -2.0)[..., None] * rot(f[..., None] * wv, h), h), margin)
     return r_schr, r_sc, r_vec

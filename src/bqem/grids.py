@@ -43,13 +43,13 @@ class Lattice:
     dims: tuple[int, int, int]
 
     def __post_init__(self):
-        if self.spacing <= 0.0:
-            raise ValueError("spacing must be positive")
-        if any(n < 5 for n in self.dims):
-            raise GridTooSmall(f"need at least 5 nodes per direction, got {self.dims}")
+        if not 0.0 < self.spacing < np.inf:  # written so that NaN fails too
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        _check_nodes(self.dims)
 
     @classmethod
     def cube(cls, center, side: float, n: int) -> "Lattice":
+        _check_nodes((n, n, n))
         h = side / (n - 1)
         origin = tuple(float(c) - side / 2.0 for c in center)
         return cls(origin, h, (n, n, n))
@@ -61,6 +61,11 @@ class Lattice:
         """All node coordinates, shape dims + (3,)."""
         xs = np.meshgrid(self.axis(0), self.axis(1), self.axis(2), indexing="ij")
         return np.stack(xs, axis=-1)
+
+
+def _check_nodes(dims: tuple) -> None:
+    if any(n < 5 for n in dims):
+        raise GridTooSmall(f"need at least 5 nodes per direction, got {dims}")
 
 
 def _on_lattice(values, lattice: Lattice, name: str, tail: tuple = ()) -> np.ndarray:
@@ -82,8 +87,8 @@ class SpaceTimeLattice:
     nt: int
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.nt < 1:
-            raise ValueError("need dt > 0 and nt >= 1")
+        if not 0.0 < self.dt < np.inf or self.nt < 1:  # written so that NaN fails too
+            raise ValueError(f"need a positive finite dt and nt >= 1, got dt={self.dt}, nt={self.nt}")
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.nt)

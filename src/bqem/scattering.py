@@ -35,6 +35,7 @@ evaluation ellipsoid for a sweep of N.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -336,16 +337,13 @@ def _assemble_rows(problem: MfsProblem, col: SurfaceSamples, src: np.ndarray):
     return A.reshape(4 * n_col, 8 * n_src), rhs
 
 
-def assemble_system(problem: MfsProblem, *, sources: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def assemble_system(problem: MfsProblem) -> tuple[np.ndarray, np.ndarray]:
     """Collocation matrix (4C x 8N) and right-hand side for the problem.
 
     Four rows per collocation point: two tangential boundary-condition
-    components and the two scalar-part constraints.  ``sources`` are the
-    problem's (N, 3) ``source_points``, for a caller that has sampled them
-    already.
+    components and the two scalar-part constraints.
     """
-    src = source_points(problem) if sources is None else sources
-    return _assemble_rows(problem, collocation_points(problem), src)
+    return _assemble_rows(problem, collocation_points(problem), source_points(problem))
 
 
 @dataclass(frozen=True)
@@ -415,7 +413,9 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> SolveResult:
     m, n = matrix.shape
     if m == n:
         anorm = _norm1(matrix)
-        lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
+        with warnings.catch_warnings():  # a zero pivot is SingularMatrix, raised next
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
         _check_triangular(lu)
         x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
         rcond, _ = scipy.linalg.lapack.zgecon(lu, anorm, norm="1")
@@ -456,13 +456,11 @@ class MfsSolution:
 
 
 def solve_problem(problem: MfsProblem) -> MfsSolution:
-    src = source_points(problem)
-    A, rhs = assemble_system(problem, sources=src)
-    out = solve_dense(A, rhs)
+    out = solve_dense(*assemble_system(problem))
     n = problem.n_sources
     coeffs = out.coeffs.reshape(2 * n, 4)
     return MfsSolution(
-        sources=src,
+        sources=source_points(problem),
         coeffs_a=Biquaternion(coeffs[:n]),
         coeffs_b=Biquaternion(coeffs[n:]),
         medium=problem.medium,

@@ -134,7 +134,6 @@ def test_scatter_bad_type(tmp_path, capsys):
     assert "n_values" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:condition estimate")
 @pytest.mark.parametrize("oversample", [1.0, 1.5], ids=["square", "oversampled"])
 def test_scatter_ill_conditioned_plateau(tmp_path, capsys, oversample):
     cfg = write_config(tmp_path, dict(TINY_SCATTER, source_scale=0.15, n_values=[100], oversample=oversample))
@@ -249,6 +248,15 @@ def test_check_metadata_hashes_suite_and_seed(capsys):
     assert meta["seed"] == "3"
     digest = hashlib.sha256(json.dumps({"config": {"suite": "algebra"}, "seed": 3}, sort_keys=True).encode())
     assert meta["config_hash"] == digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("suite", ["all", "kernels"])
+def test_check_negative_seed_is_a_usage_error(suite, capsys):
+    # numpy's generators reject it, and a suite that draws nothing would
+    # ignore it: either way it is refused before any suite runs
+    assert main(["check", suite, "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert "--seed" in err and out == ""
 
 
 def test_check_unknown_suite_usage_error(capsys):

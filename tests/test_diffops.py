@@ -7,6 +7,7 @@ from bqem.algebra import Biquaternion, _mul_components, dot
 from bqem.errors import BaseOutOfGrid, GridTooSmall, LatticeMismatch, VanishingF
 from bqem.grids import (
     Lattice,
+    SpaceTimeLattice,
     _time_diff,
     dirac,
     div,
@@ -28,7 +29,7 @@ def cube(n, center=(0.4, 0.5, 0.6), side=0.5):
 
 def exp_slot(n, k=K_UNIT, **cube_kw):
     lat = cube(n, **cube_kw)
-    return diffops.PotentialSlot.from_particular_solution(lat, np.exp(lat.points() @ k)), lat
+    return diffops.PotentialSlot(lat, np.exp(lat.points() @ k)), lat
 
 
 def trig_slot(n, **cube_kw):
@@ -37,7 +38,7 @@ def trig_slot(n, **cube_kw):
     lat = cube(n, **cube_kw)
     p = lat.points()
     f = 2.0 + np.sin(p[..., 0]) * np.cos(p[..., 1]) + 0.2 * p[..., 2] ** 2
-    return diffops.PotentialSlot.from_particular_solution(lat, f), lat
+    return diffops.PotentialSlot(lat, f), lat
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +256,27 @@ def test_lattice_mismatch():
         diffops.vekua_residual(slot, np.ones(lat.dims))
     with pytest.raises(LatticeMismatch):
         build_medium(lat, np.ones(lat.dims), np.ones((7, 7, 6)))
+    with pytest.raises(LatticeMismatch):
+        diffops.PotentialSlot(lat, np.ones((5, 5, 5)))
+
+
+def test_lattice_guards():
+    # a NaN or infinite spacing or time step is no lattice: caught at
+    # construction, not as an empty interior or a zero residual later
+    for h in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="spacing"):
+            Lattice((0, 0, 0), h, (9, 9, 9))
+    lat = Lattice((0, 0, 0), 0.1, (9, 9, 9))
+    assert diffops.helmholtz_factorization_residual(1.0, np.ones(lat.dims), lat) == 0.0
+    for dt in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt"):
+            SpaceTimeLattice(lat, 0.0, dt, 3)
+    assert np.all(np.isfinite(SpaceTimeLattice(lat, 0.0, 0.1, 3).times()))
+    # too few nodes is GridTooSmall, also where the spacing would divide by n - 1 = 0
+    for n in (1, 4):
+        with pytest.raises(GridTooSmall):
+            Lattice.cube((0, 0, 0), 1.0, n)
+    assert Lattice.cube((0, 0, 0), 1.0, 5).spacing == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +324,7 @@ def test_schrodinger_factorization_order():
 def test_schrodinger_laplace_case_exact():
     # f = 1 (nu = 0) with a harmonic quadratic: both sides identically zero
     lat = cube(9)
-    slot = diffops.PotentialSlot.from_particular_solution(lat, np.ones(lat.dims))
+    slot = diffops.PotentialSlot(lat, np.ones(lat.dims))
     p = lat.points()
     g = p[..., 0] ** 2 - p[..., 1] ** 2
     assert diffops.schrodinger_factorization_residual(slot, g) <= 1e-13
@@ -318,18 +340,17 @@ def test_vanishing_f_rejected():
     lat = cube(7)
     f = lat.points()[..., 0] - 0.4  # crosses zero
     with pytest.raises(VanishingF):
-        diffops.PotentialSlot.from_particular_solution(lat, f)
+        diffops.PotentialSlot(lat, f)
 
     # the NaN faces a stencil leaves are not nodes of f: a zero inside is
     # still caught, and an f bounded away from 0 is still accepted
     faced = np.ones(lat.dims, dtype=complex)
     faced[0] = np.nan
-    with np.errstate(invalid="ignore"):  # Lap f / f is NaN / NaN on that face
-        slot = diffops.PotentialSlot.from_particular_solution(lat, faced)
+    slot = diffops.PotentialSlot(lat, faced)
     assert np.all(np.isfinite(slot.f[1:]))
     faced[3, 3, 3] = 0.0
     with pytest.raises(VanishingF):
-        diffops.PotentialSlot.from_particular_solution(lat, faced)
+        diffops.PotentialSlot(lat, faced)
 
 
 def test_conductivity_reduces_to_schrodinger():
@@ -337,11 +358,10 @@ def test_conductivity_reduces_to_schrodinger():
     lat = cube(11)
     x = lat.points()
     u0 = np.exp(x @ K_UNIT)
-    slot = diffops.PotentialSlot.from_conductivity(lat, np.ones(lat.dims), -np.ones(lat.dims), u0)
     phi = x[..., 0] ** 2 * x[..., 1]
-    cond = diffops.conductivity_factorization_residual(slot, phi)
+    cond = diffops.conductivity_factorization_residual(lat, np.ones(lat.dims), -np.ones(lat.dims), u0, phi)
 
-    schro_slot = diffops.PotentialSlot.from_particular_solution(lat, u0)
+    schro_slot = diffops.PotentialSlot(lat, u0)
     schro = diffops.schrodinger_factorization_residual(schro_slot, phi)
     assert cond <= 3 * schro + 1e-12
 
@@ -353,9 +373,8 @@ def conductivity_residual(n, margin, u0_sign=-1.0):
     p = 1.0 + x[..., 0] ** 2
     q = -((1.0 - x[..., 0]) ** 2)
     u0 = np.exp(u0_sign * x[..., 0])
-    slot = diffops.PotentialSlot.from_conductivity(lat, p, q, u0)
     phi = np.sin(x[..., 0]) * x[..., 2]
-    return diffops.conductivity_factorization_residual(slot, phi, margin=margin)
+    return diffops.conductivity_factorization_residual(lat, p, q, u0, phi, margin=margin)
 
 
 def test_conductivity_factorization_order():
@@ -376,9 +395,27 @@ def test_conductivity_exponential_p_exact():
     # discrete identity holds to machine precision for p = exp(x1)
     lat = cube(11)
     x = lat.points()
-    slot = diffops.PotentialSlot.from_conductivity(lat, np.exp(x[..., 0]), np.zeros(lat.dims), np.exp(-x[..., 0]))
     phi = np.sin(x[..., 0]) * x[..., 2]
-    assert diffops.conductivity_factorization_residual(slot, phi) <= 1e-12
+    p, q, u0 = np.exp(x[..., 0]), np.zeros(lat.dims), np.exp(-x[..., 0])
+    assert diffops.conductivity_factorization_residual(lat, p, q, u0, phi) <= 1e-12
+
+
+def test_conductivity_guards():
+    # p, q, u0 and phi must lie on the lattice, and neither p nor u0 may
+    # vanish: f = sqrt(p) u0 divides every term
+    lat = cube(9)
+    x = lat.points()
+    p, q, u0, phi = 1.0 + x[..., 0] ** 2, np.zeros(lat.dims), np.exp(-x[..., 0]), x[..., 2]
+    assert np.isfinite(diffops.conductivity_factorization_residual(lat, p, q, u0, phi))
+    with pytest.raises(LatticeMismatch, match="p has shape"):
+        diffops.conductivity_factorization_residual(lat, p[:-1], q, u0, phi)
+    with pytest.raises(LatticeMismatch, match="phi has shape"):
+        diffops.conductivity_factorization_residual(lat, p, q, u0, phi[..., None])
+    crossing = x[..., 0] - 0.4
+    with pytest.raises(VanishingF, match=r"\|p\|"):
+        diffops.conductivity_factorization_residual(lat, crossing, q, u0, phi)
+    with pytest.raises(VanishingF, match=r"\|u0\|"):
+        diffops.conductivity_factorization_residual(lat, p, q, crossing, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +533,7 @@ def test_round_trip_recovers_solution():
 
         # g' again solves the Schrodinger equation with nu = Lap f / f; its
         # NaN faces widen by one under the Laplacian
-        schro = -laplacian(g_prime, lat.spacing) + slot.nu * g_prime
+        schro = -laplacian(g_prime, lat.spacing) + slot.nu() * g_prime
         schro_res = max_abs_interior(schro)
         return prop_residual, schro_res
 
@@ -611,7 +648,7 @@ def test_vekua_coefficient_identity():
     # established only for real positive f; complex f is refused
     lat = cube(9)
     fbad = 2.0 + 1j * lat.points()[..., 0]
-    slot_bad = diffops.PotentialSlot.from_particular_solution(lat, fbad)
+    slot_bad = diffops.PotentialSlot(lat, fbad)
     with pytest.raises(ValueError):
         diffops.vekua_coefficient_identity_residual(slot_bad, w_at(lat))
 
@@ -625,10 +662,10 @@ def test_vekua_coefficient_identity_guard_skips_nan_faces():
     f[0] = np.nan
     # the NaN face divides through the slot's fields on purpose
     with np.errstate(invalid="ignore"):
-        ok = diffops.PotentialSlot.from_particular_solution(lat, f)
+        ok = diffops.PotentialSlot(lat, f)
         assert np.isfinite(diffops.vekua_coefficient_identity_residual(ok, w))
         f[3, 3, 3] = -1.0
-        bad = diffops.PotentialSlot.from_particular_solution(lat, f)
+        bad = diffops.PotentialSlot(lat, f)
         with pytest.raises(ValueError, match="real positive f"):
             diffops.vekua_coefficient_identity_residual(bad, w)
 
@@ -659,7 +696,7 @@ def test_negative_control_kinked_grid():
 
     def schro(n, margin, kinked):
         lat = cube(n, (1, 1, 1))
-        slot = diffops.PotentialSlot.from_particular_solution(lat, np.exp(lat.points() @ K_UNIT))
+        slot = diffops.PotentialSlot(lat, np.exp(lat.points() @ K_UNIT))
         fn = kink if kinked else (lambda p: p[..., 0] ** 2 * p[..., 1])
         return diffops.schrodinger_factorization_residual(slot, fn(lat.points()), margin=margin)
 
