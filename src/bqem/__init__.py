@@ -23,7 +23,6 @@ from .chiral_time import (
     green_function,
     green_refinement,
     green_residual,
-    maxwell_equivalence_residual,
 )
 from .diffops import (
     PotentialSlot,

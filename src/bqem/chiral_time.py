@@ -27,29 +27,21 @@ The factors of f that depend on x alone are computed once per lattice
 (``_green_factors``), and f is filled from them at any time
 (``_green_at``).  One slab kernel, ``_M_slab``, evaluates M on a time slab
 from the three slabs around it (``grids._time_windows``); ``green_residual``
-and ``maxwell_equivalence_residual`` stream it, building neither f, V nor
-M f whole.  ``green_residual`` evaluates f only on the box its margin keeps,
-plus the one node on each face that the central differences read, in space
-as well as in time.
+streams it, building neither f nor M f whole.  It evaluates f only on the
+box its margin keeps, plus the one node on each face that the central
+differences read, in space as well as in time.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 from .algebra import Biquaternion, _components
 from .errors import AchiralUnsupported
-from .grids import Lattice, SpaceTimeLattice, _keep, _time_diff, _time_windows
-from .grids import dirac, div, max_abs_interior, rot
-from .inhomog import EMState
+from .grids import Lattice, SpaceTimeLattice, _keep, _time_diff, _time_windows, dirac, max_abs_interior
 from .kernels import ChiralMedium, _radius, fundamental_solution
-
-# Relative size of |dt rho + div j| above which the sources are reported
-# as violating charge continuity.
-CONTINUITY_TOL = 1e-6
 
 # Largest complex (m^3, 4) time slab that green_refinement may reach:
 # 256 MiB.  At k levels the finest lattice has n = 2^(k+2) + 1 nodes a side
@@ -210,48 +202,3 @@ def green_refinement(medium: ChiralMedium, levels: int) -> list[tuple[float, flo
         rows.append((st.space.spacing, st.dt, green_residual(st, medium, margin=2**k)))
     return rows
 
-
-def maxwell_equivalence_residual(state: EMState, medium: ChiralMedium) -> tuple[float, float]:
-    """Residuals of the single quaternionic equation and of the component system.
-
-    The quaternionic form acts on V = E - 1j sqrt(mu/eps) H:
-
-        M V = -sqrt(mu/eps) j - beta sqrt(mu/eps) dt(rho) + 1j rho/eps ,
-
-    and the component system is the chiral Maxwell system with the
-    constitutive curls folded in plus the two divergence equations.  Both
-    residuals vanish together, to stencil accuracy, on exact solutions; the
-    component residual is the max over all four equations on one interior.
-    Warns when the input charge/current pair violates continuity.
-    """
-    st, E, H, rho, j = state.st, state.E, state.H, state.rho, state.j
-    h, ht = st.space.spacing, st.dt
-    eps, mu, beta = medium.eps, medium.mu, medium.beta
-    imp = np.sqrt(mu / eps)
-
-    cont = (_time_diff(prev, nxt, ht) + div(j[s], h) for s, (prev, _, nxt) in _time_windows(rho.__getitem__, st))
-    cont_norm = max(map(max_abs_interior, cont))
-    scale = max(1e-30, *(float(np.max(np.abs(slab))) for f in (rho, j) for slab in f))
-    if cont_norm > CONTINUITY_TOL * scale:
-        warnings.warn(
-            f"charge/current pair violates continuity: |dt rho + div j| = {cont_norm:.3e}",
-            stacklevel=2,
-        )
-
-    def fields(s):  # every field whose time difference a residual takes, and V
-        return E[s], H[s], rot(E[s], h), rot(H[s], h), rho[s], _components(vector=E[s] - 1j * imp * H[s])
-
-    r_quat = r_comp = 0.0
-    for s, (prev, cur, nxt) in _time_windows(fields, st):
-        dE, dH, d_rotE, d_rotH, d_rho = (_time_diff(a, b, ht) for a, b in zip(prev[:5], nxt[:5]))
-        Es, Hs, rotE, rotH, rho_s, _ = cur
-        MV = _M_slab(prev[5], cur[5], nxt[5], h, ht, medium, -1j)
-        rhs = _components(-beta * imp * d_rho + 1j * rho_s / eps, -imp * j[s])
-        r_quat = max(r_quat, max_abs_interior(MV - rhs))
-        res1 = rotH - eps * (dE + beta * d_rotE) - j[s]
-        res2 = rotE + mu * (dH + beta * d_rotH)
-        res3 = div(Es, h) - rho_s / eps
-        res4 = div(Hs, h)
-        comp = np.concatenate([res1, res2, res3[..., None], res4[..., None]], axis=-1)
-        r_comp = max(r_comp, max_abs_interior(comp))
-    return r_quat, r_comp

@@ -77,7 +77,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("top level must be a JSON object")
@@ -129,8 +129,11 @@ def _write(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:  # a directory, a missing parent, no permission
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 def _meta(command: str, inputs: dict, **seed) -> dict:
@@ -167,8 +170,6 @@ def cmd_scatter(cfg: dict, fmt: str, out: str | None) -> int:
     beta = _as_float(_get(cfg, "beta", 0.0), "beta")
     medium = _construct(ChiralMedium, beta=beta, alpha=alpha)
     source_scale = _as_float(_get(cfg, "source_scale", 0.15), "source_scale")
-    if not 0.0 < source_scale < 1.0:
-        raise ConfigError("config field source_scale must lie in (0, 1): scatter solves exterior problems")
     n_values = _get(cfg, "n_values", [10, 15, 20, 25, 30, 35])
     if not (isinstance(n_values, list) and n_values and all(type(n) is int and n > 0 for n in n_values)):
         raise ConfigError("config field n_values must be a non-empty list of positive integers")

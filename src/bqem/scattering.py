@@ -2,9 +2,8 @@
 problems on ellipsoids, in chiral or achiral homogeneous media.
 
 The approximate fields are right linear combinations of the Dirac-operator
-kernels placed at N source points y_j on an auxiliary ellipsoid (shrunk
-inside the surface for exterior problems, inflated outside for interior
-ones):
+kernels placed at N source points y_j on an auxiliary ellipsoid shrunk
+inside the surface, for exterior problems:
 
     E_N(x) = 1/2    Vec( sum_j K(+alpha1)(x - y_j) a_j + K(-alpha2)(x - y_j) b_j )
     H_N(x) = 1/(2j) Vec( sum_j K(+alpha1)(x - y_j) a_j - K(-alpha2)(x - y_j) b_j )
@@ -119,14 +118,14 @@ def _parametrize(surface: Ellipsoid, eta, nu, scale: float):
     return pos, (a, b, c), (se, ce, sn, cn)
 
 
-def surface_frame(surface: Ellipsoid, eta, nu, scale: float = 1.0) -> SurfaceSamples:
-    """Positions plus orthonormal frames at parameter values (eta, nu).
+def surface_frame(surface: Ellipsoid, eta, nu) -> SurfaceSamples:
+    """Positions plus orthonormal frames at parameter values (eta, nu) on the surface.
 
     Normals come from the cross product of the parameter derivatives,
     orientation-checked against the outward implicit-surface gradient;
     the tangent frame is Gram-Schmidt from the eta-derivative.
     """
-    pos, (a, b, c), (se, ce, sn, cn) = _parametrize(surface, eta, nu, scale)
+    pos, (a, b, c), (se, ce, sn, cn) = _parametrize(surface, eta, nu, 1.0)
     r_eta = np.stack([-a * se * sn, b * ce * sn, np.zeros_like(sn)], axis=-1)
     r_nu = np.stack([a * ce * cn, b * se * cn, -c * sn], axis=-1)
 
@@ -153,13 +152,13 @@ def _spiral(count: int) -> tuple[np.ndarray, np.ndarray]:
     return np.mod(GOLDEN_ANGLE * k, 2.0 * np.pi), np.arccos(z)
 
 
-def sample_surface(surface: Ellipsoid, count: int, scale: float = 1.0) -> SurfaceSamples:
-    """Quasi-uniform golden-angle spiral of ``count`` samples on the scaled surface."""
-    return surface_frame(surface, *_spiral(count), scale)
+def sample_surface(surface: Ellipsoid, count: int) -> SurfaceSamples:
+    """Quasi-uniform golden-angle spiral of ``count`` samples on the surface."""
+    return surface_frame(surface, *_spiral(count))
 
 
 def spiral_points(surface: Ellipsoid, count: int, scale: float = 1.0) -> np.ndarray:
-    """The (count, 3) positions of ``sample_surface``, without its frames."""
+    """The (count, 3) positions of ``sample_surface``'s spiral on the surface scaled by ``scale``."""
     return _parametrize(surface, *_spiral(count), scale)[0]
 
 
@@ -177,7 +176,7 @@ Fields = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 @dataclass(frozen=True)
 class MfsProblem:
-    """One boundary value problem for the solver.
+    """One exterior boundary value problem for the solver.
 
     ``reference`` maps points to the fields (E, H) whose boundary values
     the solution must match; None means the medium's ``dipole_field`` with
@@ -185,9 +184,9 @@ class MfsProblem:
     number, imposes E_N x n - xi (H_N x n) x n = E x n - xi (H x n) x n;
     0 is a perfect conductor, E_N x n = E x n.  Both sides come from the
     same tangential rows, so a solution that reproduces the
-    reference satisfies them exactly.  ``source_scale`` picks the side:
-    sources on a shrunk copy of the surface (scale < 1) give an exterior
-    problem, on an inflated one (scale > 1) an interior problem.
+    reference satisfies them exactly.  The sources lie on a copy of the
+    surface shrunk by ``source_scale``, in (0, 1); semi-axes so large that
+    distances on the surface scaled by EVAL_SCALE overflow are refused.
     ``oversample`` > 1 collocates more than 2N points and solves in the
     least-squares sense.  The 4C x 8N system matrix (C = ceil(2N oversample)
     collocation points) may take at most ``MAX_MATRIX_BYTES``.  A resonant
@@ -216,8 +215,15 @@ class MfsProblem:
             raise ValueError("alpha must be non-zero: a time-harmonic problem needs a wavenumber")
         if self.n_sources < 1:
             raise ValueError("n_sources must be >= 1")
-        if not (self.source_scale > 0.0 and self.source_scale != 1.0):
-            raise ValueError("source_scale must be positive and != 1 (< 1 exterior, > 1 interior)")
+        if not 0.0 < self.source_scale < 1.0:
+            raise ValueError(f"source_scale must lie in (0, 1) for an exterior problem, got {self.source_scale}")
+        # run_benchmark's points lie on the surface scaled by at most EVAL_SCALE,
+        # the sources on it scaled by source_scale: no offset x - y is longer than this
+        axes = np.array([self.surface.a, self.surface.b, self.surface.c])
+        with np.errstate(over="ignore"):  # an overflow gives inf, rejected next
+            bound = _radius((EVAL_SCALE + self.source_scale) * axes)
+        if not bound < np.inf:
+            raise ValueError(f"semi-axes {axes.tolist()} too large: distances on the {EVAL_SCALE:g}x surface overflow")
         if not self.oversample >= 1.0:
             raise ValueError("oversample must be >= 1")
         # bytes counted in floats, after n_sources is bounded, so that no
@@ -248,7 +254,7 @@ def source_points(problem: MfsProblem) -> np.ndarray:
 
 
 def collocation_points(problem: MfsProblem) -> SurfaceSamples:
-    return sample_surface(problem.surface, problem.n_collocation(), 1.0)
+    return sample_surface(problem.surface, problem.n_collocation())
 
 
 def _kernels(medium: ChiralMedium, pts, sources) -> tuple[np.ndarray, np.ndarray]:

@@ -15,11 +15,9 @@ from bqem.chiral_time import (
     green_function,
     green_refinement,
     green_residual,
-    maxwell_equivalence_residual,
 )
 from bqem.errors import AchiralUnsupported, GridTooSmall, OriginSingularity
-from bqem.grids import Lattice, SpaceTimeLattice, dirac, div, rot
-from bqem.inhomog import EMState
+from bqem.grids import Lattice, SpaceTimeLattice, dirac
 from bqem.kernels import ChiralMedium, fundamental_solution, helmholtz_kernel
 
 MED = ChiralMedium(eps=1.0, mu=1.0, beta=1.0)
@@ -454,127 +452,3 @@ def test_chiral_wave_annihilated_by_MMstar():
     r1, r2 = res(9, 2), res(17, 4)
     assert 3.2 <= r1 / r2 <= 4.8
 
-
-# ---------------------------------------------------------------------------
-# Maxwell equivalence
-# ---------------------------------------------------------------------------
-
-
-def chiral_plane_wave(med):
-    k = (med.alpha / (1 - med.alpha * med.beta)).real
-    w = (med.alpha / np.sqrt(med.eps * med.mu)).real  # the frequency of alpha
-    gamma = 1j * med.eps * w * (1 + med.beta * k) / k
-    p = np.array([1.0, -1j, 0.0])
-
-    def E_fn(t, pts):
-        ph = np.exp(1j * (w * t - k * pts[..., 2]))
-        return np.real(p * ph[..., None])
-
-    def H_fn(t, pts):
-        ph = np.exp(1j * (w * t - k * pts[..., 2]))
-        return np.real(gamma * p * ph[..., None])
-
-    return E_fn, H_fn
-
-
-def make_state(med, n, nt, perturb_H=None):
-    st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, n), 0.0, 1.0 / (nt - 1), nt)
-    E_fn, H_fn = chiral_plane_wave(med)
-    pts = st.space.points()
-    ts = st.times()
-    E = np.stack([E_fn(t, pts) for t in ts])
-    H = np.stack([H_fn(t, pts) for t in ts])
-    if perturb_H is not None:
-        H = H + perturb_H(pts)[None]
-    return EMState(st, E, H, np.zeros(E.shape[:-1]), np.zeros_like(E))
-
-
-def test_equivalence_zero_state():
-    med = ChiralMedium(eps=1.0, mu=1.0, beta=0.2)
-    st = SpaceTimeLattice(Lattice.cube((0, 0, 0), 1.0, 7), 0.0, 0.1, 7)
-    shape = (7,) + st.space.dims
-    zero = np.zeros(shape + (3,))
-    r_quat, r_comp = maxwell_equivalence_residual(EMState(st, zero, zero, np.zeros(shape), zero), med)
-    assert r_quat == 0.0 and r_comp == 0.0
-
-
-def test_equivalence_on_chiral_mode():
-    med = ChiralMedium(eps=1.0, mu=1.0, beta=0.2)
-    rq = []
-    rc = []
-    for n in (9, 17):
-        q, c = maxwell_equivalence_residual(make_state(med, n, n), med)
-        rq.append(q)
-        rc.append(c)
-    assert 3.2 <= rq[0] / rq[1] <= 4.8
-    assert 3.2 <= rc[0] / rc[1] <= 4.8
-
-
-def test_equivalence_negative_control():
-    med = ChiralMedium(eps=1.0, mu=1.0, beta=0.2)
-    q0, c0 = maxwell_equivalence_residual(make_state(med, 9, 9), med)
-
-    def grad_field(pts):
-        bump = np.exp(-np.sum(pts * pts, axis=-1))
-        return -2.0 * pts * bump[..., None]
-
-    q1, c1 = maxwell_equivalence_residual(make_state(med, 9, 9, perturb_H=grad_field), med)
-    assert q1 > 10 * q0 and c1 > 10 * c0
-
-
-def whole_array_equivalence(state, med):
-    """maxwell_equivalence_residual with every term built as a whole
-    (nt,) + dims array, in the streamed routine's order of operations."""
-    E, H, rho, j = state.E, state.H, state.rho, state.j
-    h, ht = state.st.space.spacing, state.st.dt
-    eps, mu, beta = med.eps, med.mu, med.beta
-    imp = np.sqrt(mu / eps)
-    MV = apply_M(_components(vector=E - 1j * imp * H), state.st, med)
-    rhs = _components(-beta * imp * diff(rho, 0, ht) + 1j * rho / eps, -imp * j)
-    rotE, rotH = rot(E, h), rot(H, h)
-    res1 = rotH - eps * (diff(E, 0, ht) + beta * diff(rotE, 0, ht)) - j
-    res2 = rotE + mu * (diff(H, 0, ht) + beta * diff(rotH, 0, ht))
-    res3 = div(E, h) - rho / eps
-    res4 = div(H, h)
-    comp = np.concatenate([res1, res2, res3[..., None], res4[..., None]], axis=-1)
-    return max_abs_interior(MV - rhs), max_abs_interior(comp)
-
-
-def random_state(nt, dims=(9, 11, 8)):
-    rng = np.random.default_rng(3)
-    st = SpaceTimeLattice(Lattice((0.1, -0.2, 0.05), 0.07, dims), 0.0, 0.05, nt)
-    shape = (nt,) + dims
-    E, H, j = (rng.normal(size=shape + (3,)) for _ in range(3))
-    return EMState(st, E, H, rng.normal(size=shape), j)
-
-
-def test_equivalence_matches_whole_array_expression():
-    # bit for bit, on a non-cubic lattice with nt != n
-    med = ChiralMedium(eps=1.3, mu=0.7, beta=0.2)
-    state = random_state(13)
-    with pytest.warns(UserWarning, match="continuity"):
-        got = maxwell_equivalence_residual(state, med)
-    assert got == whole_array_equivalence(state, med)
-    with pytest.raises(GridTooSmall):
-        maxwell_equivalence_residual(random_state(2), med)
-
-
-def test_equivalence_holds_a_few_slabs(traced_peak):
-    med = ChiralMedium(eps=1.0, mu=1.0, beta=0.2)
-
-    def peak(nt):
-        state = make_state(med, 17, nt)
-        return traced_peak(lambda: maxwell_equivalence_residual(state, med))[1]
-
-    short, long = peak(9), peak(33)
-    assert long <= 24 * 17**3 * 4 * np.dtype(complex).itemsize  # one whole field at nt = 33 is 33 slabs
-    assert abs(long - short) <= 0.1 * short
-
-
-def test_continuity_warning():
-    med = ChiralMedium(eps=1.0, mu=1.0, beta=0.2)
-    state = make_state(med, 9, 9)
-    pts = state.st.space.points()
-    rho_bad = state.rho + np.exp(-np.sum(pts * pts, axis=-1))[None] * np.linspace(0, 1, 9)[:, None, None, None]
-    with pytest.warns(UserWarning, match="continuity"):
-        maxwell_equivalence_residual(replace(state, rho=rho_bad), med)

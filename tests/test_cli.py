@@ -162,11 +162,12 @@ def test_scatter_ill_conditioned_plateau(tmp_path, capsys, oversample):
         {"beta": 1.0, "alpha": [1.0, 0.0]},
         {"moment": [0, 0, 0]},
         {"alpha": 0},
+        {"ellipsoid": {"a": 1e200, "b": 3, "c": 2}},
     ],
     ids=["n_values_empty", "n_values_bool", "axis_zero", "axis_negative",
          "source_scale_zero", "source_scale_above_one", "oversample_below_one", "alpha_negative_imag",
          "alpha_nan_part", "alpha_nan", "axis_nan", "oversample_beyond_array_limit", "largest_n_beyond_array_limit",
-         "oversample_beyond_ceiling", "chiral_resonance", "moment_zero", "alpha_zero"],
+         "oversample_beyond_ceiling", "chiral_resonance", "moment_zero", "alpha_zero", "axis_overflows"],
 )
 def test_scatter_bad_config_values(tmp_path, capsys, monkeypatch, override):
     # rejected while the config is read: no solve starts, so no array is built
@@ -232,6 +233,22 @@ def test_invalid_json(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["scatter", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_non_utf8_config(tmp_path, capsys):
+    # a UTF-16 byte-order mark is not UTF-8: its UnicodeDecodeError escaped as a traceback
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(TINY_SCATTER).encode("utf-16-le"))
+    assert main(["scatter", "--config", str(path)]) == 2
+    assert f"config error: cannot read {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["directory", "missing_parent"])
+def test_unwritable_out(tmp_path, capsys, target):
+    # IsADirectoryError and FileNotFoundError escaped as tracebacks
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "x.csv"
+    assert main(["check", "algebra", "--out", str(out)]) == 2
+    assert f"config error: cannot write {out}" in capsys.readouterr().err
 
 
 def test_check_algebra_passes(capsys):

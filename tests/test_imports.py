@@ -1,10 +1,12 @@
 """Import budget: scipy.linalg and scipy.special load on first use only, and
-no command loads sympy, which only the tests use; and the exact set of names
-``bqem`` exports.
+no command loads sympy, which only the tests use; the exact set of names
+``bqem`` exports; and no module imports a name it does not use.
 
-Each case runs in a fresh interpreter so that sys.modules starts clean.
+Each import-budget case runs in a fresh interpreter so that sys.modules
+starts clean.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -17,7 +19,8 @@ import pytest
 import bqem
 import bqem.inhomog
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 HEAVY = ("sympy", "scipy.linalg", "scipy.special")
 
 
@@ -75,8 +78,7 @@ PUBLIC_NAMES = [
     "darboux_transform", "dipole_field", "dirac_residual", "dot", "evaluate_fields",
     "fundamental_solution", "generating_quartet", "green_function", "green_refinement",
     "green_residual", "helmholtz_factorization_residual", "helmholtz_kernel",
-    "helmholtz_kernel_grad", "manufactured_state", "maxwell_equivalence_residual",
-    "maxwell_residuals", "quaternionic_residual", "run_benchmark",
+    "helmholtz_kernel_grad", "manufactured_state", "maxwell_residuals", "quaternionic_residual", "run_benchmark",
     "sample_surface", "schrodinger_factorization_residual", "solve_dense", "solve_problem",
     "static_residuals",
     "vekua_coefficient_identity_residual", "vekua_consequences", "vekua_residual",
@@ -88,5 +90,29 @@ def test_public_surface_is_pinned():
         name for name, value in vars(bqem).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 47
     assert exported == PUBLIC_NAMES
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names ``path`` imports and never reads, as 'file:line: name'.
+
+    ``import a.b`` binds ``a``; ``from __future__`` imports bind nothing.
+    """
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in bound.items() if name not in used]
+
+
+def test_every_import_is_used():
+    # bqem/__init__ imports to re-export; every other module reads what it imports
+    paths = [p for p in sorted((SRC / "bqem").glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    assert len(paths) > 20
+    assert [entry for p in paths for entry in unused_imports(p)] == []

@@ -93,12 +93,12 @@ def test_frame_pole_rejected():
 
 
 def test_spiral_scale_box():
-    s = sample_surface(SURFACE, 200, scale=0.15)
-    assert np.all(np.abs(s.pos[:, 0]) <= 0.75 + 1e-12)
-    assert np.all(np.abs(s.pos[:, 1]) <= 0.45 + 1e-12)
-    assert np.all(np.abs(s.pos[:, 2]) <= 0.30 + 1e-12)
+    pos = spiral_points(SURFACE, 200, 0.15)
+    assert np.all(np.abs(pos[:, 0]) <= 0.75 + 1e-12)
+    assert np.all(np.abs(pos[:, 1]) <= 0.45 + 1e-12)
+    assert np.all(np.abs(pos[:, 2]) <= 0.30 + 1e-12)
     # points lie on the scaled ellipsoid
-    q = (s.pos[:, 0] / 0.75) ** 2 + (s.pos[:, 1] / 0.45) ** 2 + (s.pos[:, 2] / 0.30) ** 2
+    q = (pos[:, 0] / 0.75) ** 2 + (pos[:, 1] / 0.45) ** 2 + (pos[:, 2] / 0.30) ** 2
     assert np.allclose(q, 1.0)
 
 
@@ -112,8 +112,10 @@ def test_spiral_no_duplicates():
 @pytest.mark.parametrize("scale", [0.15, 1.0, 5.0])
 @pytest.mark.parametrize("count", [1, 10, 217])
 def test_spiral_points_are_the_sample_positions(count, scale):
-    # one position formula: the positions-only spiral is sample_surface's, to the bit
-    assert np.array_equal(spiral_points(SURFACE, count, scale), sample_surface(SURFACE, count, scale).pos)
+    # one position formula: the positions-only spiral is sample_surface's on
+    # the scaled ellipsoid, to the bit
+    scaled = Ellipsoid(scale * SURFACE.a, scale * SURFACE.b, scale * SURFACE.c)
+    assert np.array_equal(spiral_points(SURFACE, count, scale), sample_surface(scaled, count).pos)
 
 
 def test_parametric_grid_excludes_poles():
@@ -223,7 +225,7 @@ def test_row_operator_matches_quaternion_products(monkeypatch, medium, impedance
 
 def test_source_on_boundary_guard():
     prob = dipole_problem(3)
-    frames = sample_surface(SURFACE, 3, 0.15)
+    frames = sample_surface(SURFACE, 3)
     src = frames.pos
     col = SurfaceSamples(
         pos=src.copy(), normal=frames.normal, t1=frames.t1, t2=frames.t2
@@ -253,7 +255,7 @@ def test_blocked_assembly_matches_one_block(monkeypatch, beta):
 def test_source_on_boundary_guard_in_last_block(monkeypatch):
     prob = dipole_problem(3)
     src = spiral_points(SURFACE, 3, 0.15)
-    col = sample_surface(SURFACE, 7, 1.0)
+    col = sample_surface(SURFACE, 7)
     col.pos[-1] = src[1]
     small_blocks(monkeypatch, 2, 3)
     with pytest.raises(SourceSingularity):
@@ -266,7 +268,7 @@ def test_coincidence_guard_at_the_tolerance(monkeypatch, short_last_block, tols,
     # a point tols * COINCIDENCE_TOL from a source, collocated and evaluated
     prob = dipole_problem(3)
     src = spiral_points(SURFACE, 3, 0.15)
-    col = sample_surface(SURFACE, 7, 1.0)
+    col = sample_surface(SURFACE, 7)
     col.pos[-1] = src[1] + tols * COINCIDENCE_TOL * np.array([0.6, 0.0, -0.8])
     coeffs = Biquaternion(np.ones((3, 4)))
     sol = MfsSolution(sources=src, coeffs_a=coeffs, coeffs_b=coeffs, medium=MEDIUM)
@@ -499,7 +501,7 @@ def test_evaluate_fields_against_naive_sum(shape, beta):
     med = ChiralMedium(beta=beta, alpha=1 + 0.3j)
     rng = np.random.default_rng(3)
     n = 5
-    sources = sample_surface(SURFACE, n, 0.15).pos
+    sources = spiral_points(SURFACE, n, 0.15)
 
     def random_coeffs():
         return Biquaternion(rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4)))
@@ -526,7 +528,7 @@ def test_blocked_evaluation_matches_one_block(monkeypatch, shape):
     med = ChiralMedium(beta=0.1, alpha=1 + 0.3j)
     rng = np.random.default_rng(8)
     coeffs = [Biquaternion(rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))) for _ in range(2)]
-    sol = MfsSolution(sample_surface(SURFACE, 5, 0.15).pos, *coeffs, medium=med)
+    sol = MfsSolution(spiral_points(SURFACE, 5, 0.15), *coeffs, medium=med)
     x = rng.uniform(2.0, 6.0, size=shape)
     one_block = evaluate_fields(sol, x)
     small_blocks(monkeypatch, 4, 5)
@@ -540,8 +542,8 @@ def test_evaluate_fields_working_set(traced_peak):
     med = ChiralMedium(beta=0.1, alpha=1 + 0.3j)
     rng = np.random.default_rng(9)
     coeffs = [Biquaternion(rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))) for _ in range(2)]
-    sol = MfsSolution(sample_surface(SURFACE, 200, 0.15).pos, *coeffs, medium=med)
-    x = sample_surface(SURFACE, 4000, 2.0).pos
+    sol = MfsSolution(spiral_points(SURFACE, 200, 0.15), *coeffs, medium=med)
+    x = spiral_points(SURFACE, 4000, 2.0)
     out, peak = traced_peak(lambda: evaluate_fields(sol, x))
     assert peak <= sum(a.nbytes for a in out) + 5e6
 
@@ -563,7 +565,7 @@ def test_one_kernel_evaluation_per_wavenumber(monkeypatch, beta, calls):
     assert len(alphas) == calls
     alphas.clear()
     coeffs = Biquaternion(np.ones((4, 4)))
-    sol = MfsSolution(sources=sample_surface(SURFACE, 4, 0.15).pos, coeffs_a=coeffs, coeffs_b=coeffs, medium=med)
+    sol = MfsSolution(sources=spiral_points(SURFACE, 4, 0.15), coeffs_a=coeffs, coeffs_b=coeffs, medium=med)
     evaluate_fields(sol, np.array([[6.0, 0.0, 0.0]]))
     assert len(alphas) == calls
     # per block: 8 collocation points, and 5 evaluation points, in blocks of 3
@@ -659,29 +661,6 @@ def test_solved_field_satisfies_maxwell_pointwise():
     assert rel20 < 3.0 * leak20 + 1e-6
 
 
-def test_interior_problem():
-    # singularity well outside the inflated source surface; fields analytic inside
-    moment = np.array([0.2, 1.0, -0.4])
-    center = np.array([18.0, 2.0, 1.0])
-
-    def reference(pts):
-        return dipole_field(moment, MEDIUM, np.asarray(pts) - center)
-
-    prob = MfsProblem(
-        surface=SURFACE,
-        medium=MEDIUM,
-        n_sources=48,
-        source_scale=2.5,
-        reference=reference,
-    )
-    sol = solve_problem(prob)
-    pts = parametric_grid(SURFACE, 10, 5, scale=0.5)
-    E, H, _ = evaluate_fields(sol, pts)
-    E_ref, H_ref = reference(pts)
-    scale = np.max(np.abs(E_ref))
-    assert np.max(np.abs(E - E_ref)) < 1e-3 * max(scale, 1e-30)
-
-
 def test_impedance_condition():
     moment = np.array([1.0, 0.5, -0.2])
     xi = 0.4 + 0.1j
@@ -702,11 +681,15 @@ def test_impedance_condition():
 
 
 def test_problem_validation():
-    # source_scale picks the side (< 1 exterior, > 1 interior), so only
-    # non-positive scales and the surface itself are rejected
-    for source_scale in (0.0, 1.0, -0.5):
-        with pytest.raises(ValueError):
+    # the sources lie inside the surface: only scales in (0, 1) are accepted
+    for source_scale in (0.0, 1.0, -0.5, 2.5, np.nan):
+        with pytest.raises(ValueError, match="source_scale"):
             MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=4, source_scale=source_scale)
+    # a semi-axis whose distances on the EVAL_SCALE surface overflow is
+    # refused; at 1e20 they are finite, and the solve decides
+    with pytest.raises(ValueError, match="too large"):
+        MfsProblem(surface=Ellipsoid(1e200, 3.0, 2.0), medium=MEDIUM, n_sources=4, source_scale=0.15)
+    MfsProblem(surface=Ellipsoid(1e20, 3.0, 2.0), medium=MEDIUM, n_sources=4, source_scale=0.15)
     with pytest.raises(ValueError):
         MfsProblem(surface=SURFACE, medium=MEDIUM, n_sources=0, source_scale=0.15)
     # oversample must be >= 1, and the 4C x 8N matrix must stay under the
