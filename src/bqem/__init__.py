@@ -35,7 +35,6 @@ from .diffops import (
     helmholtz_factorization_residual,
     schrodinger_factorization_residual,
     vekua_coefficient_identity_residual,
-    vekua_consequences,
     vekua_residual,
 )
 from .grids import (
@@ -57,7 +56,6 @@ from .kernels import (
     dipole_field,
     fundamental_solution,
     helmholtz_kernel,
-    helmholtz_kernel_grad,
 )
 from .scattering import (
     Ellipsoid,

@@ -66,7 +66,8 @@ def _green_factors(x, medium: ChiralMedium):
     """
     beta = medium.beta
     if beta * beta * medium.eps * medium.mu == 0.0:
-        raise AchiralUnsupported(f"Green function requires beta != 0 to double precision, got beta = {beta}")
+        got = f"beta^2 eps mu = 0 at beta = {beta}, eps = {medium.eps}, mu = {medium.mu}"
+        raise AchiralUnsupported(f"Green function requires beta^2 eps mu != 0 to double precision, got {got}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite factor is rejected below
         K = fundamental_solution(1.0 / beta, x).components
         x = np.asarray(x, dtype=float)

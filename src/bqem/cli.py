@@ -125,12 +125,12 @@ def _emit(report: Report, fmt: str, out: str | None) -> None:
     _write(render_csv(report) if fmt == "csv" else render_json(report), out)
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(text: str, out: str | None, mode: str = "w") -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
         try:
-            with open(out, "w", newline="\n") as fh:
+            with open(out, mode, newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:  # a directory, a missing parent, no permission
             raise ConfigError(f"cannot write {out}: {exc}") from exc
@@ -316,6 +316,9 @@ def main(argv=None) -> int:
     _fix_mmap_threshold()
     args = build_parser().parse_args(argv)
     try:
+        # opened to append before any work: an unwritable --out fails now, and
+        # an existing file keeps its bytes until the output replaces them
+        _write("", args.out, "a")
         if args.command == "scatter":
             return cmd_scatter(_load_config(args.config), args.format, args.out)
         if args.command == "check":

@@ -11,11 +11,11 @@ this module verifies, on manufactured grids, the operator identities
                                with f = sqrt(p) u0
 
 plus the first-order reduction F = f D(f^-1 g), its quadrature inverse, and
-the quaternionic Vekua equation (D - (Df/f) C_H) W = 0 with its scalar- and
-vector-part consequences.  Every residual routine returns the maximum
-componentwise modulus over the valid interior, which is the quantity the
-refinement-ratio checks watch; the interior is read from the NaN faces
-(``grids.max_abs_interior``), and ``margin=`` only widens it.
+the quaternionic Vekua equation (D - (Df/f) C_H) W = 0.  Every residual
+routine returns the maximum componentwise modulus over the valid interior,
+which is the quantity the refinement-ratio checks watch; the interior is
+read from the NaN faces (``grids.max_abs_interior``), and ``margin=`` only
+widens it.
 
 Fields are plain complex arrays on a Lattice: shape ``dims`` for a scalar
 field, ``dims + (4,)`` for a quaternion field, which ``algebra._components``
@@ -49,7 +49,6 @@ from .grids import (
     grad,
     laplacian,
     max_abs_interior,
-    rot,
 )
 
 # Division by f appears throughout; below this the slot is rejected.
@@ -228,23 +227,6 @@ def vekua_residual(slot: PotentialSlot, W, margin: int = 0) -> float:
     """Max interior norm of D W - (Df/f) C_H(W)."""
     W = _on_lattice(W, slot.lattice, "W", (4,))
     return max_abs_interior(_vekua_image(slot, W), margin)
-
-
-def vekua_consequences(slot: PotentialSlot, W, margin: int = 0) -> tuple[float, float, float]:
-    """Residuals implied for a solution W = W0 + Wv of the Vekua equation.
-
-    Returns the max interior norms of (-Lap + nu) W0,
-    div(f^2 grad(W0/f)), and rot(f^-2 rot(f Wv)).
-    """
-    W = _on_lattice(W, slot.lattice, "W", (4,))
-    h = slot.lattice.spacing
-    f = slot.f
-    w0 = W[..., 0]
-    wv = W[..., 1:]
-    r_schr = max_abs_interior(-laplacian(w0, h) + slot.nu() * w0, margin)
-    r_sc = max_abs_interior(div((f * f)[..., None] * grad(w0 / f, h), h), margin)
-    r_vec = max_abs_interior(rot((f ** -2.0)[..., None] * rot(f[..., None] * wv, h), h), margin)
-    return r_schr, r_sc, r_vec
 
 
 def generating_quartet(slot: PotentialSlot) -> list[np.ndarray]:

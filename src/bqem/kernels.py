@@ -1,7 +1,7 @@
-"""Closed-form kernels: Helmholtz fundamental solution, its gradient, the
-biquaternion fundamental solutions of the perturbed Dirac operators D +/- alpha,
-split wavenumbers for chiral media, and the magnetic-dipole reference field
-of a chiral or achiral medium.
+"""Closed-form kernels: Helmholtz fundamental solution, the biquaternion
+fundamental solution of the perturbed Dirac operator D + alpha, split
+wavenumbers for chiral media, and the magnetic-dipole reference field of a
+chiral or achiral medium.
 
 Conventions.  theta_alpha(x) = -exp(1j*alpha*|x|) / (4*pi*|x|) solves
 (Lap + alpha^2) theta = delta; admissibility requires Im(alpha) >= 0 so the
@@ -10,13 +10,14 @@ kernel decays (or stays bounded) at infinity.  The Dirac-operator kernels are
     K(+alpha) = ( alpha + x/|x|^2 - 1j*alpha*x/|x|) * theta_alpha(x)
     K(-alpha) = (-alpha + x/|x|^2 - 1j*alpha*x/|x|) * theta_alpha(x)
 
-with scalar part +/- alpha*theta and common vector part -grad(theta); both
-signs share the same theta_alpha, so one routine takes (alpha, sign).
+with scalar part +/- alpha*theta and common vector part -grad(theta): so
+grad(theta) is -Vec K(alpha), and K(-alpha) is K(alpha) with its scalar part
+negated, which ``scattering`` applies.
 
 theta_alpha and its radial gradient factor G (grad theta = G(r) x) are
 computed in one routine, ``_theta_and_radial``, which is also the only place
-that rejects Im(alpha) < 0, |x| = 0 and |x| not finite.  Every public kernel
-is a view of it; only the dipole's ``_curls`` adds the Hessian factor dG/dr.
+that rejects an inadmissible alpha or position.  Every public kernel is a
+view of it; only the dipole's ``_curls`` adds the Hessian factor dG/dr.
 |x| itself comes from ``_radius``, which the scattering coincidence guard
 shares.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Biquaternion, _components, _cross
+from .algebra import Biquaternion, _cross
 from .errors import ChiralResonance, InadmissibleAlpha, OriginSingularity
 
 FOUR_PI = 4.0 * np.pi
@@ -64,9 +65,9 @@ def _radius(x: np.ndarray) -> np.ndarray:
 def _theta_and_radial(alpha: complex, x):
     """The one evaluation of theta_alpha and its radial gradient factor.
 
-    Rejects Im(alpha) < 0, |x| = 0 (``OriginSingularity``) and |x| not
-    finite in double precision (``ValueError``), then returns (x, r, theta,
-    G) with grad theta = G(r) * x.
+    Rejects Im(alpha) < 0, |x| = 0 (``OriginSingularity``), and |x| not
+    finite or |x|^2 overflowing in double precision (``ValueError``), then
+    returns (x, r, theta, G) with grad theta = G(r) * x.
     """
     alpha = complex(alpha)
     if alpha.imag < 0.0:
@@ -78,7 +79,8 @@ def _theta_and_radial(alpha: complex, x):
     if np.any(r <= ORIGIN_TOL):
         raise OriginSingularity("kernel evaluated at |x| = 0")
     if not np.all(r < np.inf):  # NaN fails too
-        raise ValueError("kernel evaluated at a position whose |x| is not finite")
+        cause = "|x|^2 overflows double precision" if np.all(np.isfinite(x)) else "|x| is not finite"
+        raise ValueError(f"kernel evaluated at a position whose {cause}")
     iar = 1j * alpha * r
     theta = -np.exp(iar) / (FOUR_PI * r)
     G = theta * (iar - 1.0) / (r * r)
@@ -90,27 +92,14 @@ def helmholtz_kernel(alpha: complex, x) -> np.ndarray:
     return _theta_and_radial(alpha, x)[2]
 
 
-def helmholtz_kernel_grad(alpha: complex, x) -> Biquaternion:
-    """grad theta_alpha(x) = -(x/|x|^2 - 1j*alpha*x/|x|) * theta_alpha(x).
-
-    Returned as a purely vectorial biquaternion with the batch shape of x.
-    """
-    x, _, _, G = _theta_and_radial(alpha, x)
-    out = _components(vector=x)
-    out[..., 1:] *= G[..., None]
-    return Biquaternion._own(out)
-
-
-def fundamental_solution(alpha: complex, x, sign: int = 1) -> Biquaternion:
-    """Kernel of D + sign*alpha: scalar part sign*alpha*theta, vector -grad theta."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+def fundamental_solution(alpha: complex, x) -> Biquaternion:
+    """Kernel of D + alpha: scalar part alpha*theta, vector -grad theta."""
     x, _, theta, G = _theta_and_radial(alpha, x)
     # filled in place, one component at a time: a complex copy of x times
     # -G[..., None] would make two more (..., 3) arrays; the products are
     # the same, (x_i + 0j) * -G
     out = np.empty(x.shape[:-1] + (4,), dtype=complex)
-    out[..., 0] = sign * complex(alpha) * theta
+    out[..., 0] = complex(alpha) * theta
     minus_G = -G
     for i in range(3):
         np.multiply(x[..., i], minus_G, out=out[..., i + 1])

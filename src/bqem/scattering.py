@@ -112,8 +112,8 @@ def _parametrize(surface: Ellipsoid, eta, nu, scale: float):
     a, b, c = scale * surface.a, scale * surface.b, scale * surface.c
     sn, cn = np.sin(nu), np.cos(nu)
     se, ce = np.sin(eta), np.cos(eta)
-    if np.any(np.abs(sn) < 1e-12):
-        raise DegenerateSample("sample at a parametrization pole (nu = 0 or pi)")
+    if np.any(sn < 1e-12):
+        raise DegenerateSample("sample at or beyond a parametrization pole: nu must lie in (0, pi)")
     pos = np.stack([a * ce * sn, b * se * sn, c * cn], axis=-1)
     return pos, (a, b, c), (se, ce, sn, cn)
 
@@ -121,9 +121,11 @@ def _parametrize(surface: Ellipsoid, eta, nu, scale: float):
 def surface_frame(surface: Ellipsoid, eta, nu) -> SurfaceSamples:
     """Positions plus orthonormal frames at parameter values (eta, nu) on the surface.
 
-    Normals come from the cross product of the parameter derivatives,
-    orientation-checked against the outward implicit-surface gradient;
-    the tangent frame is Gram-Schmidt from the eta-derivative.
+    The normal r_nu x r_eta = sin nu (bc cos eta sin nu, ac sin eta sin nu, ab cos nu)
+    points outward: its dot product with the gradient (x/a^2, y/b^2, z/c^2) is
+    sin nu (bc/a cos^2 eta sin^2 nu + ac/b sin^2 eta sin^2 nu + ab/c cos^2 nu) > 0
+    for nu in (0, pi), which ``_parametrize`` enforces.  A normal of norm 0 or
+    not finite is rejected; the tangent frame is Gram-Schmidt from r_eta.
     """
     pos, (a, b, c), (se, ce, sn, cn) = _parametrize(surface, eta, nu, 1.0)
     r_eta = np.stack([-a * se * sn, b * ce * sn, np.zeros_like(sn)], axis=-1)
@@ -131,12 +133,9 @@ def surface_frame(surface: Ellipsoid, eta, nu) -> SurfaceSamples:
 
     n = _cross(r_nu, r_eta)
     norm = np.linalg.norm(n, axis=-1, keepdims=True)
-    if np.any(norm < 1e-14):
-        raise DegenerateSample("vanishing normal (degenerate parameter point)")
+    if not np.all((norm > 0.0) & (norm < np.inf)):  # NaN fails too
+        raise DegenerateSample("normal of norm 0 or not finite (degenerate parameter point)")
     n = n / norm
-    outward = np.stack([pos[..., 0] / a**2, pos[..., 1] / b**2, pos[..., 2] / c**2], axis=-1)
-    flip = np.sum(n * outward, axis=-1) < 0.0
-    n[flip] = -n[flip]
 
     t1 = r_eta / np.linalg.norm(r_eta, axis=-1, keepdims=True)
     t2 = _cross(n, t1)

@@ -26,14 +26,7 @@ from . import diffops, inhomog
 from .algebra import Biquaternion, I1, I2, I3, ONE, _components, _cross, cross, dot
 from .chiral_time import _M_slab, green_function, green_refinement
 from .grids import Lattice, SpaceTimeLattice, _time_windows, grad, laplacian, max_abs_interior, rot
-from .kernels import (
-    ChiralMedium,
-    chiral_wavenumbers,
-    dipole_field,
-    fundamental_solution,
-    helmholtz_kernel,
-    helmholtz_kernel_grad,
-)
+from .kernels import ChiralMedium, chiral_wavenumbers, dipole_field, fundamental_solution, helmholtz_kernel
 
 RATIO_LO, RATIO_HI = 3.2, 4.8
 
@@ -169,7 +162,7 @@ def suite_kernels(seed: int = 0) -> list[CheckRow]:
     res = [abs(_stencil_at(laplacian, fth, x0, h) + alpha * alpha * fth(x0)) for h in (1e-2, 5e-3)]
     rows.append(_ratio_row("kernels", "helmholtz_pde_residual_order", res[0], res[1]))
 
-    grads = helmholtz_kernel_grad(alpha, x0).vector
+    grads = -fundamental_solution(alpha, x0).vector
     fd = _stencil_at(grad, fth, x0, 1e-5)
     rows.append(_row("kernels", "gradient_matches_fd", float(np.max(np.abs(grads - fd))), 1e-9))
 

@@ -225,15 +225,7 @@ def test_criterion_8_vekua_quartet():
         rf = diffops.vekua_residual(slot_f, Wf, margin=4)
         ratios.append(rc / rf)
         assert RATIO_WINDOW[0] <= rc / rf <= RATIO_WINDOW[1]
-
-    # consequence residuals: exact solutions keep all three at the
-    # discrete-zero level, i.e. bounded by the same order
-    scale = 1.0 / float(np.min(np.abs(slot_f.f)))
-    worst = 0.0
-    for W in quartet_f:
-        worst = max(worst, *diffops.vekua_consequences(slot_f, W))
-    assert worst <= 1e-11 * scale
-    report(8, f"member_ratios={[f'{r:.2f}' for r in ratios]} consequence_max={worst:.2e}")
+    report(8, f"member_ratios={[f'{r:.2f}' for r in ratios]}")
 
 
 # ---------------------------------------------------------------------------

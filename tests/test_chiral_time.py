@@ -217,8 +217,12 @@ def test_green_guards():
         green_function(1.0, [1.0, 0, 0], ChiralMedium(beta=1e-120))
     with pytest.raises(OriginSingularity):
         green_function(1.0, [0.0, 0, 0], MED)
-    with pytest.raises(ValueError, match="not finite"):
+    # |x| = 1e200 is finite, its square is not
+    with pytest.raises(ValueError, match=r"\|x\|\^2 overflows"):
         green_function(1.0, [1e200, 0, 0], MED)
+    # beta = 1, but beta^2 eps mu underflows: the message names all three
+    with pytest.raises(AchiralUnsupported, match=r"beta\^2 eps mu = 0 at beta = 1.0, eps = 1e-300, mu = 1e-300"):
+        green_function(1.0, [1.0, 0, 0], ChiralMedium(eps=1e-300, mu=1e-300, beta=1.0))
     # a t so large that c t, a t or t / c overflows: rejected, not NaN
     with pytest.raises(ValueError, match="overflows"):
         green_function(1e308, [1.0, 0, 0], ChiralMedium(beta=1e-3))

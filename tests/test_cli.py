@@ -251,6 +251,38 @@ def test_unwritable_out(tmp_path, capsys, target):
     assert f"config error: cannot write {out}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["directory", "missing_parent"])
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["scatter"], "run_benchmark"),
+        (["check", "all"], "run_suites"),
+        (["green-eval", "--refine"], "green_refinement"),
+    ],
+    ids=["scatter", "check_all", "green_refine"],
+)
+def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch, argv, work, target):
+    # each command ran its whole computation, about 0.5 s, before the write failed
+    monkeypatch.setattr(cli, work, lambda *args, **kw: pytest.fail(f"{work} started"))
+    if argv == ["scatter"]:
+        argv = argv + ["--config", write_config(tmp_path, TINY_SCATTER)]
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"config error: cannot write {out}" in capsys.readouterr().err
+
+
+def test_failed_command_leaves_out_as_it_was(tmp_path, capsys):
+    # the destination check truncates nothing; a new path is left empty, as
+    # a shell redirection leaves it
+    out = tmp_path / "report.csv"
+    out.write_bytes(b"an earlier report\n")
+    fresh = tmp_path / "fresh.csv"
+    for path in (out, fresh):
+        assert main(["green-eval", "--x", "0,0,0", "--out", str(path)]) == 2
+    assert out.read_bytes() == b"an earlier report\n"
+    assert fresh.read_bytes() == b""
+
+
 def test_check_algebra_passes(capsys):
     assert main(["check", "algebra"]) == 0
     out = capsys.readouterr().out
@@ -413,8 +445,9 @@ def test_green_eval_refine_table(capsys):
         (["--beta", "0", "--refine"], "config error"),
         (["--x", "0,0,0"], "config error"),
         (["--x", "nan,0,0"], "config error"),
-        (["--x", "1e200,0,0"], "config error"),
-        (["--beta", "1e-300"], "config error"),
+        (["--x", "1e200,0,0"], "config error: kernel evaluated at a position whose |x|^2 overflows"),
+        (["--beta", "1e-300"], "config error: Green function requires beta^2 eps mu != 0"),
+        (["--eps", "1e-300", "--mu", "1e-300"], "config error: Green function requires beta^2 eps mu != 0"),
         (["--beta", "1e-120"], "config error"),
         (["--beta", "inf"], "config error: beta and alpha must be finite"),
         (["--t", "nan"], "config error: --t must be a finite number"),
@@ -425,8 +458,8 @@ def test_green_eval_refine_table(capsys):
         (["--x", "1,0"], "config error: --x must be 'x1,x2,x3'"),
     ],
     ids=["levels_is_not_an_option", "x_not_number", "eps_negative", "beta_zero", "beta_zero_refine", "x_origin",
-         "x_nan", "x_norm_overflows", "beta_underflows", "beta_factors_overflow", "beta_infinite", "t_nan",
-         "t_overflows", "mu_infinite", "t_with_refine", "x_with_refine", "x_two_coordinates"],
+         "x_nan", "x_norm_overflows", "beta_underflows", "eps_mu_underflow", "beta_factors_overflow", "beta_infinite",
+         "t_nan", "t_overflows", "mu_infinite", "t_with_refine", "x_with_refine", "x_two_coordinates"],
 )
 def test_green_eval_bad_config_values(capsys, flags, message):
     if message.startswith("config error"):

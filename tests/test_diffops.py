@@ -544,7 +544,7 @@ def test_round_trip_recovers_solution():
 
 
 # ---------------------------------------------------------------------------
-# Vekua equation and its consequences
+# Vekua equation
 # ---------------------------------------------------------------------------
 
 
@@ -602,25 +602,6 @@ def test_vekua_negative_control():
     rc = diffops.vekua_residual(slot, smooth(lat))
     rf = diffops.vekua_residual(slot2, smooth(lat2))
     assert rf > 0.5 * rc  # no second-order decay
-
-
-def test_vekua_consequences_quartet_exact():
-    slot, _ = exp_slot(13)
-    quartet = diffops.generating_quartet(slot)
-    scale = 1.0 / np.min(np.abs(slot.f))
-    for W in quartet:
-        r_schr, r_sc, r_vec = diffops.vekua_consequences(slot, W)
-        assert r_schr <= 1e-11 * scale
-        assert r_sc <= 1e-11 * scale
-        assert r_vec <= 1e-11 * scale
-
-
-def test_vekua_consequences_detect_non_solution():
-    slot, lat = exp_slot(13)
-    p = lat.points()
-    W = np.stack([np.sin(2 * p[..., 0]) * p[..., 1], p[..., 2], p[..., 0], p[..., 1] ** 2], axis=-1)
-    r_schr, r_sc, r_vec = diffops.vekua_consequences(slot, W)
-    assert r_schr > 0.1 and r_sc > 0.1 and r_vec > 0.1
 
 
 def test_vekua_coefficient_identity():

@@ -78,10 +78,10 @@ PUBLIC_NAMES = [
     "darboux_transform", "dipole_field", "dirac_residual", "dot", "evaluate_fields",
     "fundamental_solution", "generating_quartet", "green_function", "green_refinement",
     "green_residual", "helmholtz_factorization_residual", "helmholtz_kernel",
-    "helmholtz_kernel_grad", "manufactured_state", "maxwell_residuals", "quaternionic_residual", "run_benchmark",
+    "manufactured_state", "maxwell_residuals", "quaternionic_residual", "run_benchmark",
     "sample_surface", "schrodinger_factorization_residual", "solve_dense", "solve_problem",
     "static_residuals",
-    "vekua_coefficient_identity_residual", "vekua_consequences", "vekua_residual",
+    "vekua_coefficient_identity_residual", "vekua_residual",
 ]
 
 
@@ -90,7 +90,7 @@ def test_public_surface_is_pinned():
         name for name, value in vars(bqem).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 45
     assert exported == PUBLIC_NAMES
 
 

@@ -42,6 +42,11 @@ MEDIUM = ChiralMedium(beta=0.0, alpha=1 + 0.3j)
 DIPOLE = np.array([1.0, 0.0, 0.0])
 
 
+def minus_alpha_kernel(alpha, x):
+    """K(-alpha): K(alpha) with its scalar part negated."""
+    return Biquaternion(fundamental_solution(alpha, x).components * [-1.0, 1.0, 1.0, 1.0])
+
+
 def dipole_problem(n, moment=(1.0, 0.0, 0.0), **kw):
     return MfsProblem(
         surface=SURFACE,
@@ -90,6 +95,54 @@ def test_frame_orthonormal_right_handed():
 def test_frame_pole_rejected():
     with pytest.raises(DegenerateSample):
         surface_frame(SURFACE, 0.0, 0.0)
+    # beyond the pole sin(nu) < 0, and r_nu x r_eta would point inward
+    with pytest.raises(DegenerateSample, match=r"\(0, pi\)"):
+        surface_frame(SURFACE, 0.0, 1.5 * np.pi)
+
+
+def outward_gradient(surface, eta, nu):
+    """abc (x/a^2, y/b^2, z/c^2) at (eta, nu): the outward gradient, written
+    so that no square of a semi-axis can underflow."""
+    a, b, c = surface.a, surface.b, surface.c
+    return np.stack(
+        [b * c * np.cos(eta) * np.sin(nu), a * c * np.sin(eta) * np.sin(nu), a * b * np.cos(nu)], axis=-1
+    )
+
+
+def test_frame_normal_points_outward_on_any_ellipsoid():
+    # log-uniform semi-axes in [e^-5, e^5]: r_nu x r_eta is outward by construction
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        surface = Ellipsoid(*np.exp(rng.uniform(-5.0, 5.0, 3)))
+        eta, nu = rng.uniform(0.0, 2 * np.pi, 200), rng.uniform(1e-3, np.pi - 1e-3, 200)
+        s = surface_frame(surface, eta, nu)
+        assert np.all(np.einsum("ij,ij->i", s.normal, outward_gradient(surface, eta, nu)) > 0.0)
+
+
+def test_frame_on_a_tiny_semi_axis():
+    # a**2 underflowed in the old orientation test and warned of a division by zero
+    surface = Ellipsoid(1e-200, 3.0, 2.0)
+    rng = np.random.default_rng(12)
+    eta, nu = rng.uniform(0.0, 2 * np.pi, 100), rng.uniform(0.1, np.pi - 0.1, 100)
+    s = surface_frame(surface, eta, nu)
+    np.testing.assert_allclose(np.linalg.norm(s.normal, axis=-1), 1.0, rtol=1e-15)
+    assert np.all(np.einsum("ij,ij->i", s.normal, outward_gradient(surface, eta, nu)) > 0.0)
+
+
+def test_frame_rejects_a_normal_that_underflows():
+    # every product of two semi-axes of 1e-170 underflows to 0
+    with pytest.raises(DegenerateSample):
+        surface_frame(Ellipsoid(1e-170, 1e-170, 1e-170), 0.3, 1.0)
+
+
+def test_small_sphere_solves_as_the_unit_sphere():
+    # the problem is scale-invariant in r alpha; an absolute normal floor
+    # rejected the sphere of radius 1e-7
+    def cond(r, alpha):
+        sphere = Ellipsoid(r, r, r)
+        return solve_problem(MfsProblem(sphere, ChiralMedium(alpha=alpha), n_sources=10, source_scale=0.5)).cond
+
+    assert cond(1e-7, 1e7) == pytest.approx(cond(1.0, 1.0), rel=1e-6)
 
 
 def test_spiral_scale_box():
@@ -185,11 +238,11 @@ def test_matrix_entries_against_naive_oracle(medium, impedance):
         coeff = Biquaternion(units[comp])
         d = col.pos[i] - src[j]
         if branch == 0:
-            K = fundamental_solution(medium.alpha1, d, sign=1)
+            K = fundamental_solution(medium.alpha1, d)
             plus_term = (K * coeff).components
             minus_term = plus_term
         else:
-            K = fundamental_solution(medium.alpha2, d, sign=-1)
+            K = minus_alpha_kernel(medium.alpha2, d)
             plus_term = (K * coeff).components
             minus_term = -plus_term
         E_contrib = 0.5 * plus_term[1:]
@@ -485,7 +538,7 @@ def test_evaluate_single_source_definition():
     )
     x = np.array([4.0, 1.0, -2.0])
     E, H, leak = evaluate_fields(sol, x)
-    K = fundamental_solution(MEDIUM.alpha1, x - src[0], sign=1)
+    K = fundamental_solution(MEDIUM.alpha1, x - src[0])
     assert np.allclose(E, 0.5 * K.vector)
     assert np.allclose(H, K.vector / 2j)
     assert leak == pytest.approx(abs(K.scalar))
@@ -512,8 +565,8 @@ def test_evaluate_fields_against_naive_sum(shape, beta):
 
     sum_a = sum_b = Biquaternion(np.zeros(shape[:-1] + (4,)))
     for y, a, b in zip(sources, sol.coeffs_a, sol.coeffs_b):
-        sum_a = sum_a + fundamental_solution(med.alpha1, x - y, sign=1) * a
-        sum_b = sum_b + fundamental_solution(med.alpha2, x - y, sign=-1) * b
+        sum_a = sum_a + fundamental_solution(med.alpha1, x - y) * a
+        sum_b = sum_b + minus_alpha_kernel(med.alpha2, x - y) * b
     plus, minus = sum_a + sum_b, sum_a - sum_b
     E_ref, H_ref = 0.5 * plus.vector, minus.vector / 2j
     leak_ref = np.maximum(np.abs(plus.scalar), np.abs(minus.scalar))
@@ -555,9 +608,9 @@ def test_one_kernel_evaluation_per_wavenumber(monkeypatch, beta, calls):
 
     alphas = []
 
-    def counted(alpha, x, sign=1):
+    def counted(alpha, x):
         alphas.append(alpha)
-        return fundamental_solution(alpha, x, sign)
+        return fundamental_solution(alpha, x)
 
     monkeypatch.setattr(scattering, "fundamental_solution", counted)
     med = ChiralMedium(beta=beta, alpha=1 + 0.3j)
