@@ -143,12 +143,17 @@ def _M_slab(prev, cur, nxt, h: float, dt: float, medium: ChiralMedium, sign: com
 
     This is dt(beta sqrt(eps mu) Dv + sqrt(eps mu) v) + sign Dv, since the
     central differences in t and x commute.  The result has the NaN space
-    faces of ``grids.dirac``.
+    faces of ``grids.dirac``.  Both sums are formed in place, in the layout
+    of the slabs (component-major from ``_green_at``), which ``dirac`` then
+    reads without a copy.
     """
     rt_em = np.sqrt(medium.eps * medium.mu)
     g = _time_diff(prev, nxt, dt)
-    out = dirac(medium.beta * rt_em * g + sign * cur, h)
-    out += rt_em * g
+    w = np.multiply(g, medium.beta * rt_em)
+    w += sign * cur
+    out = dirac(w, h)
+    g *= rt_em
+    out += g
     return out
 
 

@@ -40,7 +40,7 @@ class DegenerateSample(BqemError):
 
 
 class SourceSingularity(BqemError):
-    """A collocation or field evaluation point lies within COINCIDENCE_TOL of a source point."""
+    """A collocation or field evaluation point lies within COINCIDENCE_TOL max_j |y_j| of a source point y_j."""
 
 
 class SingularMatrix(BqemError):

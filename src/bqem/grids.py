@@ -10,9 +10,15 @@ are handed.
 The stencils read the lattice axes from that layout: a scalar field's are
 its last three, a vector or quaternion field's the three in front of its
 component axis, and any leading axis (time) is carried along.  The space
-stencils are all central, one shifted-slice difference (``_central``).  Every
-stencil axis gets a NaN face layer, and composing operators lets NaN
-propagate, so the NaN faces are the one record of which nodes are valid.
+stencils are all central, built on one flat shifted difference
+(``_central``): each component is flattened, leading axes included, and a
+derivative along a lattice axis is one contiguous subtraction of the array
+shifted by that axis' flat stride, from the first interior node to the
+last.  The face nodes that span crosses are then overwritten with NaN, so
+every stencil axis gets a NaN face layer, and composing operators lets NaN
+propagate: the NaN faces are the one record of which nodes are valid.
+Outputs are stored component-major, one contiguous array per component,
+behind the (..., k) shape, so a composed stencil reads them without a copy.
 Norms are taken over the interior that excludes every face layer whose nodes
 all have a non-finite component; the ``margin=`` of ``max_abs_interior`` or
 of a residual only widens that, never narrows it.
@@ -99,105 +105,123 @@ class SpaceTimeLattice:
 # ---------------------------------------------------------------------------
 
 
-# The lattice axes of a field: the last three of a scalar field, the three
-# in front of the component axis of a vector or quaternion field.
-_SCALAR_AXES = (-3, -2, -1)
-_FIELD_AXES = (-4, -3, -2)
+def _component_major(values, k: int, name: str, dtype=None) -> np.ndarray:
+    """The field ``values`` as one C-contiguous array, component axis first:
+    (k,) + lattice shape for a (..., k) field, (1,) + lattice shape for a
+    scalar field (k = 0).  A view when the field is stored that way already,
+    as every stencil output is, else one copy.  Raises before anything is
+    allocated unless the field has three lattice axes, then k components."""
+    values = np.asarray(values)
+    lattice = values.shape[:-1] if k else values.shape
+    if len(lattice) < 3 or (k and values.shape[-1] != k):
+        want = f"a (..., {k}) array: three lattice axes, then {k} components" if k else "three lattice axes"
+        raise ValueError(f"{name} needs {want}; got shape {values.shape}")
+    if min(lattice[-3:]) < 3:
+        raise GridTooSmall(f"{name} needs 3 nodes on each lattice axis; got shape {values.shape}")
+    return np.ascontiguousarray(np.moveaxis(values, -1, 0) if k else values[None], dtype=dtype)
 
 
-def _stencil_output(shape: tuple, axes) -> tuple[np.ndarray, tuple]:
-    """Complex array of ``shape`` with NaN on the face layer of each stencil
-    axis, and the index of its interior box, which the caller fills."""
-    out = np.empty(shape, dtype=complex)
-    box = [slice(None)] * len(shape)
-    for ax in axes:
-        if shape[ax] < 3:
-            raise GridTooSmall(f"axis {ax} has {shape[ax]} nodes, need 3")
-        face = [slice(None)] * len(shape)
-        face[ax] = slice(None, None, shape[ax] - 1)  # nodes 0 and n - 1
-        out[tuple(face)] = np.nan
-        box[ax] = slice(1, -1)
-    return out, tuple(box)
+def _divide(acc: np.ndarray, step: float, out: np.ndarray) -> np.ndarray:
+    """acc / step into ``out``.  Complex ``acc`` is multiplied by 1 / step:
+    numpy divides a complex array by a real scalar with Smith's loop at
+    ratio 0, which is that same multiply, at three times the cost.  Real
+    ``acc`` keeps the true division, whose last bit the reciprocal would
+    change."""
+    if acc.dtype.kind == "c":
+        return np.multiply(acc, 1.0 / step, out=out)
+    return np.divide(acc, step, out=out)
 
 
-def _central(values: np.ndarray, axis: int, order: int, axes=_SCALAR_AXES) -> np.ndarray:
-    """Undivided central difference of order 1 or 2 along ``axis``, on the
-    interior box of the stencil ``axes`` only (by default the lattice axes
-    of a scalar field)."""
-    mid = [slice(None)] * values.ndim
-    for ax in axes:
-        mid[ax] = slice(1, -1)
-    lo, hi = list(mid), list(mid)
-    lo[axis], hi[axis] = slice(0, -2), slice(2, None)
-    lo, mid, hi = tuple(lo), tuple(mid), tuple(hi)
+def _central(flat: np.ndarray, shift: int, span: tuple[int, int], order: int, out: np.ndarray) -> np.ndarray:
+    """Undivided central difference of order 1 or 2 at the flat nodes
+    lo .. hi - 1 (``span``) of a C-contiguous 1-D array, into ``out``.
+    ``shift`` is the flat distance to the next node along the lattice axis:
+    1, n2 or n1 n2."""
+    lo, hi = span
     if order == 1:
-        return values[hi] - values[lo]
-    return values[hi] - 2.0 * values[mid] + values[lo]
+        return np.subtract(flat[lo + shift : hi + shift], flat[lo - shift : hi - shift], out=out)
+    np.multiply(flat[lo:hi], 2.0, out=out)
+    np.subtract(flat[lo + shift : hi + shift], out, out=out)
+    return np.add(out, flat[lo - shift : hi - shift], out=out)
+
+
+def _stencil(comps: np.ndarray, rows, order: int, step: float) -> np.ndarray:
+    """Central-difference stencil on a component-major field (``comps``,
+    from ``_component_major``): a complex scalar field for one row, a
+    (..., len(rows)) field for several, stored component-major.
+
+    Each row is (sign, terms).  Its terms (+1 or -1, input component,
+    lattice axis 0-2), the first always +1, are undivided differences of
+    ``order`` summed in their order, and the sum is divided by sign * step
+    (``_divide``).  Each row is summed in its own contiguous buffer over the
+    flat span [lo, hi) from the first interior node to the last, leading
+    (time) axes included.  The face nodes inside the span get junk values;
+    every face layer of the three lattice axes is then overwritten with NaN.
+    """
+    n0, n1, n2 = comps.shape[-3:]
+    shifts = (n1 * n2, n2, 1)
+    flat = comps.reshape(len(comps), -1)
+    lo = n1 * n2 + n2 + 1  # node (1, 1, 1) of the first slab; the last interior node is its mirror
+    span = (lo, max(lo, flat.shape[1] - lo))
+    out = np.empty((len(rows),) + comps.shape[1:], dtype=complex)
+    flat_out = out.reshape(len(rows), -1)
+    tmp = np.empty(span[1] - lo, dtype=flat.dtype)
+    acc = np.empty_like(tmp) if flat.dtype.kind != "c" else None  # a real sum is divided as real numbers
+    # the junk nodes' floating-point exceptions are junk too (inf - inf on an
+    # infinite face); a non-finite interior value is max_abs_interior's to reject
+    with np.errstate(invalid="ignore", over="ignore"):
+        for r, (sign, terms) in enumerate(rows):
+            dst = flat_out[r, span[0] : span[1]]
+            total = dst if acc is None else acc
+            _, c, axis = terms[0]
+            _central(flat[c], shifts[axis], span, order, total)
+            for plus, c, axis in terms[1:]:
+                (np.add if plus > 0 else np.subtract)(total, _central(flat[c], shifts[axis], span, order, tmp), out=total)
+            _divide(total, sign * step, dst)
+    for ax in (-3, -2, -1):
+        face = [slice(None)] * out.ndim
+        face[ax] = slice(None, None, out.shape[ax] - 1)  # nodes 0 and n - 1
+        out[tuple(face)] = np.nan
+    return out[0] if len(rows) == 1 else np.moveaxis(out, 0, -1)
 
 
 def grad(values: np.ndarray, h: float) -> np.ndarray:
     """Gradient of a scalar array, components stacked on a new trailing axis."""
-    out, box = _stencil_output(values.shape + (3,), _FIELD_AXES)
-    out[box] = np.stack([_central(values, ax, 1) for ax in _SCALAR_AXES], axis=-1) / (2.0 * h)
-    return out
+    return _stencil(_component_major(values, 0, "grad"), [(1, [(1, 0, j)]) for j in range(3)], 1, 2.0 * h)
 
 
 def div(vec_values: np.ndarray, h: float) -> np.ndarray:
     """Divergence of a (..., 3) vector array."""
-    out, box = _stencil_output(vec_values.shape[:-1], _SCALAR_AXES)
-    out[box] = sum(_central(vec_values[..., k], ax, 1) for k, ax in enumerate(_SCALAR_AXES)) / (2.0 * h)
-    return out
+    return _stencil(_component_major(vec_values, 3, "div"), [(1, [(1, 0, 0), (1, 1, 1), (1, 2, 2)])], 1, 2.0 * h)
 
 
 def rot(vec_values: np.ndarray, h: float) -> np.ndarray:
     """Curl of a (..., 3) vector array."""
-    out, box = _stencil_output(vec_values.shape, _FIELD_AXES)
-
-    def d(k, j):  # undivided derivative of component k along lattice axis j
-        return _central(vec_values[..., k], _SCALAR_AXES[j], 1)
-
-    out[box] = np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=-1) / (2.0 * h)
-    return out
+    rows = [(1, [(1, 2, 1), (-1, 1, 2)]), (1, [(1, 0, 2), (-1, 2, 0)]), (1, [(1, 1, 0), (-1, 0, 1)])]
+    return _stencil(_component_major(vec_values, 3, "rot"), rows, 1, 2.0 * h)
 
 
 def laplacian(values: np.ndarray, h: float) -> np.ndarray:
     """Compact 7-point Laplacian of a scalar array."""
-    out, box = _stencil_output(values.shape, _SCALAR_AXES)
-    out[box] = sum(_central(values, ax, 2) for ax in _SCALAR_AXES) / (h * h)
-    return out
+    return _stencil(_component_major(values, 0, "laplacian"), [(1, [(1, 0, 0), (1, 0, 1), (1, 0, 2)])], 2, h * h)
 
 
 def dirac(values: np.ndarray, h: float) -> np.ndarray:
     """Dirac operator on (..., 4) quaternion components.
 
     Scalar part -div of the vector part, vector part grad of the scalar
-    part plus rot of the vector part.  Each output component is summed and
-    divided by 2h in its own contiguous array, then written once into the
-    interior; the scalar part takes its minus sign in that write.
+    part plus rot of the vector part: d10 + d21 + d32 divided by -2h, and
+    d31 - d22 + d00 and its two cyclic shifts divided by 2h, where dcj is
+    the difference of component c along lattice axis j.  A real field is
+    differenced and divided as complex numbers.
     """
-    values = np.asarray(values, dtype=complex)  # a real field is divided by 2h as complex numbers too
-    out, box = _stencil_output(values.shape, _FIELD_AXES)
-
-    def d(c, j):  # undivided derivative of component c along lattice axis j
-        return _central(values[..., c], _SCALAR_AXES[j], 1)
-
-    def part(first, plus, minus):  # d(first) + (d(plus) - d(minus)), divided by 2h
-        acc = d(*plus)
-        acc -= d(*minus)
-        acc += d(*first)
-        acc /= 2.0 * h
-        return acc
-
-    inner = out[box]
-    acc = d(1, 0)
-    acc += d(2, 1)
-    acc += d(3, 2)
-    acc /= 2.0 * h
-    np.negative(acc, out=inner[..., 0])  # -(d10 + d21 + d32)
-    inner[..., 1] = part((0, 0), (3, 1), (2, 2))
-    inner[..., 2] = part((0, 1), (1, 2), (3, 0))
-    inner[..., 3] = part((0, 2), (2, 0), (1, 1))
-    return out
+    rows = [
+        (-1, [(1, 1, 0), (1, 2, 1), (1, 3, 2)]),
+        (1, [(1, 3, 1), (-1, 2, 2), (1, 0, 0)]),
+        (1, [(1, 1, 2), (-1, 3, 0), (1, 0, 1)]),
+        (1, [(1, 2, 0), (-1, 1, 1), (1, 0, 2)]),
+    ]
+    return _stencil(_component_major(values, 4, "dirac", complex), rows, 1, 2.0 * h)
 
 
 def _nan_layer(layer: np.ndarray, k: int) -> bool:
@@ -259,10 +283,11 @@ def _time_windows(slab, st: SpaceTimeLattice, margin: int = 0):
 
 def _time_diff(prev: np.ndarray, nxt: np.ndarray, dt: float) -> np.ndarray:
     """Central time difference (nxt - prev) / (2 dt) at the node between the
-    slabs ``prev`` and ``nxt``.  Real slabs are differenced and divided as
-    real numbers; the result is always complex, so the arithmetic a residual
-    does with it afterwards is complex."""
-    return ((nxt - prev) / (2.0 * dt)).astype(complex, copy=False)
+    slabs ``prev`` and ``nxt`` (``_divide``).  Real slabs are differenced and
+    divided as real numbers; the result is always complex, so the arithmetic
+    a residual does with it afterwards is complex."""
+    g = nxt - prev
+    return _divide(g, 2.0 * dt, g if g.dtype.kind == "c" else np.empty(g.shape, dtype=complex))
 
 
 def max_abs_interior(values: np.ndarray, margin: int = 0) -> float:

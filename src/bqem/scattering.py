@@ -48,7 +48,9 @@ from .kernels import ChiralMedium, _radius, chiral_wavenumbers, dipole_field, fu
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
-# Collocation and source points closer than this are rejected outright.
+# Collocation and source points closer than this times the largest |y_j| of
+# the sources are rejected outright: relative, like the rounding of the
+# coordinates, so a problem and its copy scaled by any power of ten agree.
 COINCIDENCE_TOL = 1e-10
 
 # Largest 4C x 8N complex system matrix (16 bytes an entry) a problem may
@@ -260,13 +262,14 @@ def _kernels(medium: ChiralMedium, pts, sources) -> tuple[np.ndarray, np.ndarray
     """Components of K(alpha1) and K(alpha2) at the offsets pts - sources,
     of shape (points, sources, 4).
 
-    Raises ``SourceSingularity`` when a point lies within COINCIDENCE_TOL of
-    a source.  Branch b uses K(-alpha2), which is K(alpha2) with its scalar
-    part negated; the callers apply that sign.  With alpha1 == alpha2
-    (beta = 0) the kernel is evaluated once and shared by both branches.
+    Raises ``SourceSingularity`` when a point lies within COINCIDENCE_TOL
+    max_j |y_j| of a source y_j.  Branch b uses K(-alpha2), which is
+    K(alpha2) with its scalar part negated; the callers apply that sign.
+    With alpha1 == alpha2 (beta = 0) the kernel is evaluated once and shared
+    by both branches.
     """
     dx = pts[:, None, :] - sources[None, :, :]
-    if np.min(_radius(dx)) < COINCIDENCE_TOL:
+    if np.min(_radius(dx)) < COINCIDENCE_TOL * np.max(_radius(sources)):
         raise SourceSingularity("a point coincides with a source point")
     alpha1, alpha2 = medium.alpha1, medium.alpha2
     k1 = fundamental_solution(alpha1, dx).components

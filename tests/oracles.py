@@ -5,6 +5,12 @@ slabs (``grids._time_windows``).  The forms here do build it, so a test can
 compare a streamed residual with the plain expression:
 
 - ``diff``: the central first difference along any axis, with NaN faces;
+- ``grad``, ``div``, ``rot``, ``laplacian`` and ``dirac``: the stencils as
+  differences of strided 3-D interior boxes (``_central``), written into
+  the interior of an array whose face layers are NaN (``_stencil_output``);
+  ``dirac`` writes its 12 differences component by component.  Against
+  these, ``grids``, which takes one flat shifted difference per derivative,
+  must agree bit for bit;
 - ``apply_M``: M or M* on a whole (nt,) + dims + (4,) field, slab by slab
   through ``chiral_time._M_slab``;
 - ``max_abs_interior``: ``grids.max_abs_interior`` of a space-time field,
@@ -19,11 +25,11 @@ compare a streamed residual with the plain expression:
   from the quaternion products X e_i of its point, against which
   ``scattering._assemble_rows`` and its constant row tensor must agree bit
   for bit;
-- ``mul_components``, ``dirac`` and ``green_at``: the quaternion product,
-  the Dirac stencil and the Green function's time fill written component by
-  component into strided views, against which ``algebra._mul_components``,
-  ``grids.dirac`` and ``chiral_time._green_at``, which build whole arrays,
-  must agree bit for bit.
+- ``mul_components`` and ``green_at``: the quaternion product and the
+  Green function's time fill written component by component into strided
+  views, against which ``algebra._mul_components`` and
+  ``chiral_time._green_at``, which build whole arrays, must agree bit for
+  bit.
 """
 
 import numpy as np
@@ -33,11 +39,45 @@ import sympy as sp
 from bqem.algebra import _CONJ, _components, _mul_components
 from bqem.chiral_time import _M_slab
 from bqem.errors import GridTooSmall
-from bqem.grids import _FIELD_AXES, _SCALAR_AXES, _central, _nan_layer, _stencil_output, _time_windows
+from bqem.grids import _nan_layer, _time_windows
 from bqem.inhomog import EMState, build_medium
 from bqem.scattering import _kernels
 
 T, X1, X2, X3 = sp.symbols("t x1 x2 x3", real=True)
+
+# The lattice axes of a field: the last three of a scalar field, the three
+# in front of the component axis of a vector or quaternion field.
+SCALAR_AXES = (-3, -2, -1)
+FIELD_AXES = (-4, -3, -2)
+
+
+def _stencil_output(shape, axes):
+    """Complex array of ``shape`` with NaN on the face layer of each stencil
+    axis, and the index of its interior box, which the caller fills."""
+    out = np.empty(shape, dtype=complex)
+    box = [slice(None)] * len(shape)
+    for ax in axes:
+        if shape[ax] < 3:
+            raise GridTooSmall(f"axis {ax} has {shape[ax]} nodes, need 3")
+        face = [slice(None)] * len(shape)
+        face[ax] = slice(None, None, shape[ax] - 1)  # nodes 0 and n - 1
+        out[tuple(face)] = np.nan
+        box[ax] = slice(1, -1)
+    return out, tuple(box)
+
+
+def _central(values, axis, order, axes=SCALAR_AXES):
+    """Undivided central difference of order 1 or 2 along ``axis``, on the
+    interior box of the stencil ``axes`` only."""
+    mid = [slice(None)] * values.ndim
+    for ax in axes:
+        mid[ax] = slice(1, -1)
+    lo, hi = list(mid), list(mid)
+    lo[axis], hi[axis] = slice(0, -2), slice(2, None)
+    lo, mid, hi = tuple(lo), tuple(mid), tuple(hi)
+    if order == 1:
+        return values[hi] - values[lo]
+    return values[hi] - 2.0 * values[mid] + values[lo]
 
 
 def diff(values, axis, h):
@@ -166,13 +206,41 @@ def mul_components(a, b):
     )
 
 
+def grad(values, h):
+    out, box = _stencil_output(values.shape + (3,), FIELD_AXES)
+    out[box] = np.stack([_central(values, ax, 1) for ax in SCALAR_AXES], axis=-1) / (2.0 * h)
+    return out
+
+
+def div(vec_values, h):
+    out, box = _stencil_output(vec_values.shape[:-1], SCALAR_AXES)
+    out[box] = sum(_central(vec_values[..., k], ax, 1) for k, ax in enumerate(SCALAR_AXES)) / (2.0 * h)
+    return out
+
+
+def rot(vec_values, h):
+    out, box = _stencil_output(vec_values.shape, FIELD_AXES)
+
+    def d(k, j):
+        return _central(vec_values[..., k], SCALAR_AXES[j], 1)
+
+    out[box] = np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=-1) / (2.0 * h)
+    return out
+
+
+def laplacian(values, h):
+    out, box = _stencil_output(values.shape, SCALAR_AXES)
+    out[box] = sum(_central(values, ax, 2) for ax in SCALAR_AXES) / (h * h)
+    return out
+
+
 def dirac(values, h):
     """Dirac operator from its 12 undivided differences, each component
     written into the interior, which is then divided by 2h in place."""
-    out, box = _stencil_output(values.shape, _FIELD_AXES)
+    out, box = _stencil_output(values.shape, FIELD_AXES)
 
     def d(c, j):
-        return _central(values[..., c], _SCALAR_AXES[j], 1)
+        return _central(values[..., c], SCALAR_AXES[j], 1)
 
     inner = out[box]
     inner[..., 0] = -(d(1, 0) + d(2, 1) + d(3, 2))

@@ -371,14 +371,15 @@ def test_check_all_suites_pass(capsys):
 
 def test_check_green_is_independent_of_the_blas_thread_count():
     # the output is byte-deterministic for fixed inputs: no row may sum in an
-    # order that follows OpenBLAS's thread count
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-m", "bqem", "check", "green", "--seed", "3"],
-                              env=env, capture_output=True, text=True, check=True)
-        outputs.append([ln for ln in proc.stdout.splitlines() if not ln.startswith("# timestamp=")])
-    assert outputs[0] == outputs[1]
+    # order that follows OpenBLAS's thread count, the stencils' included
+    for argv in (["check", "green", "--seed", "3"], ["check", "all", "--seed", "3"],
+                 ["green-eval", "--refine", "--beta", "1"]):
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "bqem", *argv], env=env, capture_output=True, text=True, check=True)
+            outputs.append([ln for ln in proc.stdout.splitlines() if not ln.startswith("# timestamp=")])
+        assert outputs[0] == outputs[1], argv
 
 
 def test_green_eval_matches_library(capsys):

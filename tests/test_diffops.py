@@ -2,7 +2,7 @@ import numpy as np
 import oracles
 import pytest
 
-from bqem import diffops
+from bqem import diffops, grids
 from bqem.algebra import Biquaternion, _mul_components, dot
 from bqem.errors import BaseOutOfGrid, GridTooSmall, LatticeMismatch, VanishingF
 from bqem.grids import (
@@ -207,18 +207,75 @@ def test_stencil_on_space_time_field_is_slab_by_slab(name):
     assert np.array_equal(op(values), slabs, equal_nan=True)
 
 
-def test_dirac_matches_strided_oracle():
-    # each component summed in its own array keeps the bits of the 12
-    # differences written into the interior and divided there, on a
-    # space-time field, a real field, and a dirac output with its NaN faces
+# the component count each stencil reads (0: a scalar field), and the
+# stencil whose output of that layout has NaN faces
+STENCIL_INPUTS = {"grad": 0, "div": 3, "rot": 3, "laplacian": 0, "dirac": 4}
+NAN_FACED = {0: laplacian, 3: rot, 4: dirac}
+
+
+@pytest.mark.parametrize("name", list(STENCIL_INPUTS))
+def test_dirac_matches_strided_oracle(name):
+    # one flat shifted difference per derivative keeps the bits of the
+    # differences of strided interior boxes, on a spatial field, a
+    # space-time field, a real field and a stencil output with NaN faces
+    op, ref, k = getattr(grids, name), getattr(oracles, name), STENCIL_INPUTS[name]
     rng = np.random.default_rng(13)
-    shape = (5,) + STENCIL_SPACE + (4,)
+    shape = (5,) + STENCIL_SPACE + ((k,) if k else ())
     spacetime = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    h = 0.1  # not a power of two, so that dividing by 2h rounds
-    for v in (spacetime, spacetime[2], rng.normal(size=STENCIL_SPACE + (4,))):
-        once = dirac(v, h)
-        assert np.array_equal(once, oracles.dirac(v, h), equal_nan=True)
-        assert np.array_equal(dirac(once, h), oracles.dirac(once, h), equal_nan=True)
+    h = 0.1  # not a power of two, so that a changed division rounds differently
+    real = rng.normal(size=shape[1:])
+    for v in (spacetime[2], spacetime, real, NAN_FACED[k](spacetime[2], h)):
+        assert np.array_equal(op(v, h), ref(v, h), equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["grad", "div", "rot", "laplacian"])
+def test_stencil_reads_an_infinite_face_quietly(name):
+    # the face nodes inside the flat span are junk, and so are their
+    # floating-point exceptions: a real field with an infinite face gives the
+    # box form's result and no more warnings than it (the suite makes them errors)
+    k = STENCIL_INPUTS[name]
+    v = np.random.default_rng(19).normal(size=STENCIL_SPACE + ((k,) if k else ()))
+    v[:, 0] = np.inf
+    assert np.array_equal(getattr(grids, name)(v, 0.1), getattr(oracles, name)(v, 0.1), equal_nan=True)
+
+
+def test_stencil_divisions_keep_their_bits():
+    # complex data is scaled by the reciprocal of the step, which is how numpy
+    # divides a complex array by a real scalar; real data keeps the true
+    # division, whose last bit the reciprocal changes
+    rng = np.random.default_rng(17)
+    h = dt = 0.1
+    slab = rng.normal(size=STENCIL_SPACE + (4,)) + 1j * rng.normal(size=STENCIL_SPACE + (4,))
+    later = rng.normal(size=slab.shape) + 1j * rng.normal(size=slab.shape)
+    for prev, nxt in ((slab, later), (slab.real, later.real)):
+        assert np.array_equal(_time_diff(prev, nxt, dt), ((nxt - prev) / (2.0 * dt)).astype(complex))
+    for f in (slab[..., 0], slab[..., 0].real):
+        assert np.array_equal(laplacian(f, h), oracles.laplacian(f, h), equal_nan=True)
+    # the reciprocal differs from the real division in some last bits
+    assert not np.array_equal(later.real * (1.0 / (2.0 * dt)), later.real / (2.0 * dt))
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [("dirac", (20, 20, 20, 5)), ("dirac", (9, 20, 20, 20)), ("dirac", (20, 20, 20)),
+     ("div", (20, 20, 20, 4)), ("rot", (20, 20, 20, 4)), ("grad", (200, 200))],
+)
+def test_stencil_rejects_a_wrong_component_axis(traced_peak, name, shape):
+    # the trailing axis is checked before anything is allocated: an output
+    # would take at least 256 kB here
+    op, k = getattr(grids, name), STENCIL_INPUTS[name]
+    values = np.ones(shape)
+
+    def call():
+        with pytest.raises(ValueError, match=rf"\(\.\.\., {k}\)" if k else "three lattice axes"):
+            op(values, 0.1)
+
+    _, peak = traced_peak(call)
+    assert peak < 2**14
+    # the layout it names is accepted
+    lattice = (5, 6, 7)
+    out_components = {"grad": (3,), "div": (), "rot": (3,), "dirac": (4,)}[name]
+    assert op(np.ones(lattice + ((k,) if k else ())), 0.1).shape == lattice + out_components
 
 
 def test_time_diff_exact_on_quadratic_in_t():

@@ -11,6 +11,7 @@ from bqem.algebra import Biquaternion, ONE
 from bqem.errors import (
     ChiralResonance,
     DegenerateSample,
+    OriginSingularity,
     SingularMatrix,
     SourceSingularity,
 )
@@ -318,11 +319,12 @@ def test_source_on_boundary_guard_in_last_block(monkeypatch):
 @pytest.mark.parametrize("short_last_block", [False, True], ids=["one_block", "short_last_block"])
 @pytest.mark.parametrize("tols, rejected", [(0.5, True), (2.0, False)], ids=["inside", "outside"])
 def test_coincidence_guard_at_the_tolerance(monkeypatch, short_last_block, tols, rejected):
-    # a point tols * COINCIDENCE_TOL from a source, collocated and evaluated
+    # a point tols * COINCIDENCE_TOL max_j |y_j| from a source, collocated and evaluated
     prob = dipole_problem(3)
     src = spiral_points(SURFACE, 3, 0.15)
     col = sample_surface(SURFACE, 7)
-    col.pos[-1] = src[1] + tols * COINCIDENCE_TOL * np.array([0.6, 0.0, -0.8])
+    scale = np.max(np.linalg.norm(src, axis=-1))
+    col.pos[-1] = src[1] + tols * COINCIDENCE_TOL * scale * np.array([0.6, 0.0, -0.8])
     coeffs = Biquaternion(np.ones((3, 4)))
     sol = MfsSolution(sources=src, coeffs_a=coeffs, coeffs_b=coeffs, medium=MEDIUM)
     if short_last_block:
@@ -336,6 +338,22 @@ def test_coincidence_guard_at_the_tolerance(monkeypatch, short_last_block, tols,
         A, _ = _assemble_rows(prob, col, src)
         assert np.all(np.isfinite(A))
         assert all(np.all(np.isfinite(a)) for a in evaluate_fields(sol, col.pos))
+
+
+def test_coincidence_guard_scales_with_the_sources():
+    # a sphere of radius r at alpha = 1/r is the unit sphere's problem in
+    # r alpha: it solves alike down to r = 1e-12, where the guard is relative
+    # to the sources' size; the kernel's absolute origin guard still rejects
+    # offsets below 1e-13
+    def cond(r):
+        medium = ChiralMedium(alpha=1.0 / r)
+        return solve_problem(MfsProblem(surface=Ellipsoid(r, r, r), medium=medium, n_sources=10, source_scale=0.5)).cond
+
+    unit = cond(1.0)
+    for r in (1e-9, 1e-10, 1e-12):
+        assert cond(r) == pytest.approx(unit, rel=1e-9)
+    with pytest.raises(OriginSingularity):
+        cond(1e-13)
 
 
 def test_assembly_working_set_is_the_matrix(traced_peak):
