@@ -19,7 +19,8 @@ Three subcommands; each value has one way in:
 Output is CSV (default) or JSON, to stdout or ``--out``.  CSV starts with
 ``# key=value`` metadata lines; everything except the timestamp line is
 byte-deterministic for fixed inputs.  Exit codes: 0 success, 1 check/solver
-failure, 2 configuration or usage error.
+failure, 2 configuration or usage error, and 141 (128 + SIGPIPE, as a shell
+reports it) when stdout closes before the output is written; that run ends quietly.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .scattering import DIPOLE_MOMENT, Ellipsoid, MfsProblem, run_benchmark
 from .suites import SUITES, run_suites
 
 _REQUIRED = object()
+EXIT_STDOUT_CLOSED = 141
 
 
 def _get(cfg: dict, path: str, default=_REQUIRED):
@@ -128,6 +130,7 @@ def _emit(report: Report, fmt: str, out: str | None) -> None:
 def _write(text: str, out: str | None, mode: str = "w") -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed stdout raises here, inside main, not at exit
     else:
         try:
             with open(out, mode, newline="\n") as fh:
@@ -330,6 +333,11 @@ def main(argv=None) -> int:
     except BqemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # nothing is left to write to; stdout goes to devnull, so that the
+        # flush at exit finds nothing to report either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
 
 
 if __name__ == "__main__":

@@ -28,8 +28,7 @@ right multiplication by p, f -> f p (pointwise, p is never differentiated),
 and ^pM left multiplication f -> p f; both are ``algebra._mul_components``
 with the operands in that order.  D + M^p has one routine,
 ``_dirac_plus_M``, and grad(f)/f one, ``_log_derivative``; ``inhomog``
-builds its static split from both.  For purely vectorial p, q the exact
-identity <p, q> = -(p q + q p) / 2 holds.
+builds its static split from both.
 """
 
 from __future__ import annotations

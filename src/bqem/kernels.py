@@ -16,10 +16,10 @@ negated, which ``scattering`` applies.
 
 theta_alpha and its radial gradient factor G (grad theta = G(r) x) are
 computed in one routine, ``_theta_and_radial``, which is also the only place
-that rejects an inadmissible alpha or position.  Every public kernel is a
-view of it; only the dipole's ``_curls`` adds the Hessian factor dG/dr.
-|x| itself comes from ``_radius``, which the scattering coincidence guard
-shares.
+that rejects an inadmissible alpha or position; it holds no absolute
+length.  Every public kernel is a view of it; only the dipole's ``_curls``
+adds the Hessian factor dG/dr.  |x| itself comes from ``_radius``, which
+the scattering coincidence guard shares.
 
 All evaluators are pure and broadcast over a trailing-(3,) position array,
 which is what the scattering matrix assembly relies on.
@@ -36,9 +36,7 @@ from .errors import ChiralResonance, InadmissibleAlpha, OriginSingularity
 
 FOUR_PI = 4.0 * np.pi
 
-# Guards: |x| below this is treated as "at the singularity"; |1 +/- alpha*beta|
-# below RESONANCE_TOL means the split wavenumbers are undefined.
-ORIGIN_TOL = 1e-13
+# |1 +/- alpha*beta| below this means the split wavenumbers are undefined.
 RESONANCE_TOL = 1e-12
 
 
@@ -65,9 +63,11 @@ def _radius(x: np.ndarray) -> np.ndarray:
 def _theta_and_radial(alpha: complex, x):
     """The one evaluation of theta_alpha and its radial gradient factor.
 
-    Rejects Im(alpha) < 0, |x| = 0 (``OriginSingularity``), and |x| not
-    finite or |x|^2 overflowing in double precision (``ValueError``), then
-    returns (x, r, theta, G) with grad theta = G(r) * x.
+    Rejects Im(alpha) < 0, |x| not finite or |x|^2 overflowing in double
+    precision (``ValueError``), and |x| so small that theta or G overflows,
+    0 and an underflowing |x|^2 among them (``OriginSingularity``), then
+    returns (x, r, theta, G) with grad theta = G(r) * x.  |theta| and |G|
+    fall as r grows, so they are checked at the least r alone.
     """
     alpha = complex(alpha)
     if alpha.imag < 0.0:
@@ -76,14 +76,15 @@ def _theta_and_radial(alpha: complex, x):
     if x.shape[-1] != 3:
         raise ValueError("positions must have trailing length 3")
     r = _radius(x)
-    if np.any(r <= ORIGIN_TOL):
-        raise OriginSingularity("kernel evaluated at |x| = 0")
     if not np.all(r < np.inf):  # NaN fails too
         cause = "|x|^2 overflows double precision" if np.all(np.isfinite(x)) else "|x| is not finite"
         raise ValueError(f"kernel evaluated at a position whose {cause}")
-    iar = 1j * alpha * r
-    theta = -np.exp(iar) / (FOUR_PI * r)
-    G = theta * (iar - 1.0) / (r * r)
+    with np.errstate(all="ignore"):  # r = 0 divides by zero; rejected below
+        iar = 1j * alpha * r
+        theta = -np.exp(iar) / (FOUR_PI * r)
+        G = theta * (iar - 1.0) / (r * r)
+    if r.size and not np.isfinite(G.flat[r.argmin()]):  # G is not finite where theta is not
+        raise OriginSingularity(f"kernel evaluated at |x| = {r.min():.3g}, where theta or its gradient overflows")
     return x, r, theta, G
 
 

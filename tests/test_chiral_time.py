@@ -205,6 +205,18 @@ def test_green_at_matches_per_component_oracle():
     assert ours.shape == (2, 2, 4)
 
 
+def test_green_function_is_scale_covariant():
+    # M f = delta(t) delta(x) in units of lambda: f(lambda t, lambda x) at
+    # beta lambda is lambda^-3 f(t, x) at beta, to rounding, from lambda =
+    # 1e-60 to 1e60
+    t, x = 0.7, np.array([1.0, 0.5, -0.3])
+    unit = green_function(t, x, ChiralMedium(beta=0.4)).components
+    for k in (-60, -40, -20, -14, -13, -6, 6, 12, 20, 40, 60):
+        lam = 10.0**k
+        scaled = green_function(lam * t, lam * x, ChiralMedium(beta=0.4 * lam)).components * lam**3
+        assert np.max(np.abs(scaled - unit)) <= 1e-14 * np.max(np.abs(unit)), k
+
+
 def test_green_guards():
     with pytest.raises(AchiralUnsupported):
         green_function(1.0, [1.0, 0, 0], ChiralMedium(beta=0.0))

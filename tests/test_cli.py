@@ -382,6 +382,20 @@ def test_check_green_is_independent_of_the_blas_thread_count():
         assert outputs[0] == outputs[1], argv
 
 
+def test_check_ends_quietly_on_a_closed_stdout():
+    # `bqem check algebra | head -0`: the reader is gone before the rows are
+    # written; no traceback and no warning at exit, and the documented code
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bqem", "check", "algebra"], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_STDOUT_CLOSED, "")
+
+
 def test_green_eval_matches_library(capsys):
     assert main(["green-eval", "--t", "0.8", "--x", "1,0.5,-0.3", "--beta", "1"]) == 0
     out = capsys.readouterr().out.strip().splitlines()

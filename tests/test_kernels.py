@@ -58,6 +58,14 @@ def test_helmholtz_point_values():
 def test_helmholtz_guards():
     with pytest.raises(OriginSingularity):
         helmholtz_kernel(1.0, [0.0, 0.0, 0.0])
+    # no length is absolute: |x| = 1e-100 is evaluated; at 1e-110 G ~ |x|^-3
+    # overflows, and at 1e-170 |x|^2 underflows to 0, each among points that
+    # are fine, with no RuntimeWarning on the way
+    for alpha in (0.0, 1 + 0.3j):
+        assert np.all(np.isfinite(fundamental_solution(alpha, [1e-100, 0.0, 0.0]).components))
+        for tiny in (1e-110, 1e-170):
+            with pytest.raises(OriginSingularity, match="overflows"):
+                fundamental_solution(alpha, [[1.0, 0.0, 0.0], [tiny, 0.0, 0.0]])
     # |x|^2 overflows, or x is NaN: rejected, each with its own cause and
     # with no RuntimeWarning on the way
     cases = (([1e200, 0.0, 0.0], r"\|x\|\^2 overflows"), ([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]], "not finite"))

@@ -11,7 +11,6 @@ from bqem.algebra import Biquaternion, ONE
 from bqem.errors import (
     ChiralResonance,
     DegenerateSample,
-    OriginSingularity,
     SingularMatrix,
     SourceSingularity,
 )
@@ -19,6 +18,8 @@ from bqem.kernels import ChiralMedium, dipole_field, fundamental_solution
 from bqem.scattering import (
     COINCIDENCE_TOL,
     DIPOLE_MOMENT,
+    EVAL_GRID,
+    EVAL_SCALE,
     Ellipsoid,
     MAX_MATRIX_BYTES,
     MfsProblem,
@@ -342,18 +343,33 @@ def test_coincidence_guard_at_the_tolerance(monkeypatch, short_last_block, tols,
 
 def test_coincidence_guard_scales_with_the_sources():
     # a sphere of radius r at alpha = 1/r is the unit sphere's problem in
-    # r alpha: it solves alike down to r = 1e-12, where the guard is relative
-    # to the sources' size; the kernel's absolute origin guard still rejects
-    # offsets below 1e-13
+    # r alpha: it solves alike, since the guard is relative to the sources'
+    # size and the kernel's origin guard holds no length either
     def cond(r):
         medium = ChiralMedium(alpha=1.0 / r)
         return solve_problem(MfsProblem(surface=Ellipsoid(r, r, r), medium=medium, n_sources=10, source_scale=0.5)).cond
 
     unit = cond(1.0)
-    for r in (1e-9, 1e-10, 1e-12):
+    for r in (1e-9, 1e-10, 1e-12, 1e-13, 1e-30):
         assert cond(r) == pytest.approx(unit, rel=1e-9)
-    with pytest.raises(OriginSingularity):
-        cond(1e-13)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.1])
+def test_benchmark_is_scale_invariant(beta):
+    # semi-axes (5, 3, 2) lambda at alpha / lambda and beta lambda is the
+    # problem at lambda = 1 in units of lambda: alpha beta is unchanged, the
+    # fields scale as lambda^-2, and the relative errors and cond stay put
+    def rows(lam):
+        medium = ChiralMedium(beta=beta * lam, alpha=(1 + 0.3j) / lam)
+        surface = Ellipsoid(5 * lam, 3 * lam, 2 * lam)
+        problem = MfsProblem(surface=surface, medium=medium, n_sources=20, source_scale=0.15)
+        E, H = problem.reference_fields()(parametric_grid(problem.surface, *EVAL_GRID, scale=EVAL_SCALE))
+        (row,) = run_benchmark(problem, [20])
+        return row["errE"] / np.max(np.abs(E)), row["errH"] / np.max(np.abs(H)), row["cond"]
+
+    unit = rows(1.0)
+    for k in (-60, -40, -20, -14, -13, -6, 6, 12, 20, 40, 60):
+        assert rows(10.0**k) == pytest.approx(unit, rel=1e-7), k
 
 
 def test_assembly_working_set_is_the_matrix(traced_peak):
