@@ -44,7 +44,6 @@ from .grids import (
 from .inhomog import (
     EMState,
     MediumFields,
-    build_medium,
     manufactured_state,
     maxwell_residuals,
     quaternionic_residual,

@@ -75,7 +75,8 @@ def _green_factors(x, medium: ChiralMedium):
         rt_em = np.sqrt(medium.eps * medium.mu)
         # -1j theta / (beta^3 eps mu), with theta = beta Sc K
         q = (-1j / (beta * beta * medium.eps * medium.mu)) * K[..., 0]
-        Q = _components(q, (-1j * q / r)[..., None] * x)
+        # x/r first: q/r underflows for large |x|
+        Q = _components(q, (-1j * q)[..., None] * (x / r[..., None]))
         factors = 1.0 / (beta * rt_em), r / (beta * beta * rt_em), K / (beta * rt_em), Q
     if not all(np.all(np.isfinite(f)) for f in factors):
         raise AchiralUnsupported(f"Green function factors overflow double precision at beta = {beta}")

@@ -172,7 +172,8 @@ def _curls(alpha: complex, x, moment) -> tuple[np.ndarray, np.ndarray]:
     curl = _cross(G[..., None] * x, cb)
     # d/dr G = Gp(r), in closed form; only the Hessian needs it
     Gp = theta * (-(alpha * alpha) / r - 3j * alpha / (r * r) + 3.0 / (r * r * r))
-    hess_c = (Gp / r * np.sum(x * c, axis=-1))[..., None] * x + G[..., None] * cb
+    # <x, c>/r first: Gp/r underflows for large |x|
+    hess_c = (Gp * (np.sum(x * c, axis=-1) / r))[..., None] * x + G[..., None] * cb
     return curl, hess_c + (alpha * alpha * theta)[..., None] * cb
 
 

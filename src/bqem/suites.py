@@ -365,22 +365,15 @@ def suite_green(seed: int = 0) -> list[CheckRow]:
 
 def suite_inhomog(seed: int = 0) -> list[CheckRow]:
     rows = []
-    med9, st9 = inhomog.manufactured_state(9)
-    med17, st17 = inhomog.manufactured_state(17)
+    st9 = inhomog.manufactured_state(9)
+    st17 = inhomog.manufactured_state(17)
 
-    # the two gradient identities tying the derived fields together
-    worst = max(
-        max_abs_interior(med17.epsvec + med17.muvec + 2.0 * med17.cvec),
-        max_abs_interior(med17.epsvec - med17.muvec + 2.0 * med17.Wvec),
-    )
-    rows.append(_row("inhomog", "medium_gradient_identities", worst, 1e-3))
-
-    r9 = inhomog.quaternionic_residual(st9, med9, margin=1)
-    r17 = inhomog.quaternionic_residual(st17, med17, margin=2)
+    r9 = inhomog.quaternionic_residual(st9, margin=1)
+    r17 = inhomog.quaternionic_residual(st17, margin=2)
     rows.append(_ratio_row("inhomog", "quaternionic_equation_order", r9, r17))
 
-    m9 = inhomog.maxwell_residuals(st9, med9, margin=1)
-    m17 = inhomog.maxwell_residuals(st17, med17, margin=2)
+    m9 = inhomog.maxwell_residuals(st9, margin=1)
+    m17 = inhomog.maxwell_residuals(st17, margin=2)
     for i in (0, 1, 2):
         rows.append(_ratio_row("inhomog", f"maxwell_eq{i + 1}_order", m9[i], m17[i]))
 
@@ -389,13 +382,13 @@ def suite_inhomog(seed: int = 0) -> list[CheckRow]:
     def static_split(n, margin):
         lat = Lattice.cube((0.2, 0.3, 0.1), 0.5, n)
         kx = lat.points() @ _K
-        med = inhomog.build_medium(lat, np.exp(2.0 * kx), np.ones(lat.dims))
+        med = inhomog.MediumFields(lat, np.exp(2.0 * kx), np.ones(lat.dims))
         slot = diffops.PotentialSlot(lat, np.sqrt(med.eps))
         F = diffops.darboux_transform(slot, np.exp(-kx))
         E = (F[..., 1:] / np.sqrt(med.eps)[..., None])[None]
         zero = np.zeros_like(E)
-        state = inhomog.EMState(SpaceTimeLattice(lat, 0.0, 1.0, 1), E, zero, np.zeros(E.shape[:-1]), zero)
-        return inhomog.static_residuals(state, med, margin=margin)[0]
+        state = inhomog.EMState(SpaceTimeLattice(lat, 0.0, 1.0, 1), med, E, zero, np.zeros(E.shape[:-1]), zero)
+        return inhomog.static_residuals(state, margin=margin)[0]
 
     rows.append(_ratio_row("inhomog", "static_split_order", static_split(9, 2), static_split(17, 4)))
 
@@ -412,7 +405,7 @@ def suite_inhomog(seed: int = 0) -> list[CheckRow]:
         "violation_rho_data": replace(st9, rho=st9.rho + 0.3 * bump[None]),
     }
     for name, state in violations.items():
-        r = inhomog.quaternionic_residual(state, med9, margin=1)
+        r = inhomog.quaternionic_residual(state, margin=1)
         rows.append(_row("inhomog", name, r / base, np.inf, lo=10.0))
     return rows
 

@@ -15,7 +15,7 @@ compare a streamed residual with the plain expression:
   through ``chiral_time._M_slab``;
 - ``max_abs_interior``: ``grids.max_abs_interior`` of a space-time field,
   whose axis 0 (time) is a lattice axis too;
-- ``sympy_state``: a medium and an exact Maxwell state from sympy
+- ``sympy_state``: an exact Maxwell state in its medium from sympy
   expressions, every source differentiated symbolically;
 - ``fundamental_solution``: the components of K(sign*alpha) as the
   formula reads, with |x| from ``np.sum`` and the vector part a complex
@@ -40,7 +40,7 @@ from bqem.algebra import _CONJ, _components, _mul_components
 from bqem.chiral_time import _M_slab
 from bqem.errors import GridTooSmall
 from bqem.grids import _nan_layer, _time_windows
-from bqem.inhomog import EMState, build_medium
+from bqem.inhomog import EMState, MediumFields
 from bqem.scattering import _kernels
 
 T, X1, X2, X3 = sp.symbols("t x1 x2 x3", real=True)
@@ -128,8 +128,8 @@ def _rot(F):
 
 
 def sympy_state(A, phi, eps, mu, st):
-    """(medium, state) on ``st`` from sympy expressions in (T, X1, X2, X3):
-    the medium eps(x), mu(x), the vector potential A and the scalar phi.
+    """The state on ``st``, in the medium eps(x), mu(x), of the vector
+    potential A and the scalar phi, all sympy expressions in (T, X1, X2, X3).
 
     H = rot(A)/mu and E = -dt A + grad phi; the sources rho = div(eps E) and
     j = rot H - eps dt E are differentiated symbolically, so all four
@@ -149,8 +149,8 @@ def sympy_state(A, phi, eps, mu, st):
     fn = sp.lambdify((T, X1, X2, X3), [eps, mu, *E, *H, rho, *j], modules="numpy")
     shape = (st.nt,) + st.space.dims
     s = np.stack([np.broadcast_to(np.asarray(v), shape) for v in fn(t, pts[..., 0], pts[..., 1], pts[..., 2])])
-    medium = build_medium(st.space, s[0][0], s[1][0])
-    return medium, EMState(st, np.stack(s[2:5], axis=-1), np.stack(s[5:8], axis=-1), s[8], np.stack(s[9:], axis=-1))
+    medium = MediumFields(st.space, s[0][0], s[1][0])
+    return EMState(st, medium, np.stack(s[2:5], axis=-1), np.stack(s[5:8], axis=-1), s[8], np.stack(s[9:], axis=-1))
 
 
 def fundamental_solution(alpha, x, sign=1):

@@ -208,10 +208,10 @@ def test_green_at_matches_per_component_oracle():
 def test_green_function_is_scale_covariant():
     # M f = delta(t) delta(x) in units of lambda: f(lambda t, lambda x) at
     # beta lambda is lambda^-3 f(t, x) at beta, to rounding, from lambda =
-    # 1e-60 to 1e60
+    # 1e-60 to 1e76
     t, x = 0.7, np.array([1.0, 0.5, -0.3])
     unit = green_function(t, x, ChiralMedium(beta=0.4)).components
-    for k in (-60, -40, -20, -14, -13, -6, 6, 12, 20, 40, 60):
+    for k in (-60, -40, -20, -14, -13, -6, 6, 12, 20, 40, 60, 64, 70, 76):
         lam = 10.0**k
         scaled = green_function(lam * t, lam * x, ChiralMedium(beta=0.4 * lam)).components * lam**3
         assert np.max(np.abs(scaled - unit)) <= 1e-14 * np.max(np.abs(unit)), k

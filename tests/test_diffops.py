@@ -16,7 +16,7 @@ from bqem.grids import (
     max_abs_interior,
     rot,
 )
-from bqem.inhomog import build_medium
+from bqem.inhomog import MediumFields
 from bqem.kernels import fundamental_solution, helmholtz_kernel
 
 ALPHA = 1 + 0.3j
@@ -312,7 +312,7 @@ def test_lattice_mismatch():
     with pytest.raises(LatticeMismatch):
         diffops.vekua_residual(slot, np.ones(lat.dims))
     with pytest.raises(LatticeMismatch):
-        build_medium(lat, np.ones(lat.dims), np.ones((7, 7, 6)))
+        MediumFields(lat, np.ones(lat.dims), np.ones((7, 7, 6)))
     with pytest.raises(LatticeMismatch):
         diffops.PotentialSlot(lat, np.ones((5, 5, 5)))
 

@@ -73,7 +73,7 @@ PUBLIC_NAMES = [
     "Biquaternion", "ChiralMedium", "EMState", "Ellipsoid", "I1", "I2", "I3", "Lattice",
     "MediumFields", "MfsProblem", "MfsSolution", "ONE", "PotentialSlot", "SpaceTimeLattice",
     "SurfaceSamples", "antiderivative", "assemble_system",
-    "build_medium", "chiral_wavenumbers",
+    "chiral_wavenumbers",
     "coefficients_to_vekua", "conductivity_factorization_residual", "cross",
     "darboux_transform", "dipole_field", "dirac_residual", "dot", "evaluate_fields",
     "fundamental_solution", "generating_quartet", "green_function", "green_refinement",
@@ -90,7 +90,7 @@ def test_public_surface_is_pinned():
         name for name, value in vars(bqem).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
-    assert len(PUBLIC_NAMES) == 45
+    assert len(PUBLIC_NAMES) == 44
     assert exported == PUBLIC_NAMES
 
 
