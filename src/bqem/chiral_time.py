@@ -60,9 +60,9 @@ def _green_factors(x, medium: ChiralMedium):
     Computed once per lattice; ``_green_at`` fills f at any time from them,
     and checks t against the range of c without another pass over x.
     beta is rejected when beta^2 eps mu, which Q divides by, is 0 to double
-    precision, or when a factor is not finite (Q grows as beta^-3, and the
-    phase |x|/beta may overflow too); K_{1/beta} rejects |x| = 0 or not
-    finite before |x| is used.
+    precision, when a factor is not finite (Q grows as beta^-3, the phase
+    |x|/beta may overflow too), or when Q's scalar part q ~ |x|^-1 beta^-3 is
+    subnormal by over 4 bits; K_{1/beta} rejects |x| = 0 or not finite first.
     """
     beta = medium.beta
     if beta * beta * medium.eps * medium.mu == 0.0:
@@ -80,6 +80,8 @@ def _green_factors(x, medium: ChiralMedium):
         factors = 1.0 / (beta * rt_em), r / (beta * beta * rt_em), K / (beta * rt_em), Q
     if not all(np.all(np.isfinite(f)) for f in factors):
         raise AchiralUnsupported(f"Green function factors overflow double precision at beta = {beta}")
+    if np.min(np.abs(q), initial=np.inf) < np.finfo(float).tiny / 16:  # q has lost digits
+        raise AchiralUnsupported(f"Green function factor q underflows double precision at beta = {beta}")
     a, c, P, Q = factors
     # stored component-major, so that _green_at fills each component of f as one contiguous array
     P, Q = (np.moveaxis(np.moveaxis(F, -1, 0).copy(), 0, -1) for F in (P, Q))

@@ -242,8 +242,8 @@ def cmd_green_eval(args) -> int:
         raise ConfigError("--x must be 'x1,x2,x3'")
     medium = _construct(ChiralMedium, eps=args.eps, mu=args.mu, beta=args.beta)
     try:
-        # beta 0 to double precision or so small that a factor overflows, x at
-        # the origin or with |x| not finite, or a t that overflows
+        # beta 0 to double precision, a factor that overflows or underflows, x
+        # at the origin or with |x| not finite, or a t that overflows
         result = green_refinement(medium, REFINE_LEVELS) if args.refine else green_function(t, x, medium)
     except (AchiralUnsupported, OriginSingularity, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -34,7 +34,6 @@ evaluation ellipsoid for a sweep of N.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -126,17 +125,21 @@ def surface_frame(surface: Ellipsoid, eta, nu) -> SurfaceSamples:
     The normal r_nu x r_eta = sin nu (bc cos eta sin nu, ac sin eta sin nu, ab cos nu)
     points outward: its dot product with the gradient (x/a^2, y/b^2, z/c^2) is
     sin nu (bc/a cos^2 eta sin^2 nu + ac/b sin^2 eta sin^2 nu + ab/c cos^2 nu) > 0
-    for nu in (0, pi), which ``_parametrize`` enforces.  A normal of norm 0 or
-    not finite is rejected; the tangent frame is Gram-Schmidt from r_eta.
+    for nu in (0, pi), which ``_parametrize`` enforces.  The frame is taken on
+    the surface scaled exactly by 2^-k, max(a, b, c) < 2^k, so no size of it
+    overflows the normal or moves a bit.  A normal of norm 0 (a surface
+    flattened by about 1e-160) or not finite is rejected; the tangent frame
+    is Gram-Schmidt from r_eta.
     """
-    pos, (a, b, c), (se, ce, sn, cn) = _parametrize(surface, eta, nu, 1.0)
+    pos, axes, (se, ce, sn, cn) = _parametrize(surface, eta, nu, 1.0)
+    a, b, c = np.ldexp(axes, -np.frexp(max(axes))[1])
     r_eta = np.stack([-a * se * sn, b * ce * sn, np.zeros_like(sn)], axis=-1)
     r_nu = np.stack([a * ce * cn, b * se * cn, -c * sn], axis=-1)
 
     n = _cross(r_nu, r_eta)
     norm = np.linalg.norm(n, axis=-1, keepdims=True)
     if not np.all((norm > 0.0) & (norm < np.inf)):  # NaN fails too
-        raise DegenerateSample("normal of norm 0 or not finite (degenerate parameter point)")
+        raise DegenerateSample("normal of norm 0 or not finite (degenerate parameter point or surface)")
     n = n / norm
 
     t1 = r_eta / np.linalg.norm(r_eta, axis=-1, keepdims=True)
@@ -400,13 +403,13 @@ def _upper_in_place(qr: np.ndarray) -> np.ndarray:
 
 
 def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> SolveResult:
-    """LU with partial pivoting (square) or Householder QR least squares (tall).
+    """LU with partial pivoting (square, ``zgesv``) or Householder QR least squares (tall, ``zgels``).
 
-    The tall solve keeps Q in its Householder reflectors (``zgeqrf``) and
-    applies Q^H to the right-hand side with ``zunmqr``; Q is never formed,
-    and R is read in place from the factor.  Neither ``matrix`` nor ``rhs``
-    is overwritten, and besides the matrix the solve holds one factor of its
-    size (the LU or QR copy) and arrays that grow with one side only.
+    ``zgels`` keeps Q in its Householder reflectors and applies Q^H to the
+    right-hand side; Q is never formed, and R is read in place from the
+    factor.  Neither ``matrix`` nor ``rhs`` is overwritten, and besides the
+    matrix the solve holds one factor of its size (the driver's LU or QR
+    copy) and arrays that grow with one side only.
 
     ``cond`` is LAPACK's 1-norm condition estimate on the triangular factor
     (``zgecon`` on the LU factors, ``ztrcon`` on R).  Conditioning rejects
@@ -418,25 +421,18 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> SolveResult:
     """
     matrix = np.asarray(matrix, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
+    lapack = scipy.linalg.lapack
     m, n = matrix.shape
     if m == n:
-        anorm = _norm1(matrix)
-        with warnings.catch_warnings():  # a zero pivot is SingularMatrix, raised next
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
+        anorm = _norm1(matrix)  # before the LU copy, so that its buffer is gone by then
+        lu, _, x, _ = lapack.zgesv(matrix, rhs)
         _check_triangular(lu)
-        x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-        rcond, _ = scipy.linalg.lapack.zgecon(lu, anorm, norm="1")
+        rcond, _ = lapack.zgecon(lu, anorm, norm="1")
     elif m > n:
-        lapack = scipy.linalg.lapack
-        lwork, _ = lapack.zgeqrf_lwork(m, n)
-        qr, tau, _, _ = lapack.zgeqrf(matrix, lwork=int(lwork.real))
+        lwork, _ = lapack.zgels_lwork(m, n, 1)
+        qr, x, _ = lapack.zgels(matrix, rhs[:, None], lwork=int(lwork.real))
         _check_triangular(qr)
-        c = rhs[:, None]
-        _, work, _ = lapack.zunmqr("L", "C", qr, tau, c, -1)
-        qhb, _, _ = lapack.zunmqr("L", "C", qr, tau, c, int(work[0].real))
-        # ztrtrs reads the upper triangle of the leading n x n block of qr
-        x = lapack.ztrtrs(qr, qhb, overwrite_b=1)[0][:n, 0]
+        x = x[:n, 0]
         rcond, _ = lapack.ztrcon(_upper_in_place(qr), norm="1")
     else:
         raise ValueError("system has fewer rows than unknowns")

@@ -25,6 +25,11 @@ compare a streamed residual with the plain expression:
   from the quaternion products X e_i of its point, against which
   ``scattering._assemble_rows`` and its constant row tensor must agree bit
   for bit;
+- ``solve_dense``: the dense MFS solve as separate LAPACK steps, LU as
+  ``lu_factor`` and ``lu_solve`` and least squares as ``zgeqrf``, ``zunmqr``
+  and ``ztrtrs``, against which ``scattering.solve_dense``, which calls the
+  drivers ``zgesv`` and ``zgels`` that run the same steps, must agree bit
+  for bit;
 - ``mul_components`` and ``green_at``: the quaternion product and the
   Green function's time fill written component by component into strided
   views, against which ``algebra._mul_components`` and
@@ -33,6 +38,7 @@ compare a streamed residual with the plain expression:
 """
 
 import numpy as np
+import scipy.linalg
 import scipy.special
 import sympy as sp
 
@@ -41,7 +47,7 @@ from bqem.chiral_time import _M_slab
 from bqem.errors import GridTooSmall
 from bqem.grids import _nan_layer, _time_windows
 from bqem.inhomog import EMState, MediumFields
-from bqem.scattering import _kernels
+from bqem.scattering import _kernels, _norm1, _upper_in_place
 
 T, X1, X2, X3 = sp.symbols("t x1 x2 x3", real=True)
 
@@ -189,6 +195,29 @@ def assemble_rows(problem, col, src):
         Lt = _mul_components(X, np.eye(4)) * np.outer([sign, 1.0, 1.0, 1.0], _CONJ)
         np.matmul(K[:, None], Lt, out=A[:, :, branch])
     return A.reshape(4 * len(col), 8 * len(src))
+
+
+def solve_dense(matrix, rhs):
+    """(coefficients, cond, residual) of the square or tall system, the
+    factor, the solve and the 1-norm condition estimate each a call of its
+    own; the residual is ||Ax - b||/||b||, with Ax - b and b scaled by 2^-k
+    for max|b| < 2^k."""
+    lapack = scipy.linalg.lapack
+    m, n = matrix.shape
+    if m == n:
+        lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
+        x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+        rcond, _ = lapack.zgecon(lu, _norm1(matrix), norm="1")
+    else:
+        lwork, _ = lapack.zgeqrf_lwork(m, n)
+        qr, tau, _, _ = lapack.zgeqrf(matrix, lwork=int(lwork.real))
+        _, work, _ = lapack.zunmqr("L", "C", qr, tau, rhs[:, None], -1)
+        qhb, _, _ = lapack.zunmqr("L", "C", qr, tau, rhs[:, None], int(work[0].real))
+        x = lapack.ztrtrs(qr, qhb)[0][:n, 0]
+        rcond, _ = lapack.ztrcon(_upper_in_place(qr), norm="1")
+    scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(rhs)))[1])
+    residual = float(np.linalg.norm(scale * (matrix @ x - rhs)) / np.linalg.norm(scale * rhs))
+    return x, 1.0 / rcond, residual
 
 
 def mul_components(a, b):

@@ -208,10 +208,10 @@ def test_green_at_matches_per_component_oracle():
 def test_green_function_is_scale_covariant():
     # M f = delta(t) delta(x) in units of lambda: f(lambda t, lambda x) at
     # beta lambda is lambda^-3 f(t, x) at beta, to rounding, from lambda =
-    # 1e-60 to 1e76
+    # 1e-60 to 1e77
     t, x = 0.7, np.array([1.0, 0.5, -0.3])
     unit = green_function(t, x, ChiralMedium(beta=0.4)).components
-    for k in (-60, -40, -20, -14, -13, -6, 6, 12, 20, 40, 60, 64, 70, 76):
+    for k in (-60, -40, -20, -14, -13, -6, 6, 12, 20, 40, 60, 64, 70, 76, 77):
         lam = 10.0**k
         scaled = green_function(lam * t, lam * x, ChiralMedium(beta=0.4 * lam)).components * lam**3
         assert np.max(np.abs(scaled - unit)) <= 1e-14 * np.max(np.abs(unit)), k
@@ -246,6 +246,12 @@ def test_green_guards():
     for t in (np.nan, np.array([0.5, np.nan, 1.0])):
         with pytest.raises(ValueError, match="t is NaN"):
             green_function(t, [1.0, 0, 0], MED)
+    # q ~ lambda^-4 on the scale-covariance copies is 1.07e-308 at lambda =
+    # 1e77 (accepted) and 1.07e-312 at 1e78, where f was off by 1.7e-12
+    # relative (1.4e-4 at 1e80)
+    for lam in (1e78, 1e80):
+        with pytest.raises(AchiralUnsupported, match="q underflows"):
+            green_function(0.7 * lam, lam * np.array([1.0, 0.5, -0.3]), ChiralMedium(beta=0.4 * lam))
     # only the latest non-negative time counts: earlier ones are zeros of H(t)
     assert np.all(green_function(np.array([-1e308, 1.0]), [1.0, 0, 0], MED).components[0] == 0.0)
 

@@ -464,6 +464,8 @@ def test_green_eval_refine_table(capsys):
         (["--beta", "1e-300"], "config error: Green function requires beta^2 eps mu != 0"),
         (["--eps", "1e-300", "--mu", "1e-300"], "config error: Green function requires beta^2 eps mu != 0"),
         (["--beta", "1e-120"], "config error"),
+        (["--t", "0.7e78", "--x", "1e78,0.5e78,-0.3e78", "--beta", "0.4e78"],
+         "config error: Green function factor q underflows"),
         (["--beta", "inf"], "config error: beta and alpha must be finite"),
         (["--t", "nan"], "config error: --t must be a finite number"),
         (["--t", "1e308", "--x", "1,0,0", "--beta", "1e-3"], "config error: t = 1e+308 overflows"),
@@ -473,7 +475,8 @@ def test_green_eval_refine_table(capsys):
         (["--x", "1,0"], "config error: --x must be 'x1,x2,x3'"),
     ],
     ids=["levels_is_not_an_option", "x_not_number", "eps_negative", "beta_zero", "beta_zero_refine", "x_origin",
-         "x_nan", "x_norm_overflows", "beta_underflows", "eps_mu_underflow", "beta_factors_overflow", "beta_infinite",
+         "x_nan", "x_norm_overflows", "beta_underflows", "eps_mu_underflow", "beta_factors_overflow", "q_underflows",
+         "beta_infinite",
          "t_nan", "t_overflows", "mu_infinite", "t_with_refine", "x_with_refine", "x_two_coordinates"],
 )
 def test_green_eval_bad_config_values(capsys, flags, message):

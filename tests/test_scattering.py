@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -131,10 +134,24 @@ def test_frame_on_a_tiny_semi_axis():
     assert np.all(np.einsum("ij,ij->i", s.normal, outward_gradient(surface, eta, nu)) > 0.0)
 
 
+def test_frame_keeps_its_bits_on_every_scaled_surface():
+    # the frame is taken on the surface scaled by a power of two, exactly:
+    # the normal, which scales as the square of the surface, overflowed from
+    # (5, 3, 2) 1e77 and underflowed near (5, 3, 2) 1e-170
+    eta, nu = np.linspace(0.1, 6.2, 7), np.linspace(0.05, 3.1, 7)
+    unit = surface_frame(SURFACE, eta, nu)
+    for j in (-560, -256, 256, 500):
+        lam = 2.0**j
+        frame = surface_frame(Ellipsoid(5.0 * lam, 3.0 * lam, 2.0 * lam), eta, nu)
+        for name in ("normal", "t1", "t2"):
+            assert np.array_equal(getattr(frame, name), getattr(unit, name)), (j, name)
+
+
 def test_frame_rejects_a_normal_that_underflows():
-    # every product of two semi-axes of 1e-170 underflows to 0
+    # scaled to a = 1/2, the normal's parts b c, a c and a b are at most
+    # 1e-170, and their squares underflow to 0 in its norm
     with pytest.raises(DegenerateSample):
-        surface_frame(Ellipsoid(1e-170, 1e-170, 1e-170), 0.3, 1.0)
+        surface_frame(Ellipsoid(1.0, 1e-170, 1e-170), 0.3, 1.0)
 
 
 def test_small_sphere_solves_as_the_unit_sphere():
@@ -358,7 +375,8 @@ def test_coincidence_guard_scales_with_the_sources():
 def test_benchmark_is_scale_invariant(beta):
     # semi-axes (5, 3, 2) lambda at alpha / lambda and beta lambda is the
     # problem at lambda = 1 in units of lambda: alpha beta is unchanged, the
-    # fields scale as lambda^-2, and the relative errors and cond stay put
+    # fields scale as lambda^-2, and the relative errors and cond stay put,
+    # up to 1e77: from 1e78 the dipole's Hessian factor, ~ lambda^-4, is subnormal
     def rows(lam):
         medium = ChiralMedium(beta=beta * lam, alpha=(1 + 0.3j) / lam)
         surface = Ellipsoid(5 * lam, 3 * lam, 2 * lam)
@@ -368,7 +386,7 @@ def test_benchmark_is_scale_invariant(beta):
         return row["errE"] / np.max(np.abs(E)), row["errH"] / np.max(np.abs(H)), row["cond"]
 
     unit = rows(1.0)
-    for k in (-60, -40, -20, -14, -13, -6, 6, 12, 20, 40, 60, 64, 70, 76):
+    for k in (-60, -40, -20, -14, -13, -6, 6, 12, 20, 40, 60, 64, 70, 76, 77):
         assert rows(10.0**k) == pytest.approx(unit, rel=1e-7), k
 
 
@@ -475,22 +493,55 @@ def test_solve_leaves_inputs_untouched(shape):
     assert np.array_equal(A, A0) and np.array_equal(b, b0)
 
 
+# (N, source_scale, oversample, beta, impedance) of the systems pinned against
+# the step-by-step solves of ``oracles.solve_dense``
+ORACLE_SYSTEMS = [
+    (35, 0.15, 1.0, 0.0, 0.0),
+    (200, 0.5, 1.0, 0.0, 0.0),
+    (100, 0.2, 1.5, 0.0, 0.0),
+    (35, 0.15, 1.0, 0.1, 0.0),
+    (35, 0.15, 1.0, 0.0, 0.5 + 0.1j),
+]
+
+ORACLE_SCRIPT = """
+import numpy as np, oracles
+from bqem.kernels import ChiralMedium
+from bqem.scattering import Ellipsoid, MfsProblem, assemble_system, solve_dense
+for n, s, over, beta, xi in {systems!r}:
+    medium = ChiralMedium(beta=beta, alpha=1 + 0.3j)
+    A, b = assemble_system(MfsProblem(Ellipsoid(5, 3, 2), medium, n, s, impedance=xi, oversample=over))
+    out, (x, cond, residual) = solve_dense(A, b), oracles.solve_dense(A, b)
+    print(np.array_equal(out.coeffs, x) and out.cond == cond and out.residual == residual)
+"""
+
+
+def test_solve_keeps_the_bits_of_the_step_by_step_solves():
+    # zgesv runs zgetrf and zgetrs, and zgels zgeqrf, zunmqr and ztrtrs, on
+    # the same Fortran copy, so coefficients, cond and residual keep their
+    # bits; at one BLAS thread, as OpenBLAS may run zgesv on one thread and
+    # lu_factor's zgetrf on the pool, which sums the LU in another order
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    script = ORACLE_SCRIPT.format(systems=ORACLE_SYSTEMS)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["True"] * len(ORACLE_SYSTEMS)
+
+
 def test_solve_square_peak_is_one_lu_copy(monkeypatch, traced_peak):
     # the 1-norm is taken a block of rows at a time, so no |A| (half a
-    # matrix) is held before lu_factor copies the matrix
+    # matrix) is held before zgesv copies the matrix
     import tracemalloc
 
     import scipy.linalg
 
-    lu_factor, before_factor = scipy.linalg.lu_factor, []
+    zgesv, before_factor = scipy.linalg.lapack.zgesv, []
 
     def recorded(*args, **kwargs):
         if tracemalloc.is_tracing():
             current, peak = tracemalloc.get_traced_memory()
             before_factor.append(peak - current)
-        return lu_factor(*args, **kwargs)
+        return zgesv(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", recorded)
+    monkeypatch.setattr(scipy.linalg.lapack, "zgesv", recorded)
     rng = np.random.default_rng(6)
     A, b = random_complex(rng, (400, 400)), random_complex(rng, 400)
     _, peak = traced_peak(lambda: solve_dense(A, b))
