@@ -17,6 +17,16 @@ Biquaternion values.  ``_components`` is the one place such an array is
 built from a scalar and a vector part, ``_CONJ`` is the one spelling of
 the quaternion conjugate on components (multiply by it), and ``_cross``
 the one cross product of (..., 3) arrays.
+
+Such arrays, and the array a Biquaternion holds, are stored
+component-major: one C-contiguous block per component behind the (..., k)
+shape, the view ``_last`` makes of a (k, ...) array (``_first`` undoes it).
+``_empty`` allocates one, and ``_components``, ``_mul_components``,
+``_cross`` and the Biquaternion constructor fill one, so each component is
+read and written as one contiguous array, numpy's elementwise results keep
+the layout, and the grid stencils read a field without a copy.  The one
+exception is ``kernels.fundamental_solution``'s array, which the MFS reads
+as matrices with the components last in memory.
 """
 
 from __future__ import annotations
@@ -27,14 +37,30 @@ import numpy as np
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
+def _last(values: np.ndarray) -> np.ndarray:
+    """The (..., k) view of a (k, ...) array: its first axis moved last."""
+    return values.transpose(*range(1, values.ndim), 0)
+
+
+def _first(values: np.ndarray) -> np.ndarray:
+    """The (k, ...) view of a (..., k) array, the inverse of ``_last``."""
+    return values.transpose(-1, *range(values.ndim - 1))
+
+
+def _empty(shape: tuple, dtype=complex) -> np.ndarray:
+    """An uninitialised (..., k) array of ``shape``, stored component-major."""
+    return _last(np.empty(shape[-1:] + shape[:-1], dtype=dtype))
+
+
 def _components(scalar=0.0, vector=(0.0, 0.0, 0.0)) -> np.ndarray:
-    """A fresh complex (..., 4) array with scalar part ``scalar`` and vector
-    part ``vector`` (trailing length 3), broadcast against each other."""
+    """A fresh complex (..., 4) array, stored component-major, with scalar
+    part ``scalar`` and vector part ``vector`` (trailing length 3),
+    broadcast against each other."""
     s = np.asarray(scalar)
     v = np.asarray(vector)
     if v.ndim == 0 or v.shape[-1] != 3:
         raise ValueError("vector part must have trailing length 3")
-    out = np.empty(np.broadcast_shapes(s.shape, v.shape[:-1]) + (4,), dtype=complex)
+    out = _empty(np.broadcast_shapes(s.shape, v.shape[:-1]) + (4,))
     out[..., 0] = s
     out[..., 1:] = v
     return out
@@ -45,12 +71,13 @@ def _mul_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Scalar part a0*b0 - <av, bv>, vector part a0*bv + b0*av + av x bv,
     which is the multiplication table of the units written out.  Each
-    component's last subtraction writes straight into one preallocated
-    result, so no per-component temporary is copied again.
+    component's last subtraction writes straight into its block of one
+    preallocated component-major result, so no per-component temporary is
+    copied again.
     """
     a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out = _empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
     np.subtract(a0 * b0 - a1 * b1 - a2 * b2, a3 * b3, out=out[..., 0])
     np.subtract(a0 * b1 + b0 * a1 + a2 * b3, a3 * b2, out=out[..., 1])
     np.subtract(a0 * b2 + b0 * a2 + a3 * b1, a1 * b3, out=out[..., 2])
@@ -62,11 +89,16 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product over the trailing length-3 axis, broadcast like ``np.cross``.
 
     The components are ``np.cross``'s products and differences written
-    out, so the result has its bits without its per-call axis handling.
+    out, so the result has its bits without its per-call axis handling;
+    each difference writes into its block of a component-major result.
     """
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    out = _empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
 
 
 class Biquaternion:
@@ -75,11 +107,13 @@ class Biquaternion:
     __slots__ = ("_c",)
 
     def __init__(self, components):
-        c = np.array(components, dtype=complex)
+        c = np.asarray(components, dtype=complex)
         if c.ndim == 0 or c.shape[-1] != 4:
             raise ValueError("components must have trailing length 4")
-        c.setflags(write=False)
-        self._c = c
+        own = _empty(c.shape)
+        own[...] = c
+        own.setflags(write=False)
+        self._c = own
 
     @classmethod
     def _own(cls, components: np.ndarray) -> "Biquaternion":

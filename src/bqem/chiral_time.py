@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .algebra import Biquaternion, _components
+from .algebra import Biquaternion, _components, _empty, _first, _last
 from .errors import AchiralUnsupported
 from .grids import Lattice, SpaceTimeLattice, _keep, _time_diff, _time_windows, dirac, max_abs_interior
 from .kernels import ChiralMedium, _radius, fundamental_solution
@@ -55,7 +55,8 @@ MAX_REFINE_LEVELS = max(k for k in range(1, 32) if 64 * (3 * 2**k + 3) ** 3 <= M
 
 def _green_factors(x, medium: ChiralMedium):
     """The x-only factors of the Green function at positions x:
-    (a, c(x), P, Q, (min c, max c)), P and Q of shape x.shape[:-1] + (4,).
+    (a, c(x), P, Q, (min c, max c)), P and Q of shape x.shape[:-1] + (4,),
+    stored component-major.
 
     Computed once per lattice; ``_green_at`` fills f at any time from them,
     and checks t against the range of c without another pass over x.
@@ -73,18 +74,20 @@ def _green_factors(x, medium: ChiralMedium):
         x = np.asarray(x, dtype=float)
         r = _radius(x)
         rt_em = np.sqrt(medium.eps * medium.mu)
+        # component-major like Q, so that _green_at fills each component of f
+        # as one contiguous array; made before Q's temporaries, whose freed
+        # memory the time slabs of green_residual then reuse (1 MB of peak at 33^3)
+        P = np.divide(K, beta * rt_em, out=_empty(K.shape))
         # -1j theta / (beta^3 eps mu), with theta = beta Sc K
         q = (-1j / (beta * beta * medium.eps * medium.mu)) * K[..., 0]
         # x/r first: q/r underflows for large |x|
         Q = _components(q, (-1j * q)[..., None] * (x / r[..., None]))
-        factors = 1.0 / (beta * rt_em), r / (beta * beta * rt_em), K / (beta * rt_em), Q
+        factors = 1.0 / (beta * rt_em), r / (beta * beta * rt_em), P, Q
     if not all(np.all(np.isfinite(f)) for f in factors):
         raise AchiralUnsupported(f"Green function factors overflow double precision at beta = {beta}")
     if np.min(np.abs(q), initial=np.inf) < np.finfo(float).tiny / 16:  # q has lost digits
         raise AchiralUnsupported(f"Green function factor q underflows double precision at beta = {beta}")
     a, c, P, Q = factors
-    # stored component-major, so that _green_at fills each component of f as one contiguous array
-    P, Q = (np.moveaxis(np.moveaxis(F, -1, 0).copy(), 0, -1) for F in (P, Q))
     return a, c, P, Q, (float(np.min(c, initial=np.inf)), float(np.max(c, initial=0.0)))
 
 
@@ -119,10 +122,10 @@ def _green_at(t, factors) -> np.ndarray:
     # e^{iat} on the times alone, zero where t < 0
     phase = np.where(before, 0.0, np.exp(1j * a * tpos))
     per_component = (4,) + (1,) * (j0.ndim - c.ndim) + c.shape  # t's own axes go in front of x's
-    out = np.moveaxis(P, -1, 0).reshape(per_component) * j0
-    out -= np.moveaxis(Q, -1, 0).reshape(per_component) * j1_scaled
+    out = _first(P).reshape(per_component) * j0  # views of P's and Q's component blocks
+    out -= _first(Q).reshape(per_component) * j1_scaled
     np.multiply(phase, out, out=out)  # phase first: its operand order sets the bits
-    return np.moveaxis(out, 0, -1)
+    return _last(out)
 
 
 def green_function(t, x, medium: ChiralMedium) -> Biquaternion:

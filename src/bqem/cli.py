@@ -18,9 +18,11 @@ Three subcommands; each value has one way in:
 
 Output is CSV (default) or JSON, to stdout or ``--out``.  CSV starts with
 ``# key=value`` metadata lines; everything except the timestamp line is
-byte-deterministic for fixed inputs.  Exit codes: 0 success, 1 check/solver
-failure, 2 configuration or usage error, and 141 (128 + SIGPIPE, as a shell
-reports it) when stdout closes before the output is written; that run ends quietly.
+byte-deterministic for fixed inputs.  JSON writes a non-finite number (an
+infinite window bound, the first refinement ratio) as null.  Exit codes: 0
+success, 1 check/solver failure, 2 configuration or usage error, and 141
+(128 + SIGPIPE, as a shell reports it) when stdout closes before the output
+is written; that run ends quietly.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import argparse
 import ctypes
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -117,10 +120,15 @@ def render_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_number(value):
+    """``value``, or None for a non-finite float: JSON has no NaN or Infinity."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def render_json(report: Report) -> str:
     # np.float64 is a float subclass, which json writes through float.__repr__
-    rows = [{c: row[c] for c in report.columns} for row in report.rows]
-    return json.dumps(rows, indent=2) + "\n"
+    rows = [{c: _json_number(row[c]) for c in report.columns} for row in report.rows]
+    return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(report: Report, fmt: str, out: str | None) -> None:

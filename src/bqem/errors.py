@@ -9,6 +9,10 @@ class OriginSingularity(BqemError):
     """A kernel was evaluated at (or too close to) its singular point."""
 
 
+class PrecisionLoss(BqemError):
+    """A closed-form factor is subnormal in double precision at the given scale, so its digits are lost."""
+
+
 # The two rules on a medium's wavenumbers are also ValueErrors: ChiralMedium
 # and MfsProblem apply them when built, like every other check on a value.
 class InadmissibleAlpha(BqemError, ValueError):

@@ -5,7 +5,10 @@ is a plain complex array of shape ``dims`` for a scalar field, ``dims +
 (3,)`` for a vector field and ``dims + (4,)`` for a biquaternion field.
 Space-time fields put a time axis in front, ``(nt,) + dims + ...`` on a
 SpaceTimeLattice.  Routines take the geometry once, from the lattice they
-are handed.
+are handed.  A vector or biquaternion field is stored component-major, one
+C-contiguous block per component behind the (..., k) shape
+(``algebra._empty``): ``Lattice.points``, the stencils and every field the
+package builds keep that one layout.
 
 The stencils read the lattice axes from that layout: a scalar field's are
 its last three, a vector or quaternion field's the three in front of its
@@ -17,8 +20,9 @@ shifted by that axis' flat stride, from the first interior node to the
 last.  The face nodes that span crosses are then overwritten with NaN, so
 every stencil axis gets a NaN face layer, and composing operators lets NaN
 propagate: the NaN faces are the one record of which nodes are valid.
-Outputs are stored component-major, one contiguous array per component,
-behind the (..., k) shape, so a composed stencil reads them without a copy.
+A stencil reads its input's components as a transposed view
+(``_component_major``), so a component-major field, a composed stencil's
+included, is never copied; a field stored otherwise is copied once.
 Norms are taken over the interior that excludes every face layer whose nodes
 all have a non-finite component; the ``margin=`` of ``max_abs_interior`` or
 of a residual only widens that, never narrows it.
@@ -37,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _empty, _first, _last
 from .errors import GridTooSmall, LatticeMismatch
 
 
@@ -64,9 +69,11 @@ class Lattice:
         return self.origin[k] + self.spacing * np.arange(self.dims[k])
 
     def points(self) -> np.ndarray:
-        """All node coordinates, shape dims + (3,)."""
-        xs = np.meshgrid(self.axis(0), self.axis(1), self.axis(2), indexing="ij")
-        return np.stack(xs, axis=-1)
+        """All node coordinates, shape dims + (3,), stored component-major."""
+        out = _empty(self.dims + (3,), float)
+        for k in range(3):
+            out[..., k] = self.axis(k)[(slice(None),) + (None,) * (2 - k)]
+        return out
 
 
 def _check_nodes(dims: tuple) -> None:
@@ -106,10 +113,11 @@ class SpaceTimeLattice:
 
 
 def _component_major(values, k: int, name: str, dtype=None) -> np.ndarray:
-    """The field ``values`` as one C-contiguous array, component axis first:
-    (k,) + lattice shape for a (..., k) field, (1,) + lattice shape for a
-    scalar field (k = 0).  A view when the field is stored that way already,
-    as every stencil output is, else one copy.  Raises before anything is
+    """The field ``values`` with its component axis first: (k,) + lattice
+    shape for a (..., k) field, (1,) + lattice shape for a scalar field
+    (k = 0), each component one C-contiguous block.  A view when the field
+    is stored that way already, as every field bqem builds is, and so is a
+    time slab of one; else one C-contiguous copy.  Raises before anything is
     allocated unless the field has three lattice axes, then k components."""
     values = np.asarray(values)
     lattice = values.shape[:-1] if k else values.shape
@@ -118,7 +126,10 @@ def _component_major(values, k: int, name: str, dtype=None) -> np.ndarray:
         raise ValueError(f"{name} needs {want}; got shape {values.shape}")
     if min(lattice[-3:]) < 3:
         raise GridTooSmall(f"{name} needs 3 nodes on each lattice axis; got shape {values.shape}")
-    return np.ascontiguousarray(np.moveaxis(values, -1, 0) if k else values[None], dtype=dtype)
+    comps = _first(values) if k else values[None]
+    if comps[0].flags.c_contiguous and dtype in (None, comps.dtype):
+        return comps
+    return np.ascontiguousarray(comps, dtype=dtype)
 
 
 def _divide(acc: np.ndarray, step: float, out: np.ndarray) -> np.ndarray:
@@ -182,7 +193,7 @@ def _stencil(comps: np.ndarray, rows, order: int, step: float) -> np.ndarray:
         face = [slice(None)] * out.ndim
         face[ax] = slice(None, None, out.shape[ax] - 1)  # nodes 0 and n - 1
         out[tuple(face)] = np.nan
-    return out[0] if len(rows) == 1 else np.moveaxis(out, 0, -1)
+    return out[0] if len(rows) == 1 else _last(out)
 
 
 def grad(values: np.ndarray, h: float) -> np.ndarray:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _components, _mul_components
+from .algebra import _components, _first, _last, _mul_components
 from .diffops import _dirac_plus_M, _log_derivative
 from .errors import LatticeMismatch, NonPositiveMedium
 from .grids import (
@@ -114,10 +114,11 @@ def manufactured_state(n: int) -> EMState:
     """Exact state on the unit cube, n nodes a side and n times on [0, 0.8],
     in the medium eps = 1 + 0.3 exp(-|x|^2), mu = 1 + 0.1 x1^2, from the
     potentials A = (0, 0, sin x1 cos t), phi = 0, differentiated by hand:
-    E = -dt A, H = rot(A)/mu, rho = div(eps E), j = rot H - eps dt E."""
+    E = -dt A, H = rot(A)/mu, rho = div(eps E), j = rot H - eps dt E.
+    E, H and j are stored component-major."""
     lat = Lattice.cube((0, 0, 0), 1.0, n)
     st = SpaceTimeLattice(lat, 0.0, 0.8 / (n - 1), n)
-    x1, x2, x3 = np.moveaxis(lat.points(), -1, 0)
+    x1, x2, x3 = _first(lat.points())
     gauss = np.exp(-(x1**2 + x2**2 + x3**2))
     eps = 0.3 * gauss + 1
     mu = 0.1 * x1**2 + 1
@@ -130,10 +131,10 @@ def manufactured_state(n: int) -> EMState:
     return EMState(
         st,
         MediumFields(lat, eps, mu),
-        E=np.stack([zero, zero, Ez], axis=-1),
-        H=np.stack([zero, Hy, zero], axis=-1),
+        E=_last(np.stack([zero, zero, Ez])),
+        H=_last(np.stack([zero, Hy, zero])),
         rho=-0.6 * x3 * gauss * Ez,
-        j=np.stack([zero, zero, jz], axis=-1),
+        j=_last(np.stack([zero, zero, jz])),
     )
 
 

@@ -18,7 +18,8 @@ theta_alpha and its radial gradient factor G (grad theta = G(r) x) are
 computed in one routine, ``_theta_and_radial``, which is also the only place
 that rejects an inadmissible alpha or position; it holds no absolute
 length.  Every public kernel is a view of it; only the dipole's ``_curls``
-adds the Hessian factor dG/dr.  |x| itself comes from ``_radius``, which
+adds the Hessian factor dG/dr, which ``_check_hessian_factor`` rejects
+where it overflows or is subnormal.  |x| itself comes from ``_radius``, which
 the scattering coincidence guard shares.
 
 All evaluators are pure and broadcast over a trailing-(3,) position array,
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Biquaternion, _cross
-from .errors import ChiralResonance, InadmissibleAlpha, OriginSingularity
+from .errors import ChiralResonance, InadmissibleAlpha, OriginSingularity, PrecisionLoss
 
 FOUR_PI = 4.0 * np.pi
 
@@ -158,6 +159,31 @@ class ChiralMedium:
         return chiral_wavenumbers(self.alpha, self.beta)[1]
 
 
+def _check_hessian_factor(alpha: complex, r: np.ndarray, Gp: np.ndarray) -> None:
+    """Reject a dipole whose Hessian factor Gp leaves the double range.
+
+    |Gp| = exp(-Im(alpha) r) m(r), m(r) = |(alpha r)^2 + 3j alpha r - 3| /
+    (4 pi r^4), and both factors fall as r grows (for Im(alpha) >= 0 no
+    coefficient of m^2 r^8 over the powers of r is negative).  So Gp is
+    checked at the least r, where it overflows first (``OriginSingularity``),
+    and m at the greatest, where it is subnormal first: an m below 2^-16 of
+    the least normal double has lost over 16 bits (``PrecisionLoss``).  The
+    benchmark scaled to semi-axes (5, 3, 2) lambda at alpha / lambda meets
+    the first below lambda = 1e-77 and the second past lambda = 1e77.  m
+    leaves the decay out: a field that has decayed to zero far out in a
+    lossy medium has its value, and is not rejected.
+    """
+    if not r.size:
+        return
+    if not np.isfinite(Gp.flat[r.argmin()]):
+        raise OriginSingularity(f"dipole evaluated at |x| = {r.min():.3g}, where its Hessian factor overflows")
+    r_max = float(r.max())
+    u = alpha * r_max
+    m = abs(u * u + 3j * u - 3.0) / (FOUR_PI * r_max) / r_max / r_max / r_max  # r^4 alone overflows from r ~ 1e77
+    if not m >= np.finfo(float).tiny / 2**16:  # NaN fails too
+        raise PrecisionLoss(f"dipole evaluated at |x| = {r_max:.3g}, where its Hessian factor underflows double precision")
+
+
 def _curls(alpha: complex, x, moment) -> tuple[np.ndarray, np.ndarray]:
     """curl(c theta_alpha) = grad theta_alpha x c and curl curl(c theta_alpha)
     = grad <c, grad theta> + alpha^2 c theta, for constant c, from one theta.
@@ -171,7 +197,9 @@ def _curls(alpha: complex, x, moment) -> tuple[np.ndarray, np.ndarray]:
     cb = np.broadcast_to(c, x.shape)
     curl = _cross(G[..., None] * x, cb)
     # d/dr G = Gp(r), in closed form; only the Hessian needs it
-    Gp = theta * (-(alpha * alpha) / r - 3j * alpha / (r * r) + 3.0 / (r * r * r))
+    with np.errstate(over="ignore", under="ignore"):  # rejected below
+        Gp = theta * (-(alpha * alpha) / r - 3j * alpha / (r * r) + 3.0 / (r * r * r))
+    _check_hessian_factor(alpha, r, Gp)
     # <x, c>/r first: Gp/r underflows for large |x|
     hess_c = (Gp * (np.sum(x * c, axis=-1) / r))[..., None] * x + G[..., None] * cb
     return curl, hess_c + (alpha * alpha * theta)[..., None] * cb

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diffops, inhomog
-from .algebra import Biquaternion, I1, I2, I3, ONE, _components, _cross, cross, dot
+from .algebra import Biquaternion, I1, I2, I3, ONE, _components, _cross, _first, _last, cross, dot
 from .chiral_time import _M_slab, green_function, green_refinement
 from .grids import Lattice, SpaceTimeLattice, _time_windows, grad, laplacian, max_abs_interior, rot
 from .kernels import ChiralMedium, chiral_wavenumbers, dipole_field, fundamental_solution, helmholtz_kernel
@@ -254,10 +254,10 @@ def suite_factorizations(seed: int = 0) -> list[CheckRow]:
     # grad u, u = sin x1 cos x2 exp(x3), integrated back from the centre node
     def antiderivative_error(n):
         lat = Lattice.cube((0.4, 0.5, 0.6), 0.5, n)
-        x1, x2, x3 = np.moveaxis(lat.points(), -1, 0)
+        x1, x2, x3 = _first(lat.points())
         e3 = np.exp(x3)
         u = np.sin(x1) * np.cos(x2) * e3
-        grad_u = np.stack([np.cos(x1) * np.cos(x2) * e3, -np.sin(x1) * np.sin(x2) * e3, u], axis=-1)
+        grad_u = _last(np.stack([np.cos(x1) * np.cos(x2) * e3, -np.sin(x1) * np.sin(x2) * e3, u]))
         c = n // 2
         return max_abs_interior(diffops.antiderivative(_components(vector=grad_u), lat, (c, c, c)) - (u - u[c, c, c]))
 
@@ -287,8 +287,8 @@ def suite_factorizations(seed: int = 0) -> list[CheckRow]:
 
     # coefficient form of the Vekua equation (real positive f only)
     def coeff_identity(slot, margin):
-        x1, x2, x3 = np.moveaxis(slot.lattice.points(), -1, 0)
-        w = np.stack([np.sin(x1) * x2, x3**2, np.cos(x2), x1 * x3], axis=-1)
+        x1, x2, x3 = _first(slot.lattice.points())
+        w = _last(np.stack([np.sin(x1) * x2, x3**2, np.cos(x2), x1 * x3]))
         return diffops.vekua_coefficient_identity_residual(slot, w, margin=margin)
 
     c11, c21 = coeff_identity(coarse, 2), coeff_identity(fine, 4)
@@ -328,9 +328,10 @@ def suite_green(seed: int = 0) -> list[CheckRow]:
     laplace = []
     for beta, s in ((0.7, 1 - 0.7j), (-0.7, 0.8 + 2j)):
         medb = replace(med2, beta=beta)
-        # numpy's pairwise sum along each component's contiguous row: a BLAS
-        # product would sum in an order that follows the thread count
-        terms = np.ascontiguousarray(green_function(t, x, medb).components.T) * (w * np.exp(-s * t))
+        # numpy's pairwise sum along each component's contiguous row (a
+        # component-major field's transpose): a BLAS product would sum in an
+        # order that follows the thread count
+        terms = green_function(t, x, medb).components.T * (w * np.exp(-s * t))
         F = np.sum(terms, axis=-1)
         kappa = chiral_wavenumbers(1j * s * rt_em, beta)[0]
         ref = fundamental_solution(kappa, x).components / (s * beta * rt_em - 1j)

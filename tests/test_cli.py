@@ -189,6 +189,39 @@ def test_scatter_residual_finite_at_huge_moment(tmp_path, capsys):
         assert one["residual"] / 10 <= big["residual"] <= 10 * one["residual"]
 
 
+def test_scatter_past_the_scale_law_is_an_error(tmp_path, capsys):
+    # (5, 3, 2) lambda at alpha / lambda, lambda = 1e110: the dipole's Hessian
+    # factor underflows; an error, not wrong digits or a numpy warning
+    lam = 1e110
+    cfg = write_config(tmp_path, {"ellipsoid": {"a": 5 * lam, "b": 3 * lam, "c": 2 * lam},
+                                  "alpha": [1 / lam, 0.3 / lam], "n_values": [20]})
+    assert main(["scatter", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: dipole evaluated at |x| = ") and "underflows" in captured.err
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"not JSON: {name}")
+
+
+def test_json_output_has_no_nan_or_infinity(tmp_path, capsys, monkeypatch):
+    # json.dumps writes Infinity and NaN, which JSON does not have: the
+    # infinite window bounds of check, the first ratio of the refinement
+    # table and an infinite cond are written as null
+    assert main(["check", "all", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert sum(r["hi"] is None for r in rows) == 6
+    assert main(["green-eval", "--refine", "--beta", "1", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert rows[0]["ratio"] is None and all(3.2 <= r["ratio"] <= 4.8 for r in rows[1:])
+    run_benchmark = cli.run_benchmark
+    monkeypatch.setattr(cli, "run_benchmark", lambda *a: [dict(r, cond=np.inf) for r in run_benchmark(*a)])
+    assert main(["scatter", "--config", write_config(tmp_path, TINY_SCATTER), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert [r["cond"] for r in rows] == [None, None] and rows[1]["errE"] < 1e-3
+
+
 def test_scatter_unknown_fields_are_named(tmp_path, capsys, monkeypatch):
     # a misspelled field used to be ignored, and the default it shadows used silently
     monkeypatch.setattr("bqem.cli.run_benchmark", lambda *args, **kw: pytest.fail("sweep started"))

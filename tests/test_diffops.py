@@ -3,7 +3,8 @@ import oracles
 import pytest
 
 from bqem import diffops, grids
-from bqem.algebra import Biquaternion, _mul_components, dot
+from bqem.algebra import Biquaternion, _components, _cross, _mul_components, dot
+from bqem.chiral_time import green_function
 from bqem.errors import BaseOutOfGrid, GridTooSmall, LatticeMismatch, VanishingF
 from bqem.grids import (
     Lattice,
@@ -16,8 +17,8 @@ from bqem.grids import (
     max_abs_interior,
     rot,
 )
-from bqem.inhomog import MediumFields
-from bqem.kernels import fundamental_solution, helmholtz_kernel
+from bqem.inhomog import MediumFields, manufactured_state
+from bqem.kernels import ChiralMedium, fundamental_solution, helmholtz_kernel
 
 ALPHA = 1 + 0.3j
 K_UNIT = np.array([0.36, 0.48, 0.8])  # |k| = 1
@@ -276,6 +277,38 @@ def test_stencil_rejects_a_wrong_component_axis(traced_peak, name, shape):
     lattice = (5, 6, 7)
     out_components = {"grad": (3,), "div": (), "rot": (3,), "dirac": (4,)}[name]
     assert op(np.ones(lattice + ((k,) if k else ())), 0.1).shape == lattice + out_components
+
+
+def test_fields_are_stored_component_major():
+    # every (..., k) field bqem builds is one C-contiguous block per component
+    # behind its (..., k) shape, so the stencils read it without a copy
+    lat = cube(7)
+    h = lat.spacing
+    pts = lat.points()
+    q = _components(pts[..., 0], pts)
+    state = manufactured_state(5)
+    scalar = np.exp(pts @ K_UNIT)
+    times = np.array([0.5, 1.0])[:, None, None, None]
+    fields = [
+        ("points", pts, 3),
+        ("_components", q, 4),
+        ("_mul_components", _mul_components(q, q), 4),
+        ("_cross", _cross(pts, pts[::-1]), 3),
+        ("E", state.E, 3),
+        ("H", state.H, 3),
+        ("j", state.j, 3),
+        ("grad", grad(scalar, h), 3),
+        ("div", div(pts, h), 0),
+        ("rot", rot(pts, h), 3),
+        ("laplacian", laplacian(scalar, h), 0),
+        ("dirac", dirac(q, h), 4),
+        ("green_function", green_function(times, pts, ChiralMedium(beta=1.0)).components, 4),
+    ]
+    for name, field, k in fields:
+        assert (np.moveaxis(field, -1, 0) if k else field).flags.c_contiguous, name
+        assert np.shares_memory(grids._component_major(field, k, name), field), name
+    # a time slab of a space-time field is one contiguous block per component too
+    assert np.shares_memory(grids._component_major(state.E[2], 3, "rot"), state.E)
 
 
 def test_time_diff_exact_on_quadratic_in_t():

@@ -14,6 +14,8 @@ from bqem.algebra import Biquaternion, ONE
 from bqem.errors import (
     ChiralResonance,
     DegenerateSample,
+    OriginSingularity,
+    PrecisionLoss,
     SingularMatrix,
     SourceSingularity,
 )
@@ -375,8 +377,9 @@ def test_coincidence_guard_scales_with_the_sources():
 def test_benchmark_is_scale_invariant(beta):
     # semi-axes (5, 3, 2) lambda at alpha / lambda and beta lambda is the
     # problem at lambda = 1 in units of lambda: alpha beta is unchanged, the
-    # fields scale as lambda^-2, and the relative errors and cond stay put,
-    # up to 1e77: from 1e78 the dipole's Hessian factor, ~ lambda^-4, is subnormal
+    # fields scale as lambda^-2, and the relative errors and cond stay put
+    # from 1e-77 to 1e77: beyond, the dipole's Hessian factor, ~ lambda^-4,
+    # overflows or is subnormal (test_benchmark_past_the_scale_law_raises)
     def rows(lam):
         medium = ChiralMedium(beta=beta * lam, alpha=(1 + 0.3j) / lam)
         surface = Ellipsoid(5 * lam, 3 * lam, 2 * lam)
@@ -386,8 +389,35 @@ def test_benchmark_is_scale_invariant(beta):
         return row["errE"] / np.max(np.abs(E)), row["errH"] / np.max(np.abs(H)), row["cond"]
 
     unit = rows(1.0)
-    for k in (-60, -40, -20, -14, -13, -6, 6, 12, 20, 40, 60, 64, 70, 76, 77):
+    for k in (-77, -70, -60, -40, -20, -14, -13, -6, 6, 12, 20, 40, 60, 64, 70, 76, 77):
         assert rows(10.0**k) == pytest.approx(unit, rel=1e-7), k
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.1])
+@pytest.mark.parametrize(
+    "k, error, match",
+    [(-78, OriginSingularity, "overflows"), (78, PrecisionLoss, "underflows"), (80, PrecisionLoss, "underflows"),
+     (110, PrecisionLoss, "underflows")],
+)
+def test_benchmark_past_the_scale_law_raises(beta, k, error, match):
+    # past 1e77 the dipole's Hessian factor Gp ~ lambda^-4 is subnormal (the
+    # relative columns moved 1.8e-7 at 1e78 and by about 640x from 1e80), and
+    # below 1e-77 it overflows: both are bqem errors, not wrong digits or a
+    # numpy RuntimeWarning
+    lam = 10.0**k
+    medium = ChiralMedium(beta=beta * lam, alpha=(1 + 0.3j) / lam)
+    problem = MfsProblem(surface=Ellipsoid(5 * lam, 3 * lam, 2 * lam), medium=medium, n_sources=20, source_scale=0.15)
+    with pytest.raises(error, match=match):
+        run_benchmark(problem, [20])
+
+
+def test_dipole_decayed_to_zero_is_not_a_precision_loss():
+    # far out in a lossy medium the field decays below the double range: that
+    # is its value, and the Hessian guard leaves the decay out
+    x = np.array([[1.0, 2.0, 0.5], [3000.0, 0.0, 0.0]])
+    for beta in (0.0, 0.1):
+        E, H = dipole_field(DIPOLE_MOMENT, ChiralMedium(beta=beta, alpha=1 + 0.3j), x)
+        assert np.all(E[1] == 0) and np.all(H[1] == 0) and np.all(np.abs(E[0]) > 1e-3)
 
 
 def test_assembly_working_set_is_the_matrix(traced_peak):
